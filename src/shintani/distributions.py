@@ -32,7 +32,7 @@ from .series import (
     evaluate,
     validate_config,
 )
-from .summation import CompensatedSum, exact_complex_sum, exact_real_sum
+from .summation import CompensatedSum, exact_real_sum
 
 _GROW_BLOCK = 1 << 15
 
@@ -249,11 +249,19 @@ def build_distribution(
 
 def _merge_atoms(locations: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum masses of coincident locations (distinct lattice points can map to
-    one point of R^d); output sorted lexicographically by location."""
-    uniq, inverse = np.unique(locations, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inverse.ravel(), masses)
-    return uniq, merged
+    one point of R^d); output sorted lexicographically by location.
+
+    Masses are added in input order, so the merged sums do not depend on
+    how the sort orders equal rows."""
+    order = np.lexsort(locations.T[::-1])
+    ordered = locations[order]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    merged = np.zeros(int(np.count_nonzero(first)))
+    np.add.at(merged, inverse, masses)
+    return ordered[first], merged
 
 
 def char_fn(
@@ -446,11 +454,15 @@ def empirical_cf(batch: SampleBatch, t) -> complex:
             f"t has dimension {t_arr.size}, samples have {batch.points.shape[1]}"
         )
     phases = batch.points @ t_arr
-    return complex(exact_complex_sum(np.exp(1j * phases)) / batch.count)
+    total = complex(exact_real_sum(np.cos(phases)), exact_real_sum(np.sin(phases)))
+    return total / batch.count
 
 
 def atom_cf(dist: ZetaDistribution, t) -> complex:
     """Characteristic function of the truncated atom table itself."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     phases = dist.locations @ t_arr
-    return complex(exact_complex_sum(dist.masses * np.exp(1j * phases)))
+    return complex(
+        exact_real_sum(dist.masses * np.cos(phases)),
+        exact_real_sum(dist.masses * np.sin(phases)),
+    )

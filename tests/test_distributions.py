@@ -47,9 +47,9 @@ class TestBuild:
         assert dist.locations[0, 0] == pytest.approx(-math.log(3.0))
 
     def test_hurwitz_half_atoms(self):
-        mp.mp.dps = 25
         dist = build_distribution(make_special("hurwitz", u=0.5), 2.0, delta=1e-6)
-        z = float(mp.zeta(2, 0.5))
+        with mp.workdps(25):
+            z = float(mp.zeta(2, 0.5))
         for n in (0, 1, 5):
             assert dist.locations[n, 0] == pytest.approx(-math.log(n + 0.5))
             assert dist.masses[n] == pytest.approx((n + 0.5) ** -2 / z, rel=1e-5)

@@ -210,24 +210,24 @@ class TestLevy:
 
     def test_representation_within_certified_bounds(self):
         # module invariant: agreement within combined certified bounds
-        mp.mp.dps = 30
-        for sigma in (1.5, 2.0, 3.0):
-            denom = complex(mp.zeta(sigma))
-            for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                lev = riemann_levy_logcf(sigma, t, 10**4, 40)
-                ratio = complex(mp.zeta(sigma + 1j * t)) / denom
-                got = complex(np.exp(lev.value))
-                # |e^x - e^y| <= e^max(|x|,|y|) |x - y|; the ratio has |.| <= 1
-                assert abs(got - ratio) <= math.e * lev.tail_bound + 1e-12
+        with mp.workdps(30):
+            for sigma in (1.5, 2.0, 3.0):
+                denom = complex(mp.zeta(sigma))
+                for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                    lev = riemann_levy_logcf(sigma, t, 10**4, 40)
+                    ratio = complex(mp.zeta(sigma + 1j * t)) / denom
+                    got = complex(np.exp(lev.value))
+                    # |e^x - e^y| <= e^max(|x|,|y|) |x - y|; the ratio has |.| <= 1
+                    assert abs(got - ratio) <= math.e * lev.tail_bound + 1e-12
 
     def test_hurwitz_representation(self):
-        mp.mp.dps = 30
         sigma = 2.0
-        denom = complex(mp.zeta(sigma, 0.5))
-        for t in (-1.0, 1.0, 2.0):
-            lev = hurwitz_half_levy_logcf(sigma, t, 10**4, 40)
-            ratio = complex(mp.zeta(mp.mpc(sigma, t), 0.5)) / denom
-            assert abs(complex(np.exp(lev.value)) - ratio) <= math.e * lev.tail_bound
+        with mp.workdps(30):
+            denom = complex(mp.zeta(sigma, 0.5))
+            for t in (-1.0, 1.0, 2.0):
+                lev = hurwitz_half_levy_logcf(sigma, t, 10**4, 40)
+                ratio = complex(mp.zeta(mp.mpc(sigma, t), 0.5)) / denom
+                assert abs(complex(np.exp(lev.value)) - ratio) <= math.e * lev.tail_bound
 
     def test_odd_prime_difference(self):
         full = riemann_levy_logcf(2.0, 1.0, 10**4, 40)
