@@ -10,6 +10,7 @@ an import cycle.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -235,18 +236,23 @@ def single_coefficient_at(rule: AlphaRule, n: int) -> complex:
 
 
 _COEFF_ARRAY_CACHE: dict[tuple, np.ndarray] = {}
+_COEFF_ARRAY_LOCK = threading.Lock()
 
 
 def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
-    """A(1..limit) as an array (index n holds A(n); index 0 unused).
+    """A(1..limit) as a read-only array (index n holds A(n); index 0 unused).
 
     Built by touching each n once per prime with its exact exponent class,
-    so zero coefficients need no special casing.
+    so zero coefficients need no special casing.  At most 32 tables are
+    cached, the oldest evicted first; one lock guards lookup, insert and
+    eviction, so concurrent calls are safe (threads that miss on the same
+    key may each build it).
     """
     key = (rules, limit)
-    for (crules, climit), arr in _COEFF_ARRAY_CACHE.items():
-        if crules == rules and climit >= limit:
-            return arr[: limit + 1]
+    with _COEFF_ARRAY_LOCK:
+        for (crules, climit), arr in _COEFF_ARRAY_CACHE.items():
+            if crules == rules and climit >= limit:
+                return arr[: limit + 1]
     is_real = all(rule.is_real for rule in rules)
     dtype = np.float64 if is_real else np.complex128
     out = np.ones(limit + 1, dtype=dtype)
@@ -264,7 +270,9 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
             out[exact] *= coeff
             q *= p
             nu += 1
-    _COEFF_ARRAY_CACHE[key] = out
-    if len(_COEFF_ARRAY_CACHE) > 32:
-        _COEFF_ARRAY_CACHE.pop(next(iter(_COEFF_ARRAY_CACHE)))
+    out.setflags(write=False)
+    with _COEFF_ARRAY_LOCK:
+        _COEFF_ARRAY_CACHE[key] = out
+        if len(_COEFF_ARRAY_CACHE) > 32:
+            _COEFF_ARRAY_CACHE.pop(next(iter(_COEFF_ARRAY_CACHE)))
     return out

@@ -1,10 +1,13 @@
 """Prime sieves, factorization, and multiplicative coefficient machinery."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from shintani import arithmetic
 from shintani.arithmetic import (
     AlphaRule,
     chi_minus_4,
@@ -129,3 +132,82 @@ class TestCoefficients:
         rules = (AlphaRule.constant(0.5j),)
         arr = coefficient_array(rules, 64)
         assert arr[8] == pytest.approx((0.5j) ** 3)
+
+
+def _run_threads(worker, count: int = 8) -> list[str]:
+    """Run worker(seed, errors) in `count` threads with a 1 us switch
+    interval; returns the errors they appended."""
+    errors: list[str] = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed, errors)) for seed in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+class TestCoefficientArrayThreads:
+    """The coefficient_array cache is shared by every caller in the process."""
+
+    RULES = (
+        (AlphaRule.constant(1.0), chi_minus_4()),
+        (AlphaRule.constant(1.0),),
+        (chi_minus_4(),),
+        (AlphaRule.constant(0.5j),),
+        (AlphaRule.constant(1.0), AlphaRule.constant(1.0)),
+    )
+    # 40 keys for 32 cache slots: lookups race with inserts and evictions
+    KEYS = [(rules, limit) for rules in RULES for limit in (16, 24, 32, 40, 48, 56, 64, 72)]
+
+    def test_concurrent_lookup_insert_evict(self):
+        expected = {key: np.array(coefficient_array(*key)) for key in self.KEYS}
+        for round_ in range(10):
+            # an empty cache at a common start makes the threads miss together
+            arithmetic._COEFF_ARRAY_CACHE.clear()
+            start = threading.Barrier(8)
+
+            def worker(seed, errors):
+                rng = np.random.default_rng(100 * round_ + seed)
+                try:
+                    start.wait(timeout=30)
+                    for i in rng.permutation(2 * len(self.KEYS)) % len(self.KEYS):
+                        key = self.KEYS[i]
+                        arr = coefficient_array(*key)
+                        if arr.flags.writeable or not np.array_equal(arr, expected[key]):
+                            errors.append(f"wrong table for limit {key[1]}")
+                except Exception as exc:  # noqa: BLE001 - reported through the assertion below
+                    errors.append(repr(exc))
+
+            assert _run_threads(worker) == [], f"round {round_}"
+
+    def test_concurrent_evaluate_multiplicative(self):
+        from shintani.coefficients import CoefficientSpec
+        from shintani.series import ShintaniConfig, evaluate
+
+        spec = CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.0), chi_minus_4())])
+        cfg = ShintaniConfig(
+            d=1, m=1, r=1, lam=np.array([[1.0]]), u=np.array([1.0]), c=np.array([[1.0]]), theta=spec,
+        )
+        points = (3.0, 3.0 + 2.0j, 4.0)
+        expected = [evaluate(cfg, s, tol=1e-9) for s in points]
+        start = threading.Barrier(8)
+
+        def worker(seed, errors):
+            try:
+                start.wait(timeout=30)
+                for i in np.random.default_rng(seed).permutation(2 * len(points)) % len(points):
+                    if seed % 2:  # half the threads churn the cache meanwhile
+                        for key in self.KEYS[::3]:
+                            coefficient_array(*key)
+                    if evaluate(cfg, points[i], tol=1e-9) != expected[i]:
+                        errors.append(f"evaluate differs at s = {points[i]}")
+            except Exception as exc:  # noqa: BLE001 - reported through the assertion below
+                errors.append(repr(exc))
+
+        assert _run_threads(worker) == []
