@@ -24,8 +24,8 @@ from .series import (
     EvalResult,
     ShintaniConfig,
     _LogWeight,
-    _compositions,
     _form_powers,
+    _shells,
     _tail_bound,
     absolutely_convergent_at,
     as_sigma,
@@ -152,7 +152,7 @@ def _iter_growing(config: ShintaniConfig) -> Iterator[tuple[np.ndarray, int]]:
         return
     t = 0
     while True:
-        yield _compositions(t, config.r), t
+        yield _shells(t, t, config.r), t
         t += 1
 
 

@@ -15,12 +15,16 @@ has two variants: the dense chain for strictly positive lam, and a
 matched-coordinate product bound for identity/triangular zero patterns.
 
 The shell choice and its tail bound are the same for every config; only
-the partial sum through the chosen shell is computed two ways.  For lattice
-rank r = 1 with constant or periodic theta it is a closed form: one
-Euler–Maclaurin line sum per residue class (Johansson 2015), whose
-certified remainder, at most 2^-60 times the tail bound, is added to the
-reported bound.  Every other config enumerates the lattice in blocks.
-Rounding error is uncertified on both routes.
+the partial sum through the chosen shell is computed two ways.  With
+constant or periodic theta and a line coordinate j (every form that
+contains n_j is the same multiple of one form: always for r = 1, column 0
+of euler_zagier, any column of barnes), it is a sum of Euler–Maclaurin
+line sums (Johansson 2015), one per rest point of the other r - 1
+coordinates and residue class of n_j, all computed in one array kernel.
+Their certified remainder, at most 2^-60 times the tail bound, is added to
+the reported bound.  Every other config, including any log_factor theta,
+enumerates the lattice in blocks.  Rounding error is uncertified on both
+routes.
 """
 
 from __future__ import annotations
@@ -554,25 +558,24 @@ def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
 # Lattice enumeration
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, rank: int) -> np.ndarray:
-    """All nonnegative integer points of given total degree, shape (k, rank)."""
+def _shells(lo: int, hi: int, rank: int) -> np.ndarray:
+    """All nonnegative integer points with lo <= total degree <= hi, shape
+    (k, rank), by ascending degree and lexicographic within a degree.
+
+    Built with whole-array operations on every call and never cached: each
+    point of rank - 1 splits its last coordinate L into (x, L - x), x = 0..L,
+    which keeps both orders.
+    """
     if rank == 1:
-        return np.array([[total]], dtype=np.int64)
-    if rank == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack((first, total - first))
-    return _compositions_deep(total, rank)
-
-
-@lru_cache(maxsize=2048)
-def _compositions_deep(total: int, rank: int) -> np.ndarray:
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, rank - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    out = np.vstack(blocks)
-    out.setflags(write=False)
+        return np.arange(lo, hi + 1, dtype=np.int64).reshape(-1, 1)
+    outer = _shells(lo, hi, rank - 1)
+    counts = outer[:, -1] + 1
+    size = int(counts.sum())
+    out = np.empty((size, rank), dtype=np.int64)
+    for i in range(rank - 2):
+        out[:, i] = np.repeat(outer[:, i], counts)
+    out[:, -2] = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out[:, -1] = np.repeat(outer[:, -1], counts) - out[:, -2]
     return out
 
 
@@ -586,25 +589,22 @@ def lattice_count(r: int, n_shell: int) -> int:
 
 
 def _iter_blocks(r: int, n_shell: int) -> Iterator[np.ndarray]:
-    """Lattice points of degree <= n_shell in blocks, ascending degree."""
-    if r == 1:
-        start = 0
-        while start <= n_shell:
-            stop = min(start + _BLOCK, n_shell + 1)
-            yield np.arange(start, stop, dtype=np.int64).reshape(-1, 1)
-            start = stop
-    else:
-        pending: list[np.ndarray] = []
-        count = 0
-        for t in range(n_shell + 1):
-            pts = _compositions(t, r)
-            pending.append(pts)
-            count += pts.shape[0]
-            if count >= _BLOCK:
-                yield np.vstack(pending)
-                pending, count = [], 0
-        if pending:
-            yield np.vstack(pending)
+    """Lattice points of degree <= n_shell in blocks, ascending degree; a
+    block ends at the first shell that brings it to _BLOCK points."""
+    if r == 0:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
+    lo = 0
+    while lo <= n_shell:
+        if r == 1:
+            hi = min(lo + _BLOCK - 1, n_shell)
+        else:
+            hi, count = lo, shell_size(r, lo)
+            while count < _BLOCK and hi < n_shell:
+                hi += 1
+                count += shell_size(r, hi)
+        yield _shells(lo, hi, r)
+        lo = hi + 1
 
 
 def _int_power(col: np.ndarray, k: int) -> np.ndarray:
@@ -671,7 +671,7 @@ def _sum_terms(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form rank-1 partial sums (Euler–Maclaurin)
+# Closed-form line sums (Euler–Maclaurin)
 # ---------------------------------------------------------------------------
 
 # B_2, B_4, ..., B_40 as exact fractions (numerator, denominator)
@@ -688,21 +688,45 @@ _EM_COEFFS = tuple(
     num / (den * math.factorial(2 * j))
     for j, (num, den) in enumerate(_BERNOULLI_EVEN, start=1)
 )
-_EM_HEAD = 16  # smallest direct head
-_EM_MAX_HEAD = 1 << 16  # a longer head is left to the block route
+_EM_HEAD = 16  # Euler–Maclaurin starts no lower than k + v = 16
+_EM_MAX_HEAD = 1 << 16  # a line that needs a longer direct head is left to the block route
 _EM_REL = 2.0**-60  # remainder target relative to the shell tail bound
+# the work of a plan in head terms: 8 + 2M per Euler–Maclaurin line and, for
+# the array operations each Bernoulli order adds, 64 per order
+_EM_LINE_COST = 8
+_EM_ORDER_COST = 64
+_EM_ORDERS = np.arange(1, len(_EM_COEFFS) + 1)
 
 
-def _expm1_ratio(z: complex) -> complex:
-    """(e^z - 1) / z, accurate near z = 0 (exactly 1 there)."""
-    if z == 0:
-        return 1.0 + 0.0j
-    x, y = z.real, z.imag
-    num = complex(
-        math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
-        math.exp(x) * math.sin(y),
+def _expm1_ratio(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1) / z elementwise, accurate near z = 0 (exactly 1 there)."""
+    if np.iscomplexobj(z):
+        x, y = z.real, z.imag
+        num = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * (np.exp(x) * np.sin(y))
+    else:
+        num = np.expm1(z)
+    out = np.ones_like(num)
+    np.divide(num, z, out=out, where=z != 0)
+    return out
+
+
+def _em_remainder_constants(b: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orders M that `_em_remainder_bounds` keeps, with log C_M and
+    p_M = Re b + 2M - 1 > 0 such that its bound is C_M (h+v)^(-p_M).  The
+    last order has log C_M = -inf when the remainder is exactly 0."""
+    with np.errstate(divide="ignore"):  # log 0 = -inf for a zero factor
+        log_rising = np.cumsum(np.log(np.abs(b + np.arange(2 * _EM_ORDERS.size))))[1::2]
+    decay = b.real + 2.0 * _EM_ORDERS - 1.0
+    zero = log_rising == -math.inf
+    keep = (decay > 0.0) | zero
+    if zero.any():
+        keep &= _EM_ORDERS <= _EM_ORDERS[zero][0]
+        decay = np.where(zero, np.maximum(decay, 1.0), decay)
+    log_c = (
+        math.log(4.0) + log_rising - _EM_ORDERS * (2.0 * math.log(2.0 * math.pi))
+        - np.log(np.where(keep, decay, 1.0))
     )
-    return num / z
+    return _EM_ORDERS[keep], log_c[keep], decay[keep]
 
 
 def _em_remainder_bounds(b: complex, v: float, h: int) -> Iterator[tuple[int, float]]:
@@ -726,134 +750,240 @@ def _em_remainder_bounds(b: complex, v: float, h: int) -> Iterator[tuple[int, fl
     of (b)_2M (b a non-positive integer) makes f a polynomial of degree
     below 2M and the remainder exactly 0.
     """
-    x = h + v
-    log_rising = 0.0
-    for order in range(1, len(_EM_COEFFS) + 1):
-        for i in (2 * order - 2, 2 * order - 1):
-            factor = abs(b + i)
-            if factor == 0.0:
-                yield order, 0.0
-                return
-            log_rising += math.log(factor)
-        decay = b.real + 2 * order - 1
-        if decay <= 0.0:
-            continue
-        log_bound = (
-            math.log(4.0) + log_rising - 2 * order * math.log(2.0 * math.pi)
-            + (1.0 - b.real - 2 * order) * math.log(x) - math.log(decay)
-        )
-        yield order, math.exp(log_bound)
+    orders, log_c, decay = _em_remainder_constants(b)
+    return zip(orders.tolist(), np.exp(log_c - decay * math.log(h + v)).tolist())
 
 
-def _em_plan(
-    b: complex, v: float, k_max: int, target: float
-) -> Optional[tuple[int, int, float]]:
-    """(head h, order M, remainder bound <= target) for sum_{k=0}^{k_max}.
+def _line_powers(x: np.ndarray, b: complex) -> np.ndarray:
+    return _form_powers(x.reshape(-1, 1), np.array([b]), b.imag == 0.0)
 
-    The head starts at max(16, |b|) terms and doubles until some order meets
-    the target; a head past k_max means a plain direct sum with bound 0.
-    Returns None when the head would exceed _EM_MAX_HEAD.
-    """
-    h = max(_EM_HEAD, math.ceil(abs(b)))
-    while h <= k_max:
-        if h > _EM_MAX_HEAD:
-            return None
-        for order, bound in _em_remainder_bounds(b, v, h):
-            if bound <= target:
-                return h, order, bound
-        h *= 2
-    return k_max + 1, 0, 0.0
+
+def _em_sum(
+    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray,
+    h: np.ndarray, order: int,
+) -> complex:
+    """sum_i weights_i sum_{k=0}^{k_max_i} (k+v_i)^(-b) without remainders:
+    line i sums its terms k < h_i directly (all heads in one flat array) and
+    the rest by Euler–Maclaurin over [h_i, k_max_i] (the integral, the two
+    endpoint halves and `order` Bernoulli terms), all lines at once."""
+    acc = CompensatedSum()
+    counts = np.minimum(h, k_max + 1)
+    lines = np.flatnonzero(counts)
+    counts = counts[lines]
+    ends = counts.cumsum()
+    start = 0
+    while start < lines.size:  # heads in chunks of at most _BLOCK terms
+        first = int(ends[start] - counts[start])
+        stop = max(int(np.searchsorted(ends, first + _BLOCK, side="right")), start + 1)
+        rep = counts[start:stop]
+        idx = np.repeat(lines[start:stop], rep)
+        k = np.arange(first, int(ends[stop - 1])) - np.repeat(ends[start:stop] - rep, rep)
+        acc.add_array(weights[idx] * _line_powers(k + v[idx], b))
+        start = stop
+    em = h <= k_max
+    if not em.all():
+        if not em.any():
+            return acc.value
+        h, v, k_max, weights = h[em], v[em], k_max[em], weights[em]
+    bb = b.real if b.imag == 0.0 else b
+    x0 = h + v
+    ends = np.concatenate((x0, k_max + v))  # x0 then x1 of every line
+    f = _line_powers(ends, b)
+    f0, f1 = f[: x0.size], f[x0.size:]
+    log_ratio = np.log1p((k_max - h) / x0)
+    # int_x0^x1 x^(-b) dx = x0^(1-b) (e^((1-b) L) - 1) / (1-b), L = log(x1/x0)
+    tails = x0 * f0 * log_ratio * _expm1_ratio((1.0 - bb) * log_ratio) + 0.5 * (f0 + f1)
+    if order:
+        # -f^(2j-1)(x) = (b)_(2j-1) x^(-b-2j+1) = f(x)/x (b)_(2j-1) y^(j-1) with
+        # y = 1/x^2: the Bernoulli terms are f/x times a polynomial in y (Horner)
+        coeffs, rise = [], bb
+        for j in range(order):
+            if j:
+                rise *= (bb + 2 * j - 1) * (bb + 2 * j)
+            coeffs.append(_EM_COEFFS[j] * rise)
+        y = 1.0 / (ends * ends)
+        poly = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            poly = poly * y + c
+        corr = f / ends * poly
+        tails += corr[: x0.size] - corr[x0.size:]
+    acc.add_array(weights * tails)
+    return acc.value
 
 
 def _em_line_sum(b: complex, v: float, k_max: int, h: int, order: int) -> complex:
-    """sum_{k=0}^{k_max} (k+v)^(-b) without its remainder: the terms k < h
-    directly, the rest by Euler–Maclaurin over [h, k_max] (the integral, the
-    two endpoint halves and `order` Bernoulli terms)."""
-    k = np.arange(min(h, k_max + 1), dtype=float) + v
-    if b.imag:
-        head = complex(np.sum(np.exp(-b * np.log(k))))
+    """sum_{k=0}^{k_max} (k+v)^(-b) without its remainder, for one line."""
+    return _em_sum(b, np.array([float(v)]), np.array([k_max]), np.array([1.0]), np.array([h]), order)
+
+
+def _em_line_sums(
+    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray, target: float
+) -> Optional[tuple[complex, float]]:
+    """sum_i weights_i sum_{k=0}^{k_max_i} (k+v_i)^(-b), and a bound on the
+    Euler–Maclaurin remainders that is at most `target`.
+
+    One Bernoulli order M serves every line.  With W = sum_i |weights_i|,
+    Euler–Maclaurin starts on every line at the first k with k + v_i >= X,
+    where X >= _EM_HEAD is the smallest point with W C_M X^(-p_M) <= target
+    (C_M, p_M from `_em_remainder_constants`); each line's remainder is then
+    at most C_M X^(-p_M), so the weighted total is at most target.  A line
+    with v_i >= X needs no head; one whose head covers it is summed directly
+    with no remainder.  The orders are priced from the largest X down (head
+    terms, plus _EM_LINE_COST + 2M per Euler–Maclaurin line and
+    _EM_ORDER_COST per order) until the price rises; the cheapest plan wins,
+    summing every line directly included.  Returns None when every plan
+    needs more than _EM_MAX_HEAD direct terms on some line.
+    """
+    b = complex(b)
+    k_len = k_max + 1
+    direct_cost = float(k_len.sum()) if k_len.max() <= _EM_MAX_HEAD else math.inf
+    plan = (direct_cost, math.inf, 0, 0.0, 1.0)  # (cost, X, M, log C_M, p_M): all direct
+    total_w = float(np.abs(weights).sum())
+    if target > 0.0 and total_w > 0.0:
+        log_budget = math.log(total_w) - math.log(target * (1.0 - 2.0**-20))
+        orders, log_c, decay = _em_remainder_constants(b)
+        # exp(-inf) = 0 where the remainder is exactly 0
+        xs = np.maximum(np.exp(np.minimum((log_c + log_budget) / decay, 700.0)), _EM_HEAD)
+        # X falls with M to a smallest value, and later orders only cost more;
+        # as X falls the heads shrink and the other work grows
+        rising = np.flatnonzero(xs[1:] >= xs[:-1])
+        last = rising[0] + 1 if rising.size else xs.size
+        top = float((v + k_len).max())  # from X = top up every line is summed directly
+        near_v, near_len, prev = v, k_len, math.inf  # the lines with v < X
+        for i in np.flatnonzero(xs[:last] < top):
+            x = float(xs[i])
+            near = near_v < x
+            near_v, near_len = near_v[near], near_len[near]
+            heads = np.minimum(np.ceil(x - near_v), near_len)
+            if heads.size and heads.max() > _EM_MAX_HEAD:
+                continue
+            n_em = v.size - np.count_nonzero(heads == near_len)
+            cost = heads.sum() + n_em * (_EM_LINE_COST + 2 * orders[i]) + _EM_ORDER_COST * orders[i]
+            if cost >= prev:
+                break
+            prev = cost
+            if cost < plan[0]:
+                plan = (cost, x, int(orders[i]), float(log_c[i]), float(decay[i]))
+    cost, x, order, log_c, decay = plan
+    if cost == math.inf:
+        return None
+    heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len).astype(np.int64)
+    em = heads <= k_max
+    remainder = float((np.abs(weights[em]) * np.exp(log_c - decay * np.log(heads[em] + v[em]))).sum())
+    return _em_sum(b, v, k_max, weights, heads, order), remainder
+
+
+def _line_column(lam: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """The first line coordinate j and its rows S = {l : lam[l, j] > 0}, or None.
+
+    j qualifies when every row of S is the same after division by its entry
+    in column j: always for r = 1, and for any column with one positive
+    entry.  Those forms are then lam_lj (n_j + v) with one v for all l in S,
+    and no other form depends on n_j.
+    """
+    m, r = lam.shape
+    if r == 1:
+        return 0, np.arange(m)
+    for j in range(r):
+        rows = np.flatnonzero(lam[:, j] > 0.0)
+        normed = lam[rows] / lam[rows, j : j + 1]
+        if (normed == normed[0]).all():
+            return j, rows
+    return None
+
+
+def _line_partial_sum(
+    config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
+) -> Optional[tuple[complex, float]]:
+    """Partial sum over total degree <= n_shell as Euler–Maclaurin line sums,
+    and the bound on their remainders.
+
+    Applies to constant or periodic theta when `_line_column` finds a line
+    coordinate j with rows S; returns None otherwise.  With the rest point
+    rho (the other r - 1 coordinates, |rho| <= n_shell, from `_iter_blocks`)
+    and b = sum_{l in S} <c_l, s>, the terms along n_j = q k + a (q the
+    period of coordinate j, a < q) are
+        theta(rho, a) prod_{l not in S} L_l(rho)^(-beta_l)
+        prod_{l in S} (q lam_lj)^(-beta_l) (k + v)^(-b),
+    with v = (a + v_rho)/q, v_rho = u_j + sum_{i != j} lam_li (rho_i + u_i)/lam_lj
+    for l in S, and k <= (n_shell - |rho| - a)/q.  `_em_line_sums` sums all
+    lines with a remainder bound of at most 2^-60 times `tail` (times the
+    weighted first terms of the lines when `tail` is 0 or infinite), so
+    adding it to a finite tail bound leaves the float unchanged.  Also None
+    when a line would need more than _EM_MAX_HEAD direct terms (Re b below
+    about -38).
+    """
+    theta = config.theta
+    if theta.family not in ("constant", "periodic"):
+        return None
+    line = _line_column(config.lam)
+    if line is None:
+        return None
+    j, rows = line
+    lam, r = config.lam, config.r
+    is_real = pt.is_real
+    beta = config.c @ (pt.re if is_real else pt.values)
+    b_sum = beta[rows].sum()
+    if theta.family == "periodic":
+        q, value = theta.params["mods"][j], None
     else:
-        head = complex(np.sum(k ** -b.real))
-    if h > k_max:
-        return head
-    x0, x1 = h + v, k_max + v
-    f0, f1 = x0**-b, x1**-b
-    log_ratio = math.log1p((k_max - h) / x0)
-    # int_x0^x1 x^(-b) dx = x0^(1-b) (e^((1-b) L) - 1) / (1-b), L = log(x1/x0)
-    integral = x0 * f0 * log_ratio * _expm1_ratio((1.0 - b) * log_ratio)
-    # f^(2j-1)(x) = -(b)_(2j-1) x^(-b-2j+1); g0, g1 hold (b)_(2j-1) x^(-b-2j+1)
-    g0, g1 = b * f0 / x0, b * f1 / x1
-    corr = 0.0j
-    for j in range(order):
-        if j:
-            rise = (b + 2 * j - 1) * (b + 2 * j)
-            g0 *= rise / (x0 * x0)
-            g1 *= rise / (x1 * x1)
-        corr += _EM_COEFFS[j] * (g0 - g1)
-    return head + integral + 0.5 * (f0 + f1) + corr
+        q, value = 1, complex(theta.params["value"])
+        value = value if value.imag else value.real  # keeps real lines in real arithmetic
+    scale = np.exp(-(beta[rows] @ np.log(lam[rows, j])) - b_sum * math.log(q))
+    others = np.array([l for l in range(config.m) if l not in rows], dtype=np.int64)
+    rest = [i for i in range(r) if i != j]
+    along = lam[rows[0], rest] / lam[rows[0], j]
+    lam_o, off_o = lam[others][:, rest], config.form_offsets[others]
+    vs, ks, ws = [], [], []
+    for block in _iter_blocks(r - 1, n_shell):
+        deg = block.sum(axis=1)
+        v_rho = config.u[j] + (block + config.u[rest]) @ along
+        weight = scale * _form_powers(block @ lam_o.T + off_o, beta[others], is_real)
+        for a in range(min(q, n_shell + 1)):
+            if value is not None:
+                w = weight * value
+            else:
+                w = weight * cf.theta_values(theta, np.insert(block, j, a, axis=1))
+            k_max = (n_shell - a - deg) // q
+            line_v = (a + v_rho) / q
+            keep = (k_max >= 0) & (w != 0)
+            if not keep.all():
+                line_v, k_max, w = line_v[keep], k_max[keep], w[keep]
+            vs.append(line_v)
+            ks.append(k_max)
+            ws.append(w)
+    v, k_max, w = (np.concatenate(parts or [np.zeros(0)]) for parts in (vs, ks, ws))
+    if v.size == 0:
+        return 0.0j, 0.0
+    if np.iscomplexobj(w) and not w.imag.any():
+        w = w.real
+    if 0.0 < tail < math.inf:
+        target = _EM_REL * tail
+    else:
+        target = _EM_REL * float((np.abs(w) * v ** -b_sum.real).sum())
+    return _em_line_sums(complex(b_sum), v, k_max, w, target)
 
 
 def _rank1_partial_sum(
     config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
 ) -> Optional[tuple[complex, float]]:
-    """Closed-form partial sum over n <= n_shell and its remainder bound.
-
-    Applies to r = 1 with constant or periodic theta (constant is period 1);
-    returns None for every other config.  With B = sum_l <c_l, s>, each term
-    is theta(n mod q) prod_l lam_l^(-beta_l) (n+u)^(-B); the residue class
-    n = q k + a contributes q^(-B) sum_{k=0}^{K_a} (k + v_a)^(-B) with
-    v_a = (a+u)/q and K_a = floor((n_shell - a)/q).  Each class sum is
-    `_em_line_sum` with a plan whose remainder bound keeps the total below
-    2^-60 times `tail` (times the magnitude of the terms n < q when `tail` is
-    0 or infinite), so adding it to a finite tail bound leaves the float
-    unchanged.  Also None when a plan would need more than _EM_MAX_HEAD
-    direct terms (Re B below about -38, or a target out of reach).
-    """
-    theta = config.theta
-    if config.r != 1 or theta.family not in ("constant", "periodic"):
+    """`_line_partial_sum` for lattice rank 1, whose q residue classes are q
+    lines; None for every other rank."""
+    if config.r != 1:
         return None
-    if theta.family == "constant":
-        table = np.array([theta.params["value"]], dtype=complex)
-    else:
-        table = np.asarray(theta.params["table"], dtype=complex).ravel()
-    q = table.size
-    u = float(config.u[0])
-    beta = config.c @ pt.values
-    b = complex(np.sum(beta))
-    scale = np.exp(-np.sum(beta * np.log(config.lam[:, 0])) - b * math.log(q))
-    classes = [(a, complex(table[a])) for a in range(min(q, n_shell + 1)) if table[a] != 0]
-    if not classes:
-        return 0.0j, 0.0
-    if 0.0 < tail < math.inf:
-        target = _EM_REL * tail
-    else:
-        target = _EM_REL * abs(scale) * sum(abs(th) * ((a + u) / q) ** -b.real for a, th in classes)
-    per_class = target / (abs(scale) * sum(abs(th) for _, th in classes))
-    total, remainder = 0.0j, 0.0
-    for a, th in classes:
-        v = (a + u) / q
-        k_max = (n_shell - a) // q
-        plan = _em_plan(b, v, k_max, per_class)
-        if plan is None:
-            return None
-        h, order, bound = plan
-        total += th * _em_line_sum(b, v, k_max, h, order)
-        remainder += abs(th) * bound
-    value = complex(scale * total)
-    if pt.is_real and not np.any(table.imag):
-        value = complex(value.real, 0.0)
-    return value, float(abs(scale)) * remainder
+    return _line_partial_sum(config, pt, n_shell, tail)
 
 
 def _partial_sum(
     config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
 ) -> tuple[complex, float]:
-    """Partial sum over total degree <= n_shell, and `tail` plus the closed
-    form's remainder bound where the closed form applies."""
-    closed = _rank1_partial_sum(config, pt, n_shell, tail)
-    if closed is None:
+    """Partial sum over total degree <= n_shell, and `tail` plus the line
+    sums' remainder bound where line sums apply."""
+    route = _rank1_partial_sum if config.r == 1 else _line_partial_sum
+    lines = route(config, pt, n_shell, tail)
+    if lines is None:
         return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
-    value, remainder = closed
+    value, remainder = lines
     return value, tail + remainder
 
 
