@@ -330,8 +330,7 @@ def _levy_variant(config: series.ShintaniConfig) -> bool:
     plain = (
         config.d == 1 and config.m == 1 and config.r == 1
         and float(config.lam[0, 0]) == 1.0 and float(config.c[0, 0]) == 1.0
-        and config.theta.family == "constant"
-        and complex(config.theta.params["value"]) == 1.0 + 0.0j
+        and config.theta.is_one
     )
     if plain and float(config.u[0]) == 1.0:
         return False

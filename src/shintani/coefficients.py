@@ -6,13 +6,18 @@ nonnegative integer lattice together with a growth envelope
 truncation bounds.  Families beyond the polynomial-envelope ones also carry
 structural information (finite support, geometric decay, sparse factorial
 support) that unlocks sharper certified tails.
+
+Each family is one subclass of CoefficientSpec, registered in FAMILIES under
+its name.  The base class answers every query for a dense family with a
+polynomial envelope; a family overrides only what differs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -24,17 +29,7 @@ NONPOSITIVE = "nonpositive"
 MIXED = "mixed"
 COMPLEX = "complex"
 
-FAMILIES = (
-    "constant",
-    "finite_support",
-    "periodic",
-    "geometric",
-    "log_factor",
-    "character_product",
-    "product_of_families",
-    "multiplicative_product",
-    "poisson_powers",
-)
+FAMILIES: dict[str, type] = {}  # family name -> its CoefficientSpec subclass
 
 _ENVELOPE_SCAN_LIMIT = 10**6
 _SIGN_SCAN_LIMIT = 4096
@@ -60,12 +55,102 @@ class CoefficientSpec:
 
     Use the family constructors (``constant``, ``finite_support``, ...)
     rather than building instances directly; they normalize parameters and
-    derive envelopes where the family permits it.
+    derive envelopes where the family permits it, and return the family's
+    subclass.  Every family implements ``values(points)`` (theta at the rows
+    of a 2-d int array, shape (k, r) -> (k,)) and ``sign_class()`` (one of
+    nonnegative / nonpositive / mixed / complex); the other queries below
+    have defaults.  The structural invariants ``support_degree``,
+    ``envelope_triple`` and ``poisson_decomposition`` are computed once, at
+    construction; they are not dataclass fields, so equality and the config
+    schema see only family, params and envelope.
     """
 
     family: str
     params: dict
     envelope: Envelope
+
+    # Largest total degree carrying a nonzero value, or None if unbounded.
+    support_degree: ClassVar[Optional[int]] = None
+    # (base, rate, B_other, eps_other) when exactly one poisson factor drives
+    # the support; None otherwise.
+    poisson_decomposition: ClassVar[Optional[tuple[int, float, float, float]]] = None
+    is_one: ClassVar[bool] = False  # theta == 1 everywhere
+    family_name: ClassVar[str] = ""
+
+    def __init_subclass__(cls, family: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.family_name = family
+        FAMILIES[family] = cls
+
+    def __post_init__(self) -> None:
+        if FAMILIES.get(self.family) is not type(self):
+            raise ConfigError(f"unknown coefficient family {self.family!r}")
+        # (B, eps, g) with |theta(n)| <= B * (t + 1)^eps * g^t, g in (0, 1]
+        triple = (self.envelope.bound, self.envelope.growth, 1.0)
+        object.__setattr__(self, "envelope_triple", triple)
+
+    @classmethod
+    def _of(cls, params: dict, envelope: Envelope) -> "CoefficientSpec":
+        return cls(cls.family_name, params, envelope)
+
+    # -- protocol -------------------------------------------------------------
+
+    @property
+    def is_entire(self) -> bool:
+        """True when the series converges absolutely for every s (finite
+        support, sparse factorial support, or strict geometric decay)."""
+        return (
+            self.support_degree is not None
+            or self.poisson_decomposition is not None
+            or self.envelope_triple[2] < 1.0
+        )
+
+    def support(self, r: int, lo: int, hi: int) -> Optional[np.ndarray]:
+        """Support lattice points with lo <= total degree <= hi, ascending
+        degree (lexicographic within one), or None when the support cannot be
+        enumerated directly.  ``hi`` may be large for a sparse support."""
+        return None
+
+    def support_shells(self, r: int) -> Iterator[tuple[np.ndarray, int]]:
+        """(support points of one degree, that degree) for every nonempty
+        degree of an enumerable support, ascending, without end for an
+        unbounded one."""
+        lo, hi = 0, 1
+        while self.support_degree is None or lo <= self.support_degree:
+            pts = self.support(r, lo, hi)
+            degrees = pts.sum(axis=1)
+            for t in np.unique(degrees).tolist():
+                yield pts[degrees == t], t
+            lo, hi = hi + 1, 2 * hi + 1
+
+    def per_coordinate_envelope(self, r: int) -> Optional[list[tuple[float, float]]]:
+        """(B_j, eps_j) per coordinate with |theta(n)| <= prod_j B_j (n_j+1)^eps_j.
+
+        Feeds the matched-coordinate tail route for zero-pattern linear forms.
+        None when the family has no usable coordinatewise factorization.  The
+        default respects the declared envelope, (t+1)^eps <= prod_j (n_j+1)^eps,
+        with the smaller of its bound and the structural one.
+        """
+        b, eps = min(self.envelope.bound, self.envelope_triple[0]), self.envelope.growth
+        return [(b, eps)] + [(1.0, eps)] * (r - 1)
+
+    def validate(self, r: int) -> list[str]:
+        """Family-specific shape checks against lattice rank r."""
+        return []
+
+    def residue_classes(self, j: int) -> Optional[tuple[int, Callable]]:
+        """(q, at) when theta is periodic with period q along coordinate j:
+        ``at(rest, a)`` is theta at n_j = a (mod q) for the points ``rest`` of
+        the other coordinates (a scalar when theta is constant).  None for
+        every family but constant and periodic."""
+        return None
+
+    def prewarm(self, max_coord: int) -> None:
+        """Build any table ``values`` needs for coordinates up to max_coord."""
+
+    def times(self, factor: "CoefficientSpec") -> "CoefficientSpec":
+        """The product theta * factor, appending to this product's factors."""
+        return CoefficientSpec.product((self, factor))
 
     # -- constructors -------------------------------------------------------
 
@@ -73,7 +158,7 @@ class CoefficientSpec:
     def constant(value: complex = 1.0, envelope: Optional[Envelope] = None) -> "CoefficientSpec":
         value = complex(value)
         env = envelope or Envelope(abs(value), 0.0)
-        return CoefficientSpec("constant", {"value": value}, env)
+        return _Constant._of({"value": value}, env)
 
     @staticmethod
     def finite_support(
@@ -93,7 +178,7 @@ class CoefficientSpec:
         if any(any(i < 0 for i in pt) for pt, _ in norm):
             raise ConfigError("finite_support points must be nonnegative")
         env = envelope or Envelope(max(abs(v) for _, v in norm), 0.0)
-        return CoefficientSpec("finite_support", {"entries": norm}, env)
+        return _FiniteSupport._of({"entries": norm}, env)
 
     @staticmethod
     def periodic(
@@ -106,9 +191,7 @@ class CoefficientSpec:
         if arr.shape != mods:
             raise ConfigError(f"periodic table shape {arr.shape} != moduli {mods}")
         env = envelope or Envelope(float(np.max(np.abs(arr))), 0.0)
-        return CoefficientSpec(
-            "periodic", {"mods": mods, "table": _nest(arr)}, env
-        )
+        return _Periodic._of({"mods": mods, "table": _nest(arr)}, env)
 
     @staticmethod
     def geometric(
@@ -121,7 +204,7 @@ class CoefficientSpec:
             if not (0.0 < abs(q) <= 1.0 + 1e-15):
                 raise ConfigError(f"geometric ratio must satisfy 0 < |q| <= 1, got {q}")
         env = envelope or Envelope(1.0, 0.0)
-        return CoefficientSpec("geometric", {"ratios": qs}, env)
+        return _Geometric._of({"ratios": qs}, env)
 
     @staticmethod
     def log_factor(
@@ -139,10 +222,8 @@ class CoefficientSpec:
         if np.any(lam_arr < 0) or np.any(u_arr <= 0) or np.any(lam_arr @ u_arr <= 0):
             raise ConfigError("log_factor forms need nonnegative lam, positive u, positive offsets")
         env = envelope or Envelope(_log_factor_bound(g, lam_arr, u_arr, growth), growth)
-        return CoefficientSpec(
-            "log_factor",
-            {"coeffs": g, "lam": _nest(lam_arr), "u": tuple(u_arr.tolist())},
-            env,
+        return _LogFactor._of(
+            {"coeffs": g, "lam": _nest(lam_arr), "u": tuple(u_arr.tolist())}, env
         )
 
     @staticmethod
@@ -161,7 +242,7 @@ class CoefficientSpec:
             norm.append((int(mod), tab, int(coord), int(shift)))
             bound *= max(abs(v) for v in tab)
         env = envelope or Envelope(bound, 0.0)
-        return CoefficientSpec("character_product", {"factors": tuple(norm)}, env)
+        return _CharacterProduct._of({"factors": tuple(norm)}, env)
 
     @staticmethod
     def product(
@@ -174,7 +255,7 @@ class CoefficientSpec:
             math.prod(f.envelope.bound for f in fs),
             sum(f.envelope.growth for f in fs),
         )
-        return CoefficientSpec("product_of_families", {"factors": fs}, env)
+        return _Product._of({"factors": fs}, env)
 
     @staticmethod
     def multiplicative_product(
@@ -192,9 +273,7 @@ class CoefficientSpec:
                 if rule.max_abs() > 1.0 + 1e-12:
                     raise ConfigError("multiplicative coefficients need |alpha(p)| <= 1")
         env = envelope or _multiplicative_envelope(norm, growth)
-        return CoefficientSpec(
-            "multiplicative_product", {"coords": norm, "growth": float(growth)}, env
-        )
+        return _MultiplicativeProduct._of({"coords": norm, "growth": float(growth)}, env)
 
     @staticmethod
     def poisson_powers(
@@ -205,7 +284,7 @@ class CoefficientSpec:
         if base < 2:
             raise ConfigError(f"poisson_powers base must be an integer >= 2, got {base}")
         env = envelope or Envelope(1.0, max(float(rate), 0.0))
-        return CoefficientSpec("poisson_powers", {"base": base, "rate": float(rate)}, env)
+        return _PoissonPowers._of({"base": base, "rate": float(rate)}, env)
 
 
 def _nest(arr: np.ndarray):
@@ -220,14 +299,27 @@ def _log_factor_bound(coeffs, lam: np.ndarray, u: np.ndarray, growth: float) -> 
     """
     if growth <= 0:
         raise ConfigError("log_factor envelope growth must be positive")
+    crossover = 1.0 / (math.e * growth)
+    return float(np.sum(np.abs(np.asarray(coeffs)) * (_log_offsets(lam, u) + crossover + 1.0)))
+
+
+def _log_offsets(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """C0_q = max(log M_q, 0) + max(-log w_q, 0) with M_q and w_q as in
+    `_log_factor_bound`, so that |log L_q(n)| <= C0_q + log(t + 1)."""
     w = lam @ u
     m_row = np.maximum(lam.max(axis=1), w)
-    c0 = np.maximum(np.log(m_row), 0.0) + np.maximum(-np.log(w), 0.0)
-    crossover = 1.0 / (math.e * growth)
-    return float(np.sum(np.abs(np.asarray(coeffs)) * (c0 + crossover + 1.0)))
+    return np.maximum(np.log(m_row), 0.0) + np.maximum(-np.log(w), 0.0)
 
 
-_MULT_ENVELOPE_CACHE: dict[tuple, float] = {}
+@lru_cache(maxsize=None)
+def _rules_envelope(rules: tuple[AlphaRule, ...], growth: float) -> float:
+    """max |A(n)| / n^growth over 1 <= n <= _ENVELOPE_SCAN_LIMIT for one
+    coordinate's rules: empirical over the scan range; the coefficient lemma
+    guarantees the asymptotic order for any positive growth."""
+    arr = np.abs(coefficient_array(rules, _ENVELOPE_SCAN_LIMIT))
+    n = np.arange(_ENVELOPE_SCAN_LIMIT + 1, dtype=float)
+    n[0] = 1.0
+    return float(np.max(arr / n**growth))
 
 
 def _multiplicative_envelope(coords, growth: float) -> Envelope:
@@ -236,20 +328,12 @@ def _multiplicative_envelope(coords, growth: float) -> Envelope:
         return Envelope(1.0, 0.0)
     bound = 1.0
     for rules in coords:
-        key = (tuple(rules), growth)
-        if key not in _MULT_ENVELOPE_CACHE:
-            arr = np.abs(coefficient_array(tuple(rules), _ENVELOPE_SCAN_LIMIT))
-            n = np.arange(_ENVELOPE_SCAN_LIMIT + 1, dtype=float)
-            n[0] = 1.0
-            # empirical over the scan range; the coefficient lemma guarantees
-            # the asymptotic order for any positive growth
-            _MULT_ENVELOPE_CACHE[key] = float(np.max(arr / n**growth))
-        bound *= max(_MULT_ENVELOPE_CACHE[key], 1.0)
+        bound *= max(_rules_envelope(tuple(rules), growth), 1.0)
     return Envelope(bound, growth * len(coords))
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: theta_values and one class per family
 # ---------------------------------------------------------------------------
 
 def theta_values(spec: CoefficientSpec, points: np.ndarray) -> np.ndarray:
@@ -257,105 +341,120 @@ def theta_values(spec: CoefficientSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points)
     if pts.ndim != 2:
         raise ConfigError("lattice points must be a 2-d array")
-    k, r = pts.shape
-    fam = spec.family
-    if fam == "constant":
-        v = spec.params["value"]
-        if v.imag == 0.0:
-            return np.full(k, v.real)
-        return np.full(k, v)
-    if fam == "finite_support":
-        lookup = dict(spec.params["entries"])
-        vals = [lookup.get(tuple(int(x) for x in row), 0.0) for row in pts]
-        out = np.asarray(vals, dtype=complex)
-        return out.real if np.all(out.imag == 0.0) else out
-    if fam == "periodic":
-        mods = spec.params["mods"]
-        table = np.asarray(spec.params["table"], dtype=complex).reshape(mods)
-        res = tuple(pts[:, j] % mods[j] for j in range(r))
-        out = table[res]
-        return out.real if np.all(out.imag == 0.0) else out
-    if fam == "geometric":
-        qs = np.asarray(spec.params["ratios"], dtype=complex)
-        if np.all(qs.imag == 0.0) and np.all(qs.real > 0.0):
-            return np.exp(pts @ np.log(qs.real))
-        return np.exp(pts @ np.log(qs))
-    if fam == "log_factor":
-        lam = np.asarray(spec.params["lam"], dtype=float)
-        u = np.asarray(spec.params["u"], dtype=float)
-        coeffs = np.asarray(spec.params["coeffs"], dtype=float)
-        forms = pts @ lam.T + (lam @ u)
-        return np.log(forms) @ coeffs
-    if fam == "character_product":
-        out = np.ones(k)
-        complex_out = None
-        for mod, table, coord, shift in spec.params["factors"]:
-            tab = np.asarray(table)
-            vals = tab[(pts[:, coord] + shift) % mod]
-            if np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
-                complex_out = (complex_out if complex_out is not None else out.astype(complex)) * vals
-            elif complex_out is not None:
-                complex_out = complex_out * vals.real
-            else:
-                out = out * vals.real
-        return complex_out if complex_out is not None else out
-    if fam == "product_of_families":
-        out = None
-        for factor in spec.params["factors"]:
-            vals = theta_values(factor, pts)
-            out = vals if out is None else out * vals
-        return out
-    if fam == "multiplicative_product":
-        limit = int(pts.max(initial=0)) + 1
-        out = None
-        for j, rules in enumerate(spec.params["coords"]):
-            arr = coefficient_array(tuple(rules), max(limit, 2))
-            vals = arr[pts[:, j] + 1]
-            out = vals if out is None else out * vals
-        return out
-    if fam == "poisson_powers":
-        j = spec.params["base"]
-        a = spec.params["rate"]
-        out = np.zeros(k)
-        n = pts[:, 0]
-        kk = np.round(np.log(n.astype(float) + 1.0) / math.log(j)).astype(int)
-        kk = kk.clip(min=0)
-        # exact integer support test; python ints avoid int64 power overflow
-        on = np.array([j**int(x) == int(m) + 1 for x, m in zip(kk, n)], dtype=bool)
-        ks = kk[on]
-        out[on] = np.exp(
-            a * ks * math.log(j) - np.asarray([math.lgamma(x + 1.0) for x in ks])
+    return spec.values(pts)
+
+
+def _real_if_possible(out: np.ndarray) -> np.ndarray:
+    return out.real if np.all(out.imag == 0.0) else out
+
+
+class _Constant(CoefficientSpec, family="constant"):
+    @property
+    def is_one(self) -> bool:
+        return self.params["value"] == 1.0
+
+    def _value(self):
+        v = self.params["value"]
+        return v.real if v.imag == 0.0 else v  # keeps real theta in real arithmetic
+
+    def values(self, points):
+        return np.full(points.shape[0], self._value())
+
+    def sign_class(self):
+        return _sign_of_values([self.params["value"]])
+
+    def residue_classes(self, j):
+        value = self._value()
+        return 1, lambda rest, a: value
+
+
+class _FiniteSupport(CoefficientSpec, family="finite_support"):
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        entries = self.params["entries"]
+        object.__setattr__(self, "support_degree", max(sum(pt) for pt, _ in entries))
+        object.__setattr__(self, "_lookup", dict(entries))
+
+    def values(self, points):
+        lookup = self._lookup
+        vals = [lookup.get(tuple(row), 0.0) for row in points.tolist()]
+        return _real_if_possible(np.asarray(vals, dtype=complex))
+
+    def sign_class(self):
+        return _sign_of_values([v for _, v in self.params["entries"]])
+
+    def support(self, r, lo, hi):
+        pts = [pt for pt, _ in self.params["entries"] if lo <= sum(pt) <= hi]
+        pts.sort(key=lambda pt: (sum(pt), pt))
+        return np.asarray(pts, dtype=np.int64).reshape(len(pts), r)
+
+    def validate(self, r):
+        if any(len(pt) != r for pt, _ in self.params["entries"]):
+            return [f"theta.params.entries: lattice points must have length r={r}"]
+        return []
+
+
+class _Periodic(CoefficientSpec, family="periodic"):
+    def values(self, points):
+        mods = self.params["mods"]
+        table = np.asarray(self.params["table"], dtype=complex).reshape(mods)
+        res = tuple(points[:, j] % mods[j] for j in range(points.shape[1]))
+        return _real_if_possible(table[res])
+
+    def sign_class(self):
+        return _sign_of_values(np.asarray(self.params["table"], dtype=complex).ravel())
+
+    def validate(self, r):
+        if len(self.params["mods"]) != r:
+            return [f"theta.params.mods: needs exactly r={r} moduli"]
+        return []
+
+    def residue_classes(self, j):
+        return self.params["mods"][j], lambda rest, a: theta_values(
+            self, np.insert(rest, j, a, axis=1)
         )
-        return out
-    raise ConfigError(f"unknown coefficient family {fam!r}")
 
 
-def theta_at(spec: CoefficientSpec, point: tuple[int, ...]) -> complex:
-    return complex(np.asarray(theta_values(spec, np.asarray([point]))).ravel()[0])
+class _Geometric(CoefficientSpec, family="geometric"):
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        g = max(abs(complex(q)) for q in self.params["ratios"])
+        object.__setattr__(self, "envelope_triple", (1.0, 0.0, min(g, 1.0)))
 
+    def values(self, points):
+        qs = np.asarray(self.params["ratios"], dtype=complex)
+        if np.all(qs.imag == 0.0) and np.all(qs.real > 0.0):
+            return np.exp(points @ np.log(qs.real))
+        return np.exp(points @ np.log(qs))
 
-# ---------------------------------------------------------------------------
-# Structure queries used by the certified tail machinery
-# ---------------------------------------------------------------------------
-
-def sign_class(spec: CoefficientSpec) -> str:
-    """One of nonnegative / nonpositive / mixed / complex."""
-    fam = spec.family
-    if fam == "constant":
-        return _sign_of_values([spec.params["value"]])
-    if fam == "finite_support":
-        return _sign_of_values([v for _, v in spec.params["entries"]])
-    if fam == "periodic":
-        return _sign_of_values(np.asarray(spec.params["table"], dtype=complex).ravel())
-    if fam == "geometric":
-        qs = spec.params["ratios"]
+    def sign_class(self):
+        qs = self.params["ratios"]
         if any(complex(q).imag != 0.0 for q in qs):
             return COMPLEX
         return NONNEGATIVE if all(complex(q).real > 0.0 for q in qs) else MIXED
-    if fam == "log_factor":
-        lam = np.asarray(spec.params["lam"], dtype=float)
-        u = np.asarray(spec.params["u"], dtype=float)
-        coeffs = np.asarray(spec.params["coeffs"], dtype=float)
+
+    def validate(self, r):
+        if len(self.params["ratios"]) != r:
+            return [f"theta.params.ratios: needs exactly r={r} ratios"]
+        return []
+
+
+class _LogFactor(CoefficientSpec, family="log_factor"):
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p = self.params
+        return (
+            np.asarray(p["lam"], dtype=float),
+            np.asarray(p["u"], dtype=float),
+            np.asarray(p["coeffs"], dtype=float),
+        )
+
+    def values(self, points):
+        lam, u, coeffs = self._arrays()
+        forms = points @ lam.T + (lam @ u)
+        return np.log(forms) @ coeffs
+
+    def sign_class(self):
+        lam, u, coeffs = self._arrays()
         if np.all(coeffs == 0.0):
             return NONNEGATIVE
         if np.any((lam @ u)[coeffs != 0.0] < 1.0):
@@ -365,25 +464,195 @@ def sign_class(spec: CoefficientSpec) -> str:
         if np.all(coeffs <= 0.0):
             return NONPOSITIVE
         return MIXED
-    if fam == "character_product":
+
+    def per_coordinate_envelope(self, r):
+        # sum_q |g_q| (C0_q + log(t+1)) <= B0 prod_j (1 + log(n_j+1)) and
+        # 1 + log x <= max(1, e^(eps-1)/eps) x^eps
+        eps = max(self.envelope.growth, 0.05)
+        lam, u, coeffs = self._arrays()
+        b0 = float(np.sum(np.abs(coeffs) * (_log_offsets(lam, u) + 1.0)))
+        k_eps = max(1.0, math.exp(eps - 1.0) / eps)
+        return [(b0 * k_eps, eps)] + [(k_eps, eps)] * (r - 1)
+
+    def validate(self, r):
+        problems = []
+        if np.asarray(self.params["lam"], dtype=float).shape[1] != r:
+            problems.append(f"theta.params.lam: needs r={r} columns")
+        if len(self.params["u"]) != r:
+            problems.append(f"theta.params.u: needs length r={r}")
+        return problems
+
+
+class _CharacterProduct(CoefficientSpec, family="character_product"):
+    def values(self, points):
+        out = np.ones(points.shape[0])
+        complex_out = None
+        for mod, table, coord, shift in self.params["factors"]:
+            tab = np.asarray(table)
+            vals = tab[(points[:, coord] + shift) % mod]
+            if np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
+                complex_out = (complex_out if complex_out is not None else out.astype(complex)) * vals
+            elif complex_out is not None:
+                complex_out = complex_out * vals.real
+            else:
+                out = out * vals.real
+        return complex_out if complex_out is not None else out
+
+    def sign_class(self):
         cls = NONNEGATIVE
-        for mod, table, _, _ in spec.params["factors"]:
+        for _, table, _, _ in self.params["factors"]:
             cls = _sign_product(cls, _sign_of_values(table))
         return cls
-    if fam == "product_of_families":
+
+    def validate(self, r):
+        return [
+            f"theta.params.factors: coordinate {coord} outside 0..{r - 1}"
+            for _, _, coord, _ in self.params["factors"]
+            if not 0 <= coord < r
+        ]
+
+
+class _Product(CoefficientSpec, family="product_of_families"):
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        fs = self.params["factors"]
+        degs = [f.support_degree for f in fs if f.support_degree is not None]
+        object.__setattr__(self, "support_degree", min(degs) if degs else None)
+        bb, ee, gg = 1.0, 0.0, 1.0
+        for f in fs:
+            fb, fe, fg = f.envelope_triple
+            bb, ee, gg = bb * fb, ee + fe, gg * fg
+        object.__setattr__(self, "envelope_triple", (bb, ee, gg))
+        poisson = [f for f in fs if isinstance(f, _PoissonPowers)]
+        if len(poisson) == 1:
+            others = [f.envelope for f in fs if f is not poisson[0]]
+            base, rate, _, _ = poisson[0].poisson_decomposition
+            b_other = math.prod((e.bound for e in others), start=1.0)
+            eps_other = sum((e.growth for e in others), 0.0)
+            object.__setattr__(self, "poisson_decomposition", (base, rate, b_other, eps_other))
+
+    def values(self, points):
+        out = None
+        for factor in self.params["factors"]:
+            vals = factor.values(points)
+            out = vals if out is None else out * vals
+        return out
+
+    def sign_class(self):
         cls = NONNEGATIVE
-        for factor in spec.params["factors"]:
-            cls = _sign_product(cls, sign_class(factor))
+        for factor in self.params["factors"]:
+            cls = _sign_product(cls, factor.sign_class())
         return cls
-    if fam == "multiplicative_product":
+
+    def support(self, r, lo, hi):
+        # a finite factor of least degree enumerates the product's support,
+        # else the first sparse factor does
+        fs = self.params["factors"]
+        finite = [f for f in fs if f.support_degree is not None]
+        for f in [min(finite, key=lambda f: f.support_degree)] if finite else fs:
+            pts = f.support(r, lo, hi)
+            if pts is not None:
+                return pts
+        return None
+
+    def per_coordinate_envelope(self, r):
+        out = [(1.0, 0.0)] * r
+        for factor in self.params["factors"]:
+            sub = factor.per_coordinate_envelope(r)
+            if sub is None:
+                return None
+            out = [(b1 * b2, e1 + e2) for (b1, e1), (b2, e2) in zip(out, sub)]
+        return out
+
+    def validate(self, r):
+        return [p for factor in self.params["factors"] for p in factor.validate(r)]
+
+    def prewarm(self, max_coord):
+        for factor in self.params["factors"]:
+            factor.prewarm(max_coord)
+
+    def times(self, factor):
+        return CoefficientSpec.product(self.params["factors"] + (factor,))
+
+
+class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
+    def values(self, points):
+        limit = int(points.max(initial=0)) + 1
+        out = None
+        for j, rules in enumerate(self.params["coords"]):
+            arr = coefficient_array(tuple(rules), max(limit, 2))
+            vals = arr[points[:, j] + 1]
+            out = vals if out is None else out * vals
+        return out
+
+    def sign_class(self):
         cls = NONNEGATIVE
-        for rules in spec.params["coords"]:
+        for rules in self.params["coords"]:
             arr = coefficient_array(tuple(rules), _SIGN_SCAN_LIMIT)
             cls = _sign_product(cls, _sign_of_values(arr[1:]))
         return cls
-    if fam == "poisson_powers":
+
+    def per_coordinate_envelope(self, r):
+        growth = self.params["growth"]
+        out = []
+        for rules in self.params["coords"]:
+            if len(rules) == 1:
+                out.append((1.0, 0.0))
+            else:
+                out.append((max(_rules_envelope(tuple(rules), growth), 1.0), growth))
+        return out
+
+    def validate(self, r):
+        if len(self.params["coords"]) != r:
+            return [f"theta.params.coords: needs rules for each of r={r} coordinates"]
+        return []
+
+    def prewarm(self, max_coord):
+        for rules in self.params["coords"]:
+            coefficient_array(tuple(rules), max(max_coord + 1, 2))
+
+
+class _PoissonPowers(CoefficientSpec, family="poisson_powers"):
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        decomposition = (self.params["base"], self.params["rate"], 1.0, 0.0)
+        object.__setattr__(self, "poisson_decomposition", decomposition)
+
+    def values(self, points):
+        j = self.params["base"]
+        a = self.params["rate"]
+        out = np.zeros(points.shape[0])
+        n = points[:, 0]
+        kk = np.round(np.log(n.astype(float) + 1.0) / math.log(j)).astype(int)
+        kk = kk.clip(min=0)
+        # exact integer support test; python ints avoid int64 power overflow
+        on = np.array([j**int(x) == int(m) + 1 for x, m in zip(kk, n)], dtype=bool)
+        ks = kk[on]
+        out[on] = np.exp(
+            a * ks * math.log(j) - np.asarray([math.lgamma(x + 1.0) for x in ks])
+        )
+        return out
+
+    def sign_class(self):
         return NONNEGATIVE
-    raise ConfigError(f"unknown coefficient family {fam!r}")
+
+    def support(self, r, lo, hi):
+        base = self.params["base"]
+        ks = []
+        k = 0
+        while base**k - 1 <= hi:
+            if base**k - 1 >= lo:
+                ks.append(base**k - 1)
+            k += 1
+        return np.asarray(ks, dtype=np.int64).reshape(len(ks), 1)
+
+    def per_coordinate_envelope(self, r):
+        return None
+
+    def validate(self, r):
+        if r != 1:
+            return ["theta.family poisson_powers requires lattice rank r=1"]
+        return []
 
 
 def _sign_of_values(values) -> str:
@@ -404,196 +673,3 @@ def _sign_product(a: str, b: str) -> str:
     if MIXED in (a, b):
         return MIXED
     return NONNEGATIVE if a == b else NONPOSITIVE
-
-
-def support_degree(spec: CoefficientSpec) -> Optional[int]:
-    """Largest total degree carrying a nonzero value, or None if unbounded."""
-    if spec.family == "finite_support":
-        return max(sum(pt) for pt, _ in spec.params["entries"])
-    if spec.family == "product_of_families":
-        degs = [support_degree(f) for f in spec.params["factors"]]
-        degs = [d for d in degs if d is not None]
-        return min(degs) if degs else None
-    return None
-
-
-def is_sparse(spec: CoefficientSpec) -> bool:
-    """True when the support can be enumerated directly."""
-    if spec.family in ("finite_support", "poisson_powers"):
-        return True
-    if spec.family == "product_of_families":
-        return any(is_sparse(f) for f in spec.params["factors"])
-    return False
-
-
-def sparse_anchor(spec: CoefficientSpec) -> CoefficientSpec:
-    """The factor whose support enumerates the whole product's support."""
-    if spec.family in ("finite_support", "poisson_powers"):
-        return spec
-    if spec.family == "product_of_families":
-        finite = [f for f in spec.params["factors"] if support_degree(f) is not None]
-        if finite:
-            return sparse_anchor(min(finite, key=support_degree))
-        for f in spec.params["factors"]:
-            if is_sparse(f):
-                return sparse_anchor(f)
-    raise ConfigError("coefficient family has no enumerable support")
-
-
-def support_points(spec: CoefficientSpec, r: int, lo: int, hi: int) -> np.ndarray:
-    """Support lattice points with lo <= total degree <= hi, ascending degree.
-
-    Only valid for sparse specs; ``hi`` may be large for poisson_powers since
-    the support is logarithmically sparse.
-    """
-    anchor = sparse_anchor(spec)
-    if anchor.family == "finite_support":
-        pts = [pt for pt, _ in anchor.params["entries"] if lo <= sum(pt) <= hi]
-        pts.sort(key=lambda pt: (sum(pt), pt))
-        out = np.asarray(pts, dtype=np.int64).reshape(len(pts), r)
-        return out
-    base = anchor.params["base"]
-    ks = []
-    k = 0
-    while base**k - 1 <= hi:
-        if base**k - 1 >= lo:
-            ks.append(base**k - 1)
-        k += 1
-    return np.asarray(ks, dtype=np.int64).reshape(len(ks), 1)
-
-
-def envelope_triple(spec: CoefficientSpec) -> tuple[float, float, float]:
-    """(B, eps, g) with |theta(n)| <= B * (t + 1)^eps * g^t, g in (0, 1]."""
-    b, eps = spec.envelope.bound, spec.envelope.growth
-    if spec.family == "geometric":
-        g = max(abs(complex(q)) for q in spec.params["ratios"])
-        return 1.0, 0.0, min(g, 1.0)
-    if spec.family == "product_of_families":
-        bb, ee, gg = 1.0, 0.0, 1.0
-        for factor in spec.params["factors"]:
-            fb, fe, fg = envelope_triple(factor)
-            bb, ee, gg = bb * fb, ee + fe, gg * fg
-        return bb, ee, gg
-    return b, eps, 1.0
-
-
-def poisson_decomposition(
-    spec: CoefficientSpec,
-) -> Optional[tuple[int, float, float, float]]:
-    """(base, rate, B_other, eps_other) when exactly one poisson factor drives
-    the support; None otherwise."""
-    if spec.family == "poisson_powers":
-        return spec.params["base"], spec.params["rate"], 1.0, 0.0
-    if spec.family != "product_of_families":
-        return None
-    poisson = [f for f in spec.params["factors"] if f.family == "poisson_powers"]
-    if len(poisson) != 1:
-        return None
-    b_other, eps_other = 1.0, 0.0
-    for factor in spec.params["factors"]:
-        if factor is poisson[0]:
-            continue
-        b_other *= factor.envelope.bound
-        eps_other += factor.envelope.growth
-    base = poisson[0].params["base"]
-    rate = poisson[0].params["rate"]
-    return base, rate, b_other, eps_other
-
-
-def is_entire(spec: CoefficientSpec) -> bool:
-    """True when the series converges absolutely for every s (finite support,
-    sparse factorial support, or strict geometric decay)."""
-    if support_degree(spec) is not None:
-        return True
-    if poisson_decomposition(spec) is not None:
-        return True
-    _, _, g = envelope_triple(spec)
-    return g < 1.0
-
-
-def per_coordinate_envelope(
-    spec: CoefficientSpec, r: int
-) -> Optional[list[tuple[float, float]]]:
-    """(B_j, eps_j) per coordinate with |theta(n)| <= prod_j B_j (n_j+1)^eps_j.
-
-    Feeds the matched-coordinate tail route for zero-pattern linear forms.
-    None when the family has no usable coordinatewise factorization.
-    """
-    fam = spec.family
-    if fam in ("constant", "periodic", "character_product", "geometric"):
-        # respect the declared envelope: (t+1)^eps <= prod_j (n_j+1)^eps
-        b, eps = spec.envelope.bound, spec.envelope.growth
-        if fam == "geometric":
-            b = min(b, 1.0)
-        return [(b, eps)] + [(1.0, eps)] * (r - 1)
-    if fam == "multiplicative_product":
-        growth = spec.params["growth"]
-        out = []
-        for rules in spec.params["coords"]:
-            if len(rules) == 1:
-                out.append((1.0, 0.0))
-            else:
-                key = (tuple(rules), growth)
-                if key not in _MULT_ENVELOPE_CACHE:
-                    _multiplicative_envelope(spec.params["coords"], growth)
-                out.append((max(_MULT_ENVELOPE_CACHE[key], 1.0), growth))
-        return out
-    if fam == "log_factor":
-        # sum_q |g_q| (C0_q + log(t+1)) <= B0 prod_j (1 + log(n_j+1)) and
-        # 1 + log x <= max(1, e^(eps-1)/eps) x^eps
-        eps = max(spec.envelope.growth, 0.05)
-        lam = np.asarray(spec.params["lam"], dtype=float)
-        u = np.asarray(spec.params["u"], dtype=float)
-        coeffs = np.abs(np.asarray(spec.params["coeffs"], dtype=float))
-        w = lam @ u
-        m_row = np.maximum(lam.max(axis=1), w)
-        c0 = np.maximum(np.log(m_row), 0.0) + np.maximum(-np.log(w), 0.0)
-        b0 = float(np.sum(coeffs * (c0 + 1.0)))
-        k_eps = max(1.0, math.exp(eps - 1.0) / eps)
-        return [(b0 * k_eps, eps)] + [(k_eps, eps)] * (r - 1)
-    if fam == "product_of_families":
-        out = [(1.0, 0.0)] * r
-        for factor in spec.params["factors"]:
-            sub = per_coordinate_envelope(factor, r)
-            if sub is None:
-                return None
-            out = [(b1 * b2, e1 + e2) for (b1, e1), (b2, e2) in zip(out, sub)]
-        return out
-    return None
-
-
-def validate_spec(spec: CoefficientSpec, r: int) -> list[str]:
-    """Family-specific shape checks against lattice rank r."""
-    problems: list[str] = []
-    fam = spec.family
-    if fam not in FAMILIES:
-        return [f"theta.family: unknown family {fam!r}"]
-    if fam == "finite_support":
-        if any(len(pt) != r for pt, _ in spec.params["entries"]):
-            problems.append(f"theta.params.entries: lattice points must have length r={r}")
-    elif fam == "periodic":
-        if len(spec.params["mods"]) != r:
-            problems.append(f"theta.params.mods: needs exactly r={r} moduli")
-    elif fam == "geometric":
-        if len(spec.params["ratios"]) != r:
-            problems.append(f"theta.params.ratios: needs exactly r={r} ratios")
-    elif fam == "log_factor":
-        lam = np.asarray(spec.params["lam"], dtype=float)
-        if lam.shape[1] != r:
-            problems.append(f"theta.params.lam: needs r={r} columns")
-        if len(spec.params["u"]) != r:
-            problems.append(f"theta.params.u: needs length r={r}")
-    elif fam == "character_product":
-        for mod, _, coord, _ in spec.params["factors"]:
-            if not (0 <= coord < r):
-                problems.append(f"theta.params.factors: coordinate {coord} outside 0..{r - 1}")
-    elif fam == "product_of_families":
-        for factor in spec.params["factors"]:
-            problems.extend(validate_spec(factor, r))
-    elif fam == "multiplicative_product":
-        if len(spec.params["coords"]) != r:
-            problems.append(f"theta.params.coords: needs rules for each of r={r} coordinates")
-    elif fam == "poisson_powers":
-        if r != 1:
-            problems.append("theta.family poisson_powers requires lattice rank r=1")
-    return problems

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .arithmetic import AlphaRule
-from .coefficients import CoefficientSpec, Envelope
+from .coefficients import FAMILIES, CoefficientSpec, Envelope
 from .errors import ConfigError
 from .euler import EulerConfig
 from .series import ShintaniConfig
@@ -239,11 +239,7 @@ def theta_from_dict(d: Any, path: str = "theta") -> CoefficientSpec:
         raise ConfigError(f"{path}: expected a mapping")
     _check_keys(d, {"family", "params", "envelope"}, path)
     fam = d.get("family")
-    if fam not in (
-        "constant", "finite_support", "periodic", "geometric", "log_factor",
-        "character_product", "product_of_families", "multiplicative_product",
-        "poisson_powers",
-    ):
+    if not isinstance(fam, str) or fam not in FAMILIES:
         raise ConfigError(f"{path}.family: unknown family {fam!r}")
     params = d.get("params", {})
     if not isinstance(params, dict):

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import coefficients as cf
-from .coefficients import CoefficientSpec
+from .coefficients import CoefficientSpec, _log_offsets
 from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .series import (
     DEFAULT_SHELL_CAP,
@@ -118,7 +118,7 @@ class SpecialDistribution:
 
 
 def _definite_sign(config: ShintaniConfig) -> str:
-    cls = cf.sign_class(config.theta)
+    cls = config.theta.sign_class()
     if cls not in (cf.NONNEGATIVE, cf.NONPOSITIVE):
         raise ConfigError(
             f"distribution needs a nonnegative or nonpositive theta, got sign class {cls!r}"
@@ -129,18 +129,12 @@ def _definite_sign(config: ShintaniConfig) -> str:
 def _iter_growing(config: ShintaniConfig) -> Iterator[tuple[np.ndarray, int]]:
     """Blocks of lattice points plus the largest fully enumerated degree."""
     theta = config.theta
-    if cf.is_sparse(theta):
-        deg = cf.support_degree(theta)
-        if deg is not None:
-            pts = cf.support_points(theta, config.r, 0, deg)
-            yield pts, deg
-            return
-        base = cf.sparse_anchor(theta).params["base"]
-        k = 0
-        while True:
-            n = base**k - 1
-            yield np.array([[n]], dtype=np.int64), n
-            k += 1
+    deg = theta.support_degree
+    if deg is not None:
+        yield theta.support(config.r, 0, deg), deg
+        return
+    if theta.support(config.r, 0, 0) is not None:
+        yield from theta.support_shells(config.r)
         return
     if config.r == 1:
         start, size = 0, _GROW_BLOCK
@@ -183,9 +177,6 @@ def build_distribution(
     lam_t = config.lam.T
     offsets = config.form_offsets
     sl = config.c @ sig
-    trivial_theta = (
-        config.theta.family == "constant" and config.theta.params["value"] == 1.0
-    )
     loc_blocks: list[np.ndarray] = []
     weight_blocks: list[np.ndarray] = []
     z_acc = CompensatedSum()
@@ -196,7 +187,7 @@ def build_distribution(
         forms = pts @ lam_t + offsets
         log_forms = np.log(forms)
         weights = _form_powers(forms, sl.astype(complex), True)
-        if not trivial_theta:
+        if not config.theta.is_one:
             weights = weights * np.asarray(cf.theta_values(config.theta, pts)).real
         keep = weights != 0.0
         if not np.all(keep):
@@ -429,12 +420,7 @@ def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
     if order == 0:
         return MomentValue(value=value, tail_bound=dist.tail_mass_bound)
     config = dist.config
-    lam = config.lam
-    w = config.form_offsets
-    m_row = np.maximum(lam.max(axis=1), w)
-    a_bound = float(
-        np.max(np.maximum(np.log(m_row), 0.0) + np.maximum(-np.log(w), 0.0))
-    )
+    a_bound = float(np.max(_log_offsets(config.lam, config.u)))
     c_col = np.sum(np.abs(config.c), axis=0)
     scale = 1.0
     for j, kj in enumerate(k):

@@ -174,7 +174,7 @@ def validate_config(config: ShintaniConfig) -> ValidationReport:
     if not isinstance(config.theta, CoefficientSpec):
         problems.append("theta must be a CoefficientSpec")
     else:
-        problems.extend(cf.validate_spec(config.theta, config.r))
+        problems.extend(config.theta.validate(config.r))
     return ValidationReport(ok=not problems, violations=tuple(problems))
 
 
@@ -196,7 +196,7 @@ def _region_holds_sigma(config: ShintaniConfig, sigma: np.ndarray) -> bool:
 
 def absolutely_convergent_at(config: ShintaniConfig, s) -> bool:
     """Region membership, or a coefficient family convergent for every s."""
-    return in_convergence_region(config, s) or cf.is_entire(config.theta)
+    return in_convergence_region(config, s) or config.theta.is_entire
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def _poly_tail(
     r = config.r
     sl = config.c @ sigma
     s_total = float(np.sum(sl))
-    bound, growth, _ = cf.envelope_triple(config.theta)
+    bound, growth, _ = config.theta.envelope_triple
     bound *= weight.scale
     if weight.power > 0:
         eps0 = min(0.05, (s_total - r - growth) / (2.0 * weight.power))
@@ -312,7 +312,7 @@ def _separable_tail(
     perm = _best_matching(config.lam.tobytes(), config.m, config.r)
     if perm is None:
         return math.inf
-    env = cf.per_coordinate_envelope(config.theta, r)
+    env = config.theta.per_coordinate_envelope(r)
     if env is None:
         return math.inf
     sl = config.c @ sigma
@@ -376,7 +376,7 @@ def _nested_tail(
         return math.inf
     order, mins, chain = flag
     sl = config.c @ sigma
-    bound, growth, _ = cf.envelope_triple(config.theta)
+    bound, growth, _ = config.theta.envelope_triple
     bound *= weight.scale
     s_head = float(sl[order[0]])
     if weight.power > 0:
@@ -409,12 +409,12 @@ def _finite_tail(
     config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
 ) -> float:
     """Exact remaining-support sum for finitely supported coefficients."""
-    deg = cf.support_degree(config.theta)
+    deg = config.theta.support_degree
     if deg is None:
         return math.inf
     if n_shell >= deg:
         return 0.0
-    pts = cf.support_points(config.theta, config.r, n_shell + 1, deg)
+    pts = config.theta.support(config.r, n_shell + 1, deg)
     if pts.size == 0:
         return 0.0
     vals = np.abs(np.asarray(cf.theta_values(config.theta, pts)))
@@ -432,7 +432,7 @@ def _geometric_tail(
     config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
 ) -> float:
     """Ratio-test majorant when |theta| decays like g^t with g < 1."""
-    bound, growth, g = cf.envelope_triple(config.theta)
+    bound, growth, g = config.theta.envelope_triple
     if g >= 1.0:
         return math.inf
     if bound == 0.0:
@@ -479,7 +479,7 @@ def _poisson_tail(
     config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
 ) -> float:
     """Factorial-ratio majorant for sparse support on {j^k - 1}."""
-    decomp = cf.poisson_decomposition(config.theta)
+    decomp = config.theta.poisson_decomposition
     if decomp is None or config.r != 1:
         return math.inf
     base, rate, b_other, eps_other = decomp
@@ -496,7 +496,7 @@ def _poisson_tail(
         return theta_p * b_other * (n + 1.0) ** eps_other * pf * weight.at(n)
 
     k = 0
-    while float(base) ** k - 1.0 <= n_shell:
+    while base**k - 1 <= n_shell:  # exact: past 2^53 a float walk skips a tail point
         k += 1
     total = 0.0
     for _ in range(100000):
@@ -522,10 +522,10 @@ def _tail_bound(
     n_shell: int,
     weight: _LogWeight = _NO_WEIGHT,
 ) -> float:
-    if cf.support_degree(config.theta) is not None:
+    if config.theta.support_degree is not None:
         return _finite_tail(config, sigma, n_shell, weight)
     routes = []
-    if cf.poisson_decomposition(config.theta) is not None and config.r == 1:
+    if config.theta.poisson_decomposition is not None and config.r == 1:
         routes.append(_poisson_tail(config, sigma, n_shell, weight))
     routes.append(_geometric_tail(config, sigma, n_shell, weight))
     routes.append(_poly_tail(config, sigma, n_shell, weight))
@@ -542,6 +542,7 @@ def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
     decay, sparse factorial support) applies.
     """
     _require_valid(config)
+    _require_shell(n_shell)
     sig = as_sigma(sigma, config.d)
     out = _tail_bound(config, sig, n_shell)
     if not math.isfinite(out):
@@ -639,31 +640,30 @@ def _form_powers(forms: np.ndarray, beta: np.ndarray, is_real: bool) -> np.ndarr
     return out if out is not None else np.ones(forms.shape[0])
 
 
-def _prewarm_theta(theta: CoefficientSpec, max_coord: int) -> None:
-    from .arithmetic import coefficient_array
+def _exponents(config: ShintaniConfig, pt: ComplexPoint) -> np.ndarray:
+    """The (m,) exponents <c_l, s>, real at real s.
 
-    if theta.family == "multiplicative_product":
-        for rules in theta.params["coords"]:
-            coefficient_array(tuple(rules), max(max_coord + 1, 2))
-    elif theta.family == "product_of_families":
-        for factor in theta.params["factors"]:
-            _prewarm_theta(factor, max_coord)
+    The real parts are always c @ Re s, so every summation route (and the
+    tail bounds) uses the same floats: a complex product can round the real
+    parts differently, and one ulp in beta_l moves a term by |log L_l| ulps.
+    """
+    re = config.c @ pt.re
+    return re if pt.is_real else re + 1j * (config.c @ pt.im)
 
 
 def _sum_terms(
     config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray]
 ) -> complex:
-    beta = config.c @ pt.values  # (m,) complex exponents <c_l, s>
+    beta = _exponents(config, pt)
     is_real = pt.is_real
     lam_t = config.lam.T
     offsets = config.form_offsets
     theta = config.theta
-    trivial_theta = theta.family == "constant" and theta.params["value"] == 1.0
     acc = CompensatedSum()
     for pts in blocks:
         forms = pts @ lam_t + offsets
         powers = _form_powers(forms, beta, is_real)
-        if trivial_theta:
+        if theta.is_one:
             acc.add_array(powers)
         else:
             acc.add_array(np.asarray(cf.theta_values(theta, pts)) * powers)
@@ -898,11 +898,12 @@ def _line_partial_sum(
     """Partial sum over total degree <= n_shell as Euler–Maclaurin line sums,
     and the bound on their remainders.
 
-    Applies to constant or periodic theta when `_line_column` finds a line
-    coordinate j with rows S; returns None otherwise.  With the rest point
-    rho (the other r - 1 coordinates, |rho| <= n_shell, from `_iter_blocks`)
-    and b = sum_{l in S} <c_l, s>, the terms along n_j = q k + a (q the
-    period of coordinate j, a < q) are
+    Applies when `_line_column` finds a line coordinate j with rows S and
+    theta has residue classes along j (constant or periodic theta); returns
+    None otherwise.  With the rest point rho (the other r - 1 coordinates,
+    |rho| <= n_shell, from `_iter_blocks`) and b = sum_{l in S} <c_l, s>,
+    the terms along n_j = q k + a (q the period of theta along coordinate j,
+    a < q) are
         theta(rho, a) prod_{l not in S} L_l(rho)^(-beta_l)
         prod_{l in S} (q lam_lj)^(-beta_l) (k + v)^(-b),
     with v = (a + v_rho)/q, v_rho = u_j + sum_{i != j} lam_li (rho_i + u_i)/lam_lj
@@ -913,22 +914,18 @@ def _line_partial_sum(
     when a line would need more than _EM_MAX_HEAD direct terms (Re b below
     about -38).
     """
-    theta = config.theta
-    if theta.family not in ("constant", "periodic"):
-        return None
     line = _line_column(config.lam)
     if line is None:
         return None
     j, rows = line
+    classes = config.theta.residue_classes(j)
+    if classes is None:
+        return None
+    q, theta_on = classes
     lam, r = config.lam, config.r
     is_real = pt.is_real
-    beta = config.c @ (pt.re if is_real else pt.values)
+    beta = _exponents(config, pt)
     b_sum = beta[rows].sum()
-    if theta.family == "periodic":
-        q, value = theta.params["mods"][j], None
-    else:
-        q, value = 1, complex(theta.params["value"])
-        value = value if value.imag else value.real  # keeps real lines in real arithmetic
     scale = np.exp(-(beta[rows] @ np.log(lam[rows, j])) - b_sum * math.log(q))
     others = np.array([l for l in range(config.m) if l not in rows], dtype=np.int64)
     rest = [i for i in range(r) if i != j]
@@ -940,10 +937,7 @@ def _line_partial_sum(
         v_rho = config.u[j] + (block + config.u[rest]) @ along
         weight = scale * _form_powers(block @ lam_o.T + off_o, beta[others], is_real)
         for a in range(min(q, n_shell + 1)):
-            if value is not None:
-                w = weight * value
-            else:
-                w = weight * cf.theta_values(theta, np.insert(block, j, a, axis=1))
+            w = weight * theta_on(block, a)
             k_max = (n_shell - a - deg) // q
             line_v = (a + v_rho) / q
             keep = (k_max >= 0) & (w != 0)
@@ -964,23 +958,12 @@ def _line_partial_sum(
     return _em_line_sums(complex(b_sum), v, k_max, w, target)
 
 
-def _rank1_partial_sum(
-    config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
-) -> Optional[tuple[complex, float]]:
-    """`_line_partial_sum` for lattice rank 1, whose q residue classes are q
-    lines; None for every other rank."""
-    if config.r != 1:
-        return None
-    return _line_partial_sum(config, pt, n_shell, tail)
-
-
 def _partial_sum(
     config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
 ) -> tuple[complex, float]:
     """Partial sum over total degree <= n_shell, and `tail` plus the line
     sums' remainder bound where line sums apply."""
-    route = _rank1_partial_sum if config.r == 1 else _line_partial_sum
-    lines = route(config, pt, n_shell, tail)
+    lines = _line_partial_sum(config, pt, n_shell, tail)
     if lines is None:
         return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
     value, remainder = lines
@@ -994,25 +977,24 @@ def _choose_shell(
     shell_cap: int,
 ) -> tuple[int, bool]:
     """Smallest shell with tail <= tol, capped by the enumerated-point budget."""
-    if cf.is_sparse(config.theta):
-        deg = cf.support_degree(config.theta)
-        if deg is not None:
-            pts = cf.support_points(config.theta, config.r, 0, deg)
-            degrees = [int(t) for t in pts.sum(axis=1)]
-            if len(degrees) > shell_cap:
-                n_cap = degrees[shell_cap - 1]
-                return n_cap, bool(_tail_bound(config, sigma, n_cap) <= tol)
-            for n in sorted(set(degrees)):
-                if _tail_bound(config, sigma, n) <= tol:
-                    return n, True
-            return deg, True  # tail past the support is exactly zero
-        base = cf.sparse_anchor(config.theta).params["base"]
-        for k in range(max(shell_cap, 1)):
-            n = base**k - 1
+    theta = config.theta
+    deg = theta.support_degree
+    if deg is not None:
+        pts = theta.support(config.r, 0, deg)
+        degrees = [int(t) for t in pts.sum(axis=1)]
+        if len(degrees) > shell_cap:
+            n_cap = degrees[shell_cap - 1]
+            return n_cap, bool(_tail_bound(config, sigma, n_cap) <= tol)
+        for n in sorted(set(degrees)):
             if _tail_bound(config, sigma, n) <= tol:
                 return n, True
-        n = base ** max(shell_cap - 1, 0) - 1
-        return n, bool(_tail_bound(config, sigma, n) <= tol)
+        return deg, True  # tail past the support is exactly zero
+    if theta.support(config.r, 0, 0) is not None:
+        # an unbounded sparse support: one candidate shell per support degree
+        for _, n in itertools.islice(theta.support_shells(config.r), max(shell_cap, 1)):
+            if _tail_bound(config, sigma, n) <= tol:
+                return n, True
+        return n, False
 
     n_cap = _cap_from_budget(config.r, shell_cap)
     if _tail_bound(config, sigma, n_cap) > tol:
@@ -1072,6 +1054,7 @@ def evaluate(
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     """Plain partial sum over total degree <= n_shell, with its tail bound."""
     _require_valid(config)
+    _require_shell(n_shell)
     pt = as_point(s, config.d)
     value, tail = _partial_sum(config, pt, n_shell, _tail_bound(config, pt.re, n_shell))
     return EvalResult(
@@ -1079,11 +1062,16 @@ def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     )
 
 
+def _require_shell(n_shell) -> None:
+    if isinstance(n_shell, bool) or not isinstance(n_shell, (int, np.integer)) or n_shell < 0:
+        raise ConfigError(f"shell index must be an integer >= 0, got {n_shell!r}")
+
+
 def _blocks_upto(config: ShintaniConfig, n_shell: int) -> Iterable[np.ndarray]:
-    if cf.is_sparse(config.theta):
-        pts = cf.support_points(config.theta, config.r, 0, n_shell)
+    pts = config.theta.support(config.r, 0, n_shell)
+    if pts is not None:
         return (pts,) if pts.size else ()
-    _prewarm_theta(config.theta, n_shell)
+    config.theta.prewarm(n_shell)
     return _iter_blocks(config.r, n_shell)
 
 
@@ -1103,10 +1091,6 @@ def differentiate(config: ShintaniConfig, axis: int) -> ShintaniConfig:
         raise ConfigError(f"axis must be in 1..{config.d}, got {axis}")
     coeffs = tuple((-config.c[:, axis - 1]).tolist())
     logf = CoefficientSpec.log_factor(coeffs, config.lam, config.u)
-    if config.theta.family == "product_of_families":
-        factors = config.theta.params["factors"] + (logf,)
-    else:
-        factors = (config.theta, logf)
     return ShintaniConfig(
         d=config.d,
         m=config.m,
@@ -1114,7 +1098,7 @@ def differentiate(config: ShintaniConfig, axis: int) -> ShintaniConfig:
         lam=config.lam,
         u=config.u,
         c=config.c,
-        theta=CoefficientSpec.product(factors),
+        theta=config.theta.times(logf),
     )
 
 

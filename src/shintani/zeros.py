@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from . import coefficients as cf
 from .distributions import ZetaDistribution, build_distribution
 from .errors import ConfigError, NumericError, RegionError
 from .series import (
@@ -96,7 +95,7 @@ class ZeroReport:
 
 def _slice_valid(config: ShintaniConfig, spec: SliceSpec) -> bool:
     """Re<c_l, s(w)> is affine in (Re w, Im w): corner checks cover the box."""
-    if cf.is_entire(config.theta):
+    if config.theta.is_entire:
         return True
     return all(
         in_convergence_region(config, spec.at(w)) for w in spec.corners()

@@ -13,19 +13,10 @@ from shintani.coefficients import (
     MIXED,
     NONNEGATIVE,
     NONPOSITIVE,
+    FAMILIES,
     CoefficientSpec,
     Envelope,
-    envelope_triple,
-    is_entire,
-    is_sparse,
-    per_coordinate_envelope,
-    poisson_decomposition,
-    sign_class,
-    support_degree,
-    support_points,
-    theta_at,
     theta_values,
-    validate_spec,
 )
 from shintani.errors import ConfigError
 
@@ -47,34 +38,34 @@ def check_envelope(spec, pts):
 class TestValues:
     def test_constant(self):
         spec = CoefficientSpec.constant(2.5)
-        assert theta_at(spec, (3, 4)) == 2.5
+        assert spec.values(np.array([(3, 4)]))[0] == 2.5
 
     def test_finite_support(self):
         spec = CoefficientSpec.finite_support({(0,): 1.0, (3,): -2.0})
         got = theta_values(spec, np.array([[0], [1], [3]]))
         assert got.tolist() == [1.0, 0.0, -2.0]
-        assert support_degree(spec) == 3
+        assert spec.support_degree == 3
 
     def test_periodic(self):
         spec = CoefficientSpec.periodic((2, 3), [[1, 2, 3], [4, 5, 6]])
-        assert theta_at(spec, (0, 0)) == 1
-        assert theta_at(spec, (1, 2)) == 6
-        assert theta_at(spec, (2, 4)) == 2
+        assert spec.values(np.array([(0, 0)]))[0] == 1
+        assert spec.values(np.array([(1, 2)]))[0] == 6
+        assert spec.values(np.array([(2, 4)]))[0] == 2
 
     def test_geometric(self):
         spec = CoefficientSpec.geometric((0.5, 0.25))
-        assert theta_at(spec, (2, 1)) == pytest.approx(0.25 * 0.25)
+        assert spec.values(np.array([(2, 1)]))[0] == pytest.approx(0.25 * 0.25)
 
     def test_geometric_unimodular(self):
         q = complex(math.cos(0.7), math.sin(0.7))
         spec = CoefficientSpec.geometric((q,))
-        assert theta_at(spec, (5,)) == pytest.approx(q**5)
+        assert spec.values(np.array([(5,)]))[0] == pytest.approx(q**5)
 
     def test_log_factor(self):
         spec = CoefficientSpec.log_factor((2.0, -1.0), [[1.0], [3.0]], (1.0,))
         # theta(n) = 2 log(n+1) - log(3n+3)
         n = 4
-        assert theta_at(spec, (n,)) == pytest.approx(
+        assert spec.values(np.array([(n,)]))[0] == pytest.approx(
             2 * math.log(n + 1.0) - math.log(3.0 * n + 3.0)
         )
 
@@ -82,18 +73,18 @@ class TestValues:
         spec = CoefficientSpec.character_product(
             [(4, (0, 1, 0, -1), 0, 1)]
         )  # chi_-4 at n+1
-        got = [theta_at(spec, (n,)).real for n in range(6)]
+        got = [spec.values(np.array([(n,)]))[0].real for n in range(6)]
         assert got == [1, 0, -1, 0, 1, 0]
 
     def test_product(self):
         spec = CoefficientSpec.product(
             [CoefficientSpec.constant(2.0), CoefficientSpec.geometric((0.5,))]
         )
-        assert theta_at(spec, (3,)) == pytest.approx(2.0 * 0.125)
+        assert spec.values(np.array([(3,)]))[0] == pytest.approx(2.0 * 0.125)
 
     def test_multiplicative(self):
         spec = CoefficientSpec.multiplicative_product([(chi_minus_4(),)])
-        got = [theta_at(spec, (n,)).real for n in range(8)]
+        got = [spec.values(np.array([(n,)]))[0].real for n in range(8)]
         # A(n+1) = chi(n+1), completely multiplicative
         assert got == [1, 0, -1, 0, 1, 0, -1, 0]
 
@@ -148,7 +139,7 @@ class TestEnvelopes:
                 CoefficientSpec.log_factor((0.7,), [[1.0, 1.0]], (1.0, 1.0)),
             ]
         )
-        env = per_coordinate_envelope(spec, 2)
+        env = spec.per_coordinate_envelope(2)
         rng = np.random.default_rng(0)
         pts = rng.integers(0, 200, size=(50, 2))
         vals = np.abs(np.asarray(theta_values(spec, pts)))
@@ -160,77 +151,85 @@ class TestEnvelopes:
 
 class TestSignClass:
     def test_basic(self):
-        assert sign_class(CoefficientSpec.constant(1.0)) == NONNEGATIVE
-        assert sign_class(CoefficientSpec.constant(-2.0)) == NONPOSITIVE
-        assert sign_class(CoefficientSpec.constant(1j)) == COMPLEX
-        assert sign_class(CoefficientSpec.finite_support({(0,): 1.0, (1,): -2.0})) == MIXED
+        assert CoefficientSpec.constant(1.0).sign_class() == NONNEGATIVE
+        assert CoefficientSpec.constant(-2.0).sign_class() == NONPOSITIVE
+        assert CoefficientSpec.constant(1j).sign_class() == COMPLEX
+        assert CoefficientSpec.finite_support({(0,): 1.0, (1,): -2.0}).sign_class() == MIXED
 
     def test_geometric(self):
-        assert sign_class(CoefficientSpec.geometric((0.5,))) == NONNEGATIVE
-        assert sign_class(CoefficientSpec.geometric((-0.5,))) == MIXED
+        assert CoefficientSpec.geometric((0.5,)).sign_class() == NONNEGATIVE
+        assert CoefficientSpec.geometric((-0.5,)).sign_class() == MIXED
 
     def test_log_factor_needs_offset_at_least_one(self):
         big = CoefficientSpec.log_factor((-1.0,), [[1.0]], (1.0,))
-        assert sign_class(big) == NONPOSITIVE
+        assert big.sign_class() == NONPOSITIVE
         small = CoefficientSpec.log_factor((-1.0,), [[1.0]], (0.5,))
-        assert sign_class(small) == MIXED
+        assert small.sign_class() == MIXED
 
     def test_product_sign(self):
         prod = CoefficientSpec.product(
             [CoefficientSpec.constant(-1.0), CoefficientSpec.geometric((0.5,))]
         )
-        assert sign_class(prod) == NONPOSITIVE
+        assert prod.sign_class() == NONPOSITIVE
 
     def test_multiplicative_sign(self):
         dedekind = CoefficientSpec.multiplicative_product(
             [(AlphaRule.constant(1.0), chi_minus_4())]
         )
-        assert sign_class(dedekind) == NONNEGATIVE
+        assert dedekind.sign_class() == NONNEGATIVE
         signs = CoefficientSpec.multiplicative_product([(chi_minus_4(),)])
-        assert sign_class(signs) == MIXED
+        assert signs.sign_class() == MIXED
 
 
 class TestStructure:
     def test_entire(self):
-        assert is_entire(CoefficientSpec.finite_support({(2,): 1.0}))
-        assert is_entire(CoefficientSpec.geometric((0.5,)))
-        assert is_entire(CoefficientSpec.poisson_powers(2))
-        assert not is_entire(CoefficientSpec.constant(1.0))
-        assert not is_entire(CoefficientSpec.geometric((1.0,)))  # |q| = 1 boundary
+        assert CoefficientSpec.finite_support({(2,): 1.0}).is_entire
+        assert CoefficientSpec.geometric((0.5,)).is_entire
+        assert CoefficientSpec.poisson_powers(2).is_entire
+        assert not CoefficientSpec.constant(1.0).is_entire
+        assert not CoefficientSpec.geometric((1.0,)).is_entire  # |q| = 1 boundary
 
     def test_envelope_triple_product(self):
         spec = CoefficientSpec.product(
             [CoefficientSpec.geometric((0.5,)), CoefficientSpec.constant(3.0)]
         )
-        b, eps, g = envelope_triple(spec)
+        b, eps, g = spec.envelope_triple
         assert g == pytest.approx(0.5)
         assert b == pytest.approx(3.0)
 
     def test_support_points(self):
         spec = CoefficientSpec.finite_support({(0, 1): 1.0, (2, 2): 1.0, (0, 0): 1.0})
-        pts = support_points(spec, 2, 1, 4)
+        pts = spec.support(2, 1, 4)
         assert pts.tolist() == [[0, 1], [2, 2]]
 
     def test_poisson_support(self):
         spec = CoefficientSpec.poisson_powers(2)
-        pts = support_points(spec, 1, 0, 40)
+        pts = spec.support(1, 0, 40)
         assert pts.ravel().tolist() == [0, 1, 3, 7, 15, 31]
-        assert poisson_decomposition(spec) == (2, 0.0, 1.0, 0.0)
+        assert spec.poisson_decomposition == (2, 0.0, 1.0, 0.0)
 
     def test_sparse_product(self):
         spec = CoefficientSpec.product(
             [CoefficientSpec.poisson_powers(2), CoefficientSpec.constant(2.0)]
         )
-        assert is_sparse(spec)
-        base, rate, b_other, eps_other = poisson_decomposition(spec)
+        assert spec.support(1, 0, 40) is not None
+        base, rate, b_other, eps_other = spec.poisson_decomposition
         assert (base, rate) == (2, 0.0)
         assert b_other == pytest.approx(2.0)
 
     def test_validate_spec(self):
         spec = CoefficientSpec.periodic((2,), [1.0, -1.0])
-        assert validate_spec(spec, 1) == []
-        assert validate_spec(spec, 2)  # wrong rank
-        assert validate_spec(CoefficientSpec.poisson_powers(2), 2)
+        assert spec.validate(1) == []
+        assert spec.validate(2)  # wrong rank
+        assert CoefficientSpec.poisson_powers(2).validate(2)
+
+    def test_family_class_matches_its_name(self):
+        for spec in (CoefficientSpec.constant(1.0), CoefficientSpec.poisson_powers(2)):
+            assert FAMILIES[spec.family] is type(spec)
+        with pytest.raises(ConfigError, match="unknown coefficient family"):
+            CoefficientSpec("constant", {"value": 1.0 + 0j}, Envelope(1.0, 0.0))
+        with pytest.raises(ConfigError, match="unknown coefficient family"):
+            type(CoefficientSpec.constant(1.0))("periodic", {}, Envelope(1.0, 0.0))
 
     def test_constructor_errors(self):
         with pytest.raises(ConfigError):

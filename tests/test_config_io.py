@@ -23,7 +23,7 @@ from shintani.config_io import (
     theta_from_dict,
     theta_to_dict,
 )
-from shintani.coefficients import CoefficientSpec
+from shintani.coefficients import FAMILIES, CoefficientSpec
 from shintani.errors import ConfigError
 from shintani.euler import dedekind_euler_config
 from shintani.series import make_special
@@ -136,6 +136,22 @@ class TestRoundTrips:
     def test_theta_round_trip(self, spec):
         again = theta_from_dict(theta_to_dict(spec))
         assert again == spec
+
+    def test_every_registered_family_round_trips(self):
+        examples = [
+            CoefficientSpec.constant(1.0),
+            CoefficientSpec.finite_support({(0,): 1.0}),
+            CoefficientSpec.periodic((2,), (1.0, -1.0)),
+            CoefficientSpec.geometric((0.5,)),
+            CoefficientSpec.log_factor((1.0,), [[1.0]], (1.0,)),
+            CoefficientSpec.character_product([(2, (1.0, -1.0), 0, 0)]),
+            CoefficientSpec.product([CoefficientSpec.constant(2.0)]),
+            CoefficientSpec.multiplicative_product([(dedekind_euler_config().alphas[1],)]),
+            CoefficientSpec.poisson_powers(2),
+        ]
+        assert sorted(spec.family for spec in examples) == sorted(FAMILIES)
+        for spec in examples:
+            assert theta_from_dict(theta_to_dict(spec)) == spec
 
     def test_multiplicative_theta_round_trip(self):
         spec = CoefficientSpec.multiplicative_product(

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import region_sigma
 from shintani.arithmetic import AlphaRule, chi_minus_4, coefficient_at
-from shintani.coefficients import CoefficientSpec, sign_class
+from shintani.coefficients import CoefficientSpec
 from shintani.distributions import build_distribution
 from shintani.errors import CertificationError
 from shintani.series import (
@@ -204,7 +204,7 @@ class TestDifferential:
         built = 0
         while built < 8:
             cfg = random_full_config(rng)
-            if sign_class(cfg.theta) not in ("nonnegative", "nonpositive"):
+            if cfg.theta.sign_class() not in ("nonnegative", "nonpositive"):
                 continue
             sigma = region_sigma(cfg, rng, margin=1.2)
             try:

@@ -315,9 +315,7 @@ class TestEmpirical:
         done = 0
         while done < 4:
             cfg = random_config(rng)
-            from shintani.coefficients import sign_class
-
-            if sign_class(cfg.theta) not in ("nonnegative", "nonpositive"):
+            if cfg.theta.sign_class() not in ("nonnegative", "nonpositive"):
                 continue
             sigma = region_sigma(cfg, rng)
             try:

@@ -116,6 +116,27 @@ class TestTailBound:
         with pytest.raises(CertificationError, match="no certified bound"):
             tail_bound(cfg, 1.0005, 10)
 
+    def test_bad_shell_index(self):
+        for n_shell in (-1, -5, 2.5):
+            with pytest.raises(ConfigError, match="shell index"):
+                evaluate_partial(riemann(), 2.0, n_shell)
+            with pytest.raises(ConfigError, match="shell index"):
+                tail_bound(riemann(), 2.0, n_shell)
+
+    def test_poisson_tail_keeps_the_first_point_past_the_shell(self):
+        # the support point 3^35 - 1 lies past 2^53 and just past the shell
+        base, rate, sigma = 3, 1.0, -3.0
+        c = -1.0 / math.log(base)
+        cfg = ShintaniConfig(
+            d=1, m=1, r=1, lam=np.array([[1.0]]), u=np.array([1.0]), c=np.array([[c]]),
+            theta=CoefficientSpec.poisson_powers(base, rate),
+        )
+        point = base**35 - 1
+        theta = math.exp(35 * rate * math.log(base) - math.lgamma(36.0))
+        first = theta * float(point + 1) ** (-c * sigma)
+        for n_shell in (point - 2, point - 1):
+            assert tail_bound(cfg, sigma, n_shell) >= first
+
     def test_honest_for_random_configs(self):
         # bound(N) must dominate the measured remainder to a much deeper sum;
         # rounding error is outside the certificate (double precision only)
