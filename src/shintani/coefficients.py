@@ -32,6 +32,7 @@ COMPLEX = "complex"
 FAMILIES: dict[str, type] = {}  # family name -> its CoefficientSpec subclass
 
 _ENVELOPE_SCAN_LIMIT = 10**6
+_LATTICE_MAX = int(np.iinfo(np.int64).max)  # lattice points are int64 rows
 _SIGN_SCAN_LIMIT = 4096
 
 
@@ -113,10 +114,10 @@ class CoefficientSpec:
 
     def support_shells(self, r: int) -> Iterator[tuple[np.ndarray, int]]:
         """(support points of one degree, that degree) for every nonempty
-        degree of an enumerable support, ascending, without end for an
-        unbounded one."""
+        degree of an enumerable support, ascending; an unbounded support
+        ends at the int64 range of lattice points."""
         lo, hi = 0, 1
-        while self.support_degree is None or lo <= self.support_degree:
+        while (self.support_degree is None or lo <= self.support_degree) and lo <= _LATTICE_MAX:
             pts = self.support(r, lo, hi)
             degrees = pts.sum(axis=1)
             for t in np.unique(degrees).tolist():
@@ -345,7 +346,7 @@ def theta_values(spec: CoefficientSpec, points: np.ndarray) -> np.ndarray:
 
 
 def _real_if_possible(out: np.ndarray) -> np.ndarray:
-    return out.real if np.all(out.imag == 0.0) else out
+    return out if out.imag.any() else out.real
 
 
 class _Constant(CoefficientSpec, family="constant"):
@@ -368,25 +369,58 @@ class _Constant(CoefficientSpec, family="constant"):
         return 1, lambda rest, a: value
 
 
+def _row_keys(points: np.ndarray) -> np.ndarray:
+    """The bytes of each row as one opaque scalar: equal exactly for equal
+    rows, and totally ordered, so a sorted key array can be searched."""
+    rows = np.ascontiguousarray(points, dtype=np.int64)
+    return rows.view(_row_dtype(rows.shape[1])).reshape(rows.shape[0])
+
+
+@lru_cache(maxsize=None)
+def _row_dtype(width: int) -> np.dtype:
+    return np.dtype((np.void, 8 * width))
+
+
 class _FiniteSupport(CoefficientSpec, family="finite_support"):
+    """The entries are kept as read-only arrays built once: sorted row keys
+    with their values for lookup, and the points sorted by (degree, point)
+    for ``support``."""
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        entries = self.params["entries"]
-        object.__setattr__(self, "support_degree", max(sum(pt) for pt, _ in entries))
-        object.__setattr__(self, "_lookup", dict(entries))
+        entries = self.params["entries"]  # sorted by point
+        pts = np.array([pt for pt, _ in entries], dtype=np.int64).reshape(len(entries), -1)
+        vals = np.array([v for _, v in entries], dtype=complex)
+        keys = _row_keys(pts)
+        by_key = np.argsort(keys, kind="stable")
+        degrees = pts.sum(axis=1)
+        by_degree = np.argsort(degrees, kind="stable")
+        arrays = {
+            "_keys": keys[by_key], "_key_values": vals[by_key],
+            "_points": pts[by_degree], "_degrees": degrees[by_degree],
+        }
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "support_degree", int(degrees.max()))
 
     def values(self, points):
-        lookup = self._lookup
-        vals = [lookup.get(tuple(row), 0.0) for row in points.tolist()]
-        return _real_if_possible(np.asarray(vals, dtype=complex))
+        if points.shape[1] != self._points.shape[1]:
+            return np.zeros(points.shape[0])
+        keys = _row_keys(points)
+        at = self._keys.searchsorted(keys)
+        at[at == self._keys.size] = 0  # a row past every key differs from key 0
+        on = self._keys[at] == keys
+        return _real_if_possible(np.where(on, self._key_values[at], 0.0))
 
     def sign_class(self):
         return _sign_of_values([v for _, v in self.params["entries"]])
 
     def support(self, r, lo, hi):
-        pts = [pt for pt, _ in self.params["entries"] if lo <= sum(pt) <= hi]
-        pts.sort(key=lambda pt: (sum(pt), pt))
-        return np.asarray(pts, dtype=np.int64).reshape(len(pts), r)
+        top = self.support_degree
+        start = self._degrees.searchsorted(min(lo, top + 1), side="left")
+        stop = self._degrees.searchsorted(min(hi, top), side="right")
+        return self._points[start:stop]
 
     def validate(self, r):
         if any(len(pt) != r for pt, _ in self.params["entries"]):
@@ -638,6 +672,7 @@ class _PoissonPowers(CoefficientSpec, family="poisson_powers"):
 
     def support(self, r, lo, hi):
         base = self.params["base"]
+        hi = min(hi, _LATTICE_MAX)
         ks = []
         k = 0
         while base**k - 1 <= hi:

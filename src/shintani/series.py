@@ -2,10 +2,19 @@
 
 A configuration assembles linear forms L_l(n) = sum_j lam_lj (n_j + u_j)
 with complex exponents <c_l, s> and a lattice coefficient family theta.
+It copies its arrays read-only and validates itself once, when built.
 Evaluation enumerates the lattice by total-degree shells and stops at the
 first shell whose certified tail bound drops below the requested tolerance.
 Complex powers are always exp(-<c_l, s> log L) with the real log of the
 positive base, so no branch cuts arise.
+
+That first shell is found without scanning.  For an infinite support a
+safeguarded solve (`_first_admissible`) interpolates log tail between the
+ends of a bracket that holds the answer and falls back to the midpoint
+when a step does not halve it; every route is non-increasing in the shell,
+so the result is the shell bisection would find.  A finite support is
+enumerated, and theta evaluated on it, once per call: each degree's tail is
+a suffix sum of one term array, and the partial sum reuses the kept points.
 
 Tail certificates come from four routes, any of which may apply:
 exact remaining-support sums (finite support), a factorial-ratio majorant
@@ -74,7 +83,7 @@ class ComplexPoint:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.all(self.im == 0.0))
+        return not self.im.any()
 
 
 def as_point(s, d: int) -> ComplexPoint:
@@ -109,11 +118,12 @@ class ShintaniConfig:
     theta: CoefficientSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         for name in ("lam", "u", "c"):
-            getattr(self, name).setflags(write=False)
+            arr = np.array(getattr(self, name), dtype=float)  # a copy the caller cannot write
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # every field is immutable from here on, so the report is computed once
+        object.__setattr__(self, "_report", _check_config(self))
 
     @property
     def form_offsets(self) -> np.ndarray:
@@ -142,8 +152,13 @@ def validate_config(config: ShintaniConfig) -> ValidationReport:
 
     lam entries may be zero (identity and triangular patterns arise from the
     Euler-product embedding and nested multiple sums) but every row and every
-    lattice coordinate must carry at least one positive weight.
+    lattice coordinate must carry at least one positive weight.  The report
+    is computed once, when the config is constructed.
     """
+    return config._report
+
+
+def _check_config(config: ShintaniConfig) -> ValidationReport:
     problems: list[str] = []
     for name in ("d", "m", "r"):
         v = getattr(config, name)
@@ -179,24 +194,27 @@ def validate_config(config: ShintaniConfig) -> ValidationReport:
 
 
 def _require_valid(config: ShintaniConfig) -> None:
-    report = validate_config(config)
+    report = config._report
     if not report.ok:
         raise ConfigError("; ".join(report.violations))
 
 
 def in_convergence_region(config: ShintaniConfig, s) -> bool:
     """True iff min_l Re<c_l, s> > r/m (the certified absolute-convergence region)."""
-    pt = as_point(s, config.d)
-    return bool(np.min(config.c @ pt.re) > config.r / config.m)
+    return _region_holds_sigma(config, as_point(s, config.d).re)
 
 
 def _region_holds_sigma(config: ShintaniConfig, sigma: np.ndarray) -> bool:
-    return bool(np.min(config.c @ sigma) > config.r / config.m)
+    return bool((config.c @ sigma).min() > config.r / config.m)
 
 
 def absolutely_convergent_at(config: ShintaniConfig, s) -> bool:
     """Region membership, or a coefficient family convergent for every s."""
-    return in_convergence_region(config, s) or config.theta.is_entire
+    return _convergent_at_sigma(config, as_point(s, config.d).re)
+
+
+def _convergent_at_sigma(config: ShintaniConfig, sigma: np.ndarray) -> bool:
+    return _region_holds_sigma(config, sigma) or config.theta.is_entire
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +266,11 @@ def _poly_tail(
     convergence proof's integral constant while staying a genuine upper bound
     for every lattice rank.
     """
-    if not _region_holds_sigma(config, sigma) or np.any(config.lam <= 0.0):
+    if not _region_holds_sigma(config, sigma) or (config.lam <= 0.0).any():
         return math.inf
     r = config.r
     sl = config.c @ sigma
-    s_total = float(np.sum(sl))
+    s_total = float(sl.sum())
     bound, growth, _ = config.theta.envelope_triple
     bound *= weight.scale
     if weight.power > 0:
@@ -339,17 +357,18 @@ def _separable_tail(
     return weight.scale * float(total)
 
 
+@lru_cache(maxsize=256)
 def _flag_structure(
-    lam: np.ndarray,
-) -> Optional[tuple[list[int], list[float], list[frozenset]]]:
+    lam_bytes: bytes, m: int, r: int
+) -> Optional[tuple[tuple[int, ...], tuple[float, ...], tuple[frozenset, ...]]]:
     """Rows ordered by strictly nested supports of sizes r, r-1, ..., 1.
 
     Triangular patterns (nested multiple sums) have this shape; returns
     (row order, min positive weight per row, supports) or None.
     """
-    m, r = lam.shape
     if m != r:
         return None
+    lam = np.frombuffer(lam_bytes, dtype=float).reshape(m, r)
     supports = [frozenset(np.nonzero(lam[l] > 0.0)[0].tolist()) for l in range(m)]
     order = sorted(range(m), key=lambda l: -len(supports[l]))
     chain = [supports[l] for l in order]
@@ -359,7 +378,7 @@ def _flag_structure(
         if i > 0 and not supp < chain[i - 1]:
             return None
     mins = [float(lam[l][lam[l] > 0.0].min()) for l in order]
-    return order, mins, chain
+    return tuple(order), tuple(mins), tuple(chain)
 
 
 def _nested_tail(
@@ -371,7 +390,7 @@ def _nested_tail(
     total degree, and dropping the ordering constraint splits the tail into a
     one-dimensional tail times full one-dimensional sums.
     """
-    flag = _flag_structure(config.lam)
+    flag = _flag_structure(config.lam.tobytes(), config.m, config.r)
     if flag is None or not _region_holds_sigma(config, sigma):
         return math.inf
     order, mins, chain = flag
@@ -405,6 +424,22 @@ def _nested_tail(
     return total
 
 
+def _finite_support_terms(
+    config: ShintaniConfig, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The whole finite support, ascending (degree, point), with its degrees,
+    theta values and terms |theta(n)| prod_l L_l(n)^(-<c_l, sigma>).
+
+    Each tail is the sum of a suffix of these terms, so every shell's tail
+    comes from one enumeration, one theta evaluation and one matrix product.
+    """
+    (pts,) = _blocks_upto(config, config.theta.support_degree)
+    vals = np.asarray(cf.theta_values(config.theta, pts))
+    forms = pts @ config.lam.T + config.form_offsets
+    terms = np.abs(vals) * _abs_form_powers(forms, config.c @ sigma)
+    return pts, pts.sum(axis=1), vals, terms
+
+
 def _finite_tail(
     config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
 ) -> float:
@@ -414,15 +449,11 @@ def _finite_tail(
         return math.inf
     if n_shell >= deg:
         return 0.0
-    pts = config.theta.support(config.r, n_shell + 1, deg)
-    if pts.size == 0:
-        return 0.0
-    vals = np.abs(np.asarray(cf.theta_values(config.theta, pts)))
-    forms = pts @ config.lam.T + config.form_offsets
-    sl = config.c @ sigma
-    terms = vals * _abs_form_powers(forms, sl)
+    _, degrees, _, terms = _finite_support_terms(config, sigma)
+    start = np.searchsorted(degrees, n_shell, side="right")
+    terms, degrees = terms[start:], degrees[start:]
     if weight.power > 0:
-        terms = terms * np.array([weight.at(float(t)) for t in pts.sum(axis=1)])
+        terms = terms * np.array([weight.at(float(t)) for t in degrees])
     else:
         terms = terms * weight.scale
     return float(np.sum(terms))
@@ -652,21 +683,28 @@ def _exponents(config: ShintaniConfig, pt: ComplexPoint) -> np.ndarray:
 
 
 def _sum_terms(
-    config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray]
+    config: ShintaniConfig,
+    pt: ComplexPoint,
+    blocks: Iterable[np.ndarray],
+    thetas: Optional[Iterable[np.ndarray]] = None,
 ) -> complex:
+    """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`;
+    `thetas`, when given, holds theta at those points block by block."""
     beta = _exponents(config, pt)
     is_real = pt.is_real
     lam_t = config.lam.T
     offsets = config.form_offsets
     theta = config.theta
     acc = CompensatedSum()
-    for pts in blocks:
+    for pts, vals in zip(blocks, itertools.repeat(None) if thetas is None else thetas):
         forms = pts @ lam_t + offsets
         powers = _form_powers(forms, beta, is_real)
         if theta.is_one:
             acc.add_array(powers)
         else:
-            acc.add_array(np.asarray(cf.theta_values(theta, pts)) * powers)
+            if vals is None:
+                vals = cf.theta_values(theta, pts)
+            acc.add_array(np.asarray(vals) * powers)
     return acc.value
 
 
@@ -959,15 +997,24 @@ def _line_partial_sum(
 
 
 def _partial_sum(
-    config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
+    config: ShintaniConfig,
+    pt: ComplexPoint,
+    n_shell: int,
+    tail: float,
+    support: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[complex, float]:
     """Partial sum over total degree <= n_shell, and `tail` plus the line
-    sums' remainder bound where line sums apply."""
+    sums' remainder bound where line sums apply.  `support`, when given, is
+    a finite support's points of degree <= n_shell with their theta values
+    (from `_choose_shell`), summed in place of a second enumeration."""
     lines = _line_partial_sum(config, pt, n_shell, tail)
-    if lines is None:
+    if lines is not None:
+        value, remainder = lines
+        return value, tail + remainder
+    if support is None:
         return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
-    value, remainder = lines
-    return value, tail + remainder
+    pts, vals = support
+    return _sum_terms(config, pt, (pts,), (vals,)), tail
 
 
 def _choose_shell(
@@ -975,38 +1022,132 @@ def _choose_shell(
     sigma: np.ndarray,
     tol: float,
     shell_cap: int,
-) -> tuple[int, bool]:
-    """Smallest shell with tail <= tol, capped by the enumerated-point budget."""
+) -> tuple[int, bool, float, Optional[tuple[np.ndarray, np.ndarray]]]:
+    """Smallest shell with tail <= tol, capped by the enumerated-point budget.
+
+    Returns (shell, certified, its tail bound, kept support): the last is a
+    finite support's points of degree <= shell with their theta values, and
+    None for every other family.
+    """
     theta = config.theta
-    deg = theta.support_degree
-    if deg is not None:
-        pts = theta.support(config.r, 0, deg)
-        degrees = [int(t) for t in pts.sum(axis=1)]
-        if len(degrees) > shell_cap:
-            n_cap = degrees[shell_cap - 1]
-            return n_cap, bool(_tail_bound(config, sigma, n_cap) <= tol)
-        for n in sorted(set(degrees)):
-            if _tail_bound(config, sigma, n) <= tol:
-                return n, True
-        return deg, True  # tail past the support is exactly zero
+    if theta.support_degree is not None:
+        return _choose_finite_shell(config, sigma, tol, shell_cap)
     if theta.support(config.r, 0, 0) is not None:
         # an unbounded sparse support: one candidate shell per support degree
         for _, n in itertools.islice(theta.support_shells(config.r), max(shell_cap, 1)):
-            if _tail_bound(config, sigma, n) <= tol:
-                return n, True
-        return n, False
+            tail = _tail_bound(config, sigma, n)
+            if tail <= tol:
+                return n, True, tail, None
+        return n, False, tail, None
 
     n_cap = _cap_from_budget(config.r, shell_cap)
-    if _tail_bound(config, sigma, n_cap) > tol:
-        return n_cap, False
-    lo, hi = 0, n_cap  # tail(hi) <= tol; find the first such shell
+    tail = _tail_bound(config, sigma, n_cap)
+    if tail > tol:
+        return n_cap, False, tail, None
+    n, tail = _first_admissible(config, sigma, tol, n_cap, tail)
+    return n, True, tail, None
+
+
+def _choose_finite_shell(
+    config: ShintaniConfig, sigma: np.ndarray, tol: float, shell_cap: int
+) -> tuple[int, bool, float, tuple[np.ndarray, np.ndarray]]:
+    """`_choose_shell` for a finite support, from one `_finite_support_terms`.
+
+    The tail at a support degree n is the sum of the terms of degree > n, the
+    same suffix `_finite_tail` sums.  The budget caps the shell at the
+    largest support degree with at most shell_cap support points up to it
+    (0 when there is none); the result is the smallest support degree at or
+    below that cap whose tail is <= tol, else the cap, uncertified.  Past
+    the last degree the tail is exactly 0, so an uncapped choice is always
+    certified.
+    """
+    pts, degrees, vals, terms = _finite_support_terms(config, sigma)
+    deg = degrees.tolist()
+    # (support degree, the support points up to it): the tail there sums the
+    # terms past those points
+    ends = [i for i in range(1, len(deg) + 1) if i == len(deg) or deg[i] != deg[i - 1]]
+    shells = [(deg[i - 1], i) for i in ends if i <= shell_cap] or [(0, deg.count(0))]
+    for n, kept in shells:
+        tail = float(terms[kept:].sum())
+        if tail <= tol:
+            break
+    return n, tail <= tol, tail, (pts[:kept], vals[:kept])
+
+
+def _first_admissible(
+    config: ShintaniConfig, sigma: np.ndarray, tol: float, hi: int, tail_hi: float
+) -> tuple[int, float]:
+    """The first shell n* <= hi with `_tail_bound` <= tol, and its bound,
+    given tail(hi) = tail_hi <= tol.
+
+    Proof that n* is found, and that it is the shell bisection of [0, hi]
+    finds.  Every route of `_tail_bound` is non-increasing in the shell N:
+    the poly, separable and nested routes are positive constants times
+    (N + a)^(-p) or (floor(N/r) + a)^(-p) with a > 0 and p > 0 (sums of such
+    terms for the poly route); the geometric route is inf while its ratio
+    rho(N + 1) >= 1, and rho falls with N and bounds the ratio of
+    consecutive heads, so once finite the head falls and 1/(1 - rho) falls
+    with it.  Their minimum is then non-increasing, so the admissible shells
+    form the up-set [n*, inf).  The search keeps the bracket lo <= n* <= hi
+    with tail(hi) <= tol < tail(lo - 1) (nothing to check at lo = 0); each
+    probe c in [lo, hi) sets hi = c when tail(c) <= tol and lo = c + 1
+    otherwise, which keeps the invariant and shrinks the bracket, and it
+    stops at lo = hi = n*.  Bisection keeps the same invariant, so it ends on
+    the same n*.  The monotonicity is that of the exact formulas; rounding
+    could only matter where consecutive shells' tails differ by an ulp.
+
+    Probes: shell 0 first; then log tail is interpolated linearly in
+    log(N + 1) between the shells lo - 1 and hi (every polynomial route's
+    leading term is a power of N plus a constant; in N itself when theta
+    decays geometrically), and the probe is the first shell at or past the
+    crossing of log tol.  An end that two probes in a row leave in place
+    has its distance to log tol halved (Illinois), which moves the next
+    estimate toward it.  When an interpolated probe fails to halve the
+    bracket, or no interpolation is possible (an infinite tail at lo - 1),
+    the next probe is the midpoint.  So every interpolated probe that does
+    not halve the bracket is followed by one that does, and the count stays
+    within twice bisection's, plus the probe at shell 0.
+    """
+    log_tol = math.log(tol)
+
+    def excess(tail: float) -> float:
+        # log(tail / tol); a tail that rounds to 0 is below 2^-1074 and
+        # counts as that
+        return math.log(max(tail, 2.0**-1074)) - log_tol
+
+    if config.theta.envelope_triple[2] < 1.0:
+        to_x, from_x = float, float
+    else:
+        to_x, from_x = math.log1p, math.expm1
+    lo, f_lo, f_hi = 0, math.inf, excess(tail_hi)  # f_lo at shell lo - 1
+    last_low, halve = None, False
     while lo < hi:
-        mid = (lo + hi) // 2
-        if _tail_bound(config, sigma, mid) <= tol:
-            hi = mid
+        width = hi - lo
+        c = (lo + hi) // 2
+        interpolated = False
+        if lo == 0:
+            c = 0
+        elif not halve and math.inf > f_lo > f_hi:
+            x_lo = to_x(lo - 1)
+            estimate = from_x(x_lo + (to_x(hi) - x_lo) * f_lo / (f_lo - f_hi))
+            # rounded down by a relative 2^-40, far above the estimate's own
+            # rounding, so that an exact crossing is probed at its shell
+            c = min(max(lo, math.ceil(estimate * (1.0 - 2.0**-40))), hi - 1)
+            interpolated = True
+        tail = _tail_bound(config, sigma, c)
+        low = not tail <= tol
+        if low:
+            lo, f_lo = c + 1, excess(tail)
         else:
-            lo = mid + 1
-    return lo, True
+            hi, tail_hi, f_hi = c, tail, excess(tail)
+        if low == last_low:  # Illinois: an end kept twice weighs half as much
+            if low:
+                f_hi *= 0.5
+            else:
+                f_lo *= 0.5
+        last_low = low
+        halve = interpolated and 2 * (hi - lo) > width
+    return hi, tail_hi
 
 
 def _cap_from_budget(r: int, shell_cap: int) -> int:
@@ -1038,14 +1179,14 @@ def evaluate(
     pt = as_point(s, config.d)
     if tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
-    if not absolutely_convergent_at(config, pt):
+    sigma = pt.re
+    if not _convergent_at_sigma(config, sigma):
         raise RegionError(
             "point outside certified convergence region: needs "
             f"min_l Re<c_l,s> > r/m = {config.r / config.m}"
         )
-    sigma = pt.re
-    n_used, certified = _choose_shell(config, sigma, tol, shell_cap)
-    value, achieved = _partial_sum(config, pt, n_used, _tail_bound(config, sigma, n_used))
+    n_used, certified, tail, support = _choose_shell(config, sigma, tol, shell_cap)
+    value, achieved = _partial_sum(config, pt, n_used, tail, support)
     return EvalResult(
         value=value, tail_bound=achieved, shells_used=n_used, certified=certified
     )
@@ -1070,7 +1211,7 @@ def _require_shell(n_shell) -> None:
 def _blocks_upto(config: ShintaniConfig, n_shell: int) -> Iterable[np.ndarray]:
     pts = config.theta.support(config.r, 0, n_shell)
     if pts is not None:
-        return (pts,) if pts.size else ()
+        return (pts,)
     config.theta.prewarm(n_shell)
     return _iter_blocks(config.r, n_shell)
 

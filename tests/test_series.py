@@ -2,6 +2,8 @@
 closure, named constructions, and the module invariants."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -64,6 +66,73 @@ class TestValidation:
         )
         report = validate_config(cfg)
         assert any("coordinate" in v for v in report.violations)
+
+
+class TestValidationAtConstruction:
+    """The report is computed when the config is built, from copies of its
+    arrays, so nothing the caller does afterwards can change either."""
+
+    @staticmethod
+    def one_form(u):
+        return ShintaniConfig(
+            d=1, m=1, r=1, lam=np.array([[1.0]]), u=u,
+            c=np.array([[1.0]]), theta=CoefficientSpec.constant(1.0),
+        )
+
+    def test_invalid_config_raises_everywhere(self):
+        cfg = self.one_form(np.array([0.0]))
+        for call in (
+            lambda: evaluate(cfg, 2.0),
+            lambda: evaluate_partial(cfg, 2.0, 3),
+            lambda: tail_bound(cfg, 2.0, 3),
+            lambda: differentiate(cfg, 1),
+        ):
+            with pytest.raises(ConfigError, match="u_j must be positive"):
+                call()
+
+    def test_caller_writes_change_nothing(self):
+        u = np.array([0.5])
+        cfg = self.one_form(u)
+        before = evaluate(cfg, 2.0, tol=1e-8)
+        u.setflags(write=True)
+        u[0] = -1.0
+        assert cfg.u.tolist() == [0.5]
+        assert validate_config(cfg).ok
+        assert evaluate(cfg, 2.0, tol=1e-8) == before
+        with pytest.raises(ValueError):
+            cfg.u[0] = 2.0  # the config's own copy is read-only
+
+    def test_caller_cannot_repair_an_invalid_config(self):
+        u = np.array([0.0])
+        cfg = self.one_form(u)
+        u[0] = 1.0
+        assert not validate_config(cfg).ok
+        with pytest.raises(ConfigError):
+            evaluate(cfg, 2.0)
+
+    def test_threads_match_one_thread(self):
+        configs = [
+            riemann(),
+            make_special("hurwitz", u=0.25),
+            make_special("euler_zagier", r=2, u=(0.0, 0.0)),
+            ShintaniConfig(
+                d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]],
+                theta=CoefficientSpec.finite_support({(0,): 1.0, (1,): -0.5, (3,): 0.25}),
+            ),
+        ]
+        tasks = [(cfg, s) for cfg in configs for s in (2.0, 3 + 4j, 2.5 - 1j)] * 4
+        calls = [(lambda cfg=cfg, s=s: evaluate(cfg, (s,) * cfg.d, tol=1e-9, shell_cap=10**5))
+                 for cfg, s in tasks]
+        expected = [call() for call in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(call) for call in calls]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
 
 class TestRegion:
