@@ -125,11 +125,8 @@ def run_command(subcommand: str, rc: RunConfig, out_dir=None, quiet: bool = Fals
         dist = distributions.build_distribution(
             config, sig, delta=action["delta"], shell_cap=action["shell_cap"]
         )
-        locs = dist.locations[:, axis - 1]
-        rows = []
-        for t in ts:
-            val = complex(np.sum(dist.masses * np.exp(1j * t * locs)))
-            rows.append([t, val.real, val.imag, abs(val)])
+        values = distributions.atom_cf_grid(dist, axis, ts).tolist()
+        rows = [[t, val.real, val.imag, abs(val)] for t, val in zip(ts, values)]
         path = out / "cf.csv"
         emit_csv(["t", "re_f", "im_f", "abs_f"], rows, path)
         written.append(path)

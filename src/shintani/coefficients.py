@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterable, Iterator, Optional
+from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -111,18 +111,6 @@ class CoefficientSpec:
         degree (lexicographic within one), or None when the support cannot be
         enumerated directly.  ``hi`` may be large for a sparse support."""
         return None
-
-    def support_shells(self, r: int) -> Iterator[tuple[np.ndarray, int]]:
-        """(support points of one degree, that degree) for every nonempty
-        degree of an enumerable support, ascending; an unbounded support
-        ends at the int64 range of lattice points."""
-        lo, hi = 0, 1
-        while (self.support_degree is None or lo <= self.support_degree) and lo <= _LATTICE_MAX:
-            pts = self.support(r, lo, hi)
-            degrees = pts.sum(axis=1)
-            for t in np.unique(degrees).tolist():
-                yield pts[degrees == t], t
-            lo, hi = hi + 1, 2 * hi + 1
 
     def per_coordinate_envelope(self, r: int) -> Optional[list[tuple[float, float]]]:
         """(B_j, eps_j) per coordinate with |theta(n)| <= prod_j B_j (n_j+1)^eps_j.

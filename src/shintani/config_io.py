@@ -36,7 +36,6 @@ ACTION_DEFAULTS: dict[str, Any] = {
     "prime_limit": 10**4,
     "power_cutoff": 40,
     "coeff_limit": 50,
-    "method": "divisor_sum",
     "rectangle": None,
     "base": None,
     "direction": None,
@@ -542,28 +541,17 @@ def _parse_action(action: Any, lines: Optional[dict]) -> dict:
             continue
         v = action[key]
         path = f"action.{key}"
-        if key in ("s", "base"):
+        if key in ("s", "base", "direction"):
             out[key] = [_encode_number(z) for z in _decode_point(v, path)]
         elif key in ("sigma", "t"):
             out[key] = _decode_real_vector(v, path)
-        elif key == "direction":
-            out[key] = [_encode_number(z) for z in _decode_point(v, path)]
-        elif key == "t_grid":
-            _check_keys(v, {"axis", "lo", "hi", "count"}, path, lines)
+        elif key in ("t_grid", "scan"):
+            _check_keys(v, set(default), path, lines)
             out[key] = {
-                "axis": _decode_int(v.get("axis", 1), f"{path}.axis"),
-                "lo": _decode_real(v.get("lo", -10.0), f"{path}.lo"),
-                "hi": _decode_real(v.get("hi", 10.0), f"{path}.hi"),
-                "count": _decode_int(v.get("count", 201), f"{path}.count"),
-            }
-        elif key == "scan":
-            _check_keys(v, {"axis", "lo", "hi", "step", "trigger"}, path, lines)
-            out[key] = {
-                "axis": _decode_int(v.get("axis", 1), f"{path}.axis"),
-                "lo": _decode_real(v.get("lo", -20.0), f"{path}.lo"),
-                "hi": _decode_real(v.get("hi", 20.0), f"{path}.hi"),
-                "step": _decode_real(v.get("step", 0.05), f"{path}.step"),
-                "trigger": _decode_real(v.get("trigger", 0.2), f"{path}.trigger"),
+                sub: (_decode_int if sub in ("axis", "count") else _decode_real)(
+                    v.get(sub, sub_default), f"{path}.{sub}"
+                )
+                for sub, sub_default in default.items()
             }
         elif key == "rectangle":
             _check_keys(v, {"re_lo", "re_hi", "im_lo", "im_hi"}, path, lines)
@@ -578,12 +566,6 @@ def _parse_action(action: Any, lines: Optional[dict]) -> dict:
             if x <= 0:
                 raise ConfigError(f"{path}: must be positive, got {x}")
             out[key] = x
-        elif key == "method":
-            if v not in ("divisor_sum", "lattice_count"):
-                raise ConfigError(f"{path}: expected divisor_sum or lattice_count")
-            out[key] = v
-        else:
-            out[key] = v
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from .series import (
     EvalResult,
     ShintaniConfig,
     _LogWeight,
-    _form_powers,
-    _shells,
+    _lattice_blocks,
+    _require_valid,
     _tail_bound,
+    _terms,
     absolutely_convergent_at,
     as_sigma,
     evaluate,
-    validate_config,
 )
 from .summation import CompensatedSum, exact_real_sum
 
@@ -126,30 +126,6 @@ def _definite_sign(config: ShintaniConfig) -> str:
     return cls
 
 
-def _iter_growing(config: ShintaniConfig) -> Iterator[tuple[np.ndarray, int]]:
-    """Blocks of lattice points plus the largest fully enumerated degree."""
-    theta = config.theta
-    deg = theta.support_degree
-    if deg is not None:
-        yield theta.support(config.r, 0, deg), deg
-        return
-    if theta.support(config.r, 0, 0) is not None:
-        yield from theta.support_shells(config.r)
-        return
-    if config.r == 1:
-        start, size = 0, _GROW_BLOCK
-        while True:
-            stop = start + size
-            yield np.arange(start, stop, dtype=np.int64).reshape(-1, 1), stop - 1
-            start = stop
-            size *= 2
-        return
-    t = 0
-    while True:
-        yield _shells(t, t, config.r), t
-        t += 1
-
-
 def build_distribution(
     config: ShintaniConfig,
     sigma,
@@ -161,9 +137,7 @@ def build_distribution(
     Atoms landing on the same location are merged; every mass is checked
     nonnegative, which catches sign-class misclassification at run time.
     """
-    report = validate_config(config)
-    if not report.ok:
-        raise ConfigError("; ".join(report.violations))
+    _require_valid(config)
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     _definite_sign(config)
@@ -174,8 +148,6 @@ def build_distribution(
             f"sigma outside convergence region: needs min_l<c_l,sigma> > "
             f"{config.r / config.m}"
         )
-    lam_t = config.lam.T
-    offsets = config.form_offsets
     sl = config.c @ sig
     loc_blocks: list[np.ndarray] = []
     weight_blocks: list[np.ndarray] = []
@@ -183,12 +155,14 @@ def build_distribution(
     count = 0
     n_done = -1
     bound = math.inf
-    for pts, n_complete in _iter_growing(config):
-        forms = pts @ lam_t + offsets
+    # the table ends with the first block whose tail bound meets delta, so
+    # the blocks' growth fixes its atoms: rank 1 doubles from _GROW_BLOCK
+    # points, rank >= 2 takes one shell per block
+    size, grow = (_GROW_BLOCK, 2) if config.r == 1 else (1, 1)
+    for pts, n_complete in _lattice_blocks(config, None, size, grow):
+        forms, weights = _terms(config, pts, sl, True)
         log_forms = np.log(forms)
-        weights = _form_powers(forms, sl.astype(complex), True)
-        if not config.theta.is_one:
-            weights = weights * np.asarray(cf.theta_values(config.theta, pts)).real
+        weights = weights.real
         keep = weights != 0.0
         if not np.all(keep):
             weights = weights[keep]
@@ -442,6 +416,14 @@ def empirical_cf(batch: SampleBatch, t) -> complex:
     phases = batch.points @ t_arr
     total = complex(exact_real_sum(np.cos(phases)), exact_real_sum(np.sin(phases)))
     return total / batch.count
+
+
+def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:
+    """The atom table's characteristic function at t e_axis for each t of
+    `ts` (axis in 1..d), one plain `np.sum` over the atoms per t; `atom_cf`
+    is the order-independent path for single points."""
+    locs = dist.locations[:, axis - 1]
+    return np.array([np.sum(dist.masses * np.exp(1j * t * locs)) for t in ts], dtype=complex)
 
 
 def atom_cf(dist: ZetaDistribution, t) -> complex:

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import coefficients as cf
-from .coefficients import CoefficientSpec
+from .coefficients import _LATTICE_MAX, CoefficientSpec
 from .errors import CertificationError, ConfigError, RegionError
 from .summation import CompensatedSum
 
@@ -521,29 +521,39 @@ def _poisson_tail(
 
     def term(k: int) -> float:
         n = float(base) ** k - 1.0
-        theta_p = math.exp(rate * k * logj - math.lgamma(k + 1.0))
+        log_theta = rate * k * logj - math.lgamma(k + 1.0)
         forms = lam * (n + u0)
         pf = float(np.prod(forms ** (-sl)))
-        return theta_p * b_other * (n + 1.0) ** eps_other * pf * weight.at(n)
+        v = math.exp(log_theta) * b_other * (n + 1.0) ** eps_other * pf * weight.at(n)
+        if not math.isfinite(v):
+            # at sigma < 0 the power overflows to inf where the factorial weight
+            # is tiny or 0 (inf * 0 = nan): the term is formed in logarithms
+            logs = [math.log(f) if f > 0.0 else -math.inf for f in (b_other, weight.at(n))]
+            log_v = log_theta - float(sl @ np.log(forms)) + eps_other * math.log(n + 1.0)
+            v = math.exp(log_v + math.fsum(logs))
+        return v
 
     k = 0
     while base**k - 1 <= n_shell:  # exact: past 2^53 a float walk skips a tail point
         k += 1
     total = 0.0
-    for _ in range(100000):
-        n = float(base) ** k - 1.0
-        n_next = float(base) ** (k + 1) - 1.0
-        ratio = (base**rate) * (base**eps_other) / (k + 1.0)
-        rl = (n_next + u0) / (n + u0)
-        for b in sl:
-            if b < 0:
-                ratio *= rl ** (-b)
-        ratio *= weight.ratio(n, n_next)
-        v = term(k)
-        if ratio <= 0.5:
-            return total + v + v * ratio / (1.0 - ratio)
-        total += v
-        k += 1
+    try:
+        for _ in range(100000):
+            n = float(base) ** k - 1.0
+            n_next = float(base) ** (k + 1) - 1.0
+            ratio = (base**rate) * (base**eps_other) / (k + 1.0)
+            rl = (n_next + u0) / (n + u0)
+            for b in sl:
+                if b < 0:
+                    ratio *= rl ** (-b)
+            ratio *= weight.ratio(n, n_next)
+            v = term(k)
+            if ratio <= 0.5:
+                return total + v + v * ratio / (1.0 - ratio)
+            total += v
+            k += 1
+    except OverflowError:  # a support point or a term past the float range: no bound
+        pass
     return math.inf
 
 
@@ -596,8 +606,10 @@ def _shells(lo: int, hi: int, rank: int) -> np.ndarray:
 
     Built with whole-array operations on every call and never cached: each
     point of rank - 1 splits its last coordinate L into (x, L - x), x = 0..L,
-    which keeps both orders.
+    which keeps both orders.  Rank 0 has one point, of degree 0.
     """
+    if rank == 0:
+        return np.zeros((int(lo <= 0 <= hi), 0), dtype=np.int64)
     if rank == 1:
         return np.arange(lo, hi + 1, dtype=np.int64).reshape(-1, 1)
     outer = _shells(lo, hi, rank - 1)
@@ -611,32 +623,79 @@ def _shells(lo: int, hi: int, rank: int) -> np.ndarray:
     return out
 
 
-def shell_size(r: int, t: int) -> int:
-    return math.comb(t + r - 1, r - 1)
-
-
 def lattice_count(r: int, n_shell: int) -> int:
     """Number of lattice points with total degree <= n_shell."""
     return math.comb(n_shell + r, r)
 
 
-def _iter_blocks(r: int, n_shell: int) -> Iterator[np.ndarray]:
-    """Lattice points of degree <= n_shell in blocks, ascending degree; a
-    block ends at the first shell that brings it to _BLOCK points."""
-    if r == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    lo = 0
-    while lo <= n_shell:
-        if r == 1:
-            hi = min(lo + _BLOCK - 1, n_shell)
+def _last_degree(r: int, count: int, lo: int, top: int) -> int:
+    """The largest degree h in [lo, top] with lattice_count(r, h) <= count,
+    given that lo has it (degree -1, with no points, always does).
+
+    Gallops up from lo by doubling steps, then bisects the last step."""
+    step, hi = 1, lo
+    while lo < top:
+        hi = min(lo + step, top)
+        if lattice_count(r, hi) > count:
+            break
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lattice_count(r, mid) <= count:
+            lo = mid
         else:
-            hi, count = lo, shell_size(r, lo)
-            while count < _BLOCK and hi < n_shell:
-                hi += 1
-                count += shell_size(r, hi)
-        yield _shells(lo, hi, r)
-        lo = hi + 1
+            hi = mid
+    return lo
+
+
+def _iter_blocks(
+    r: int, n_shell: Optional[int] = None, size: int = _BLOCK, grow: int = 1
+) -> Iterator[tuple[np.ndarray, int]]:
+    """(points, last degree) for the rank-r lattice points of degree <=
+    n_shell (every degree in the int64 range when None), in blocks of whole
+    shells by ascending degree.  A block ends at the first shell that brings
+    it to `size` points, found from `lattice_count` without walking shells,
+    and each block's `size` is `grow` times the one before."""
+    top = _LATTICE_MAX if n_shell is None else n_shell
+    total = lattice_count(r, top)
+    lo, done = 0, 0  # done = lattice_count(r, lo - 1)
+    while done < total:
+        hi = min(_last_degree(r, done + size - 1, lo - 1, top) + 1, top)
+        yield _shells(lo, hi, r), hi
+        lo, done, size = hi + 1, lattice_count(r, hi), size * grow
+
+
+def _lattice_blocks(
+    config: ShintaniConfig, n_shell: Optional[int] = None, size: int = _BLOCK, grow: int = 1
+) -> Iterator[tuple[np.ndarray, int]]:
+    """`_iter_blocks` restricted to theta's support: the lattice points of
+    degree <= n_shell (every degree when None) where theta may be nonzero.
+    An enumerable support is one block, through n_shell or its last degree;
+    an unbounded sparse support with no n_shell is one block per support
+    degree, up to the int64 range of lattice points."""
+    theta, r = config.theta, config.r
+    top = theta.support_degree if n_shell is None else n_shell
+    if top is not None:
+        pts = theta.support(r, 0, top)
+        if pts is not None:
+            yield pts, top
+            return
+        theta.prewarm(top)
+    elif theta.support(r, 0, 0) is not None:
+        lo, hi = 0, 1
+        while lo <= _LATTICE_MAX:
+            pts = theta.support(r, lo, hi)
+            degrees = pts.sum(axis=1)
+            for t in np.unique(degrees).tolist():
+                yield pts[degrees == t], t
+            lo, hi = hi + 1, 2 * hi + 1
+        return
+    yield from _iter_blocks(r, top, size, grow)
+
+
+def _blocks_upto(config: ShintaniConfig, n_shell: int) -> Iterable[np.ndarray]:
+    """The points of `_lattice_blocks(config, n_shell)`, block by block."""
+    return (pts for pts, _ in _lattice_blocks(config, n_shell))
 
 
 def _int_power(col: np.ndarray, k: int) -> np.ndarray:
@@ -682,6 +741,20 @@ def _exponents(config: ShintaniConfig, pt: ComplexPoint) -> np.ndarray:
     return re if pt.is_real else re + 1j * (config.c @ pt.im)
 
 
+def _terms(
+    config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool, vals=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forms L_l(n) at the lattice points `pts` and the terms
+    theta(n) prod_l L_l(n)^(-beta_l); `vals`, when given, holds theta there."""
+    forms = pts @ config.lam.T + config.form_offsets
+    terms = _form_powers(forms, beta, is_real)
+    if not config.theta.is_one:
+        if vals is None:
+            vals = cf.theta_values(config.theta, pts)
+        terms = np.asarray(vals) * terms
+    return forms, terms
+
+
 def _sum_terms(
     config: ShintaniConfig,
     pt: ComplexPoint,
@@ -691,20 +764,9 @@ def _sum_terms(
     """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`;
     `thetas`, when given, holds theta at those points block by block."""
     beta = _exponents(config, pt)
-    is_real = pt.is_real
-    lam_t = config.lam.T
-    offsets = config.form_offsets
-    theta = config.theta
     acc = CompensatedSum()
     for pts, vals in zip(blocks, itertools.repeat(None) if thetas is None else thetas):
-        forms = pts @ lam_t + offsets
-        powers = _form_powers(forms, beta, is_real)
-        if theta.is_one:
-            acc.add_array(powers)
-        else:
-            if vals is None:
-                vals = cf.theta_values(theta, pts)
-            acc.add_array(np.asarray(vals) * powers)
+        acc.add_array(_terms(config, pts, beta, pt.is_real, vals)[1])
     return acc.value
 
 
@@ -970,7 +1032,7 @@ def _line_partial_sum(
     along = lam[rows[0], rest] / lam[rows[0], j]
     lam_o, off_o = lam[others][:, rest], config.form_offsets[others]
     vs, ks, ws = [], [], []
-    for block in _iter_blocks(r - 1, n_shell):
+    for block, _ in _iter_blocks(r - 1, n_shell):
         deg = block.sum(axis=1)
         v_rho = config.u[j] + (block + config.u[rest]) @ along
         weight = scale * _form_powers(block @ lam_o.T + off_o, beta[others], is_real)
@@ -1034,7 +1096,7 @@ def _choose_shell(
         return _choose_finite_shell(config, sigma, tol, shell_cap)
     if theta.support(config.r, 0, 0) is not None:
         # an unbounded sparse support: one candidate shell per support degree
-        for _, n in itertools.islice(theta.support_shells(config.r), max(shell_cap, 1)):
+        for _, n in itertools.islice(_lattice_blocks(config), max(shell_cap, 1)):
             tail = _tail_bound(config, sigma, n)
             if tail <= tol:
                 return n, True, tail, None
@@ -1151,16 +1213,9 @@ def _first_admissible(
 
 
 def _cap_from_budget(r: int, shell_cap: int) -> int:
-    lo, hi = 0, 1
-    while lattice_count(r, hi) <= shell_cap:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if lattice_count(r, mid) <= shell_cap:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """The largest shell with at most shell_cap lattice points up to it, or
+    0 when there is none (shell_cap itself always has more)."""
+    return max(_last_degree(r, shell_cap, -1, shell_cap), 0)
 
 
 def evaluate(
@@ -1206,14 +1261,6 @@ def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
 def _require_shell(n_shell) -> None:
     if isinstance(n_shell, bool) or not isinstance(n_shell, (int, np.integer)) or n_shell < 0:
         raise ConfigError(f"shell index must be an integer >= 0, got {n_shell!r}")
-
-
-def _blocks_upto(config: ShintaniConfig, n_shell: int) -> Iterable[np.ndarray]:
-    pts = config.theta.support(config.r, 0, n_shell)
-    if pts is not None:
-        return (pts,)
-    config.theta.prewarm(n_shell)
-    return _iter_blocks(config.r, n_shell)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from .distributions import ZetaDistribution, build_distribution
+from .distributions import ZetaDistribution, atom_cf_grid, build_distribution
 from .errors import ConfigError, NumericError, RegionError
 from .series import (
     DEFAULT_SHELL_CAP,
@@ -133,10 +133,8 @@ def scan_cf_zeros(
     dist = build_distribution(config, sig, delta=min(grid_delta, trigger / 50), shell_cap=shell_cap)
     lo, hi = t_range
     ts = np.arange(lo, hi + step / 2, step)
-    locs = dist.locations[:, t_axis - 1]
-    grid_abs = np.array(
-        [abs(np.sum(dist.masses * np.exp(1j * t * locs))) for t in ts]
-    )
+    # abs per value: np.abs of the array rounds some values differently
+    grid_abs = np.array([abs(v) for v in atom_cf_grid(dist, t_axis, ts)])
     f = _cf_on_slice(config, sig, t_axis, eval_tol, shell_cap)
     candidates: list[ZeroCandidate] = []
     rect_counts: list[tuple[tuple[float, float, float, float], int]] = []

@@ -52,7 +52,7 @@ def _reference_choose_shell(config, sigma, tol, shell_cap):
                 return n, True, tail
         return n_cap, False, tail
     if theta.support(config.r, 0, 0) is not None:
-        for _, n in itertools.islice(theta.support_shells(config.r), max(shell_cap, 1)):
+        for _, n in itertools.islice(series._lattice_blocks(config), max(shell_cap, 1)):
             tail = _tail_bound(config, sigma, n)
             if tail <= tol:
                 return n, True, tail
@@ -149,7 +149,7 @@ def cases(draw):
     return config, sigma, tol, cap
 
 
-# the Poisson tail overflows at sigma < 0 (and reads nan there, on both sides)
+# the Poisson tail's powers overflow at sigma < 0 (its terms are then formed in logarithms)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
@@ -210,6 +210,20 @@ def test_sparse_support_stops_at_the_int64_range():
     config = _one_form(CoefficientSpec.poisson_powers(4))
     res = evaluate(config, -2.0, tol=0.1, shell_cap=40)
     assert (res.shells_used, res.certified) == (4**31 - 1, False)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_poisson_tail_is_never_nan():
+    # at sigma < 0 the powers overflow to inf where the factorial weight
+    # underflows to 0; such terms are formed in logarithms
+    config = _one_form(CoefficientSpec.poisson_powers(4, 1.0))
+    res = evaluate(config, -2.5, tol=0.1, shell_cap=0)
+    assert not math.isnan(res.tail_bound) and not res.certified
+    # the tail past shell 0 is sum_{k >= 1} 4^(3.5 k) / k! = e^128 - 1
+    assert res.tail_bound == pytest.approx(math.expm1(128.0), rel=1e-9)
+    # a support point past the float range gives no bound, not an error
+    res = evaluate(config, -5.0, tol=0.1, shell_cap=0)
+    assert res.tail_bound == math.inf and not res.certified
 
 
 def test_riemann_probe_count():
