@@ -224,10 +224,7 @@ def run_command(subcommand: str, rc: RunConfig, out_dir=None, quiet: bool = Fals
                 else series.ComplexPoint(np.zeros(config.d), np.zeros(config.d))
             )
             if action.get("direction"):
-                direction = np.asarray(
-                    [config_io._decode_number(v, "action.direction") for v in action["direction"]],
-                    dtype=complex,
-                )
+                direction = _point_from_action(rc, "direction", config.d).values
             else:
                 direction = np.zeros(config.d, dtype=complex)
                 direction[0] = 1.0

@@ -222,6 +222,8 @@ def _merge_atoms(locations: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray,
     ordered = locations[order]
     first = np.ones(ordered.shape[0], dtype=bool)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    if first.all():  # injective: each merged sum would be 0.0 + one mass, exactly
+        return ordered, masses[order]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
     merged = np.zeros(int(np.count_nonzero(first)))
@@ -363,6 +365,8 @@ def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
     the seed fully determines the batch."""
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"sample seed must be >= 0, got {seed}")
     masses = dist.masses / np.sum(dist.masses)
     cdf = np.cumsum(masses)
     cdf[-1] = 1.0
@@ -422,6 +426,8 @@ def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:
     """The atom table's characteristic function at t e_axis for each t of
     `ts` (axis in 1..d), one plain `np.sum` over the atoms per t; `atom_cf`
     is the order-independent path for single points."""
+    if not 1 <= axis <= dist.d:
+        raise ConfigError(f"t axis must be in 1..{dist.d}, got {axis}")
     locs = dist.locations[:, axis - 1]
     return np.array([np.sum(dist.masses * np.exp(1j * t * locs)) for t in ts], dtype=complex)
 

@@ -791,10 +791,7 @@ _EM_COEFFS = tuple(
 _EM_HEAD = 16  # Euler–Maclaurin starts no lower than k + v = 16
 _EM_MAX_HEAD = 1 << 16  # a line that needs a longer direct head is left to the block route
 _EM_REL = 2.0**-60  # remainder target relative to the shell tail bound
-# the work of a plan in head terms: 8 + 2M per Euler–Maclaurin line and, for
-# the array operations each Bernoulli order adds, 64 per order
-_EM_LINE_COST = 8
-_EM_ORDER_COST = 64
+_EM_DIRECT = 1 << 9  # lines with at most this many terms in all are summed directly
 _EM_ORDERS = np.arange(1, len(_EM_COEFFS) + 1)
 
 
@@ -922,52 +919,34 @@ def _em_line_sums(
     """sum_i weights_i sum_{k=0}^{k_max_i} (k+v_i)^(-b), and a bound on the
     Euler–Maclaurin remainders that is at most `target`.
 
-    One Bernoulli order M serves every line.  With W = sum_i |weights_i|,
-    Euler–Maclaurin starts on every line at the first k with k + v_i >= X,
-    where X >= _EM_HEAD is the smallest point with W C_M X^(-p_M) <= target
-    (C_M, p_M from `_em_remainder_constants`); each line's remainder is then
-    at most C_M X^(-p_M), so the weighted total is at most target.  A line
-    with v_i >= X needs no head; one whose head covers it is summed directly
-    with no remainder.  The orders are priced from the largest X down (head
-    terms, plus _EM_LINE_COST + 2M per Euler–Maclaurin line and
-    _EM_ORDER_COST per order) until the price rises; the cheapest plan wins,
-    summing every line directly included.  Returns None when every plan
-    needs more than _EM_MAX_HEAD direct terms on some line.
+    One Bernoulli order M serves every line.  With W = sum_i |weights_i|, let
+    X_M >= _EM_HEAD be the smallest point with W C_M X_M^(-p_M) <= target
+    (C_M, p_M from `_em_remainder_constants`).  Euler–Maclaurin starts on
+    every line at the first k with k + v_i >= X = min_M X_M, with the first
+    order M that reaches it; each line's remainder is then at most
+    C_M X^(-p_M), so the weighted total is at most target.  A line's head
+    grows with X and never exceeds the line, so no other choice of X has
+    fewer head terms.  A line with v_i >= X needs no head; one whose head
+    covers it is summed directly with no remainder.  Every line is summed
+    directly when the lines hold at most _EM_DIRECT terms in all, when no
+    order applies, or when target or W is 0.  Returns None when a line
+    needs more than _EM_MAX_HEAD direct terms.
     """
     b = complex(b)
     k_len = k_max + 1
-    direct_cost = float(k_len.sum()) if k_len.max() <= _EM_MAX_HEAD else math.inf
-    plan = (direct_cost, math.inf, 0, 0.0, 1.0)  # (cost, X, M, log C_M, p_M): all direct
+    x, order, log_c, decay = math.inf, 0, 0.0, 1.0  # every line direct
     total_w = float(np.abs(weights).sum())
-    if target > 0.0 and total_w > 0.0:
-        log_budget = math.log(total_w) - math.log(target * (1.0 - 2.0**-20))
-        orders, log_c, decay = _em_remainder_constants(b)
-        # exp(-inf) = 0 where the remainder is exactly 0
-        xs = np.maximum(np.exp(np.minimum((log_c + log_budget) / decay, 700.0)), _EM_HEAD)
-        # X falls with M to a smallest value, and later orders only cost more;
-        # as X falls the heads shrink and the other work grows
-        rising = np.flatnonzero(xs[1:] >= xs[:-1])
-        last = rising[0] + 1 if rising.size else xs.size
-        top = float((v + k_len).max())  # from X = top up every line is summed directly
-        near_v, near_len, prev = v, k_len, math.inf  # the lines with v < X
-        for i in np.flatnonzero(xs[:last] < top):
-            x = float(xs[i])
-            near = near_v < x
-            near_v, near_len = near_v[near], near_len[near]
-            heads = np.minimum(np.ceil(x - near_v), near_len)
-            if heads.size and heads.max() > _EM_MAX_HEAD:
-                continue
-            n_em = v.size - np.count_nonzero(heads == near_len)
-            cost = heads.sum() + n_em * (_EM_LINE_COST + 2 * orders[i]) + _EM_ORDER_COST * orders[i]
-            if cost >= prev:
-                break
-            prev = cost
-            if cost < plan[0]:
-                plan = (cost, x, int(orders[i]), float(log_c[i]), float(decay[i]))
-    cost, x, order, log_c, decay = plan
-    if cost == math.inf:
-        return None
+    if k_len.sum() > _EM_DIRECT and target > 0.0 and total_w > 0.0:
+        orders, log_cs, decays = _em_remainder_constants(b)
+        if orders.size:
+            log_budget = math.log(total_w) - math.log(target * (1.0 - 2.0**-20))
+            # exp(-inf) = 0 where the remainder is exactly 0
+            xs = np.maximum(np.exp(np.minimum((log_cs + log_budget) / decays, 700.0)), _EM_HEAD)
+            i = int(np.argmin(xs))
+            x, order, log_c, decay = float(xs[i]), int(orders[i]), float(log_cs[i]), float(decays[i])
     heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len).astype(np.int64)
+    if heads.max() > _EM_MAX_HEAD:
+        return None
     em = heads <= k_max
     remainder = float((np.abs(weights[em]) * np.exp(log_c - decay * np.log(heads[em] + v[em]))).sum())
     return _em_sum(b, v, k_max, weights, heads, order), remainder

@@ -270,6 +270,11 @@ def count_zeros_rectangle(
     """Winding number of the slice restriction around 0 (zeros counted with
     multiplicity).  Boundary zeros trigger automatic rectangle perturbation;
     persistent ones raise NumericError."""
+    if slice_spec.base.d != config.d or slice_spec.direction.size != config.d:
+        raise ConfigError(
+            f"slice base and direction need {config.d} components, got "
+            f"{slice_spec.base.d} and {slice_spec.direction.size}"
+        )
     if not _slice_valid(config, slice_spec):
         raise RegionError("slice rectangle leaves the certified convergence region")
 

@@ -18,6 +18,7 @@ from shintani.series import (
     ShintaniConfig,
     _blocks_upto,
     _em_line_sum,
+    _em_line_sums,
     _em_remainder_bounds,
     _line_partial_sum,
     _sum_terms,
@@ -299,3 +300,75 @@ class TestRemainder:
                 # the plan's target is relative to the first terms when the tail is infinite
                 _, rem_inf = _line_partial_sum(cfg, pt, n_shell, math.inf)
                 assert 0.0 < rem_inf <= 2.0**-60 * _abs_terms(cfg, pt, n_shell)
+
+
+class TestStartPoint:
+    """Every line starts Euler–Maclaurin at X = min_M X_M, where X_M is the
+    smallest point (at least _EM_HEAD) with W C_M X_M^(-p_M) <= target."""
+
+    @staticmethod
+    def _start_points(b: complex, total_w: float, target: float) -> list[tuple[int, float]]:
+        """(M, X_M) for each order, with C_M and p_M read off the remainder
+        bound C_M x^(-p_M) at x = 1 and x = e."""
+        at_one = dict(_em_remainder_bounds(b, 0.0, 1))
+        at_e = dict(_em_remainder_bounds(b, math.e - 1.0, 1))
+        out = []
+        for order, c in at_one.items():
+            x = 0.0 if c == 0.0 else (total_w * c / target) ** (1.0 / math.log(c / at_e[order]))
+            out.append((order, max(float(series._EM_HEAD), x)))
+        return out
+
+    def test_start_is_the_smallest_head_point(self):
+        rng = np.random.default_rng(10)
+        checked = 0
+        # large |Im b| puts X above _EM_HEAD; the others test the first order at the floor
+        for b in (2.5, 1.5 + 20j, 6.0 - 3j, 0.7 + 2j, -3.5 + 1j, 40.0, 1.1 + 80j, 2.0 - 150j):
+            v = rng.uniform(0.05, 40.0, size=50)
+            k_max = rng.integers(0, 10**5, size=50)
+            weights = rng.normal(size=50) + 1j * rng.normal(size=50)
+            total_w = float(np.abs(weights).sum())
+            for rel in (1e-3, 1e-18, 1e-30):
+                target = rel * total_w
+                with mock.patch.object(series, "_em_sum", wraps=series._em_sum) as spy:
+                    _, remainder = _em_line_sums(complex(b), v, k_max, weights, target)
+                heads, order = spy.call_args.args[4:]
+                points = self._start_points(complex(b), total_w, target)
+                x = min(xm for _, xm in points)
+                assert order == next(m for m, xm in points if xm <= x * (1.0 + 1e-9)), (b, rel)
+                lo, hi = (
+                    np.minimum(np.maximum(np.ceil(x * f - v), 0.0), k_max + 1)
+                    for f in (1.0 - 1e-12, 1.0 + 1e-12)
+                )
+                assert np.all((lo <= heads) & (heads <= hi)), (b, rel)
+                assert remainder <= target
+                checked += int(np.any(heads <= k_max))
+        assert checked == 24  # every case sums some line by Euler–Maclaurin
+
+    def test_direct_through_512_terms_then_euler_maclaurin(self):
+        periodic = ShintaniConfig(
+            d=1, m=1, r=1, lam=np.array([[1.5]]), u=np.array([0.2]), c=np.array([[1.0]]),
+            theta=CoefficientSpec.periodic((3,), [1.0, -0.5j, 0.25]),
+        )
+        for cfg, s in ((make_special("riemann"), 2.5), (periodic, 3.0 - 7j), (periodic, 1.5 + 4j)):
+            pt = series.as_point(s, 1)
+            for n_shell in (511, 512):  # 512 and 513 terms over all lines
+                tail = _tail_bound(cfg, pt.re, n_shell)
+                value, remainder = _line_partial_sum(cfg, pt, n_shell, tail)
+                assert abs(value - _block(cfg, pt, n_shell)) <= _tolerance(cfg, pt, n_shell)
+                if n_shell == 511:
+                    assert remainder == 0.0
+                else:
+                    assert 0.0 < remainder <= 2.0**-60 * tail
+
+    def test_no_order_sums_directly_until_the_head_limit(self):
+        # Re b = -45: no order has Re b + 2M > 1; lines up to _EM_MAX_HEAD
+        # terms are summed directly, longer ones go to the block route
+        cfg = make_special("riemann")
+        for s in (-45.0, -45.0 + 2.0j):
+            pt = series.as_point(s, 1)
+            value, remainder = _line_partial_sum(cfg, pt, 1000, math.inf)
+            assert remainder == 0.0
+            assert abs(value - _block(cfg, pt, 1000)) <= _tolerance(cfg, pt, 1000)
+            for n_shell in (series._EM_MAX_HEAD, 10**5):
+                assert _line_partial_sum(cfg, pt, n_shell, math.inf) is None
+            assert evaluate_partial(cfg, pt, 10**5).value == _block(cfg, pt, 10**5)

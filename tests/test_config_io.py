@@ -2,6 +2,7 @@
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +350,37 @@ class TestCli:
         mid = lines[2].split(",")
         assert float(mid[0]) == 0.0 and float(mid[1]) == pytest.approx(1.0, abs=1e-3)
 
+    def test_cf_bad_axis_is_config_error(self, tmp_path):
+        for axis in (0, 3):
+            doc = {
+                "function": {"kind": "special", "name": "euler_zagier",
+                             "params": {"r": 2, "u": [1.0, 1.0]}},
+                "action": {
+                    "sigma": [3.0, 2.5], "delta": 1e-3, "shell_cap": 10**6,
+                    "t_grid": {"axis": axis, "lo": -1.0, "hi": 1.0, "count": 3},
+                },
+                "output": {"dir": str(tmp_path)},
+            }
+            cfgp = self.write(tmp_path, yaml.safe_dump(doc))
+            result = CliRunner().invoke(cli, ["cf", "--config", cfgp, "--quiet"])
+            assert result.exit_code == 2, (axis, result.output)
+            assert "axis" in result.output
+            assert not (tmp_path / "cf.csv").exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            "action: {sigma: 2.0, delta: 1.0e-4, seed: 5, count: 10}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["sample", "--config", cfgp, "--quiet", "--seed", "-1"])
+        assert result.exit_code == 2 and "seed" in result.output
+        cfgp = self.write(tmp_path, Path(cfgp).read_text().replace("seed: 5", "seed: -1"))
+        result = CliRunner().invoke(cli, ["sample", "--config", cfgp, "--quiet"])
+        assert result.exit_code == 2 and "seed" in result.output
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_dist_and_atoms_schema(self, tmp_path):
         cfgp = self.write(
             tmp_path,
@@ -457,6 +489,38 @@ class TestCli:
         assert "1" in result.output
         lines = (tmp_path / "zeros.csv").read_text().splitlines()
         assert lines[1].split(",")[-1] == "1"
+
+    def _rectangle_doc(self, tmp_path, direction):
+        """1 - 2 (n+1)^(-s_1) on C^2; its zero s_1 = 1 lies in the rectangle."""
+        return {
+            "function": {
+                "kind": "shintani",
+                "d": 2, "m": 1, "r": 1,
+                "lambda": [[1.0]], "u": [1.0], "c": [[1.0, 0.0]],
+                "theta": {
+                    "family": "finite_support",
+                    "params": {"entries": [{"n": [0], "value": 1.0}, {"n": [1], "value": -2.0}]},
+                    "envelope": {"B": 2.0, "eps": 0.0},
+                },
+            },
+            "action": {
+                "rectangle": {"re_lo": 0.0, "re_hi": 2.0, "im_lo": -1.0, "im_hi": 1.0},
+                "direction": direction,
+            },
+            "output": {"dir": str(tmp_path)},
+        }
+
+    def test_zeros_rectangle_direction_components(self, tmp_path):
+        # one component is used on every axis, as for base
+        cfgp = self.write(tmp_path, yaml.safe_dump(self._rectangle_doc(tmp_path, [1.0])))
+        result = CliRunner().invoke(cli, ["zeros", "--config", cfgp])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "zeros.csv").read_text().splitlines()[1].split(",")[-1] == "1"
+        (tmp_path / "zeros.csv").unlink()
+        cfgp = self.write(tmp_path, yaml.safe_dump(self._rectangle_doc(tmp_path, [1.0, 0.0, 0.0])))
+        result = CliRunner().invoke(cli, ["zeros", "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "zeros.csv").exists()
 
     def test_special_writes_config_and_comparison(self, tmp_path):
         doc = {

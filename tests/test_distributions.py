@@ -2,15 +2,19 @@
 constructions, sampling, and moments."""
 
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import random_config, region_sigma
+from shintani import series
 from shintani.coefficients import CoefficientSpec
 from shintani.distributions import (
+    _merge_atoms,
     atom_cf,
+    atom_cf_grid,
     build_distribution,
     char_fn,
     empirical_cf,
@@ -95,6 +99,27 @@ class TestBuild:
             want = (t + 1) * (t + 1.0) ** -4.0 / z
             assert masses[t] == pytest.approx(want, rel=1e-9)
 
+    @staticmethod
+    def _dict_merge(locations, masses):
+        """Masses summed per location in input order, sorted by location."""
+        merged: dict[tuple, float] = {}
+        for loc, mass in zip(map(tuple, locations.tolist()), masses.tolist()):
+            merged[loc] = merged.get(loc, 0.0) + mass
+        keys = sorted(merged)
+        return np.array(keys, dtype=float).reshape(len(keys), -1), np.array([merged[k] for k in keys])
+
+    def test_merge_against_dict_reference(self):
+        rng = np.random.default_rng(8)
+        distinct = rng.normal(size=(400, 2))
+        masses = rng.uniform(0.0, 1.0, size=1200)
+        for locations in (distinct, distinct[rng.integers(0, 400, size=1200)]):
+            n = locations.shape[0]
+            got_locs, got_masses = _merge_atoms(locations, masses[:n])
+            want_locs, want_masses = self._dict_merge(locations, masses[:n])
+            assert got_locs.tobytes() == want_locs.tobytes()
+            assert got_masses.tobytes() == want_masses.tobytes()
+        assert got_locs.shape[0] < 1200  # the second table has coincident atoms
+
     def test_derivative_distribution_validity(self):
         # sum_j lam_lj u_j >= 1 and same-sign c rows: the derivative's theta
         # keeps a definite sign, so the build succeeds
@@ -150,6 +175,14 @@ class TestCharFn:
         )
         with pytest.raises(NumericError, match="normalizer"):
             char_fn(cfg, 1.0, 0.5, tol=1e-12)
+
+    def test_grid_axis_in_range(self):
+        cfg = make_special("euler_zagier", r=2, u=(1.0, 1.0))
+        dist = build_distribution(cfg, (3.0, 2.5), delta=1e-3, shell_cap=10**6)
+        assert atom_cf_grid(dist, 2, [0.0])[0] == pytest.approx(1.0, abs=1e-3)
+        for axis in (0, 3):
+            with pytest.raises(ConfigError, match="axis"):
+                atom_cf_grid(dist, axis, [0.0, 1.0])
 
     def test_atom_table_consistency(self):
         dist = build_distribution(riemann(), 2.0, delta=1e-7, shell_cap=10**8)
@@ -231,6 +264,11 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample(dist, seed=1, count=0)
 
+    def test_seed_nonnegative(self):
+        dist = build_distribution(riemann(), 2.0, delta=1e-4)
+        with pytest.raises(ConfigError, match="seed"):
+            sample(dist, seed=-1, count=10)
+
     def test_atom_zero_frequency(self):
         dist = build_distribution(riemann(), 2.0, delta=1e-6)
         batch = sample(dist, seed=7, count=200000)
@@ -287,6 +325,47 @@ class TestMoments:
         weight = float(np.sum(w))
         total = float(np.sum(w * x1))
         assert got.value == pytest.approx(total / weight, abs=5e-4)
+
+
+    @staticmethod
+    def _moment_bound(dist, k):
+        """moment(dist, k).tail_bound, and whether the weighted ratio ran."""
+        ratio = series._LogWeight.ratio
+        with mock.patch.object(series._LogWeight, "ratio", autospec=True, side_effect=ratio) as spy:
+            bound = moment(dist, k).tail_bound
+        return bound, spy.called
+
+    def test_poisson_weighted_tail_against_brute_force(self):
+        # atoms at x = i (lattice point 2^i - 1) with weight e^(sigma i) / i!
+        sd = make_special_distribution("poisson", j=2, sigma=-1.0)
+        for delta in (1e-3, 1e-6):
+            dist = build_distribution(sd.config, [sd.sigma], delta=delta)
+            first = next(i for i in range(64) if 2**i - 1 > dist.shells_used)
+            z = abs(dist.normalizer.value.real)
+            for k in (1, 2, 4):
+                with mp.workdps(30):
+                    tail = float(mp.fsum(
+                        mp.mpf(i) ** k * mp.exp(sd.sigma * i) / mp.factorial(i)
+                        for i in range(first, first + 200)
+                    )) / z
+                bound, weighted = self._moment_bound(dist, k)
+                assert weighted
+                assert tail <= bound <= 4.0 * tail, (delta, k)
+
+    def test_lerch_weighted_tail_against_brute_force(self):
+        # atoms at x = -log(n + 1) with weight q^n (n + 1)^(-sigma)
+        q = 0.9995
+        cfg = make_special("lerch_transcendent", u=1.0, q=q)
+        for sigma in (0.5, 2.0):
+            dist = build_distribution(cfg, [sigma], delta=1e-6)
+            n = np.arange(dist.shells_used + 1, dist.shells_used + 400_001, dtype=float)
+            weights = np.exp(n * math.log(q)) * (n + 1.0) ** -sigma
+            z = abs(dist.normalizer.value.real)
+            for k in (1, 3):
+                tail = math.fsum(weights * np.log(n + 1.0) ** k) / z
+                bound, weighted = self._moment_bound(dist, k)
+                assert weighted
+                assert tail <= bound <= 4.0 * tail, (sigma, k)
 
 
 class TestEmpirical:

@@ -7,7 +7,7 @@ import pytest
 
 from shintani.coefficients import CoefficientSpec
 from shintani.distributions import build_distribution, make_special_distribution
-from shintani.errors import NumericError, RegionError
+from shintani.errors import ConfigError, NumericError, RegionError
 from shintani.series import ComplexPoint, ShintaniConfig, make_special
 from shintani.zeros import (
     SliceSpec,
@@ -99,6 +99,16 @@ class TestRectangles:
         cfg = make_special("riemann")
         with pytest.raises(RegionError):
             count_zeros_rectangle(cfg, real_axis_slice((0.5, 2.0, -1.0, 1.0)))
+
+    def test_slice_dimension_checked(self):
+        cfg = dirichlet_poly({0: 1.0, 1: -2.0})
+        rect = (0.0, 2.0, -1.0, 1.0)
+        for base, direction in (
+            (ComplexPoint([0.0], [0.0]), np.array([1.0, 0.0], dtype=complex)),
+            (ComplexPoint([0.0, 0.0], [0.0, 0.0]), np.array([1.0 + 0j])),
+        ):
+            with pytest.raises(ConfigError, match="components"):
+                count_zeros_rectangle(cfg, SliceSpec(base=base, direction=direction, rect=rect))
 
     def test_against_polynomial_roots(self):
         # Z(s) = a0 + a1 2^-s + a3 4^-s is a polynomial in x = 2^-s; its
