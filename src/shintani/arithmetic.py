@@ -225,16 +225,6 @@ def coefficient_at(rules: tuple[AlphaRule, ...], n: int) -> complex:
     return out
 
 
-def single_coefficient_at(rule: AlphaRule, n: int) -> complex:
-    """A_l(n) = prod over p | n of alpha_l(p)^{nu(n; p)} (the m = 1 case)."""
-    if n < 1:
-        raise ConfigError(f"Dirichlet coefficients are defined for n >= 1, got {n}")
-    out = 1.0 + 0.0j
-    for p, nu in factorize(n):
-        out *= complex(rule.at(p)) ** nu
-    return out
-
-
 _COEFF_ARRAY_CACHE: dict[tuple, np.ndarray] = {}
 _COEFF_ARRAY_LOCK = threading.Lock()
 

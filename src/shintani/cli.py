@@ -366,7 +366,7 @@ def _invoke(subcommand: str, config_path: str, out_dir, seed, tol, quiet) -> Non
         if seed is not None:
             rc.data["action"]["seed"] = int(seed)
         if tol is not None:
-            if tol <= 0:
+            if not tol > 0:
                 raise ConfigError(f"--tol must be positive, got {tol}")
             rc.data["action"]["tol"] = float(tol)
         run_command(subcommand, rc, out_dir=out_dir, quiet=quiet)

@@ -51,6 +51,47 @@ class Envelope:
 
 
 @dataclass(frozen=True)
+class _LogWeight:
+    """The factor (offset + log(t + 1))^power of a structural envelope.
+
+    Absorption into a power of t + 1: log x <= x^eps / (e eps) for x >= 1
+    and eps > 0 (log x / x^eps peaks at x = e^(1/eps)), so with offset >= 0
+    and x^eps >= 1,
+        offset + log x <= (offset + 1/(e eps)) x^eps,
+    and the factor is at most (offset + 1/(e eps))^power (t + 1)^(power eps).
+    """
+
+    offset: float = 0.0
+    power: int = 0
+
+    def at(self, t: float) -> float:
+        return (self.offset + math.log(t + 1.0)) ** self.power  # 1.0 at power 0
+
+    def ratio(self, t_from: float, t_to: float) -> float:
+        """Upper bound for at(t_to)/at(t_from), valid for all t >= t_from."""
+        if self.power == 0:
+            return 1.0
+        lo = self.offset + math.log(t_from + 1.0)
+        hi = self.offset + math.log(t_to + 1.0)
+        if lo <= 0.0:
+            return math.inf
+        return (hi / lo) ** self.power
+
+    def absorb(self, bound: float, growth: float, room: float) -> tuple[float, float]:
+        """(bound', growth') with bound (t+1)^growth times this factor <= bound'
+        (t+1)^growth', eps = min(0.05, room / (2 power)); inf if room <= 0."""
+        if self.power == 0:
+            return bound, growth
+        eps = min(0.05, room / (2.0 * self.power))
+        if eps <= 0.0:
+            return math.inf, growth
+        return (
+            bound * (self.offset + 1.0 / (math.e * eps)) ** self.power,
+            growth + self.power * eps,
+        )
+
+
+@dataclass(frozen=True)
 class CoefficientSpec:
     """Tagged description of a coefficient family plus its envelope.
 
@@ -61,9 +102,11 @@ class CoefficientSpec:
     of a 2-d int array, shape (k, r) -> (k,)) and ``sign_class()`` (one of
     nonnegative / nonpositive / mixed / complex); the other queries below
     have defaults.  The structural invariants ``support_degree``,
-    ``envelope_triple`` and ``poisson_decomposition`` are computed once, at
-    construction; they are not dataclass fields, so equality and the config
-    schema see only family, params and envelope.
+    ``envelope_triple``, ``log_weight`` and ``poisson_decomposition`` are
+    computed once, at construction; they are not dataclass fields, so
+    equality and the config schema see only family, params and envelope.
+    Together the triple (B, eps, g) and the log weight bound every value:
+    |theta(n)| <= B (t + 1)^eps g^t (offset + log(t + 1))^power, t = |n|.
     """
 
     family: str
@@ -72,8 +115,10 @@ class CoefficientSpec:
 
     # Largest total degree carrying a nonzero value, or None if unbounded.
     support_degree: ClassVar[Optional[int]] = None
+    log_weight: ClassVar[_LogWeight] = _LogWeight()
     # (base, rate, B_other, eps_other) when exactly one poisson factor drives
-    # the support; None otherwise.
+    # the support; None otherwise.  The other factors' log weight is in
+    # ``log_weight``.
     poisson_decomposition: ClassVar[Optional[tuple[int, float, float, float]]] = None
     is_one: ClassVar[bool] = False  # theta == 1 everywhere
     family_name: ClassVar[str] = ""
@@ -462,6 +507,17 @@ class _Geometric(CoefficientSpec, family="geometric"):
 
 
 class _LogFactor(CoefficientSpec, family="log_factor"):
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # sum_q |g_q| |log L_q(n)| <= sum_q |g_q| (C0_q + log(t+1)), which is
+        # S (offset + log(t+1)): S = sum_q |g_q|, offset the |g|-mean of C0
+        lam, u, coeffs = self._arrays()
+        weights = np.abs(coeffs)
+        total = float(weights.sum())
+        offset = float(weights @ _log_offsets(lam, u)) / total if total > 0.0 else 0.0
+        object.__setattr__(self, "envelope_triple", (total, 0.0, 1.0))
+        object.__setattr__(self, "log_weight", _LogWeight(offset, 1))
+
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self.params
         return (
@@ -488,11 +544,10 @@ class _LogFactor(CoefficientSpec, family="log_factor"):
         return MIXED
 
     def per_coordinate_envelope(self, r):
-        # sum_q |g_q| (C0_q + log(t+1)) <= B0 prod_j (1 + log(n_j+1)) and
-        # 1 + log x <= max(1, e^(eps-1)/eps) x^eps
+        # S (offset + log(t+1)) <= B0 prod_j (1 + log(n_j+1)), B0 = S (offset + 1),
+        # and 1 + log x <= max(1, e^(eps-1)/eps) x^eps
         eps = max(self.envelope.growth, 0.05)
-        lam, u, coeffs = self._arrays()
-        b0 = float(np.sum(np.abs(coeffs) * (_log_offsets(lam, u) + 1.0)))
+        b0 = self.envelope_triple[0] * (self.log_weight.offset + 1.0)
         k_eps = max(1.0, math.exp(eps - 1.0) / eps)
         return [(b0 * k_eps, eps)] + [(k_eps, eps)] * (r - 1)
 
@@ -545,12 +600,16 @@ class _Product(CoefficientSpec, family="product_of_families"):
             fb, fe, fg = f.envelope_triple
             bb, ee, gg = bb * fb, ee + fe, gg * fg
         object.__setattr__(self, "envelope_triple", (bb, ee, gg))
+        # prod_i (a_i + x)^(p_i) <= (max_i a_i + x)^(sum_i p_i) for x >= 0
+        weights = [f.log_weight for f in fs]
+        log_weight = _LogWeight(max(w.offset for w in weights), sum(w.power for w in weights))
+        object.__setattr__(self, "log_weight", log_weight)
         poisson = [f for f in fs if isinstance(f, _PoissonPowers)]
         if len(poisson) == 1:
-            others = [f.envelope for f in fs if f is not poisson[0]]
+            others = [f.envelope_triple for f in fs if f is not poisson[0]]
             base, rate, _, _ = poisson[0].poisson_decomposition
-            b_other = math.prod((e.bound for e in others), start=1.0)
-            eps_other = sum((e.growth for e in others), 0.0)
+            b_other = math.prod((b for b, _, _ in others), start=1.0)
+            eps_other = sum((e for _, e, _ in others), 0.0)
             object.__setattr__(self, "poisson_decomposition", (base, rate, b_other, eps_other))
 
     def values(self, points):

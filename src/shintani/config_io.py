@@ -563,7 +563,7 @@ def _parse_action(action: Any, lines: Optional[dict]) -> dict:
             out[key] = _decode_int(v, path)
         elif key in ("tol", "delta"):
             x = _decode_real(v, path)
-            if x <= 0:
+            if not x > 0:
                 raise ConfigError(f"{path}: must be positive, got {x}")
             out[key] = x
     return out

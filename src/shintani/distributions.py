@@ -16,20 +16,20 @@ from typing import Callable
 import numpy as np
 
 from . import coefficients as cf
-from .coefficients import CoefficientSpec, _log_offsets
+from .coefficients import CoefficientSpec
 from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .series import (
     DEFAULT_SHELL_CAP,
     ComplexPoint,
     EvalResult,
     ShintaniConfig,
-    _LogWeight,
     _lattice_blocks,
     _require_valid,
     _tail_bound,
     _terms,
     absolutely_convergent_at,
     as_sigma,
+    differentiate,
     evaluate,
 )
 from .summation import CompensatedSum, exact_real_sum
@@ -138,7 +138,7 @@ def build_distribution(
     nonnegative, which catches sign-class misclassification at run time.
     """
     _require_valid(config)
-    if delta <= 0:
+    if not delta > 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     _definite_sign(config)
     sig = as_sigma(sigma, config.d)
@@ -381,7 +381,13 @@ def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
 
 def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
     """Mixed moment E[prod_j X_j^(k_j)] over the atom table plus a certified
-    bound for the unenumerated part (log factors absorbed into the envelope)."""
+    bound for the unenumerated part.
+
+    The moment is d^k Z(sigma) / Z(sigma) with Z the normalizing series, and
+    X_j = -sum_l c_lj log L_l(n) at atom n is exactly the log factor that
+    each `differentiate(config, j)` multiplies theta by.  So the bound is the
+    certified tail of the series differentiated k_j times along each axis j,
+    past the table's last shell, over |Z|."""
     if isinstance(k, (int, np.integer)):
         k = (int(k),)
     k = tuple(int(x) for x in k)
@@ -398,13 +404,10 @@ def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
     if order == 0:
         return MomentValue(value=value, tail_bound=dist.tail_mass_bound)
     config = dist.config
-    a_bound = float(np.max(_log_offsets(config.lam, config.u)))
-    c_col = np.sum(np.abs(config.c), axis=0)
-    scale = 1.0
-    for j, kj in enumerate(k):
-        scale *= float(c_col[j]) ** kj
-    weight = _LogWeight(scale=scale, offset=a_bound, power=order)
-    raw = _tail_bound(config, dist.sigma, dist.shells_used, weight)
+    for axis, kj in enumerate(k, start=1):
+        for _ in range(kj):
+            config = differentiate(config, axis)
+    raw = _tail_bound(config, dist.sigma, dist.shells_used)
     return MomentValue(value=value, tail_bound=raw / abs(dist.normalizer.value.real))
 
 

@@ -24,7 +24,6 @@ from .arithmetic import (
     factorize,
     prime_exponent,
     sieve_primes,
-    single_coefficient_at,
 )
 from .coefficients import CoefficientSpec
 from .errors import ConfigError, RegionError
@@ -115,7 +114,7 @@ def dirichlet_coefficient(config: EulerConfig, n: int, l: Optional[int] = None) 
         return coefficient_at(config.alphas, n)
     if not 1 <= l <= config.m:
         raise ConfigError(f"factor index must be in 1..{config.m}, got {l}")
-    return single_coefficient_at(config.alphas[l - 1], n)
+    return coefficient_at((config.alphas[l - 1],), n)
 
 
 def evaluate_euler(config: EulerConfig, s, prime_table: PrimeTable) -> EvalResult:

@@ -67,6 +67,8 @@ class ComplexPoint:
         object.__setattr__(self, "im", np.atleast_1d(np.asarray(self.im, dtype=float)))
         if self.re.shape != self.im.shape or self.re.ndim != 1:
             raise ConfigError("ComplexPoint needs matching 1-d re and im vectors")
+        if not all(map(math.isfinite, self.re.tolist() + self.im.tolist())):
+            raise ConfigError(f"point components must be finite, got {self.re + 1j * self.im}")
         self.re.setflags(write=False)
         self.im.setflags(write=False)
 
@@ -102,6 +104,8 @@ def as_sigma(sigma, d: int) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(sigma, dtype=float))
     if arr.size != d or arr.ndim != 1:
         raise ConfigError(f"sigma has dimension {arr.size}, config expects d={d}")
+    if not all(map(math.isfinite, arr.tolist())):
+        raise ConfigError(f"sigma components must be finite, got {arr}")
     return arr
 
 
@@ -221,33 +225,6 @@ def _convergent_at_sigma(config: ShintaniConfig, sigma: np.ndarray) -> bool:
 # Certified tail bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LogWeight:
-    """Bound factor scale * (offset + log(t + 1))^power applied to each term."""
-
-    scale: float = 1.0
-    offset: float = 0.0
-    power: int = 0
-
-    def at(self, t: float) -> float:
-        if self.power == 0:
-            return self.scale
-        return self.scale * (self.offset + math.log(t + 1.0)) ** self.power
-
-    def ratio(self, t_from: float, t_to: float) -> float:
-        """Upper bound for at(t_to)/at(t_from), valid for all t >= t_from."""
-        if self.power == 0:
-            return 1.0
-        lo = self.offset + math.log(t_from + 1.0)
-        hi = self.offset + math.log(t_to + 1.0)
-        if lo <= 0.0:
-            return math.inf
-        return (hi / lo) ** self.power
-
-
-_NO_WEIGHT = _LogWeight()
-
-
 def _abs_form_powers(forms: np.ndarray, sl: np.ndarray) -> np.ndarray:
     """prod_l forms[:, l]^(-sl[l]) for real exponents."""
     out = np.ones(forms.shape[0])
@@ -256,9 +233,7 @@ def _abs_form_powers(forms: np.ndarray, sl: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_tail(
-    config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
-) -> float:
+def _poly_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Integral-comparison bound for strictly positive lam.
 
     Partitions lattice points of total degree > N by their set of zero
@@ -272,13 +247,7 @@ def _poly_tail(
     sl = config.c @ sigma
     s_total = float(sl.sum())
     bound, growth, _ = config.theta.envelope_triple
-    bound *= weight.scale
-    if weight.power > 0:
-        eps0 = min(0.05, (s_total - r - growth) / (2.0 * weight.power))
-        if eps0 <= 0.0:
-            return math.inf
-        bound *= (weight.offset + 1.0 / (math.e * eps0)) ** weight.power
-        growth = growth + weight.power * eps0
+    bound, growth = config.theta.log_weight.absorb(bound, growth, s_total - r - growth)
     big_g = s_total - growth
     if big_g <= r:
         return math.inf
@@ -313,16 +282,14 @@ def _best_matching(lam_bytes: bytes, m: int, r: int) -> Optional[tuple[int, ...]
     return best
 
 
-def _separable_tail(
-    config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
-) -> float:
+def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Matched-coordinate product bound for zero-pattern lam (m == r).
 
     Drops every unmatched (nonnegative) term of each form, leaving an
     independent product over coordinates; the tail then splits by which
     coordinate exceeds N/r.
     """
-    if weight.power > 0 or config.m != config.r:
+    if config.m != config.r:
         return math.inf
     if not _region_holds_sigma(config, sigma):
         return math.inf
@@ -354,7 +321,7 @@ def _separable_tail(
     for j in range(r):
         others = np.prod(np.delete(full, j)) if r > 1 else 1.0
         total += tails[j] * others
-    return weight.scale * float(total)
+    return float(total)
 
 
 @lru_cache(maxsize=256)
@@ -381,9 +348,7 @@ def _flag_structure(
     return tuple(order), tuple(mins), tuple(chain)
 
 
-def _nested_tail(
-    config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
-) -> float:
+def _nested_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Tail bound for complete-flag supports via m_l = sum of supported n_j.
 
     The map n -> (m_1 >= m_2 >= ... >= m_r) is a bijection, m_1 equals the
@@ -396,14 +361,8 @@ def _nested_tail(
     order, mins, chain = flag
     sl = config.c @ sigma
     bound, growth, _ = config.theta.envelope_triple
-    bound *= weight.scale
     s_head = float(sl[order[0]])
-    if weight.power > 0:
-        eps0 = min(0.05, (s_head - 1.0 - growth) / (2.0 * weight.power))
-        if eps0 <= 0.0:
-            return math.inf
-        bound *= (weight.offset + 1.0 / (math.e * eps0)) ** weight.power
-        growth = growth + weight.power * eps0
+    bound, growth = config.theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
     if bound == 0.0:
         return 0.0
     decay_head = s_head - growth
@@ -440,9 +399,7 @@ def _finite_support_terms(
     return pts, pts.sum(axis=1), vals, terms
 
 
-def _finite_tail(
-    config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
-) -> float:
+def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Exact remaining-support sum for finitely supported coefficients."""
     deg = config.theta.support_degree
     if deg is None:
@@ -450,20 +407,13 @@ def _finite_tail(
     if n_shell >= deg:
         return 0.0
     _, degrees, _, terms = _finite_support_terms(config, sigma)
-    start = np.searchsorted(degrees, n_shell, side="right")
-    terms, degrees = terms[start:], degrees[start:]
-    if weight.power > 0:
-        terms = terms * np.array([weight.at(float(t)) for t in degrees])
-    else:
-        terms = terms * weight.scale
-    return float(np.sum(terms))
+    return float(np.sum(terms[np.searchsorted(degrees, n_shell, side="right"):]))
 
 
-def _geometric_tail(
-    config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
-) -> float:
+def _geometric_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Ratio-test majorant when |theta| decays like g^t with g < 1."""
     bound, growth, g = config.theta.envelope_triple
+    weight = config.theta.log_weight
     if g >= 1.0:
         return math.inf
     if bound == 0.0:
@@ -506,13 +456,12 @@ def _geometric_tail(
     return head(t0) / (1.0 - rho)
 
 
-def _poisson_tail(
-    config: ShintaniConfig, sigma: np.ndarray, n_shell: int, weight: _LogWeight
-) -> float:
+def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Factorial-ratio majorant for sparse support on {j^k - 1}."""
     decomp = config.theta.poisson_decomposition
     if decomp is None or config.r != 1:
         return math.inf
+    weight = config.theta.log_weight
     base, rate, b_other, eps_other = decomp
     sl = config.c @ sigma
     lam = config.lam[:, 0]
@@ -557,21 +506,18 @@ def _poisson_tail(
     return math.inf
 
 
-def _tail_bound(
-    config: ShintaniConfig,
-    sigma: np.ndarray,
-    n_shell: int,
-    weight: _LogWeight = _NO_WEIGHT,
-) -> float:
+def _tail_bound(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
+    """Certified bound on sum |theta(n)| prod_l L_l(n)^(-<c_l, sigma>) over degree
+    > n_shell from theta's structural envelope: the least route, inf if none."""
     if config.theta.support_degree is not None:
-        return _finite_tail(config, sigma, n_shell, weight)
+        return _finite_tail(config, sigma, n_shell)
     routes = []
     if config.theta.poisson_decomposition is not None and config.r == 1:
-        routes.append(_poisson_tail(config, sigma, n_shell, weight))
-    routes.append(_geometric_tail(config, sigma, n_shell, weight))
-    routes.append(_poly_tail(config, sigma, n_shell, weight))
-    routes.append(_separable_tail(config, sigma, n_shell, weight))
-    routes.append(_nested_tail(config, sigma, n_shell, weight))
+        routes.append(_poisson_tail(config, sigma, n_shell))
+    routes.append(_geometric_tail(config, sigma, n_shell))
+    routes.append(_poly_tail(config, sigma, n_shell))
+    routes.append(_separable_tail(config, sigma, n_shell))
+    routes.append(_nested_tail(config, sigma, n_shell))
     return min(routes)
 
 
@@ -587,11 +533,11 @@ def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
     sig = as_sigma(sigma, config.d)
     out = _tail_bound(config, sig, n_shell)
     if not math.isfinite(out):
-        sl = config.c @ sig
+        _, growth, _ = config.theta.envelope_triple
         raise CertificationError(
-            "no certified bound available: envelope growth "
-            f"{config.theta.envelope.growth} >= sum_l<c_l,sigma> - r = "
-            f"{float(np.sum(sl)) - config.r}"
+            f"no certified bound available: structural envelope growth {growth} "
+            f"(log power {config.theta.log_weight.power}) >= sum_l<c_l,sigma> - r = "
+            f"{float(np.sum(config.c @ sig)) - config.r}"
         )
     return out
 
@@ -1211,7 +1157,7 @@ def evaluate(
     """
     _require_valid(config)
     pt = as_point(s, config.d)
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
     sigma = pt.re
     if not _convergent_at_sigma(config, sigma):
@@ -1249,9 +1195,11 @@ def _require_shell(n_shell) -> None:
 def differentiate(config: ShintaniConfig, axis: int) -> ShintaniConfig:
     """Config whose evaluation is d/ds_h of the original's, h = axis in 1..d.
 
-    The coefficient picks up the factor sum_q (-c_q,axis) log L_q(n), which
-    stays in the class with the envelope exponent raised by the
-    log-absorption constant.
+    The coefficient picks up the factor sum_q (-c_q,axis) log L_q(n), a
+    log_factor whose structural envelope S (offset + log(t + 1)), with
+    S = sum_q |c_q,axis|, the tail routes absorb into a power of t + 1.  A
+    moment's certified bound (`distributions.moment`) is the tail of the
+    series differentiated once per power of each coordinate.
     """
     _require_valid(config)
     if not 1 <= axis <= config.d:

@@ -125,8 +125,8 @@ def scan_cf_zeros(
     plenty below the trigger); refinement evaluates the series ratio
     directly at each iterate, complexifying t to handle tangential zeros.
     """
-    if step <= 0:
-        raise ConfigError(f"scan step must be positive, got {step}")
+    if not (step > 0 and trigger > 0):
+        raise ConfigError(f"scan step and trigger must be positive, got {step} and {trigger}")
     sig = as_sigma(sigma, config.d)
     if not 1 <= t_axis <= config.d:
         raise ConfigError(f"t_axis must be in 1..{config.d}, got {t_axis}")

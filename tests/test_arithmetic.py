@@ -17,7 +17,6 @@ from shintani.arithmetic import (
     prime_exponent,
     prime_power_coefficient,
     sieve_primes,
-    single_coefficient_at,
     smallest_prime_factors,
 )
 from shintani.errors import ConfigError
@@ -120,7 +119,7 @@ class TestCoefficients:
         # completely multiplicative character: A(n) = chi(n)
         chi = chi_minus_4()
         for n in range(1, 200):
-            assert single_coefficient_at(chi, n) == complex((0, 1, 0, -1)[n % 4])
+            assert coefficient_at((chi,), n) == complex((0, 1, 0, -1)[n % 4])
 
     def test_array_matches_pointwise(self):
         rules = (AlphaRule.constant(1.0), chi_minus_4())

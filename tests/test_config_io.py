@@ -381,6 +381,26 @@ class TestCli:
         assert result.exit_code == 2 and "seed" in result.output
         assert not (tmp_path / "samples.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, action, extra, csv",
+        [
+            ("eval", "{s: 2.0, tol: .nan}", [], "eval.csv"),
+            ("eval", "{s: 2.0}", ["--tol", "nan"], "eval.csv"),
+            ("dist", "{sigma: .nan, delta: 1.0e-4}", [], "atoms.csv"),
+            ("dist", "{sigma: 2.0, delta: .nan}", [], "atoms.csv"),
+        ],
+    )
+    def test_non_finite_input_is_config_error(self, tmp_path, command, action, extra, csv):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            f"action: {action}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, [command, "--config", cfgp, "--quiet", *extra])
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / csv).exists()
+
     def test_dist_and_atoms_schema(self, tmp_path):
         cfgp = self.write(
             tmp_path,

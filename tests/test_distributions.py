@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config, region_sigma
-from shintani import series
+from shintani import coefficients
 from shintani.coefficients import CoefficientSpec
 from shintani.distributions import (
     _merge_atoms,
@@ -81,6 +81,16 @@ class TestBuild:
     def test_delta_unreachable(self):
         with pytest.raises(CertificationError, match="unreachable"):
             build_distribution(riemann(), 1.2, delta=1e-9, shell_cap=10**4)
+
+    def test_non_finite_sigma_and_delta_rejected(self):
+        # a nan sigma gave nan masses behind a "certified" normaliser, and a
+        # nan delta enumerated to the cap
+        sd = make_special_distribution("binomial", j=2, big_k=2, phi=1.0, sigma=-1.0)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                build_distribution(sd.config, sigma, delta=1e-6)
+        with pytest.raises(ConfigError, match="positive"):
+            build_distribution(sd.config, sd.sigma, delta=math.nan)
 
     def test_atom_merging(self):
         # lam symmetric: lattice points (a, b) and (b, a) share locations
@@ -327,11 +337,31 @@ class TestMoments:
         assert got.value == pytest.approx(total / weight, abs=5e-4)
 
 
+    def test_euler_zagier_moment_tails_against_box(self):
+        # forms L0 = n0 + n1 + 3 and L1 = n1 + 2 at sigma = (3, 2.5); the
+        # remainder summed over a 4000 x 4000 box is a lower bound of the
+        # true remainder, so it must lie below the certified tail bound
+        cfg = make_special("euler_zagier", r=2, u=(1.0, 1.0))
+        dist = build_distribution(cfg, (3.0, 2.5), delta=1e-5, shell_cap=10**6)
+        ks = ((1, 0), (0, 1), (1, 1), (2, 0))
+        box = dict.fromkeys(ks, 0.0)
+        n0 = np.arange(4000.0)
+        for n1 in np.array_split(np.arange(4000.0), 16):
+            l0 = np.add.outer(n1, n0) + 3.0
+            l1 = (n1 + 2.0)[:, None]
+            w = np.where(l0 - 3.0 > dist.shells_used, l0**-3.0 * l1**-2.5, 0.0)
+            x0, x1 = np.log(l0), np.log(l1)
+            for k in ks:
+                box[k] += float(np.sum(w * x0 ** k[0] * x1 ** k[1]))
+        z = abs(dist.normalizer.value.real)
+        for k in ks:
+            assert box[k] / z <= moment(dist, k).tail_bound, k
+
     @staticmethod
     def _moment_bound(dist, k):
         """moment(dist, k).tail_bound, and whether the weighted ratio ran."""
-        ratio = series._LogWeight.ratio
-        with mock.patch.object(series._LogWeight, "ratio", autospec=True, side_effect=ratio) as spy:
+        ratio = coefficients._LogWeight.ratio
+        with mock.patch.object(coefficients._LogWeight, "ratio", autospec=True, side_effect=ratio) as spy:
             bound = moment(dist, k).tail_bound
         return bound, spy.called
 

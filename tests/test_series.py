@@ -5,6 +5,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -245,6 +246,16 @@ class TestEvaluate:
         # honest partial: the reported bound covers the distance to truth
         assert abs(res.value - 2.6123753486854883) <= res.tail_bound
 
+    def test_non_finite_inputs_rejected(self):
+        # a nan s or tol used to come back "certified"
+        for s in (complex(2.0, math.nan), complex(math.inf, 0.0)):
+            with pytest.raises(ConfigError, match="finite"):
+                evaluate(riemann(), s, tol=1e-6)
+        with pytest.raises(ConfigError, match="finite"):
+            tail_bound(riemann(), math.nan, 10)
+        with pytest.raises(ConfigError, match="positive"):
+            evaluate(riemann(), 2.0, tol=math.nan, shell_cap=10**3)
+
     def test_complex_point(self):
         res = evaluate(riemann(), ComplexPoint([2.0], [1.0]), tol=1e-6)
         # frozen from the independent high-precision oracle
@@ -341,6 +352,20 @@ class TestDifferentiate:
     def test_axis_range(self):
         with pytest.raises(ConfigError):
             differentiate(riemann(), 2)
+
+    def test_hurwitz_derivative_tails_against_mpmath(self):
+        # past shell N the terms log(n + u) (n + u)^-s, n > N, are positive,
+        # so the true tail is |zeta'(s, N + 1 + u)|
+        for u in (1.0, 0.3, 0.05):
+            der = differentiate(make_special("hurwitz", u=u), 1)
+            for s in (1.2, 1.5, 3.0):
+                for n_shell in (0, 10, 1000):
+                    bound = tail_bound(der, s, n_shell)
+                    with mp.workdps(30):
+                        true = float(abs(mp.zeta(s, n_shell + 1 + u, 1)))
+                    assert true <= bound, (u, s, n_shell)
+                    if n_shell == 1000:
+                        assert bound <= 3.0 * true, (u, s, n_shell)
 
 
 class TestMakeSpecial:

@@ -22,7 +22,6 @@ from shintani import series
 from shintani.arithmetic import AlphaRule
 from shintani.coefficients import CoefficientSpec
 from shintani.series import (
-    _NO_WEIGHT,
     ShintaniConfig,
     _abs_form_powers,
     _cap_from_budget,
@@ -169,7 +168,7 @@ def test_one_pass_finite_tails(data):
     _, degrees, _, terms = _finite_support_terms(config, sigma)
     for n in range(-1, config.theta.support_degree + 2):
         one_pass = float(np.sum(terms[np.searchsorted(degrees, n, side="right"):]))
-        assert one_pass == _finite_tail(config, sigma, n, _NO_WEIGHT)
+        assert one_pass == _finite_tail(config, sigma, n)
         if config.r == 1:  # a form is one product and one sum, whatever its row
             assert one_pass == _reference_finite_tail(config, sigma, n)
 

@@ -76,6 +76,14 @@ class TestScan:
         with pytest.raises(Exception):
             scan_cf_zeros(make_special("riemann"), 2.0, step=0.0)
 
+    def test_nan_step_and_trigger_rejected(self):
+        # a nan trigger made the zero-free law at sigma = -1 "confirm" zeros
+        # at +-pi - i with certificate=True
+        sd = make_special_distribution("binomial", j=2, big_k=1, phi=1.0, sigma=-1.0)
+        for kw in ({"step": math.nan}, {"trigger": math.nan}):
+            with pytest.raises(ConfigError, match="positive"):
+                scan_cf_zeros(sd.config, sd.sigma, t_range=(-4.0, 4.0), **kw)
+
 
 class TestRectangles:
     def test_unit_count(self):
