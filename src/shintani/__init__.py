@@ -39,6 +39,7 @@ from .series import (
     ShintaniConfig,
     differentiate,
     evaluate,
+    evaluate_many,
     evaluate_partial,
     in_convergence_region,
     make_special,
@@ -90,6 +91,7 @@ __all__ = [
     "ShintaniConfig",
     "differentiate",
     "evaluate",
+    "evaluate_many",
     "evaluate_partial",
     "in_convergence_region",
     "make_special",

@@ -12,9 +12,12 @@ That first shell is found without scanning.  For an infinite support a
 safeguarded solve (`_first_admissible`) interpolates log tail between the
 ends of a bracket that holds the answer and falls back to the midpoint
 when a step does not halve it; every route is non-increasing in the shell,
-so the result is the shell bisection would find.  A finite support is
-enumerated, and theta evaluated on it, once per call: each degree's tail is
-a suffix sum of one term array, and the partial sum reuses the kept points.
+so the result is the shell bisection would find.  `evaluate_many` takes
+many points in one call and chooses the shell once per distinct Re s;
+`evaluate` is its one-point case.  A finite support is enumerated, and
+theta evaluated on it, once per call: each degree's tail is a suffix sum
+of one term array per Re s, and at complex s the terms of all points are
+one (points x support) array whose row sums are the partial sums.
 
 Tail certificates come from four routes, any of which may apply:
 exact remaining-support sums (finite support), a factorial-ratio majorant
@@ -209,7 +212,10 @@ def in_convergence_region(config: ShintaniConfig, s) -> bool:
 
 
 def _region_holds_sigma(config: ShintaniConfig, sigma: np.ndarray) -> bool:
-    return bool((config.c @ sigma).min() > config.r / config.m)
+    # every Re<c_l, s> above r/m (a nan fails), compared as Python floats:
+    # it runs once per evaluation and in three tail routes per tail bound
+    bound = config.r / config.m
+    return all(x > bound for x in (config.c @ sigma).tolist())
 
 
 def absolutely_convergent_at(config: ShintaniConfig, s) -> bool:
@@ -383,20 +389,21 @@ def _nested_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> flo
     return total
 
 
-def _finite_support_terms(
-    config: ShintaniConfig, sigma: np.ndarray
+def _finite_support(
+    config: ShintaniConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The whole finite support, ascending (degree, point), with its degrees,
-    theta values and terms |theta(n)| prod_l L_l(n)^(-<c_l, sigma>).
-
-    Each tail is the sum of a suffix of these terms, so every shell's tail
-    comes from one enumeration, one theta evaluation and one matrix product.
-    """
+    theta values and linear forms, from one enumeration."""
     (pts,) = _blocks_upto(config, config.theta.support_degree)
     vals = np.asarray(cf.theta_values(config.theta, pts))
     forms = pts @ config.lam.T + config.form_offsets
-    terms = np.abs(vals) * _abs_form_powers(forms, config.c @ sigma)
-    return pts, pts.sum(axis=1), vals, terms
+    return pts, pts.sum(axis=1), vals, forms
+
+
+def _support_abs_terms(vals: np.ndarray, forms: np.ndarray, sl: np.ndarray) -> np.ndarray:
+    """|theta(n)| prod_l L_l(n)^(-sl_l) at every support point, sl = c @
+    sigma: each tail is the sum of a suffix of these terms."""
+    return np.abs(vals) * _abs_form_powers(forms, sl)
 
 
 def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
@@ -406,8 +413,48 @@ def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> flo
         return math.inf
     if n_shell >= deg:
         return 0.0
-    _, degrees, _, terms = _finite_support_terms(config, sigma)
+    _, degrees, vals, forms = _finite_support(config)
+    terms = _support_abs_terms(vals, forms, config.c @ sigma)
     return float(np.sum(terms[np.searchsorted(degrees, n_shell, side="right"):]))
+
+
+def _geometric_ratio(config: ShintaniConfig, sl: np.ndarray, usum: float, t0: float) -> float:
+    """rho(t0), the ratio-test bound of `_geometric_tail` on consecutive
+    heads past degree t0 - 1 (sl = c @ sigma, usum = sum_j u_j); it falls
+    as t0 grows."""
+    _, growth, g = config.theta.envelope_triple
+    rho = g * ((t0 + 2.0) / (t0 + 1.0)) ** growth * (t0 + config.r) / (t0 + 1.0)
+    for b in sl:
+        if b < 0:
+            rho *= ((t0 + 1.0 + usum) / (t0 + usum)) ** (-b)
+    return rho * config.theta.log_weight.ratio(t0, t0 + 1.0)
+
+
+def _geometric_start(config: ShintaniConfig, sigma: np.ndarray, hi: int) -> int:
+    """The first shell N <= hi where `_geometric_tail` is finite, that is
+    rho(N + 1) < 1 (or the bound is 0), else hi: rho falls with N, so a
+    gallop from shell 0 and a bisection of its last step find it without a
+    tail bound."""
+    if config.theta.envelope_triple[0] == 0.0:
+        return 0
+    sl = config.c @ sigma
+    usum = float(np.sum(config.u))
+
+    def finite(n: int) -> bool:
+        return _geometric_ratio(config, sl, usum, float(n + 1)) < 1.0
+
+    lo, n, step = -1, 0, 1  # rho(lo + 1) >= 1 (nothing to check at lo = -1)
+    while not finite(n):
+        if n >= hi:
+            return hi
+        lo, n, step = n, min(n + step, hi), 2 * step
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        if finite(mid):
+            n = mid
+        else:
+            lo = mid
+    return n
 
 
 def _geometric_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
@@ -446,11 +493,7 @@ def _geometric_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
         )
 
     t0 = float(n_shell + 1)
-    rho = g * ((t0 + 2.0) / (t0 + 1.0)) ** growth * (t0 + r) / (t0 + 1.0)
-    for b in sl:
-        if b < 0:
-            rho *= ((t0 + 1.0 + usum) / (t0 + usum)) ** (-b)
-    rho *= weight.ratio(t0, t0 + 1.0)
+    rho = _geometric_ratio(config, sl, usum, t0)
     if not rho < 1.0:
         return math.inf
     return head(t0) / (1.0 - rho)
@@ -984,24 +1027,15 @@ def _line_partial_sum(
 
 
 def _partial_sum(
-    config: ShintaniConfig,
-    pt: ComplexPoint,
-    n_shell: int,
-    tail: float,
-    support: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
 ) -> tuple[complex, float]:
     """Partial sum over total degree <= n_shell, and `tail` plus the line
-    sums' remainder bound where line sums apply.  `support`, when given, is
-    a finite support's points of degree <= n_shell with their theta values
-    (from `_choose_shell`), summed in place of a second enumeration."""
+    sums' remainder bound where line sums apply."""
     lines = _line_partial_sum(config, pt, n_shell, tail)
     if lines is not None:
         value, remainder = lines
         return value, tail + remainder
-    if support is None:
-        return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
-    pts, vals = support
-    return _sum_terms(config, pt, (pts,), (vals,)), tail
+    return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
 
 
 def _choose_shell(
@@ -1009,36 +1043,37 @@ def _choose_shell(
     sigma: np.ndarray,
     tol: float,
     shell_cap: int,
-) -> tuple[int, bool, float, Optional[tuple[np.ndarray, np.ndarray]]]:
-    """Smallest shell with tail <= tol, capped by the enumerated-point budget.
-
-    Returns (shell, certified, its tail bound, kept support): the last is a
-    finite support's points of degree <= shell with their theta values, and
-    None for every other family.
-    """
+) -> tuple[int, bool, float]:
+    """Smallest shell with tail <= tol, capped by the enumerated-point budget:
+    (shell, certified, its tail bound)."""
     theta = config.theta
     if theta.support_degree is not None:
-        return _choose_finite_shell(config, sigma, tol, shell_cap)
+        _, degrees, vals, forms = _finite_support(config)
+        terms = _support_abs_terms(vals, forms, config.c @ sigma)
+        n, certified, tail, _ = _finite_shells(degrees, terms[None, :], tol, shell_cap)[0]
+        return n, certified, tail
     if theta.support(config.r, 0, 0) is not None:
         # an unbounded sparse support: one candidate shell per support degree
         for _, n in itertools.islice(_lattice_blocks(config), max(shell_cap, 1)):
             tail = _tail_bound(config, sigma, n)
             if tail <= tol:
-                return n, True, tail, None
-        return n, False, tail, None
+                return n, True, tail
+        return n, False, tail
 
     n_cap = _cap_from_budget(config.r, shell_cap)
     tail = _tail_bound(config, sigma, n_cap)
     if tail > tol:
-        return n_cap, False, tail, None
+        return n_cap, False, tail
     n, tail = _first_admissible(config, sigma, tol, n_cap, tail)
-    return n, True, tail, None
+    return n, True, tail
 
 
-def _choose_finite_shell(
-    config: ShintaniConfig, sigma: np.ndarray, tol: float, shell_cap: int
-) -> tuple[int, bool, float, tuple[np.ndarray, np.ndarray]]:
-    """`_choose_shell` for a finite support, from one `_finite_support_terms`.
+def _finite_shells(
+    degrees: np.ndarray, terms: np.ndarray, tol: float, shell_cap: int
+) -> list[tuple[int, bool, float, int]]:
+    """`_choose_shell` for a finite support at each row of `terms`, the
+    `_support_abs_terms` of one sigma per row: (shell, certified, tail bound,
+    number of support points up to the shell) per row.
 
     The tail at a support degree n is the sum of the terms of degree > n, the
     same suffix `_finite_tail` sums.  The budget caps the shell at the
@@ -1048,17 +1083,20 @@ def _choose_finite_shell(
     the last degree the tail is exactly 0, so an uncapped choice is always
     certified.
     """
-    pts, degrees, vals, terms = _finite_support_terms(config, sigma)
     deg = degrees.tolist()
     # (support degree, the support points up to it): the tail there sums the
     # terms past those points
     ends = [i for i in range(1, len(deg) + 1) if i == len(deg) or deg[i] != deg[i - 1]]
     shells = [(deg[i - 1], i) for i in ends if i <= shell_cap] or [(0, deg.count(0))]
-    for n, kept in shells:
-        tail = float(terms[kept:].sum())
-        if tail <= tol:
+    out: list = [None] * len(terms)
+    for j, (n, kept) in enumerate(shells):
+        last = j == len(shells) - 1
+        for u, tail in enumerate(terms[:, kept:].sum(axis=1).tolist()):
+            if out[u] is None and (tail <= tol or last):
+                out[u] = (n, tail <= tol, tail, kept)
+        if None not in out:
             break
-    return n, tail <= tol, tail, (pts[:kept], vals[:kept])
+    return out
 
 
 def _first_admissible(
@@ -1083,7 +1121,10 @@ def _first_admissible(
     the same n*.  The monotonicity is that of the exact formulas; rounding
     could only matter where consecutive shells' tails differ by an ulp.
 
-    Probes: shell 0 first; then log tail is interpolated linearly in
+    Probes: shell 0 first, or, when theta decays geometrically, the first
+    shell where the geometric route is finite (`_geometric_start`, which
+    needs no tail bound), clamped below hi; below that shell rho >= 1 makes
+    the geometric route inf.  Then log tail is interpolated linearly in
     log(N + 1) between the shells lo - 1 and hi (every polynomial route's
     leading term is a power of N plus a constant; in N itself when theta
     decays geometrically), and the probe is the first shell at or past the
@@ -1093,7 +1134,7 @@ def _first_admissible(
     bracket, or no interpolation is possible (an infinite tail at lo - 1),
     the next probe is the midpoint.  So every interpolated probe that does
     not halve the bracket is followed by one that does, and the count stays
-    within twice bisection's, plus the probe at shell 0.
+    within twice bisection's, plus the first probe and the one at shell 0.
     """
     log_tol = math.log(tol)
 
@@ -1102,25 +1143,28 @@ def _first_admissible(
         # counts as that
         return math.log(max(tail, 2.0**-1074)) - log_tol
 
+    c: Optional[int] = 0  # the first probe
     if config.theta.envelope_triple[2] < 1.0:
         to_x, from_x = float, float
+        c = min(_geometric_start(config, sigma, hi), max(hi - 1, 0))
     else:
         to_x, from_x = math.log1p, math.expm1
     lo, f_lo, f_hi = 0, math.inf, excess(tail_hi)  # f_lo at shell lo - 1
     last_low, halve = None, False
     while lo < hi:
         width = hi - lo
-        c = (lo + hi) // 2
         interpolated = False
-        if lo == 0:
-            c = 0
-        elif not halve and math.inf > f_lo > f_hi:
-            x_lo = to_x(lo - 1)
-            estimate = from_x(x_lo + (to_x(hi) - x_lo) * f_lo / (f_lo - f_hi))
-            # rounded down by a relative 2^-40, far above the estimate's own
-            # rounding, so that an exact crossing is probed at its shell
-            c = min(max(lo, math.ceil(estimate * (1.0 - 2.0**-40))), hi - 1)
-            interpolated = True
+        if c is None:
+            c = (lo + hi) // 2
+            if lo == 0:
+                c = 0
+            elif not halve and math.inf > f_lo > f_hi:
+                x_lo = to_x(lo - 1)
+                estimate = from_x(x_lo + (to_x(hi) - x_lo) * f_lo / (f_lo - f_hi))
+                # rounded down by a relative 2^-40, far above the estimate's own
+                # rounding, so that an exact crossing is probed at its shell
+                c = min(max(lo, math.ceil(estimate * (1.0 - 2.0**-40))), hi - 1)
+                interpolated = True
         tail = _tail_bound(config, sigma, c)
         low = not tail <= tol
         if low:
@@ -1132,7 +1176,7 @@ def _first_admissible(
                 f_hi *= 0.5
             else:
                 f_lo *= 0.5
-        last_low = low
+        last_low, c = low, None
         halve = interpolated and 2 * (hi - lo) > width
     return hi, tail_hi
 
@@ -1153,23 +1197,160 @@ def evaluate(
 
     The shell count is the smallest one whose tail bound is <= tol; if the
     enumerated-point budget shell_cap is hit first, the partial sum is
-    returned flagged non-certified with the achieved bound.
+    returned flagged non-certified with the achieved bound.  This is the
+    one-point case of `evaluate_many`.
     """
     _require_valid(config)
     pt = as_point(s, config.d)
+    return _evaluate(config, pt.re[None, :], pt.im[None, :], tol, shell_cap, (pt,))[0]
+
+
+def evaluate_many(
+    config: ShintaniConfig,
+    points,
+    tol: float = 1e-10,
+    shell_cap: int = DEFAULT_SHELL_CAP,
+) -> list[EvalResult]:
+    """`evaluate` at every point of `points`, a sequence of points or a
+    (P, d) complex array, in one call.
+
+    Every field of the i-th result equals evaluate(config, points[i], tol,
+    shell_cap) bit for bit, and a bad point raises the error `evaluate`
+    raises for it.  The checks run once per call (the region check once per
+    distinct Re s), the shell is chosen once per distinct Re s, and a finite
+    support is enumerated once for all points.  Nothing is kept between
+    calls.
+    """
+    _require_valid(config)
+    re, im = _as_points(points, config.d)
+    return _evaluate(config, re, im, tol, shell_cap)
+
+
+def _as_points(points, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Re s, Im s), each (P, d), of a sequence of points or a (P, d) array.
+
+    The points are coerced and checked as one array; anything that is not a
+    finite (P, d) array is coerced point by point with `as_point`, which
+    raises the error `evaluate` raises for a bad point.
+    """
+    try:
+        arr = np.asarray(points, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or ComplexPoint items
+        arr = None
+    if arr is not None:
+        if arr.ndim == 0:
+            raise ConfigError("points must be a sequence of points or a (P, d) array")
+        if arr.ndim == 1 and d == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.ndim == 2 and arr.shape[1] == d and np.isfinite(arr).all():
+            return np.ascontiguousarray(arr.real), np.ascontiguousarray(arr.imag)
+    pts = [as_point(s, d) for s in points]
+    re = np.array([pt.re for pt in pts]).reshape(len(pts), d)
+    im = np.array([pt.im for pt in pts]).reshape(len(pts), d)
+    return re, im
+
+
+def _evaluate(
+    config: ShintaniConfig,
+    re: np.ndarray,
+    im: np.ndarray,
+    tol: float,
+    shell_cap: int,
+    points: Optional[tuple[ComplexPoint, ...]] = None,
+) -> list[EvalResult]:
+    """`evaluate_many` at the points Re s = re[p], Im s = im[p] of a valid
+    config; `points`, when given, holds them as ComplexPoints.
+
+    The shell depends only on sigma = Re s, so it is chosen once for each
+    distinct row of `re` (rows that are equal bit for bit).  A finite
+    support takes `_evaluate_finite`; every other config sums each point's
+    `_partial_sum` through the shell of its sigma.
+    """
     if not tol > 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
-    sigma = pt.re
-    if not _convergent_at_sigma(config, sigma):
-        raise RegionError(
-            "point outside certified convergence region: needs "
-            f"min_l Re<c_l,s> > r/m = {config.r / config.m}"
-        )
-    n_used, certified, tail, support = _choose_shell(config, sigma, tol, shell_cap)
-    value, achieved = _partial_sum(config, pt, n_used, tail, support)
-    return EvalResult(
-        value=value, tail_bound=achieved, shells_used=n_used, certified=certified
-    )
+    if not len(re):
+        return []
+    if len(re) == 1:
+        sigmas, inverse = [re[0]], [0]
+    else:
+        rows = re.view(np.dtype((np.void, re.itemsize * re.shape[1])))[:, 0]
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        sigmas, inverse = list(re[first]), inverse.tolist()
+    if not config.theta.is_entire:
+        for sigma in sigmas:
+            if not _region_holds_sigma(config, sigma):
+                raise RegionError(
+                    "point outside certified convergence region: needs "
+                    f"min_l Re<c_l,s> > r/m = {config.r / config.m}"
+                )
+    if config.theta.support_degree is not None:
+        return _evaluate_finite(config, re, im, sigmas, inverse, tol, shell_cap, points)
+    shells = [_choose_shell(config, sigma, tol, shell_cap) for sigma in sigmas]
+    if points is None:
+        points = tuple(map(ComplexPoint, re, im))
+    out = []
+    for pt, u in zip(points, inverse):
+        n_used, certified, tail = shells[u]
+        value, achieved = _partial_sum(config, pt, n_used, tail)
+        out.append(EvalResult(value=value, tail_bound=achieved, shells_used=n_used, certified=certified))
+    return out
+
+
+def _evaluate_finite(
+    config: ShintaniConfig,
+    re: np.ndarray,
+    im: np.ndarray,
+    sigmas: list[np.ndarray],
+    inverse: list[int],
+    tol: float,
+    shell_cap: int,
+    points: Optional[tuple[ComplexPoint, ...]],
+) -> list[EvalResult]:
+    """`_evaluate` for a finite support, enumerated and its theta evaluated
+    once for all points.
+
+    Each distinct sigma gets its `_support_abs_terms` row, whose suffix sums
+    choose its shell (`_finite_shells`).  At complex s the terms of all
+    points are one (points x support) array theta(n) exp(-sum_l beta_l
+    log L_l(n)), formed elementwise with the real and imaginary parts of
+    beta_l = <c_l, s> kept apart (Re beta_l is c @ Re s, as in `_exponents`),
+    so no entry depends on the other points; each point's partial sum is the
+    sum of its row up to its shell, taken as one `CompensatedSum` chunk.  At
+    real s, `_sum_terms` sums the kept points as for every other family.
+    """
+    pts, degrees, vals, forms = _finite_support(config)
+    sls = [config.c @ sigma for sigma in sigmas]
+    terms = np.array([_support_abs_terms(vals, forms, sl) for sl in sls])
+    shells = _finite_shells(degrees, terms, tol, shell_cap)
+    point_shells = [shells[u] for u in inverse]
+    is_complex = im.any(axis=1).tolist()
+    values: list = [None] * len(re)
+    if any(is_complex):  # every row is formed; the real ones are not used
+        beta_re = np.array(sls)[inverse]
+        beta_im = (im[:, None, :] * config.c).sum(axis=2)
+        neg_log = -np.log(forms)  # beta_l * (-log L) = -(beta_l log L), exactly
+        expo = np.empty((len(re), len(forms)), dtype=complex)
+        expo.real = beta_re[:, :1] * neg_log[:, 0]
+        expo.imag = beta_im[:, :1] * neg_log[:, 0]
+        for l in range(1, config.m):
+            expo.real += beta_re[:, l : l + 1] * neg_log[:, l]
+            expo.imag += beta_im[:, l : l + 1] * neg_log[:, l]
+        row_terms = vals * np.exp(expo)
+        by_kept: dict = {}
+        for p in (p for p, c in enumerate(is_complex) if c):
+            by_kept.setdefault(point_shells[p][3], []).append(p)
+        for kept, group in by_kept.items():
+            sums = CompensatedSum.single_values(row_terms[group, :kept].sum(axis=1))
+            for p, value in zip(group, sums.tolist()):
+                values[p] = value
+    for p in (p for p, c in enumerate(is_complex) if not c):
+        kept = point_shells[p][3]
+        pt = points[p] if points is not None else ComplexPoint(re[p], im[p])
+        values[p] = _sum_terms(config, pt, (pts[:kept],), (vals[:kept],))
+    return [
+        EvalResult(value=value, tail_bound=tail, shells_used=n_used, certified=certified)
+        for value, (n_used, certified, tail, _) in zip(values, point_shells)
+    ]
 
 
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:

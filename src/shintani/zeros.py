@@ -4,7 +4,9 @@ Characteristic-function zeros are scanned on a grid along one t axis, then
 refined by damped complex Newton iterations on the analytic continuation in
 the complexified grid variable.  Rectangle counts use the argument
 principle on one-complex-parameter affine slices, with adaptive boundary
-subdivision keeping every phase step below pi/2.  A confirmed zero yields a
+subdivision keeping every phase step below pi/2.  The functions on a slice
+take an array of w, so a rectangle's initial samples and a Newton step's
+central-difference pair are one `evaluate_many` call each.  A confirmed zero yields a
 non-infinite-divisibility certificate: an infinitely divisible law has a
 nonvanishing characteristic function.
 """
@@ -26,6 +28,7 @@ from .series import (
     ShintaniConfig,
     as_sigma,
     evaluate,
+    evaluate_many,
     in_convergence_region,
 )
 from .config_io import shintani_to_dict
@@ -130,8 +133,10 @@ def scan_cf_zeros(
     sig = as_sigma(sigma, config.d)
     if not 1 <= t_axis <= config.d:
         raise ConfigError(f"t_axis must be in 1..{config.d}, got {t_axis}")
-    dist = build_distribution(config, sig, delta=min(grid_delta, trigger / 50), shell_cap=shell_cap)
     lo, hi = t_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError(f"scan t_range needs finite ends with lo <= hi, got {t_range}")
+    dist = build_distribution(config, sig, delta=min(grid_delta, trigger / 50), shell_cap=shell_cap)
     ts = np.arange(lo, hi + step / 2, step)
     # abs per value: np.abs of the array rounds some values differently
     grid_abs = np.array([abs(v) for v in atom_cf_grid(dist, t_axis, ts)])
@@ -181,7 +186,9 @@ def _cf_on_slice(
     t_axis: int,
     eval_tol: float,
     shell_cap: int,
-) -> Callable[[complex], complex]:
+) -> Callable[[np.ndarray], np.ndarray]:
+    """f(w) = Z(sigma + i w e_axis) / Z(sigma), continued to complex w, as a
+    function of an array of w."""
     den = evaluate(
         config, ComplexPoint(sig, np.zeros_like(sig)), tol=eval_tol, shell_cap=shell_cap
     )
@@ -190,33 +197,54 @@ def _cf_on_slice(
     unit = np.zeros(config.d)
     unit[t_axis - 1] = 1.0
 
-    def f(w: complex) -> complex:
-        # s = sigma + i w e_axis continued to complex w
-        pt = ComplexPoint(sig - w.imag * unit, w.real * unit)
-        num = evaluate(config, pt, tol=eval_tol, shell_cap=shell_cap)
-        return num.value / den.value
+    def f(ws: np.ndarray) -> np.ndarray:
+        # s = sigma + i w e_axis continued to complex w: Re s = sigma - Im w e_axis
+        pts = np.empty((len(ws), config.d), dtype=complex)
+        pts.real = sig - ws.imag[:, None] * unit
+        pts.imag = ws.real[:, None] * unit
+        return np.array(
+            [v / den.value for v in _series_values(config, pts, eval_tol, shell_cap)]
+        )
 
     return f
 
 
+def _series_values(
+    config: ShintaniConfig, pts: np.ndarray, tol: float, shell_cap: int
+) -> list[complex]:
+    """The series values at the rows of `pts`: one `evaluate_many` call, or
+    `evaluate` for a single point, so that a trace of `evaluate` still
+    counts the one-point calls (Newton steps, bisection midpoints)."""
+    if len(pts) == 1:
+        return [evaluate(config, pts[0], tol=tol, shell_cap=shell_cap).value]
+    return [r.value for r in evaluate_many(config, pts, tol=tol, shell_cap=shell_cap)]
+
+
+def _at(f: Callable[[np.ndarray], np.ndarray], w: complex) -> complex:
+    """f at the one point w."""
+    return f(np.array([w]))[0].item()
+
+
 def _refine_zero(
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     w0: complex,
     tol: float,
     scale: float,
     max_iter: int = 60,
 ) -> Optional[tuple[complex, float]]:
-    """Damped Newton with a central-difference derivative."""
+    """Damped Newton with a central-difference derivative; f maps an array
+    of w to an array of values."""
     w = w0
-    fw = f(w)
+    fw = _at(f, w)
     for _ in range(max_iter):
         if abs(fw) < tol * 1e-2:
             break
         h = 1e-7 * max(1.0, abs(w))
         try:
-            df = (f(w + h) - f(w - h)) / (2.0 * h)
+            f_plus, f_minus = f(np.array([w + h, w - h])).tolist()
         except (RegionError, NumericError):
             return None
+        df = (f_plus - f_minus) / (2.0 * h)
         if df == 0:
             return None
         step = fw / df
@@ -225,7 +253,7 @@ def _refine_zero(
         damp = 1.0
         for _ in range(40):
             try:
-                cand = f(w - damp * step)
+                cand = _at(f, w - damp * step)
             except (RegionError, NumericError):
                 damp /= 2.0
                 continue
@@ -278,8 +306,9 @@ def count_zeros_rectangle(
     if not _slice_valid(config, slice_spec):
         raise RegionError("slice rectangle leaves the certified convergence region")
 
-    def g(w: complex) -> complex:
-        return evaluate(config, slice_spec.at(w), tol=eval_tol, shell_cap=shell_cap).value
+    def g(ws: np.ndarray) -> np.ndarray:
+        pts = slice_spec.base.values + ws[:, None] * slice_spec.direction
+        return np.array(_series_values(config, pts, eval_tol, shell_cap))
 
     rect = slice_spec.rect
     spans = (rect[1] - rect[0], rect[3] - rect[2])
@@ -304,15 +333,17 @@ def count_zeros_rectangle(
 
 
 def _winding_rect(
-    g: Callable[[complex], complex],
+    g: Callable[[np.ndarray], np.ndarray],
     rect: tuple[float, float, float, float],
     max_depth: int,
     init_samples: int = 16,
 ) -> int:
-    """Phase tracking around the rectangle boundary.
+    """Phase tracking around the rectangle boundary; g maps an array of w to
+    an array of values.
 
-    Each edge starts from a dense sample grid: endpoint deltas alone can hide
-    a full 2 pi wrap, which adaptive bisection then never detects.
+    Each edge starts from a dense sample grid, evaluated in one call:
+    endpoint deltas alone can hide a full 2 pi wrap, which adaptive
+    bisection then never detects.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     corners = [
@@ -327,7 +358,7 @@ def _winding_rect(
         for k in range(init_samples):
             samples.append(w0 + (w1 - w0) * (k / init_samples))
     samples.append(corners[0])
-    values = [g(w) for w in samples]
+    values = g(np.array(samples)).tolist()
     scale = max(abs(z) for z in values)
     if scale == 0.0:
         raise _BoundaryZero
@@ -346,7 +377,7 @@ def _winding_rect(
 
 
 def _track_segment(
-    g: Callable[[complex], complex],
+    g: Callable[[np.ndarray], np.ndarray],
     w0: complex,
     z0: complex,
     w1: complex,
@@ -363,13 +394,13 @@ def _track_segment(
     if depth <= 0:
         raise _BoundaryZero  # cannot separate the phase jump from a zero
     mid = (w0 + w1) / 2.0
-    zm = g(mid)
+    zm = _at(g, mid)
     return _track_segment(g, w0, z0, mid, zm, floor, depth - 1) + _track_segment(
         g, mid, zm, w1, z1, floor, depth - 1
     )
 
 
-def _winding_count(f: Callable[[complex], complex], center: complex, radius: float) -> int:
+def _winding_count(f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float) -> int:
     """Zero multiplicity via a small square around a refined location."""
     rect = (
         center.real - radius,

@@ -187,7 +187,7 @@ class TestCoefficientArrayThreads:
 
     def test_concurrent_evaluate_multiplicative(self):
         from shintani.coefficients import CoefficientSpec
-        from shintani.series import ShintaniConfig, evaluate
+        from shintani.series import ShintaniConfig, evaluate, evaluate_many
 
         spec = CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.0), chi_minus_4())])
         cfg = ShintaniConfig(
@@ -195,6 +195,7 @@ class TestCoefficientArrayThreads:
         )
         points = (3.0, 3.0 + 2.0j, 4.0)
         expected = [evaluate(cfg, s, tol=1e-9) for s in points]
+        assert evaluate_many(cfg, points, tol=1e-9) == expected
         start = threading.Barrier(8)
 
         def worker(seed, errors):
@@ -206,6 +207,8 @@ class TestCoefficientArrayThreads:
                             coefficient_array(*key)
                     if evaluate(cfg, points[i], tol=1e-9) != expected[i]:
                         errors.append(f"evaluate differs at s = {points[i]}")
+                    if evaluate_many(cfg, points, tol=1e-9) != expected:
+                        errors.append("evaluate_many differs")
             except Exception as exc:  # noqa: BLE001 - reported through the assertion below
                 errors.append(repr(exc))
 

@@ -488,6 +488,22 @@ class TestCli:
         cert = (tmp_path / "certificate.txt").read_text()
         assert "NOT infinitely divisible" in cert
 
+    @pytest.mark.parametrize("scan", [
+        "{axis: 1, lo: .nan, hi: 6.0}", "{axis: 1, lo: 0.5, hi: .inf}", "{axis: 1, lo: 6.0, hi: 0.5}",
+    ])
+    def test_zeros_bad_scan_range_is_config_error(self, tmp_path, scan):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: binomial,\n"
+            "           params: {j: 2, big_k: 1, phi: 2.718281828459045, sigma: -1.0}}\n"
+            f"action: {{sigma: [-1.0], scan: {scan}}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["zeros", "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert "t_range" in result.output
+        assert not (tmp_path / "zeros.csv").exists()
+
     def test_zeros_rectangle(self, tmp_path):
         doc = {
             "function": {

@@ -26,8 +26,11 @@ from shintani.series import (
     _abs_form_powers,
     _cap_from_budget,
     _choose_shell,
-    _finite_support_terms,
+    _finite_support,
     _finite_tail,
+    _geometric_start,
+    _geometric_tail,
+    _support_abs_terms,
     _tail_bound,
     as_point,
     evaluate,
@@ -154,7 +157,7 @@ def cases(draw):
 @given(cases())
 def test_matches_bisection_reference(case):
     config, sigma, tol, cap = case
-    n, certified, tail, _ = _choose_shell(config, sigma, tol, cap)
+    n, certified, tail = _choose_shell(config, sigma, tol, cap)
     ref_n, ref_certified, ref_tail = _reference_choose_shell(config, sigma, tol, cap)
     assert (n, certified, float(tail).hex()) == (ref_n, ref_certified, float(ref_tail).hex())
     assert float(tail).hex() == float(_tail_bound(config, sigma, n)).hex()
@@ -165,7 +168,8 @@ def test_matches_bisection_reference(case):
 def test_one_pass_finite_tails(data):
     config = _family("finite_support", data.draw)
     sigma = np.array([data.draw(st.floats(-3.0, 4.0))])
-    _, degrees, _, terms = _finite_support_terms(config, sigma)
+    _, degrees, vals, forms = _finite_support(config)
+    terms = _support_abs_terms(vals, forms, config.c @ sigma)
     for n in range(-1, config.theta.support_degree + 2):
         one_pass = float(np.sum(terms[np.searchsorted(degrees, n, side="right"):]))
         assert one_pass == _finite_tail(config, sigma, n)
@@ -240,6 +244,41 @@ def test_riemann_probe_count():
         series._tail_bound = original
     assert res.shells_used == 99_999_999 and res.certified
     assert len(calls) <= 5, calls
+
+
+def _count_tail_calls(fn):
+    calls = []
+    original = series._tail_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    series._tail_bound = counting
+    try:
+        return fn(), calls
+    finally:
+        series._tail_bound = original
+
+
+def test_geometric_first_probe():
+    # at sigma = -2 the geometric route is inf below the shell where rho
+    # drops under 1; the search starts there instead of bisecting down to it
+    config = _one_form(CoefficientSpec.geometric((0.9,)))
+    res, calls = _count_tail_calls(lambda: evaluate(config, -2.0, tol=1e-12, shell_cap=10**8))
+    assert res.shells_used == 398 and res.certified
+    assert len(calls) <= 12, calls
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+@pytest.mark.parametrize("sigma", [-5.0, -2.0, -0.5, 0.5, 3.0])
+def test_geometric_start_is_the_first_finite_shell(q, sigma):
+    config = _one_form(CoefficientSpec.geometric((q,)), u=0.7)
+    sig = np.array([sigma])
+    start = _geometric_start(config, sig, 10**7)
+    assert math.isfinite(_geometric_tail(config, sig, start))
+    assert start == 0 or _geometric_tail(config, sig, start - 1) == math.inf
+    assert _geometric_start(config, sig, start // 2) == start // 2  # clamped at hi
 
 
 @pytest.mark.parametrize("kind,params,s,tol,cap", [

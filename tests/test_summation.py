@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani.distributions import _merge_atoms
-from shintani.summation import exact_complex_sum, exact_real_sum
+from shintani.summation import CompensatedSum, exact_complex_sum, exact_real_sum
 
 
 def _mixed(seed: int, n: int, spread: int, cancel: bool) -> np.ndarray:
@@ -124,3 +124,16 @@ def test_merge_matches_unique_reference(seed):
     assert np.array_equal(uniq, ref_uniq)
     assert np.array_equal(merged, ref_merged)
     assert uniq.shape[0] < locations.shape[0]
+
+
+def test_single_values_match_one_add():
+    special = [0.0, -0.0, 1.5, -2.25e300, 1e-320, math.inf, -math.inf, math.nan]
+    parts = special + list(np.random.default_rng(3).standard_normal(5) * 1e3)
+    totals = np.array([complex(a, b) for a in parts for b in parts])
+    for arr in (totals, totals[::3], totals[:1], totals.reshape(13, 13)[:, 4]):
+        got = CompensatedSum.single_values(arr).tolist()
+        for t, g in zip(arr.tolist(), got):
+            acc = CompensatedSum()
+            acc.add(t)
+            v = acc.value
+            assert repr(g) == repr(v), t  # repr tells 0.0 from -0.0 and keeps nan

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from shintani import zeros
 from shintani.coefficients import CoefficientSpec
 from shintani.distributions import build_distribution, make_special_distribution
 from shintani.errors import ConfigError, NumericError, RegionError
-from shintani.series import ComplexPoint, ShintaniConfig, make_special
+from shintani.series import ComplexPoint, ShintaniConfig, evaluate, make_special
 from shintani.zeros import (
     SliceSpec,
     count_zeros_rectangle,
@@ -75,6 +76,14 @@ class TestScan:
     def test_step_positive(self):
         with pytest.raises(Exception):
             scan_cf_zeros(make_special("riemann"), 2.0, step=0.0)
+
+    @pytest.mark.parametrize("t_range", [
+        (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (2.0, 1.0),
+    ])
+    def test_bad_t_range_rejected(self, t_range):
+        sd = make_special_distribution("binomial", j=2, big_k=1, phi=math.e, sigma=-1.0)
+        with pytest.raises(ConfigError, match="t_range"):
+            scan_cf_zeros(sd.config, sd.sigma, t_range=t_range)
 
     def test_nan_step_and_trigger_rejected(self):
         # a nan trigger made the zero-free law at sigma = -1 "confirm" zeros
@@ -200,3 +209,51 @@ class TestCertificates:
         dist = build_distribution(sd.config, sd.sigma, delta=1e-10)
         cert = non_id_certificate(report, dist)
         assert "multiplicity" in cert and ": 2" in cert
+
+
+class TestBatchedContours:
+    """The zero finders ask for whole contours and central-difference pairs
+    in one `evaluate_many` call.  The reference replaces that call by one
+    `evaluate` per point: counts and reports must be identical."""
+
+    @staticmethod
+    def per_point(monkeypatch):
+        def many(config, points, tol, shell_cap):
+            return [evaluate(config, s, tol=tol, shell_cap=shell_cap) for s in points]
+
+        monkeypatch.setattr(zeros, "evaluate_many", many)
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except NumericError as exc:
+            return repr(exc)
+
+    def test_rectangle_counts(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(10):
+            coeffs = {0: rng.uniform(0.5, 2.0), 1: rng.uniform(-3.0, 3.0), 3: rng.uniform(0.5, 2.0)}
+            re_lo, im_lo = rng.uniform(-3.0, 1.0), rng.uniform(-12.0, 4.0)
+            rect = (re_lo, re_lo + rng.uniform(0.5, 3.0), im_lo, im_lo + rng.uniform(1.0, 8.0))
+            cases.append((dirichlet_poly(coeffs), real_axis_slice(rect)))
+        batched = [self.outcome(lambda: count_zeros_rectangle(*case)) for case in cases]
+        self.per_point(monkeypatch)
+        assert batched == [self.outcome(lambda: count_zeros_rectangle(*case)) for case in cases]
+        assert sum(isinstance(n, int) and n > 0 for n in batched) >= 3
+
+    def test_binomial_scans(self, monkeypatch):
+        scans = []
+        for big_k, tol in ((1, 1e-10), (2, 1e-9)):
+            sd = make_special_distribution("binomial", j=2, big_k=big_k, phi=math.e, sigma=-1.0)
+            scans.append(lambda sd=sd, tol=tol: scan_cf_zeros(
+                sd.config, sd.sigma, t_range=(0.5, 6.0), step=0.05, tol=tol
+            ))
+        batched = [scan() for scan in scans]
+        assert [c.multiplicity for r in batched for c in r.confirmed] == [1, 2]
+        self.per_point(monkeypatch)
+        for report, scan in zip(batched, scans):
+            reference = scan()
+            assert report == reference
+            assert repr(report) == repr(reference)  # repr tells 0.0 from -0.0
