@@ -41,6 +41,7 @@ routes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -1043,15 +1044,16 @@ def _choose_shell(
     sigma: np.ndarray,
     tol: float,
     shell_cap: int,
+    support: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> tuple[int, bool, float]:
     """Smallest shell with tail <= tol, capped by the enumerated-point budget:
-    (shell, certified, its tail bound)."""
+    (shell, certified, its tail bound).  `support`, for a finite support, is
+    its `_finite_support`, enumerated here when not given."""
     theta = config.theta
     if theta.support_degree is not None:
-        _, degrees, vals, forms = _finite_support(config)
-        terms = _support_abs_terms(vals, forms, config.c @ sigma)
-        n, certified, tail, _ = _finite_shells(degrees, terms[None, :], tol, shell_cap)[0]
-        return n, certified, tail
+        if support is None:
+            support = _finite_support(config)
+        return _choose_finite_shell(config, sigma, tol, shell_cap, support)
     if theta.support(config.r, 0, 0) is not None:
         # an unbounded sparse support: one candidate shell per support degree
         for _, n in itertools.islice(_lattice_blocks(config), max(shell_cap, 1)):
@@ -1068,12 +1070,14 @@ def _choose_shell(
     return n, True, tail
 
 
-def _finite_shells(
-    degrees: np.ndarray, terms: np.ndarray, tol: float, shell_cap: int
-) -> list[tuple[int, bool, float, int]]:
-    """`_choose_shell` for a finite support at each row of `terms`, the
-    `_support_abs_terms` of one sigma per row: (shell, certified, tail bound,
-    number of support points up to the shell) per row.
+def _choose_finite_shell(
+    config: ShintaniConfig,
+    sigma: np.ndarray,
+    tol: float,
+    shell_cap: int,
+    support: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[int, bool, float]:
+    """`_choose_shell` for a finite support, from its `_finite_support`.
 
     The tail at a support degree n is the sum of the terms of degree > n, the
     same suffix `_finite_tail` sums.  The budget caps the shell at the
@@ -1083,20 +1087,18 @@ def _finite_shells(
     the last degree the tail is exactly 0, so an uncapped choice is always
     certified.
     """
+    _, degrees, vals, forms = support
+    terms = _support_abs_terms(vals, forms, config.c @ sigma)
     deg = degrees.tolist()
     # (support degree, the support points up to it): the tail there sums the
     # terms past those points
     ends = [i for i in range(1, len(deg) + 1) if i == len(deg) or deg[i] != deg[i - 1]]
     shells = [(deg[i - 1], i) for i in ends if i <= shell_cap] or [(0, deg.count(0))]
-    out: list = [None] * len(terms)
-    for j, (n, kept) in enumerate(shells):
-        last = j == len(shells) - 1
-        for u, tail in enumerate(terms[:, kept:].sum(axis=1).tolist()):
-            if out[u] is None and (tail <= tol or last):
-                out[u] = (n, tail <= tol, tail, kept)
-        if None not in out:
+    for n, kept in shells:
+        tail = float(terms[kept:].sum())
+        if tail <= tol:
             break
-    return out
+    return n, tail <= tol, tail
 
 
 def _first_admissible(
@@ -1261,10 +1263,10 @@ def _evaluate(
     """`evaluate_many` at the points Re s = re[p], Im s = im[p] of a valid
     config; `points`, when given, holds them as ComplexPoints.
 
-    The shell depends only on sigma = Re s, so it is chosen once for each
-    distinct row of `re` (rows that are equal bit for bit).  A finite
-    support takes `_evaluate_finite`; every other config sums each point's
-    `_partial_sum` through the shell of its sigma.
+    The shell depends only on sigma = Re s, so the region check and the
+    shell choice run once for each distinct row of `re` (rows that are equal
+    bit for bit).  A finite support takes `_evaluate_finite`; every other
+    config sums each point's `_partial_sum` through the shell of its sigma.
     """
     if not tol > 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
@@ -1276,13 +1278,12 @@ def _evaluate(
         rows = re.view(np.dtype((np.void, re.itemsize * re.shape[1])))[:, 0]
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         sigmas, inverse = list(re[first]), inverse.tolist()
-    if not config.theta.is_entire:
-        for sigma in sigmas:
-            if not _region_holds_sigma(config, sigma):
-                raise RegionError(
-                    "point outside certified convergence region: needs "
-                    f"min_l Re<c_l,s> > r/m = {config.r / config.m}"
-                )
+    for sigma in sigmas:
+        if not _convergent_at_sigma(config, sigma):
+            raise RegionError(
+                "point outside certified convergence region: needs "
+                f"min_l Re<c_l,s> > r/m = {config.r / config.m}"
+            )
     if config.theta.support_degree is not None:
         return _evaluate_finite(config, re, im, sigmas, inverse, tol, shell_cap, points)
     shells = [_choose_shell(config, sigma, tol, shell_cap) for sigma in sigmas]
@@ -1309,48 +1310,87 @@ def _evaluate_finite(
     """`_evaluate` for a finite support, enumerated and its theta evaluated
     once for all points.
 
-    Each distinct sigma gets its `_support_abs_terms` row, whose suffix sums
-    choose its shell (`_finite_shells`).  At complex s the terms of all
-    points are one (points x support) array theta(n) exp(-sum_l beta_l
-    log L_l(n)), formed elementwise with the real and imaginary parts of
-    beta_l = <c_l, s> kept apart (Re beta_l is c @ Re s, as in `_exponents`),
-    so no entry depends on the other points; each point's partial sum is the
-    sum of its row up to its shell, taken as one `CompensatedSum` chunk.  At
-    real s, `_sum_terms` sums the kept points as for every other family.
+    Each distinct sigma chooses its shell from that enumeration
+    (`_choose_shell`), and each point sums the support points up to its
+    shell: with one linear form, two or more complex points together with
+    `_finite_complex_sums`, which gives the same bits; every other point
+    with `_sum_terms`, as every other family does.
     """
-    pts, degrees, vals, forms = _finite_support(config)
-    sls = [config.c @ sigma for sigma in sigmas]
-    terms = np.array([_support_abs_terms(vals, forms, sl) for sl in sls])
-    shells = _finite_shells(degrees, terms, tol, shell_cap)
-    point_shells = [shells[u] for u in inverse]
-    is_complex = im.any(axis=1).tolist()
-    values: list = [None] * len(re)
-    if any(is_complex):  # every row is formed; the real ones are not used
-        beta_re = np.array(sls)[inverse]
-        beta_im = (im[:, None, :] * config.c).sum(axis=2)
-        neg_log = -np.log(forms)  # beta_l * (-log L) = -(beta_l log L), exactly
-        expo = np.empty((len(re), len(forms)), dtype=complex)
-        expo.real = beta_re[:, :1] * neg_log[:, 0]
-        expo.imag = beta_im[:, :1] * neg_log[:, 0]
-        for l in range(1, config.m):
-            expo.real += beta_re[:, l : l + 1] * neg_log[:, l]
-            expo.imag += beta_im[:, l : l + 1] * neg_log[:, l]
-        row_terms = vals * np.exp(expo)
-        by_kept: dict = {}
-        for p in (p for p, c in enumerate(is_complex) if c):
-            by_kept.setdefault(point_shells[p][3], []).append(p)
-        for kept, group in by_kept.items():
-            sums = CompensatedSum.single_values(row_terms[group, :kept].sum(axis=1))
-            for p, value in zip(group, sums.tolist()):
-                values[p] = value
-    for p in (p for p, c in enumerate(is_complex) if not c):
-        kept = point_shells[p][3]
-        pt = points[p] if points is not None else ComplexPoint(re[p], im[p])
-        values[p] = _sum_terms(config, pt, (pts[:kept],), (vals[:kept],))
-    return [
-        EvalResult(value=value, tail_bound=tail, shells_used=n_used, certified=certified)
-        for value, (n_used, certified, tail, _) in zip(values, point_shells)
-    ]
+    support = _finite_support(config)
+    pts, degrees, vals, forms = support
+    deg = degrees.tolist()
+    shells, kept = [], []  # per sigma: the shell, and the support points up to it
+    for sigma in sigmas:
+        shells.append(_choose_shell(config, sigma, tol, shell_cap, support))
+        kept.append(bisect.bisect_right(deg, shells[-1][0]))
+    batch, sums = [], {}  # the complex points summed together, and their sums
+    if len(re) > 1 and config.m == 1:
+        batch = np.flatnonzero(im.any(axis=1)).tolist()
+    if len(batch) > 1:
+        beta_re = np.array([(config.c @ sigma)[0] for sigma in sigmas])  # as `_exponents` forms it
+        at = [inverse[p] for p in batch]
+        sums = dict(zip(batch, _finite_complex_sums(
+            config, forms, vals, beta_re[at], im[batch], [kept[u] for u in at]
+        )))
+    out = []
+    for p, u in enumerate(inverse):
+        n_used, certified, tail = shells[u]
+        value = sums.get(p)
+        if value is None:
+            pt = points[p] if points is not None else ComplexPoint(re[p], im[p])
+            value = _sum_terms(config, pt, (pts[: kept[u]],), (vals[: kept[u]],))
+        out.append(EvalResult(value=value, tail_bound=tail, shells_used=n_used, certified=certified))
+    return out
+
+
+def _finite_complex_sums(
+    config: ShintaniConfig,
+    forms: np.ndarray,
+    vals: np.ndarray,
+    beta_re: np.ndarray,
+    im: np.ndarray,
+    kept: list[int],
+) -> list[complex]:
+    """The sums of theta(n) L(n)^(-beta) over the first kept[p] support
+    points at complex points p of a config with one linear form (m = 1),
+    with Re beta = beta_re[p] (c @ Re s) and Im s = im[p]; each is the
+    `_sum_terms` of the point alone, bit for bit.
+
+    The points are taken by ascending kept, in slices that form their terms
+    as one (points x support) array up to the slice's largest kept, at most
+    _BLOCK entries (one point's terms if they are more).  Each entry is
+    theta(n) exp(-beta log L(n)) with the real and imaginary parts of the
+    exponent formed apart: each is one product, as in the complex product
+    log(forms) @ (-beta) of `_form_powers` (log L is real), so it rounds the
+    same way and no entry depends on the other points.  (With m >= 2 that
+    product sums over l, and BLAS may fuse the sum, so those points are
+    left to `_sum_terms`.)  Each point's sum is a row sum, which numpy takes
+    pairwise as it takes a 1-d sum, and `CompensatedSum.single_values` gives
+    the accumulator's value after it.
+    """
+    if config.d == 1:  # one product per point, the same in any form
+        beta_im = im[:, 0] * config.c[0, 0]
+    else:  # a sum over d, formed per point as `_exponents` forms it
+        beta_im = np.array([(config.c @ row)[0] for row in im])
+    order = sorted(range(len(kept)), key=kept.__getitem__)
+    neg_log = -np.log(forms[: kept[order[-1]], 0])  # beta * (-log L) = -(beta log L), exactly
+    step = max(_BLOCK // max(kept[order[-1]], 1), 1)  # kept is 0 where no support point is kept
+    sums = np.empty(len(kept), dtype=complex)
+    for lo in range(0, len(order), step):
+        rows = order[lo : lo + step]
+        ks = [kept[p] for p in rows]
+        width = ks[-1]
+        expo = np.empty((len(rows), width), dtype=complex)
+        np.multiply(beta_re[rows, None], neg_log[:width], out=expo.real)
+        np.multiply(beta_im[rows, None], neg_log[:width], out=expo.imag)
+        terms = np.multiply(vals[:width], np.exp(expo, out=expo), out=expo)
+        first = 0
+        for i in range(1, len(rows) + 1):  # runs of equal kept are row ranges
+            if i == len(rows) or ks[i] != ks[first]:
+                sums[rows[first:i]] = terms[first:i, : ks[first]].sum(axis=1)
+                first = i
+        del expo, terms  # one slice's terms in memory at a time
+    return CompensatedSum.single_values(sums).tolist()
 
 
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:

@@ -212,11 +212,7 @@ def _cf_on_slice(
 def _series_values(
     config: ShintaniConfig, pts: np.ndarray, tol: float, shell_cap: int
 ) -> list[complex]:
-    """The series values at the rows of `pts`: one `evaluate_many` call, or
-    `evaluate` for a single point, so that a trace of `evaluate` still
-    counts the one-point calls (Newton steps, bisection midpoints)."""
-    if len(pts) == 1:
-        return [evaluate(config, pts[0], tol=tol, shell_cap=shell_cap).value]
+    """The series values at the rows of `pts`, from one `evaluate_many` call."""
     return [r.value for r in evaluate_many(config, pts, tol=tol, shell_cap=shell_cap)]
 
 

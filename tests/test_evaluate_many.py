@@ -8,6 +8,7 @@ points and points that share Re s.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from shintani.arithmetic import AlphaRule, chi_minus_4
 from shintani.coefficients import CoefficientSpec
 from shintani.distributions import make_special_distribution
+from shintani import series
 from shintani.errors import ConfigError, RegionError
 from shintani.series import (
     ComplexPoint,
@@ -181,3 +183,77 @@ class TestInputs:
     def test_bare_scalar_is_config_error(self):
         with pytest.raises(ConfigError, match="sequence"):
             evaluate_many(self.CONFIG, 2.0)
+
+
+class TestFiniteBatch:
+    """Two or more complex points on a finite support are summed together
+    (`_finite_complex_sums`); the others, and `evaluate`, take `_sum_terms`."""
+
+    @staticmethod
+    def grid(r: int, top: int, ratio: float) -> dict:
+        # every lattice point of degree <= top, |theta| = ratio^degree
+        pts = [p for p in np.ndindex(*(top + 1,) * r) if sum(p) <= top]
+        return {p: ratio ** sum(p) * (-1.0) ** p[0] for p in pts}
+
+    def test_imaginary_exponents_of_every_dimension(self):
+        # at d >= 2, <c_l, Im s> is a sum over d, formed per point as
+        # `evaluate` forms it: a product of all points at once rounds some
+        # of those sums differently
+        rng = np.random.default_rng(5)
+        for d, m in ((2, 1), (3, 1), (3, 2)):
+            config = ShintaniConfig(
+                d=d, m=m, r=1, lam=rng.uniform(0.5, 2.0, (m, 1)), u=[0.7],
+                c=rng.uniform(0.3, 1.5, (m, d)), theta=CoefficientSpec.finite_support(self.grid(1, 30, -0.9)),
+            )
+            points = 4.0 + rng.standard_normal((40, d)) + 1j * rng.uniform(-20.0, 20.0, (40, d))
+            many = evaluate_many(config, points, tol=1e-12)
+            assert [_bits(r) for r in many] == [_bits(evaluate(config, s, tol=1e-12)) for s in points]
+
+    def test_two_forms(self):
+        # with m = 2 the exponent sums over the forms, and a fused
+        # multiply-add there rounds differently from two products: such
+        # points are summed one at a time
+        config = ShintaniConfig(
+            d=1, m=2, r=2, lam=[[1.0, 1.0], [1.0, 2.0]], u=[1.0, 0.5], c=[[0.5], [1.0]],
+            theta=CoefficientSpec.finite_support({(0, 0): 1.0 + 0j}),
+        )
+        many = evaluate_many(config, [-1.5 + 1.5j, -1.5 + 1.5j], tol=1.0, shell_cap=0)
+        assert [_bits(r) for r in many] == [_bits(evaluate(config, -1.5 + 1.5j, tol=1.0, shell_cap=0))] * 2
+
+    def test_no_point_kept(self):
+        # no support point of degree 0 and a budget of 0: the shell keeps none
+        config = ShintaniConfig(
+            d=1, m=1, r=2, lam=[[1.0, 1.0]], u=[1.0, 1.0], c=[[1.0]],
+            theta=CoefficientSpec.finite_support({(0, 1): 1.0 + 0j}),
+        )
+        many = evaluate_many(config, [-1.5 + 1.5j, 2.0 - 1j], tol=1.0, shell_cap=0)
+        assert [r.value for r in many] == [0j, 0j]
+        assert [_bits(r) for r in many] == [_bits(evaluate(config, s, tol=1.0, shell_cap=0)) for s in (-1.5 + 1.5j, 2.0 - 1j)]
+
+    def test_slices_hold_the_bits(self, monkeypatch):
+        # a block of 40 terms: slices of a few points, and slices of one
+        # point whose terms are more than a block
+        config = _one_form(CoefficientSpec.finite_support(self.grid(1, 120, 0.9)), u=0.5)
+        res = [1.0, 2.0, 6.0, 40.0]
+        points = [complex(res[k % 4], 0.5 * k - 7.0) for k in range(30)] + [2.0, 6.0]
+        ref = [_bits(evaluate(config, s, tol=1e-9)) for s in points]
+        assert len({r[3] for r in ref}) == 4  # the points keep different shells
+        monkeypatch.setattr(series, "_BLOCK", 40)
+        assert [_bits(r) for r in evaluate_many(config, points, tol=1e-9)] == ref
+
+    def test_large_support_memory(self):
+        # 20,100 support points at 400 complex points: 8.04e6 terms, formed
+        # a block of points at a time instead of in one 129 MB array
+        theta = CoefficientSpec.finite_support(self.grid(2, 199, 0.97))
+        config = ShintaniConfig(d=1, m=1, r=2, lam=[[1.0, 1.0]], u=[0.5, 0.5], c=[[1.0]], theta=theta)
+        points = [complex(2.0 + 0.5 * (k % 3), 0.1 * k) for k in range(400)]
+        tracemalloc.start()
+        try:
+            many = evaluate_many(config, points, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * series._BLOCK, peak
+        assert {r.shells_used for r in many} == {199}
+        for k in range(0, 400, 37):
+            assert _bits(many[k]) == _bits(evaluate(config, points[k], tol=1e-12)), points[k]
