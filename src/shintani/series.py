@@ -1053,7 +1053,7 @@ def _choose_shell(
     if theta.support_degree is not None:
         if support is None:
             support = _finite_support(config)
-        return _choose_finite_shell(config, sigma, tol, shell_cap, support)
+        return _finite_shell(config, sigma, tol, shell_cap, support)
     if theta.support(config.r, 0, 0) is not None:
         # an unbounded sparse support: one candidate shell per support degree
         for _, n in itertools.islice(_lattice_blocks(config), max(shell_cap, 1)):
@@ -1070,7 +1070,7 @@ def _choose_shell(
     return n, True, tail
 
 
-def _choose_finite_shell(
+def _finite_shell(
     config: ShintaniConfig,
     sigma: np.ndarray,
     tol: float,
