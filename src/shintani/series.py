@@ -16,8 +16,9 @@ so the result is the shell bisection would find.  `evaluate_many` takes
 many points in one call and chooses the shell once per distinct Re s;
 `evaluate` is its one-point case.  A finite support is enumerated, and
 theta evaluated on it, once per call: each degree's tail is a suffix sum
-of one term array per Re s, and at complex s the terms of all points are
-one (points x support) array whose row sums are the partial sums.
+of one term array per Re s, and with one linear form the terms at two or
+more complex points are (points x support) arrays, formed a slice of
+points at a time, whose row sums are the partial sums.
 
 Tail certificates come from four routes, any of which may apply:
 exact remaining-support sums (finite support), a factorial-ratio majorant
