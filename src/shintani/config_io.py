@@ -553,6 +553,10 @@ def _parse_action(action: Any, lines: Optional[dict]) -> dict:
                 )
                 for sub, sub_default in default.items()
             }
+            if key == "t_grid":
+                lo, hi, count = out[key]["lo"], out[key]["hi"], out[key]["count"]
+                if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1):
+                    raise ConfigError(f"{path}: needs finite lo and hi and count >= 1")
         elif key == "rectangle":
             _check_keys(v, {"re_lo", "re_hi", "im_lo", "im_hi"}, path, lines)
             out[key] = {

@@ -229,6 +229,8 @@ def _levy_tail(primes: np.ndarray, sigma: float, prime_limit: int, power_cutoff:
 def _levy_result(
     sigma: float, t: float, prime_limit: int, power_cutoff: int, odd_only: bool
 ) -> EvalResult:
+    if not (math.isfinite(sigma) and math.isfinite(t)):
+        raise ConfigError(f"Levy representation needs finite sigma and t, got {sigma} and {t}")
     if sigma <= 1.0:
         raise RegionError(f"Levy representation needs sigma > 1, got {sigma}")
     if prime_limit < 2 or power_cutoff < 1:
@@ -279,6 +281,8 @@ def levy_measure(
     sigma: float, prime_limit: int, power_cutoff: int, odd_only: bool = False
 ) -> DiscreteMeasure:
     """Atoms (r log p, p^{-r sigma}/r) for p <= prime_limit, r <= power_cutoff."""
+    if not math.isfinite(sigma):
+        raise ConfigError(f"Levy measure needs a finite sigma, got {sigma}")
     if sigma <= 1.0:
         raise RegionError(f"Levy measure needs sigma > 1, got {sigma}")
     primes = sieve_primes(prime_limit).primes

@@ -73,7 +73,7 @@ class ComplexPoint:
         if self.re.shape != self.im.shape or self.re.ndim != 1:
             raise ConfigError("ComplexPoint needs matching 1-d re and im vectors")
         if not all(map(math.isfinite, self.re.tolist() + self.im.tolist())):
-            raise ConfigError(f"point components must be finite, got {self.re + 1j * self.im}")
+            raise ConfigError(f"point components must be finite, got re {self.re}, im {self.im}")
         self.re.setflags(write=False)
         self.im.setflags(write=False)
 

@@ -4,9 +4,11 @@ Characteristic-function zeros are scanned on a grid along one t axis, then
 refined by damped complex Newton iterations on the analytic continuation in
 the complexified grid variable.  Rectangle counts use the argument
 principle on one-complex-parameter affine slices, with adaptive boundary
-subdivision keeping every phase step below pi/2.  The functions on a slice
-take an array of w, so a rectangle's initial samples and a Newton step's
-central-difference pair are one `evaluate_many` call each.  A confirmed zero yields a
+subdivision keeping every phase step below pi/2.  A confirmed zero's
+multiplicity is such a count, on a small square of the scan's own slice.
+One slice evaluator maps an array of w to series values in one
+`evaluate_many` call, so a rectangle's initial samples and a Newton step's
+central-difference pair are one call each.  A confirmed zero yields a
 non-infinite-divisibility certificate: an infinitely divisible law has a
 nonvanishing characteristic function.
 """
@@ -34,6 +36,10 @@ from .series import (
 from .config_io import shintani_to_dict
 
 TWO_PI = 2.0 * math.pi
+_GRID_DELTA = 1e-4  # atom-table truncation behind the scan grid
+_MAX_DEPTH = 40  # bisections of one contour segment
+_MAX_PERTURB = 6  # rectangle growths before a boundary zero is an error
+_INIT_SAMPLES = 16  # initial contour samples per rectangle edge
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,11 @@ class SliceSpec:
             self, "direction", np.atleast_1d(np.asarray(self.direction, dtype=complex))
         )
         self.direction.setflags(write=False)
+        if not np.isfinite(self.direction).all():
+            raise ConfigError(f"slice direction must be finite, got {self.direction}")
         re_lo, re_hi, im_lo, im_hi = self.rect
-        if not (re_lo < re_hi and im_lo < im_hi):
-            raise ConfigError(f"degenerate slice rectangle {self.rect}")
+        if not (all(map(math.isfinite, self.rect)) and re_lo < re_hi and im_lo < im_hi):
+            raise ConfigError(f"degenerate or unbounded slice rectangle {self.rect}")
 
     def at(self, w: complex) -> ComplexPoint:
         s = self.base.values + w * self.direction
@@ -117,30 +125,34 @@ def scan_cf_zeros(
     step: float = 0.05,
     tol: float = 1e-9,
     trigger: float = 0.2,
-    grid_delta: float = 1e-4,
     eval_tol: float = 1e-10,
     shell_cap: int = DEFAULT_SHELL_CAP,
-    multiplicity: bool = True,
 ) -> ZeroReport:
     """Grid scan of |f_sigma| along one t axis, Newton refinement of minima.
 
-    Grid values come from the truncated atom table (error <= ~2*grid_delta,
+    Grid values come from the truncated atom table (error <= ~2*_GRID_DELTA,
     plenty below the trigger); refinement evaluates the series ratio
     directly at each iterate, complexifying t to handle tangential zeros.
+    A confirmed zero w gets its multiplicity from `count_zeros_rectangle`
+    on a small square around w in the same slice s(w) = sigma + i w e_axis.
     """
-    if not (step > 0 and trigger > 0):
-        raise ConfigError(f"scan step and trigger must be positive, got {step} and {trigger}")
+    if not (math.isfinite(step) and step > 0 and trigger > 0):
+        raise ConfigError(f"scan step (finite) and trigger must be positive: {step}, {trigger}")
     sig = as_sigma(sigma, config.d)
     if not 1 <= t_axis <= config.d:
         raise ConfigError(f"t_axis must be in 1..{config.d}, got {t_axis}")
     lo, hi = t_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ConfigError(f"scan t_range needs finite ends with lo <= hi, got {t_range}")
-    dist = build_distribution(config, sig, delta=min(grid_delta, trigger / 50), shell_cap=shell_cap)
+    delta = min(_GRID_DELTA, trigger / 50)
+    dist = build_distribution(config, sig, delta=delta, shell_cap=shell_cap)
     ts = np.arange(lo, hi + step / 2, step)
     # abs per value: np.abs of the array rounds some values differently
     grid_abs = np.array([abs(v) for v in atom_cf_grid(dist, t_axis, ts)])
-    f = _cf_on_slice(config, sig, t_axis, eval_tol, shell_cap)
+    base = ComplexPoint(sig, np.zeros_like(sig))
+    direction = np.zeros(config.d, dtype=complex)
+    direction[t_axis - 1] = 1j
+    f = _cf_on_slice(config, base, direction, eval_tol, shell_cap)
     candidates: list[ZeroCandidate] = []
     rect_counts: list[tuple[tuple[float, float, float, float], int]] = []
     for i in range(1, len(ts) - 1):
@@ -155,17 +167,12 @@ def scan_cf_zeros(
                 continue
             w, resid = cand
             if resid < tol:
-                mult = None
-                if multiplicity:
-                    radius = max(1e-4, 10 * abs(w) * 1e-9)
-                    mult = _winding_count(f, w, radius)
-                    rect_counts.append(
-                        (
-                            (w.real - radius, w.real + radius,
-                             w.imag - radius, w.imag + radius),
-                            mult,
-                        )
-                    )
+                radius = max(1e-4, 10 * abs(w) * 1e-9)
+                square = (w.real - radius, w.real + radius, w.imag - radius, w.imag + radius)
+                mult = count_zeros_rectangle(
+                    config, SliceSpec(base, direction, square), eval_tol, shell_cap
+                )
+                rect_counts.append((square, mult))
                 candidates.append(ZeroCandidate(w, resid, "confirmed", mult))
             else:
                 candidates.append(ZeroCandidate(w, resid, "unconfirmed"))
@@ -180,56 +187,48 @@ def scan_cf_zeros(
     )
 
 
-def _cf_on_slice(
-    config: ShintaniConfig,
-    sig: np.ndarray,
-    t_axis: int,
-    eval_tol: float,
+def _series_on_slice(
+    config: ShintaniConfig, base: ComplexPoint, direction: np.ndarray, eval_tol: float,
     shell_cap: int,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """f(w) = Z(sigma + i w e_axis) / Z(sigma), continued to complex w, as a
-    function of an array of w."""
-    den = evaluate(
-        config, ComplexPoint(sig, np.zeros_like(sig)), tol=eval_tol, shell_cap=shell_cap
-    )
+) -> Callable[[np.ndarray], list[complex]]:
+    """The series at s(w) = base + w * direction, as a function of an array
+    of w answered by one `evaluate_many` call."""
+
+    def values(ws: np.ndarray) -> list[complex]:
+        pts = base.values + ws[:, None] * direction
+        return [r.value for r in evaluate_many(config, pts, tol=eval_tol, shell_cap=shell_cap)]
+
+    return values
+
+
+def _cf_on_slice(
+    config: ShintaniConfig, base: ComplexPoint, direction: np.ndarray, eval_tol: float,
+    shell_cap: int,
+) -> Callable[[np.ndarray], list[complex]]:
+    """f(w) = Z(base + w * direction) / Z(base) for a real base, as a
+    function of an array of w; with direction i e_axis this is the
+    characteristic function continued to complex t."""
+    den = evaluate(config, base, tol=eval_tol, shell_cap=shell_cap)
     if den.value == 0:
         raise NumericError("normalizer vanishes; cannot form a characteristic function")
-    unit = np.zeros(config.d)
-    unit[t_axis - 1] = 1.0
-
-    def f(ws: np.ndarray) -> np.ndarray:
-        # s = sigma + i w e_axis continued to complex w: Re s = sigma - Im w e_axis
-        pts = np.empty((len(ws), config.d), dtype=complex)
-        pts.real = sig - ws.imag[:, None] * unit
-        pts.imag = ws.real[:, None] * unit
-        return np.array(
-            [v / den.value for v in _series_values(config, pts, eval_tol, shell_cap)]
-        )
-
-    return f
+    values = _series_on_slice(config, base, direction, eval_tol, shell_cap)
+    return lambda ws: [v / den.value for v in values(ws)]
 
 
-def _series_values(
-    config: ShintaniConfig, pts: np.ndarray, tol: float, shell_cap: int
-) -> list[complex]:
-    """The series values at the rows of `pts`, from one `evaluate_many` call."""
-    return [r.value for r in evaluate_many(config, pts, tol=tol, shell_cap=shell_cap)]
-
-
-def _at(f: Callable[[np.ndarray], np.ndarray], w: complex) -> complex:
+def _at(f: Callable[[np.ndarray], list[complex]], w: complex) -> complex:
     """f at the one point w."""
-    return f(np.array([w]))[0].item()
+    return f(np.array([w]))[0]
 
 
 def _refine_zero(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], list[complex]],
     w0: complex,
     tol: float,
     scale: float,
     max_iter: int = 60,
 ) -> Optional[tuple[complex, float]]:
     """Damped Newton with a central-difference derivative; f maps an array
-    of w to an array of values."""
+    of w to a list of values."""
     w = w0
     fw = _at(f, w)
     for _ in range(max_iter):
@@ -237,7 +236,7 @@ def _refine_zero(
             break
         h = 1e-7 * max(1.0, abs(w))
         try:
-            f_plus, f_minus = f(np.array([w + h, w - h])).tolist()
+            f_plus, f_minus = f(np.array([w + h, w - h]))
         except (RegionError, NumericError):
             return None
         df = (f_plus - f_minus) / (2.0 * h)
@@ -288,12 +287,11 @@ def count_zeros_rectangle(
     slice_spec: SliceSpec,
     eval_tol: float = 1e-9,
     shell_cap: int = DEFAULT_SHELL_CAP,
-    max_depth: int = 40,
-    max_perturb: int = 6,
 ) -> int:
     """Winding number of the slice restriction around 0 (zeros counted with
-    multiplicity).  Boundary zeros trigger automatic rectangle perturbation;
-    persistent ones raise NumericError."""
+    multiplicity).  A zero on the boundary grows the rectangle by 1e-3 of
+    its spans per retry, at most _MAX_PERTURB = 6 times; a persistent one
+    raises NumericError."""
     if slice_spec.base.d != config.d or slice_spec.direction.size != config.d:
         raise ConfigError(
             f"slice base and direction need {config.d} components, got "
@@ -301,14 +299,10 @@ def count_zeros_rectangle(
         )
     if not _slice_valid(config, slice_spec):
         raise RegionError("slice rectangle leaves the certified convergence region")
-
-    def g(ws: np.ndarray) -> np.ndarray:
-        pts = slice_spec.base.values + ws[:, None] * slice_spec.direction
-        return np.array(_series_values(config, pts, eval_tol, shell_cap))
-
+    g = _series_on_slice(config, slice_spec.base, slice_spec.direction, eval_tol, shell_cap)
     rect = slice_spec.rect
     spans = (rect[1] - rect[0], rect[3] - rect[2])
-    for attempt in range(max_perturb + 1):
+    for attempt in range(_MAX_PERTURB + 1):
         grow = 1e-3 * attempt
         rect_try = (
             rect[0] - grow * spans[0],
@@ -320,41 +314,30 @@ def count_zeros_rectangle(
             spec_try = SliceSpec(slice_spec.base, slice_spec.direction, rect_try)
             if not _slice_valid(config, spec_try):
                 raise RegionError("perturbed rectangle leaves the convergence region")
-            return _winding_rect(g, rect_try, max_depth)
+            return _winding_rect(g, spec_try)
         except _BoundaryZero:
             continue
     raise NumericError(
-        f"zero persists on the rectangle boundary after {max_perturb} perturbations"
+        f"zero persists on the rectangle boundary after {_MAX_PERTURB} perturbations"
     )
 
 
-def _winding_rect(
-    g: Callable[[np.ndarray], np.ndarray],
-    rect: tuple[float, float, float, float],
-    max_depth: int,
-    init_samples: int = 16,
-) -> int:
-    """Phase tracking around the rectangle boundary; g maps an array of w to
-    an array of values.
+def _winding_rect(g: Callable[[np.ndarray], list[complex]], spec: SliceSpec) -> int:
+    """Phase tracking around the boundary of the slice rectangle; g maps an
+    array of w to a list of values.
 
     Each edge starts from a dense sample grid, evaluated in one call:
     endpoint deltas alone can hide a full 2 pi wrap, which adaptive
     bisection then never detects.
     """
-    re_lo, re_hi, im_lo, im_hi = rect
-    corners = [
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-    ]
+    corners = spec.corners()
     samples: list[complex] = []
     for i in range(4):
         w0, w1 = corners[i], corners[(i + 1) % 4]
-        for k in range(init_samples):
-            samples.append(w0 + (w1 - w0) * (k / init_samples))
+        for k in range(_INIT_SAMPLES):
+            samples.append(w0 + (w1 - w0) * (k / _INIT_SAMPLES))
     samples.append(corners[0])
-    values = g(np.array(samples)).tolist()
+    values = g(np.array(samples))
     scale = max(abs(z) for z in values)
     if scale == 0.0:
         raise _BoundaryZero
@@ -362,7 +345,7 @@ def _winding_rect(
     total = 0.0
     for i in range(len(samples) - 1):
         total += _track_segment(
-            g, samples[i], values[i], samples[i + 1], values[i + 1], floor, max_depth
+            g, samples[i], values[i], samples[i + 1], values[i + 1], floor, _MAX_DEPTH
         )
     winding = round(total / TWO_PI)
     if abs(total / TWO_PI - winding) > 0.25:
@@ -373,7 +356,7 @@ def _winding_rect(
 
 
 def _track_segment(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], list[complex]],
     w0: complex,
     z0: complex,
     w1: complex,
@@ -394,27 +377,6 @@ def _track_segment(
     return _track_segment(g, w0, z0, mid, zm, floor, depth - 1) + _track_segment(
         g, mid, zm, w1, z1, floor, depth - 1
     )
-
-
-def _winding_count(f: Callable[[np.ndarray], np.ndarray], center: complex, radius: float) -> int:
-    """Zero multiplicity via a small square around a refined location."""
-    rect = (
-        center.real - radius,
-        center.real + radius,
-        center.imag - radius,
-        center.imag + radius,
-    )
-    for attempt in range(5):
-        try:
-            return _winding_rect(f, rect, max_depth=30)
-        except _BoundaryZero:
-            rect = (
-                rect[0] - radius * 0.37,
-                rect[1] + radius * 0.41,
-                rect[2] - radius * 0.39,
-                rect[3] + radius * 0.43,
-            )
-    raise NumericError("could not separate the zero from the counting contour")
 
 
 # ---------------------------------------------------------------------------

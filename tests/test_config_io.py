@@ -504,6 +504,38 @@ class TestCli:
         assert "t_range" in result.output
         assert not (tmp_path / "zeros.csv").exists()
 
+    def test_zeros_infinite_step_is_config_error(self, tmp_path):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: binomial,\n"
+            "           params: {j: 2, big_k: 1, phi: 2.718281828459045, sigma: -1.0}}\n"
+            "action: {sigma: [-1.0], scan: {axis: 1, lo: 0.5, hi: 6.0, step: .inf}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["zeros", "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert "step" in result.output
+        assert not (tmp_path / "zeros.csv").exists()
+
+    @pytest.mark.parametrize("command, grid, csv", [
+        ("cf", "{lo: .nan}", "cf.csv"),
+        ("cf", "{hi: .inf}", "cf.csv"),
+        ("cf", "{count: -3}", "cf.csv"),
+        ("cf", "{count: 0}", "cf.csv"),
+        ("levy-check", "{lo: -.inf}", "levy_check.csv"),
+    ])
+    def test_bad_t_grid_is_config_error(self, tmp_path, command, grid, csv):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            f"action: {{sigma: 2.0, delta: 1.0e-3, prime_limit: 100, t_grid: {grid}}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, [command, "--config", cfgp, "--quiet"])
+        assert result.exit_code == 2, result.output
+        assert "t_grid" in result.output
+        assert not (tmp_path / csv).exists()
+
     def test_zeros_rectangle(self, tmp_path):
         doc = {
             "function": {

@@ -208,6 +208,18 @@ class TestLevy:
         with pytest.raises(RegionError):
             riemann_levy_logcf(1.0, 1.0)
 
+    @pytest.mark.parametrize("sigma, t", [
+        (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf),
+    ])
+    def test_non_finite_input_rejected(self, sigma, t):
+        # nan sigma passed the sigma <= 1 check and returned certified nan values
+        for call in (riemann_levy_logcf, hurwitz_half_levy_logcf):
+            with pytest.raises(ConfigError, match="finite"):
+                call(sigma, t)
+        if not math.isfinite(sigma):
+            with pytest.raises(ConfigError, match="finite"):
+                levy_measure(sigma, 100, 20)
+
     def test_representation_within_certified_bounds(self):
         # module invariant: agreement within combined certified bounds
         with mp.workdps(30):

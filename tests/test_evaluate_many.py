@@ -175,6 +175,17 @@ class TestInputs:
             evaluate_many(config, [good, bad, good])
         assert str(batch.value) == str(single.value)
 
+    def test_infinite_imaginary_part_is_config_error(self):
+        # the message once formed re + 1j * im, so inf * 0 raised a RuntimeWarning
+        zeta = make_special("riemann")
+        for call in (
+            lambda: evaluate(zeta, complex(1.0, math.inf)),
+            lambda: evaluate_many(zeta, [2.0, complex(2.0, -math.inf)]),
+            lambda: ComplexPoint([2.0, 3.0], [0.0, math.inf]),
+        ):
+            with pytest.raises(ConfigError, match="finite"):
+                call()
+
     def test_bad_tolerance(self):
         for tol in (0.0, -1.0, math.nan):
             with pytest.raises(ConfigError, match="tolerance"):

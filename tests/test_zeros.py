@@ -87,9 +87,9 @@ class TestScan:
 
     def test_nan_step_and_trigger_rejected(self):
         # a nan trigger made the zero-free law at sigma = -1 "confirm" zeros
-        # at +-pi - i with certificate=True
+        # at +-pi - i with certificate=True; an infinite step had no grid
         sd = make_special_distribution("binomial", j=2, big_k=1, phi=1.0, sigma=-1.0)
-        for kw in ({"step": math.nan}, {"trigger": math.nan}):
+        for kw in ({"step": math.nan}, {"trigger": math.nan}, {"step": math.inf}):
             with pytest.raises(ConfigError, match="positive"):
                 scan_cf_zeros(sd.config, sd.sigma, t_range=(-4.0, 4.0), **kw)
 
@@ -126,6 +126,19 @@ class TestRectangles:
         ):
             with pytest.raises(ConfigError, match="components"):
                 count_zeros_rectangle(cfg, SliceSpec(base=base, direction=direction, rect=rect))
+
+    @pytest.mark.parametrize("rect, direction", [
+        ((1.5, 3.0, -1.0, math.inf), 1.0 + 0j),
+        ((-math.inf, 3.0, -1.0, 1.0), 1.0 + 0j),
+        ((1.5, 3.0, -1.0, 1.0), complex(1.0, math.inf)),
+    ])
+    def test_unbounded_slice_rejected(self, rect, direction):
+        # w * direction formed inf * 0 at the corners, a RuntimeWarning
+        with pytest.raises(ConfigError, match="slice"):
+            count_zeros_rectangle(
+                make_special("riemann"),
+                SliceSpec(ComplexPoint([0.0], [0.0]), np.array([direction]), rect),
+            )
 
     def test_against_polynomial_roots(self):
         # Z(s) = a0 + a1 2^-s + a3 4^-s is a polynomial in x = 2^-s; its
