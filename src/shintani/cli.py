@@ -57,7 +57,7 @@ def _function_config(rc: RunConfig) -> series.ShintaniConfig:
         return rc.shintani_config()
     if rc.function_kind == "special":
         name, params = rc.special()
-        if name in ("delta", "binomial", "poisson"):
+        if name in distributions.SPECIAL_DISTRIBUTION_KINDS:
             sd = _special_distribution(rc)
             return sd.config
         return series.make_special(name, **params)
@@ -66,7 +66,7 @@ def _function_config(rc: RunConfig) -> series.ShintaniConfig:
 
 def _special_distribution(rc: RunConfig) -> distributions.SpecialDistribution:
     name, params = rc.special()
-    if name not in ("delta", "binomial", "poisson"):
+    if name not in distributions.SPECIAL_DISTRIBUTION_KINDS:
         raise ConfigError(f"special {name!r} is a plain function, not a distribution")
     return distributions.make_special_distribution(name, **params)
 
@@ -273,7 +273,7 @@ def run_command(subcommand: str, rc: RunConfig, out_dir=None, quiet: bool = Fals
     if subcommand == "special":
         name, params = rc.special()
         path = out / "special_config.yaml"
-        if name in ("delta", "binomial", "poisson"):
+        if name in distributions.SPECIAL_DISTRIBUTION_KINDS:
             sd = _special_distribution(rc)
             doc = {
                 "function": config_io.shintani_to_dict(sd.config),

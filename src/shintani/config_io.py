@@ -19,9 +19,10 @@ import yaml
 
 from .arithmetic import AlphaRule
 from .coefficients import FAMILIES, CoefficientSpec, Envelope
+from .distributions import SPECIAL_DISTRIBUTION_KINDS
 from .errors import ConfigError
 from .euler import EulerConfig
-from .series import ShintaniConfig
+from .series import SPECIAL_KINDS, ShintaniConfig
 
 ACTION_DEFAULTS: dict[str, Any] = {
     "s": None,
@@ -42,11 +43,7 @@ ACTION_DEFAULTS: dict[str, Any] = {
     "scan": {"axis": 1, "lo": -20.0, "hi": 20.0, "step": 0.05, "trigger": 0.2},
 }
 
-_SPECIAL_KINDS = (
-    "riemann", "hurwitz", "lerch", "lerch_transcendent", "euler_zagier",
-    "barnes", "generalized_barnes", "riemann_derivative",
-    "delta", "binomial", "poisson",
-)
+_SPECIAL_KINDS = SPECIAL_KINDS + SPECIAL_DISTRIBUTION_KINDS
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .series import (
     absolutely_convergent_at,
     as_sigma,
     differentiate,
-    evaluate,
+    evaluate_many,
 )
 from .summation import CompensatedSum, exact_real_sum
 
@@ -238,15 +238,18 @@ def char_fn(
     tol: float = 1e-9,
     shell_cap: int = DEFAULT_SHELL_CAP,
 ) -> CharFnValue:
-    """f_sigma(t) as the ratio of two certified evaluations.
+    """f_sigma(t) as the ratio of two certified evaluations, made in one
+    `evaluate_many` call (one shell choice, as both share Re s = sigma).
 
     The error bound combines both truncation bounds through the quotient
     rule; it is infinite only if the normalizer cannot be separated from 0.
     """
     sig = as_sigma(sigma, config.d)
     t_arr = as_sigma(t, config.d)
-    num = evaluate(config, ComplexPoint(sig, t_arr), tol=tol, shell_cap=shell_cap)
-    den = evaluate(config, ComplexPoint(sig, np.zeros_like(sig)), tol=tol, shell_cap=shell_cap)
+    num, den = evaluate_many(
+        config, [ComplexPoint(sig, t_arr), ComplexPoint(sig, np.zeros_like(sig))],
+        tol=tol, shell_cap=shell_cap,
+    )
     if abs(den.value) <= den.tail_bound:
         raise NumericError(
             "normalizer indistinguishable from zero at working precision"
@@ -262,10 +265,14 @@ def char_fn(
 # Closed-form special constructions
 # ---------------------------------------------------------------------------
 
+SPECIAL_DISTRIBUTION_KINDS = ("delta", "binomial", "poisson")
+
+
 def make_special_distribution(kind: str, check: bool = True, **params) -> SpecialDistribution:
-    """delta(lam, u, c, theta0, sigma), binomial(j, big_k, phi, sigma),
-    poisson(j, rate, sigma); check=False lifts the stated sigma ranges
-    (any sigma with absolute convergence works for these)."""
+    """One of SPECIAL_DISTRIBUTION_KINDS: delta(lam, u, c, theta0, sigma),
+    binomial(j, big_k, phi, sigma), poisson(j, rate, sigma); check=False
+    lifts the stated sigma ranges (any sigma with absolute convergence works
+    for these)."""
     if kind == "delta":
         lam = float(params.pop("lam", 1.0))
         u = float(params.pop("u", 1.0))

@@ -16,9 +16,11 @@ so the result is the shell bisection would find.  `evaluate_many` takes
 many points in one call and chooses the shell once per distinct Re s;
 `evaluate` is its one-point case.  A finite support is enumerated, and
 theta evaluated on it, once per call: each degree's tail is a suffix sum
-of one term array per Re s, and with one linear form the terms at two or
-more complex points are (points x support) arrays, formed a slice of
-points at a time, whose row sums are the partial sums.
+of one term array per Re s, and one kernel, `_finite_sums`, forms the
+partial sums of every point, real or complex, alone or batched, for any
+m and d.  Its terms are (points x support) arrays, formed a slice of
+points at a time from real products and sums, so that every entry, and a
+point's sum, has the same bits whatever else the call evaluates.
 
 Tail certificates come from four routes, any of which may apply:
 exact remaining-support sums (finite support), a factorial-ratio majorant
@@ -42,7 +44,7 @@ routes.
 
 from __future__ import annotations
 
-import bisect
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ import numpy as np
 
 from . import coefficients as cf
 from .coefficients import _LATTICE_MAX, CoefficientSpec
-from .errors import CertificationError, ConfigError, RegionError
+from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .summation import CompensatedSum
 
 DEFAULT_SHELL_CAP = 10**6
@@ -553,7 +555,9 @@ def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> fl
 
 def _tail_bound(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Certified bound on sum |theta(n)| prod_l L_l(n)^(-<c_l, sigma>) over degree
-    > n_shell from theta's structural envelope: the least route, inf if none."""
+    > n_shell from theta's structural envelope: the least route, inf if none.
+    A route that comes out nan (inf * 0 where a power overflows and a
+    factor underflows) bounds nothing and is skipped."""
     if config.theta.support_degree is not None:
         return _finite_tail(config, sigma, n_shell)
     routes = []
@@ -563,7 +567,7 @@ def _tail_bound(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> floa
     routes.append(_poly_tail(config, sigma, n_shell))
     routes.append(_separable_tail(config, sigma, n_shell))
     routes.append(_nested_tail(config, sigma, n_shell))
-    return min(routes)
+    return float(min((x for x in routes if not math.isnan(x)), default=math.inf))
 
 
 def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
@@ -733,31 +737,23 @@ def _exponents(config: ShintaniConfig, pt: ComplexPoint) -> np.ndarray:
 
 
 def _terms(
-    config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool, vals=None
+    config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forms L_l(n) at the lattice points `pts` and the terms
-    theta(n) prod_l L_l(n)^(-beta_l); `vals`, when given, holds theta there."""
+    theta(n) prod_l L_l(n)^(-beta_l)."""
     forms = pts @ config.lam.T + config.form_offsets
     terms = _form_powers(forms, beta, is_real)
     if not config.theta.is_one:
-        if vals is None:
-            vals = cf.theta_values(config.theta, pts)
-        terms = np.asarray(vals) * terms
+        terms = np.asarray(cf.theta_values(config.theta, pts)) * terms
     return forms, terms
 
 
-def _sum_terms(
-    config: ShintaniConfig,
-    pt: ComplexPoint,
-    blocks: Iterable[np.ndarray],
-    thetas: Optional[Iterable[np.ndarray]] = None,
-) -> complex:
-    """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`;
-    `thetas`, when given, holds theta at those points block by block."""
+def _sum_terms(config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray]) -> complex:
+    """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`."""
     beta = _exponents(config, pt)
     acc = CompensatedSum()
-    for pts, vals in zip(blocks, itertools.repeat(None) if thetas is None else thetas):
-        acc.add_array(_terms(config, pts, beta, pt.is_real, vals)[1])
+    for pts in blocks:
+        acc.add_array(_terms(config, pts, beta, pt.is_real)[1])
     return acc.value
 
 
@@ -1033,6 +1029,11 @@ def _partial_sum(
 ) -> tuple[complex, float]:
     """Partial sum over total degree <= n_shell, and `tail` plus the line
     sums' remainder bound where line sums apply."""
+    if config.theta.support_degree is not None:
+        support = _finite_support(config)
+        kept = int(np.searchsorted(support[1], n_shell, side="right"))
+        (value,) = _finite_sums(config, support, (config.c @ pt.re)[None, :], pt.im[None, :], [kept])
+        return value, tail
     lines = _line_partial_sum(config, pt, n_shell, tail)
     if lines is not None:
         value, remainder = lines
@@ -1065,7 +1066,7 @@ def _choose_shell(
 
     n_cap = _cap_from_budget(config.r, shell_cap)
     tail = _tail_bound(config, sigma, n_cap)
-    if tail > tol:
+    if not tail <= tol:
         return n_cap, False, tail
     n, tail = _first_admissible(config, sigma, tol, n_cap, tail)
     return n, True, tail
@@ -1266,8 +1267,10 @@ def _evaluate(
 
     The shell depends only on sigma = Re s, so the region check and the
     shell choice run once for each distinct row of `re` (rows that are equal
-    bit for bit).  A finite support takes `_evaluate_finite`; every other
-    config sums each point's `_partial_sum` through the shell of its sigma.
+    bit for bit).  A finite support is enumerated, and theta evaluated on
+    it, once for all points, and `_finite_sums` sums every point through
+    the support points up to its shell; every other config sums each
+    point's `_partial_sum` through the shell of its sigma.
     """
     if not tol > 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
@@ -1285,113 +1288,100 @@ def _evaluate(
                 "point outside certified convergence region: needs "
                 f"min_l Re<c_l,s> > r/m = {config.r / config.m}"
             )
-    if config.theta.support_degree is not None:
-        return _evaluate_finite(config, re, im, sigmas, inverse, tol, shell_cap, points)
-    shells = [_choose_shell(config, sigma, tol, shell_cap) for sigma in sigmas]
-    if points is None:
-        points = tuple(map(ComplexPoint, re, im))
-    out = []
-    for pt, u in zip(points, inverse):
-        n_used, certified, tail = shells[u]
-        value, achieved = _partial_sum(config, pt, n_used, tail)
-        out.append(EvalResult(value=value, tail_bound=achieved, shells_used=n_used, certified=certified))
-    return out
+    support = None if config.theta.support_degree is None else _finite_support(config)
+    shells = [_choose_shell(config, sigma, tol, shell_cap, support) for sigma in sigmas]
+    if support is None:
+        if points is None:
+            points = tuple(map(ComplexPoint, re, im))
+        sums = [_partial_sum(config, pt, shells[u][0], shells[u][2]) for pt, u in zip(points, inverse)]
+    else:
+        kept = np.searchsorted(support[1], [n for n, _, _ in shells], side="right").tolist()
+        beta_re = np.array([config.c @ sigma for sigma in sigmas])[inverse]
+        values = _finite_sums(config, support, beta_re, im, [kept[u] for u in inverse])
+        sums = [(value, shells[u][2]) for value, u in zip(values, inverse)]
+    return [
+        _result(value, tail, shells[u][0], shells[u][1]) for (value, tail), u in zip(sums, inverse)
+    ]
 
 
-def _evaluate_finite(
+def _result(value: complex, tail: float, n_shell: int, certified: bool) -> EvalResult:
+    """The EvalResult of a partial sum, or NumericError when the sum is not
+    finite (its terms overflow): a nan or infinite value is never returned."""
+    if not cmath.isfinite(value):
+        raise NumericError(f"partial sum through shell {n_shell} is not finite: {value}")
+    return EvalResult(value=value, tail_bound=tail, shells_used=n_shell, certified=certified)
+
+
+def _finite_sums(
     config: ShintaniConfig,
-    re: np.ndarray,
-    im: np.ndarray,
-    sigmas: list[np.ndarray],
-    inverse: list[int],
-    tol: float,
-    shell_cap: int,
-    points: Optional[tuple[ComplexPoint, ...]],
-) -> list[EvalResult]:
-    """`_evaluate` for a finite support, enumerated and its theta evaluated
-    once for all points.
-
-    Each distinct sigma chooses its shell from that enumeration
-    (`_choose_shell`), and each point sums the support points up to its
-    shell: with one linear form, two or more complex points together with
-    `_finite_complex_sums`, which gives the same bits; every other point
-    with `_sum_terms`, as every other family does.
-    """
-    support = _finite_support(config)
-    pts, degrees, vals, forms = support
-    deg = degrees.tolist()
-    shells, kept = [], []  # per sigma: the shell, and the support points up to it
-    for sigma in sigmas:
-        shells.append(_choose_shell(config, sigma, tol, shell_cap, support))
-        kept.append(bisect.bisect_right(deg, shells[-1][0]))
-    batch, sums = [], {}  # the complex points summed together, and their sums
-    if len(re) > 1 and config.m == 1:
-        batch = np.flatnonzero(im.any(axis=1)).tolist()
-    if len(batch) > 1:
-        beta_re = np.array([(config.c @ sigma)[0] for sigma in sigmas])  # as `_exponents` forms it
-        at = [inverse[p] for p in batch]
-        sums = dict(zip(batch, _finite_complex_sums(
-            config, forms, vals, beta_re[at], im[batch], [kept[u] for u in at]
-        )))
-    out = []
-    for p, u in enumerate(inverse):
-        n_used, certified, tail = shells[u]
-        value = sums.get(p)
-        if value is None:
-            pt = points[p] if points is not None else ComplexPoint(re[p], im[p])
-            value = _sum_terms(config, pt, (pts[: kept[u]],), (vals[: kept[u]],))
-        out.append(EvalResult(value=value, tail_bound=tail, shells_used=n_used, certified=certified))
-    return out
-
-
-def _finite_complex_sums(
-    config: ShintaniConfig,
-    forms: np.ndarray,
-    vals: np.ndarray,
+    support: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     beta_re: np.ndarray,
     im: np.ndarray,
     kept: list[int],
 ) -> list[complex]:
-    """The sums of theta(n) L(n)^(-beta) over the first kept[p] support
-    points at complex points p of a config with one linear form (m = 1),
-    with Re beta = beta_re[p] (c @ Re s) and Im s = im[p]; each is the
-    `_sum_terms` of the point alone, bit for bit.
+    """The partial sums of a finite support (its `_finite_support`) at P
+    points: at point p, the sum of theta(n) prod_l L_l(n)^(-beta_l) over its
+    first kept[p] support points, with Re beta_l = beta_re[p, l] (c @ Re s,
+    as the tail bounds form it) and Im s = im[p].
+
+    Each entry is theta(n) exp(x + i y) with the exponent's real and
+    imaginary parts formed apart, x = sum_l Re beta_l (-log L_l(n)) and
+    y = sum_l Im beta_l (-log L_l(n)) summed over l in index order, with
+    Im beta_l = sum_j c_lj Im s_j in index order; theta times the exponential
+    is formed from real products.  Every step is a real ufunc or one complex
+    exp per entry, so no product is fused or summed by BLAS and an entry
+    does not depend on the other points: a point's sum has the same bits
+    alone, among other points and in any slice.
 
     The points are taken by ascending kept, in slices that form their terms
     as one (points x support) array up to the slice's largest kept, at most
-    _BLOCK entries (one point's terms if they are more).  Each entry is
-    theta(n) exp(-beta log L(n)) with the real and imaginary parts of the
-    exponent formed apart: each is one product, as in the complex product
-    log(forms) @ (-beta) of `_form_powers` (log L is real), so it rounds the
-    same way and no entry depends on the other points.  (With m >= 2 that
-    product sums over l, and BLAS may fuse the sum, so those points are
-    left to `_sum_terms`.)  Each point's sum is a row sum, which numpy takes
-    pairwise as it takes a 1-d sum, and `CompensatedSum.single_values` gives
-    the accumulator's value after it.
+    _BLOCK entries (one point's terms if they are more).  Each point's sum
+    is a row sum, which numpy takes pairwise as it takes a 1-d sum; adding
+    0.0 to it gives the value a fresh `CompensatedSum` has after adding it
+    (x + 0.0 folds -0.0 to +0.0 and keeps every other finite x, and the
+    compensation stays 0.0), and a sum that is not finite stays so.
     """
-    if config.d == 1:  # one product per point, the same in any form
-        beta_im = im[:, 0] * config.c[0, 0]
-    else:  # a sum over d, formed per point as `_exponents` forms it
-        beta_im = np.array([(config.c @ row)[0] for row in im])
+    _, _, vals, forms = support
     order = sorted(range(len(kept)), key=kept.__getitem__)
-    neg_log = -np.log(forms[: kept[order[-1]], 0])  # beta * (-log L) = -(beta log L), exactly
-    step = max(_BLOCK // max(kept[order[-1]], 1), 1)  # kept is 0 where no support point is kept
-    sums = np.empty(len(kept), dtype=complex)
-    for lo in range(0, len(order), step):
-        rows = order[lo : lo + step]
-        ks = [kept[p] for p in rows]
-        width = ks[-1]
-        expo = np.empty((len(rows), width), dtype=complex)
-        np.multiply(beta_re[rows, None], neg_log[:width], out=expo.real)
-        np.multiply(beta_im[rows, None], neg_log[:width], out=expo.imag)
-        terms = np.multiply(vals[:width], np.exp(expo, out=expo), out=expo)
-        first = 0
-        for i in range(1, len(rows) + 1):  # runs of equal kept are row ranges
-            if i == len(rows) or ks[i] != ks[first]:
-                sums[rows[first:i]] = terms[first:i, : ks[first]].sum(axis=1)
+    ks = [kept[p] for p in order]
+    # (Re, Im) of beta_l at the points by ascending kept, Im beta_l summed over j
+    beta = np.empty((len(ks), config.m, 2))
+    beta[:, :, 0] = beta_re[order]
+    im = im[order]
+    np.multiply(im[:, 0, None], config.c[:, 0], out=beta[:, :, 1])
+    for j in range(1, config.d):
+        beta[:, :, 1] += im[:, j, None] * config.c[:, j]
+    # over the whole support, whatever the call keeps; beta * (-log L) = -(beta log L)
+    neg_log = -np.log(forms)[:, :, None]
+    step = max(_BLOCK // max(ks[-1], 1), 1)  # kept is 0 where no support point is kept
+    sums = np.empty(len(ks), dtype=complex)
+    for lo in range(0, len(ks), step):
+        hi = min(lo + step, len(ks))
+        width = ks[hi - 1]
+        # x[i, k] = (Re, Im) of the exponent, then of the term, at support point k
+        x = np.multiply(beta[lo:hi, None, 0], neg_log[:width, 0])
+        for l in range(1, config.m):
+            x += beta[lo:hi, None, l] * neg_log[:width, l]
+        terms = x.view(complex)[:, :, 0]
+        np.exp(terms, out=terms)
+        if np.iscomplexobj(vals):  # (a + ib)(x + iy) = (ax - by) + i(ay + bx)
+            b_times = x * vals.imag[:width, None]
+            x *= vals.real[:width, None]
+            x[:, :, 0] -= b_times[:, :, 1]
+            x[:, :, 1] += b_times[:, :, 0]
+            del b_times
+        else:
+            x *= vals[:width, None]
+        first = lo
+        for i in range(lo + 1, hi + 1):  # runs of equal kept are row ranges
+            if i == hi or ks[i] != ks[first]:
+                sums[first:i] = terms[first - lo : i - lo, : ks[first]].sum(axis=1)
                 first = i
-        del expo, terms  # one slice's terms in memory at a time
-    return CompensatedSum.single_values(sums).tolist()
+        del x, terms  # one slice's terms in memory at a time
+    out = [0j] * len(ks)
+    for p, value in zip(order, (sums + 0.0).tolist()):
+        out[p] = value
+    return out
 
 
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
@@ -1400,9 +1390,7 @@ def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     _require_shell(n_shell)
     pt = as_point(s, config.d)
     value, tail = _partial_sum(config, pt, n_shell, _tail_bound(config, pt.re, n_shell))
-    return EvalResult(
-        value=value, tail_bound=tail, shells_used=n_shell, certified=math.isfinite(tail)
-    )
+    return _result(value, tail, n_shell, math.isfinite(tail))
 
 
 def _require_shell(n_shell) -> None:
@@ -1450,10 +1438,16 @@ def _one_form(u: float, theta: CoefficientSpec) -> ShintaniConfig:
     )
 
 
+SPECIAL_KINDS = (
+    "riemann", "hurwitz", "lerch", "lerch_transcendent", "euler_zagier",
+    "barnes", "generalized_barnes", "riemann_derivative",
+)
+
+
 def make_special(kind: str, **params) -> ShintaniConfig:
-    """Named configurations: riemann, hurwitz(u), lerch(u, v),
-    lerch_transcendent(u, q), euler_zagier(r, u), barnes(r, lam, u),
-    generalized_barnes(m, r, lam, u), riemann_derivative."""
+    """Named configurations, one for each of SPECIAL_KINDS: riemann,
+    hurwitz(u), lerch(u, v), lerch_transcendent(u, q), euler_zagier(r, u),
+    barnes(r, lam, u), generalized_barnes(m, r, lam, u), riemann_derivative."""
     if kind == "riemann":
         _expect_params(kind, params, set())
         return _one_form(1.0, CoefficientSpec.constant(1.0))

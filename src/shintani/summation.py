@@ -58,18 +58,6 @@ class CompensatedSum:
     def value(self) -> complex:
         return complex(self._re + self._cre, self._im + self._cim)
 
-    @staticmethod
-    def single_values(totals: np.ndarray) -> np.ndarray:
-        """The value of a fresh accumulator after one add(t), for every t
-        of a complex array, with the same bits.  From the zero state, `add`
-        keeps x + 0.0 in each part and a compensation of 0.0, or of nan
-        where x is inf (inf - inf) or nan; (x + 0.0) + 0.0 * x is that
-        value: 0.0 * x is a signed zero for finite x, which leaves the sum
-        unchanged, and nan otherwise."""
-        x = np.ascontiguousarray(totals, dtype=complex).view(float)  # re, im interleaved
-        with np.errstate(invalid="ignore"):  # 0 * inf
-            return ((x + 0.0) + 0.0 * x).view(complex)
-
 
 def exact_complex_sum(values: np.ndarray) -> complex:
     """Order-independent sum of a complex array: ``exact_real_sum`` of the

@@ -27,7 +27,8 @@ from shintani.config_io import (
 from shintani.coefficients import FAMILIES, CoefficientSpec
 from shintani.errors import ConfigError
 from shintani.euler import dedekind_euler_config
-from shintani.series import make_special
+from shintani.distributions import SPECIAL_DISTRIBUTION_KINDS
+from shintani.series import SPECIAL_KINDS, make_special
 
 MINIMAL = """
 function:
@@ -279,6 +280,32 @@ class TestCli:
         )
         result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
         assert result.exit_code == 3
+
+    # the terms overflow on the way to the NumericError
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("function, s", [
+        ("{kind: special, name: lerch_transcendent, params: {u: 1.0, q: 0.5}}", "-400.0"),
+        ("{kind: shintani, d: 1, m: 1, r: 1, lambda: [[1.0]], u: [1.0], c: [[1.0]],\n"
+         "  theta: {family: finite_support, params: {entries: [{n: [0], value: 1.0}, {n: [1000], value: 1.0}]},\n"
+         "          envelope: {B: 1.0, eps: 0.0}}}", "-200.0"),
+    ])
+    def test_non_finite_value_is_numeric_error(self, tmp_path, function, s):
+        # both once wrote a nan value certified, with exit 0
+        cfgp = self.write(
+            tmp_path, f"function: {function}\naction: {{s: {s}}}\noutput: {{dir: '{tmp_path}'}}\n"
+        )
+        result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
+        assert result.exit_code == 3, result.output
+        assert "not finite" in result.output
+        assert not (tmp_path / "eval.csv").exists()
+
+    def test_every_special_kind_parses(self):
+        # the accepted names are the two constructors' tuples
+        for name in SPECIAL_KINDS + SPECIAL_DISTRIBUTION_KINDS:
+            rc = parse_config(f"function: {{kind: special, name: {name}}}\n")
+            assert rc.special()[0] == name
+        with pytest.raises(ConfigError, match="unknown special"):
+            parse_config("function: {kind: special, name: zeta}\n")
 
     def test_exit_code_noncertified(self, tmp_path):
         cfgp = self.write(

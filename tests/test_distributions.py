@@ -11,7 +11,9 @@ import pytest
 from conftest import random_config, region_sigma
 from shintani import coefficients
 from shintani.coefficients import CoefficientSpec
+from shintani import series
 from shintani.distributions import (
+    SPECIAL_DISTRIBUTION_KINDS,
     _merge_atoms,
     atom_cf,
     atom_cf_grid,
@@ -23,7 +25,7 @@ from shintani.distributions import (
     sample,
 )
 from shintani.errors import CertificationError, ConfigError, RegionError
-from shintani.series import ShintaniConfig, differentiate, make_special
+from shintani.series import ShintaniConfig, differentiate, evaluate, make_special
 
 ZETA2 = math.pi**2 / 6
 
@@ -186,6 +188,17 @@ class TestCharFn:
         with pytest.raises(NumericError, match="normalizer"):
             char_fn(cfg, 1.0, 0.5, tol=1e-12)
 
+    def test_one_evaluate_many_call(self):
+        # numerator and normaliser share Re s: one shell choice, and each
+        # value has the bits of its own evaluate call
+        for cfg, sigma, t in ((riemann(), 2.0, 1.5),
+                              (make_special_distribution("binomial", j=2, big_k=3, phi=0.8, sigma=-1.0).config, -1.0, 2.0)):
+            with mock.patch.object(series, "_choose_shell", wraps=series._choose_shell) as spy:
+                got = char_fn(cfg, sigma, t, tol=1e-8)
+            assert spy.call_count == 1
+            num, den = (evaluate(cfg, complex(sigma, x), tol=1e-8) for x in (t, 0.0))
+            assert got.value == num.value / den.value
+
     def test_grid_axis_in_range(self):
         cfg = make_special("euler_zagier", r=2, u=(1.0, 1.0))
         dist = build_distribution(cfg, (3.0, 2.5), delta=1e-3, shell_cap=10**6)
@@ -244,6 +257,13 @@ class TestSpecials:
         sd = make_special_distribution("poisson", j=2, sigma=-0.1, check=False)
         dist = build_distribution(sd.config, sd.sigma, delta=1e-10)
         assert abs(float(np.sum(dist.masses)) - 1.0) <= 1e-9
+
+    def test_every_special_distribution_kind_is_known(self):
+        # each name of the tuple reaches its own branch, which rejects the
+        # parameter no kind takes
+        for kind in SPECIAL_DISTRIBUTION_KINDS:
+            with pytest.raises(ConfigError, match="unexpected parameters"):
+                make_special_distribution(kind, check=False, j=2, big_k=1, phi=1.0, sigma=-1.0, bogus=1)
 
     def test_parameter_errors(self):
         with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from shintani.errors import ConfigError, RegionError
 from shintani.series import (
     ComplexPoint,
     ShintaniConfig,
+    differentiate,
     evaluate,
     evaluate_many,
+    evaluate_partial,
     make_special,
 )
 
@@ -197,8 +200,9 @@ class TestInputs:
 
 
 class TestFiniteBatch:
-    """Two or more complex points on a finite support are summed together
-    (`_finite_complex_sums`); the others, and `evaluate`, take `_sum_terms`."""
+    """Every point on a finite support, alone or among others, real or
+    complex, is summed by one kernel, `_finite_sums`, which forms each entry
+    the same way whatever else its slice holds."""
 
     @staticmethod
     def grid(r: int, top: int, ratio: float) -> dict:
@@ -207,9 +211,9 @@ class TestFiniteBatch:
         return {p: ratio ** sum(p) * (-1.0) ** p[0] for p in pts}
 
     def test_imaginary_exponents_of_every_dimension(self):
-        # at d >= 2, <c_l, Im s> is a sum over d, formed per point as
-        # `evaluate` forms it: a product of all points at once rounds some
-        # of those sums differently
+        # at d >= 2, <c_l, Im s> is a sum over d, formed entry by entry in
+        # index order: a matrix product of all points at once would round
+        # some of those sums differently
         rng = np.random.default_rng(5)
         for d, m in ((2, 1), (3, 1), (3, 2)):
             config = ShintaniConfig(
@@ -221,9 +225,9 @@ class TestFiniteBatch:
             assert [_bits(r) for r in many] == [_bits(evaluate(config, s, tol=1e-12)) for s in points]
 
     def test_two_forms(self):
-        # with m = 2 the exponent sums over the forms, and a fused
-        # multiply-add there rounds differently from two products: such
-        # points are summed one at a time
+        # with m = 2 the exponent sums over the forms, in index order with
+        # separate products and sums: a fused multiply-add there would round
+        # differently from two products
         config = ShintaniConfig(
             d=1, m=2, r=2, lam=[[1.0, 1.0], [1.0, 2.0]], u=[1.0, 0.5], c=[[0.5], [1.0]],
             theta=CoefficientSpec.finite_support({(0, 0): 1.0 + 0j}),
@@ -268,3 +272,75 @@ class TestFiniteBatch:
         assert {r.shells_used for r in many} == {199}
         for k in range(0, 400, 37):
             assert _bits(many[k]) == _bits(evaluate(config, points[k], tol=1e-12)), points[k]
+
+
+def _sweep_cases(seed: int, count: int):
+    """Seeded finite supports with complex theta (real on about a third),
+    m, r and d up to 3, 1 to 44 support points (up to 8 on half of them),
+    and batches of 1 to 7 points, a third of them real and every other one
+    sharing Re s with the first; loose tolerances and small budgets stop
+    some shells early."""
+    top = {1: 59, 2: 9, 3: 4}  # room for 44 distinct support points at every rank
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, d, r = (int(x) for x in rng.integers(1, 4, size=3))
+        size = rng.integers(1, 45 if rng.random() < 0.5 else 9)
+        pts = sorted(set(map(tuple, rng.integers(0, top[r] + 1, size=(size, r)).tolist())))
+        vals = rng.uniform(-2.0, 2.0, (len(pts), 2))
+        if rng.random() < 0.3:
+            vals[:, 1] = 0.0
+        config = ShintaniConfig(
+            d=d, m=m, r=r, lam=rng.uniform(0.3, 2.0, (m, r)), u=rng.uniform(0.3, 2.0, r),
+            c=rng.uniform(-1.5, 1.5, (m, d)),
+            theta=CoefficientSpec.finite_support(dict(zip(pts, (vals[:, 0] + 1j * vals[:, 1]).tolist()))),
+        )
+        n = int(rng.integers(1, 8))
+        re = rng.uniform(-3.0, 3.0, (n, d))
+        im = rng.uniform(-20.0, 20.0, (n, d)) * (rng.random((n, 1)) < 0.7)
+        re[1::2] = re[0]
+        tol = 10.0 ** rng.uniform(-12.0, 0.0)
+        cap = int(rng.integers(0, 40)) if rng.random() < 0.3 else 10**4
+        yield config, re + 1j * im, tol, cap
+
+
+def test_finite_sweep_lone_batched_and_partial_agree(monkeypatch):
+    """evaluate_many(...)[i] and evaluate(...) give the same bits at every
+    point of 1,500 finite supports, and evaluate_partial(..., shells_used)
+    at one point of each; every other batch runs with _BLOCK = 2, whose
+    slices are one or two points wide and often one support point long."""
+    points = 0
+    for k, (config, batch, tol, cap) in enumerate(_sweep_cases(2013, 1500)):
+        with monkeypatch.context() as patch:
+            if k % 2:
+                patch.setattr(series, "_BLOCK", 2)
+            many = evaluate_many(config, batch, tol=tol, shell_cap=cap)
+        for s, res in zip(batch, many):
+            assert _bits(res) == _bits(evaluate(config, s, tol=tol, shell_cap=cap)), s
+        s, res = batch[k % len(batch)], many[k % len(batch)]
+        assert _bits(evaluate_partial(config, s, res.shells_used))[:4] == _bits(res)[:4], s
+        points += len(batch)
+    assert points > 5000
+
+
+def test_finite_supports_use_one_kernel(monkeypatch):
+    """No finite-support evaluation reaches the per-point kernels: every
+    partial sum of evaluate, evaluate_many and evaluate_partial comes from
+    `_finite_sums`, at real and complex s, for one or more forms and points."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite support reached a per-point kernel")
+
+    kernel = mock.Mock(wraps=series._finite_sums)
+    monkeypatch.setattr(series, "_finite_sums", kernel)
+    monkeypatch.setattr(series, "_sum_terms", refuse)
+    monkeypatch.setattr(series, "_form_powers", refuse)
+    calls = 0
+    for config, batch, tol, cap in _sweep_cases(7, 40):
+        evaluate_many(config, batch, tol=tol, shell_cap=cap)
+        for s in batch:
+            evaluate(config, s, tol=tol, shell_cap=cap)
+            evaluate_partial(config, s, 3)
+        calls += 1 + 2 * len(batch)
+    binomial = make_special_distribution("binomial", j=2, big_k=3, phi=0.8, sigma=-1.0)
+    evaluate(binomial.config, -1.0)
+    evaluate(differentiate(binomial.config, 1), -1.0 + 2.0j)
+    assert kernel.call_count == calls + 2

@@ -12,12 +12,15 @@ import scipy.special as sp
 
 from conftest import random_config, region_sigma
 from shintani.coefficients import CoefficientSpec, Envelope
-from shintani.errors import CertificationError, ConfigError, RegionError
+from shintani import series
+from shintani.errors import CertificationError, ConfigError, NumericError, RegionError
 from shintani.series import (
+    SPECIAL_KINDS,
     ComplexPoint,
     ShintaniConfig,
     differentiate,
     evaluate,
+    evaluate_many,
     evaluate_partial,
     in_convergence_region,
     lattice_count,
@@ -256,6 +259,34 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="positive"):
             evaluate(riemann(), 2.0, tol=math.nan, shell_cap=10**3)
 
+    # the terms overflow on the way to the NumericError
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("config, s", [
+        # the geometric tail formed inf * 0, and a nan route certified
+        (make_special("lerch_transcendent", u=1, q=0.5), -400.0),
+        (make_special("lerch_transcendent", u=1, q=0.5), -400.0 + 3.0j),
+        # 1 + 1001^200 overflows in a certified finite sum
+        (ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]],
+                        theta=CoefficientSpec.finite_support({(0,): 1.0, (1000,): 1.0})), -200.0),
+    ])
+    def test_non_finite_value_is_numeric_error(self, config, s):
+        for call in (
+            lambda: evaluate(config, s, tol=1e-8),
+            lambda: evaluate_many(config, [s], tol=1e-8),
+            lambda: evaluate_partial(config, s, 999_999),
+        ):
+            with pytest.raises(NumericError, match="not finite"):
+                call()
+
+    def test_nan_tail_route_is_skipped(self):
+        # at s = -400 every route is nan or inf: no certified bound
+        cfg = make_special("lerch_transcendent", u=1, q=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = series._tail_bound(cfg, np.array([-400.0]), 999_999)
+            assert type(bound) is float and bound == math.inf
+            with pytest.raises(CertificationError):
+                tail_bound(cfg, -400.0, 999_999)
+
     def test_complex_point(self):
         res = evaluate(riemann(), ComplexPoint([2.0], [1.0]), tol=1e-6)
         # frozen from the independent high-precision oracle
@@ -369,6 +400,15 @@ class TestDifferentiate:
 
 
 class TestMakeSpecial:
+    def test_every_special_kind_is_known(self):
+        # each name of the tuple reaches its own branch, which rejects the
+        # parameter no kind takes
+        for kind in SPECIAL_KINDS:
+            with pytest.raises(ConfigError, match="unexpected parameters"):
+                make_special(kind, bogus=1)
+        with pytest.raises(ConfigError, match="unknown special kind"):
+            make_special("binomial")
+
     def test_hurwitz_one_is_riemann(self):
         a = evaluate(make_special("hurwitz", u=1.0), 3.0, tol=1e-9)
         b = evaluate(riemann(), 3.0, tol=1e-9)
