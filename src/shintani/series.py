@@ -567,7 +567,11 @@ def _tail_bound(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> floa
     routes.append(_poly_tail(config, sigma, n_shell))
     routes.append(_separable_tail(config, sigma, n_shell))
     routes.append(_nested_tail(config, sigma, n_shell))
-    return float(min((x for x in routes if not math.isnan(x)), default=math.inf))
+    best = math.inf
+    for x in routes:
+        if x < best:  # false for nan
+            best = x
+    return float(best)
 
 
 def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
@@ -1028,7 +1032,8 @@ def _partial_sum(
     config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
 ) -> tuple[complex, float]:
     """Partial sum over total degree <= n_shell, and `tail` plus the line
-    sums' remainder bound where line sums apply."""
+    sums' remainder bound where line sums apply.  A finite support's sum
+    comes from `_finite_sums`, as in `evaluate`."""
     if config.theta.support_degree is not None:
         support = _finite_support(config)
         kept = int(np.searchsorted(support[1], n_shell, side="right"))
