@@ -1206,8 +1206,9 @@ def evaluate(
 
     The shell count is the smallest one whose tail bound is <= tol; if the
     enumerated-point budget shell_cap is hit first, the partial sum is
-    returned flagged non-certified with the achieved bound.  This is the
-    one-point case of `evaluate_many`.
+    returned flagged non-certified with the achieved bound.  A partial sum
+    that is not finite raises NumericError.  This is the one-point case of
+    `evaluate_many`.
     """
     _require_valid(config)
     pt = as_point(s, config.d)
@@ -1383,14 +1384,12 @@ def _finite_sums(
                 sums[first:i] = terms[first - lo : i - lo, : ks[first]].sum(axis=1)
                 first = i
         del x, terms  # one slice's terms in memory at a time
-    out = [0j] * len(ks)
-    for p, value in zip(order, (sums + 0.0).tolist()):
-        out[p] = value
-    return out
+    return [value for _, value in sorted(zip(order, (sums + 0.0).tolist()))]  # callers' order
 
 
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
-    """Plain partial sum over total degree <= n_shell, with its tail bound."""
+    """Plain partial sum over total degree <= n_shell, with its tail bound;
+    NumericError when the sum is not finite."""
     _require_valid(config)
     _require_shell(n_shell)
     pt = as_point(s, config.d)
