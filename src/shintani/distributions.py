@@ -35,6 +35,11 @@ from .series import (
 from .summation import CompensatedSum, exact_real_sum
 
 _GROW_BLOCK = 1 << 15
+# atom_cf_grid: atoms per block and grid points per run (a 2^15-entry power
+# table), and how far a grid point may sit off t_0 + k h, in eps * max|t|
+_CF_ATOMS = 1 << 10
+_CF_RUN = 32
+_CF_EVEN_EPS = 8
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,7 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
         u = float(params.pop("u", 1.0))
         c = float(params.pop("c", 1.0))
         theta0 = float(params.pop("theta0", 1.0))
-        sigma = float(params.pop("sigma"))
+        sigma = float(_required(kind, params, "sigma"))
         _no_extra(kind, params)
         if lam <= 0 or u <= 0:
             raise ConfigError("delta needs lam > 0 and u > 0")
@@ -301,10 +306,10 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
             params={"lam": lam, "u": u, "c": c, "theta0": theta0, "sigma": sigma},
         )
     if kind == "binomial":
-        j = int(params.pop("j"))
-        big_k = int(params.pop("big_k"))
-        phi = float(params.pop("phi"))
-        sigma = float(params.pop("sigma"))
+        j = int(_required(kind, params, "j"))
+        big_k = int(_required(kind, params, "big_k"))
+        phi = float(_required(kind, params, "phi"))
+        sigma = float(_required(kind, params, "sigma"))
         _no_extra(kind, params)
         if j < 2 or big_k < 1 or phi <= 0:
             raise ConfigError("binomial needs j >= 2, big_k >= 1, phi > 0")
@@ -332,9 +337,9 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
             params={"j": j, "big_k": big_k, "phi": phi, "sigma": sigma, "p": p},
         )
     if kind == "poisson":
-        j = int(params.pop("j"))
+        j = int(_required(kind, params, "j"))
         rate = float(params.pop("rate", 0.0))
-        sigma = float(params.pop("sigma"))
+        sigma = float(_required(kind, params, "sigma"))
         _no_extra(kind, params)
         if j < 2:
             raise ConfigError("poisson needs j >= 2")
@@ -356,6 +361,13 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
             params={"j": j, "rate": rate, "sigma": sigma, "mean": mean},
         )
     raise ConfigError(f"unknown special distribution kind {kind!r}")
+
+
+def _required(kind: str, params: dict, name: str):
+    """Pop a parameter the construction cannot default."""
+    if name not in params:
+        raise ConfigError(f"{kind} needs the parameter {name!r}")
+    return params.pop(name)
 
 
 def _no_extra(kind: str, params: dict) -> None:
@@ -418,34 +430,128 @@ def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
     return MomentValue(value=value, tail_bound=raw / abs(dist.normalizer.value.real))
 
 
+def _phases(points: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """<x, t> for each row x of points (k, d), as column products summed in
+    index order.  At d = 1 this has the bits of the matvec points @ t, which
+    forms 0.0 + x t: adding 0.0 folds -0.0 as it does."""
+    if t.size != points.shape[1]:
+        raise ConfigError(f"t has dimension {t.size}, the points have {points.shape[1]}")
+    phases = points[:, 0] * t[0]
+    for j in range(1, t.size):
+        phases += points[:, j] * t[j]
+    phases += 0.0
+    return phases
+
+
 def empirical_cf(batch: SampleBatch, t) -> complex:
     """(1/N) sum_j exp(i <t, x_j>)."""
     if batch.points.size == 0:
         raise ConfigError("empty sample batch")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if t_arr.size != batch.points.shape[1]:
-        raise ConfigError(
-            f"t has dimension {t_arr.size}, samples have {batch.points.shape[1]}"
-        )
-    phases = batch.points @ t_arr
+    phases = _phases(batch.points, np.atleast_1d(np.asarray(t, dtype=float)))
     total = complex(exact_real_sum(np.cos(phases)), exact_real_sum(np.sin(phases)))
     return total / batch.count
 
 
 def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:
-    """The atom table's characteristic function at t e_axis for each t of
-    `ts` (axis in 1..d), one plain `np.sum` over the atoms per t; `atom_cf`
-    is the order-independent path for single points."""
+    """The atom table's characteristic function sum_x m_x e^(i t x) at
+    t e_axis for each t of `ts` (axis in 1..d), an evenly spaced grid;
+    `atom_cf` is the order-independent path for one point.
+
+    With h = (t_(n-1) - t_0) / (n - 1), every t_k must lie within
+    _CF_EVEN_EPS * eps * max|t| of t_0 + k h (arange and linspace grids lie
+    within 2), else ConfigError.  The atoms go in blocks of at most
+    B = _CF_ATOMS and the grid in runs of K = _CF_RUN points.  A block forms
+    w = e^(ihx) and its powers p_j = p_(j-1) w, j < K.  A run from t_k0
+    forms the anchor a = m e^(i t_k0 x) and adds the block's sum of p_j a,
+    which is m e^(i (t_k0 + j h) x), to the value at t_(k0+j); the block
+    sums are added in block order.  Each atom so costs one cos and one sin
+    per K grid points, and no working array holds more than K B = 2^15
+    entries.
+
+    Error bound.  Let u = 2^-53, M = sum m, X = max|x|, T = max|t|,
+    nb = ceil(atoms / B) and D = max_k |t_k - t_0 - k h| in exact
+    arithmetic, and take cos and sin to err by at most one ulp, 2u.  Then
+    every value is within
+
+        u M (6 K + 3 B + nb) + (3 u T + 2 D) M X
+
+    of sum_x m_x e^(i t_k x), and the grid check gives D <= 20 u T, so
+    this is at most u M (6 K + 3 B + nb + 43 T X).  Proof, at one atom and
+    the output t_k = t_(k0+j):
+
+    - Phase.  The run sums m e^(i (phi + j psi)) with phi = fl(t_k0 x) and
+      psi = fl(h x): |phi - t_k0 x| <= u T |x|, and j |psi - h x| <=
+      u j |h| |x| <= u (2 T + 2 D) |x|, since j h is t_(k0+j) - t_k0 up to
+      2 D, which also bounds |t_k0 + j h - t_k|.  As |e^(ia) - e^(ib)| <=
+      |a - b|, the phase costs at most (3 u T + 2 D (1 + u)) X m.
+    - Anchor and step.  cos, sin and the two products by m put the anchor
+      within 3 sqrt(2) u m of m e^(i phi), and w within 2 sqrt(2) u of
+      e^(i psi).
+    - Powers.  A complex product errs by at most sqrt(5) u relative to its
+      exact value (Brent, Percival and Zimmermann, Math. Comp. 76, 2007),
+      so by induction |p_j - e^(i j psi)| <= j (2 sqrt(2) + sqrt(5)) u
+      (1 + 6 K u) <= 5.1 (K - 1) u (1 + 6 K u).
+    - Block sums.  The real and the imaginary part of the sum of p_j a over
+      a block are real dot products of length 2 B, which err by at most
+      gamma_2B = 2 B u / (1 - 2 B u) times their sums of |products| in any
+      order and with any fused operations (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2002, section 3.1), so the complex sum errs
+      by at most sqrt(2) gamma_2B sum |p_j| |a| <= 2.9 B u M (1 + 6 K u).
+      Adding the nb block sums in order errs by at most gamma_nb times the
+      sum of their moduli, nb u M (1 + 6 K u).
+    - The rounding parts add to (4.3 + 5.1 (K - 1) + 2.9 B + nb) u M
+      (1 + 6 K u) <= (6 K + 3 B + nb) u M, at K = 32 and B = 1024.
+    - Grid check.  It passes when fl(|t_k - fl(t_0 + fl(k h))|) <= 16 u T.
+      The two roundings inside move t_0 + k h by at most
+      u (|k h| + T + D) (1 + 2 u), and |k h| <= 2 T + D, so
+      D <= 16 u T (1 + u) + u (3 T + 2 D) (1 + 2 u), which gives D <= 20 u T.
+    """
     if not 1 <= axis <= dist.d:
         raise ConfigError(f"t axis must be in 1..{dist.d}, got {axis}")
+    ts = np.asarray(ts, dtype=float).ravel()
+    n = ts.size
+    values = np.zeros(n, dtype=complex)
+    if n == 0:
+        return values
+    h = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a t that is not finite fails the test
+        off_grid = np.abs(ts - (ts[0] + np.arange(n) * h))
+        even = np.all(off_grid <= _CF_EVEN_EPS * np.finfo(float).eps * np.max(np.abs(ts)))
+    if not even:
+        raise ConfigError(
+            f"atom_cf_grid needs an evenly spaced grid of finite t, got a deviation of "
+            f"{np.max(off_grid)!r} from t_0 + k h"
+        )
     locs = dist.locations[:, axis - 1]
-    return np.array([np.sum(dist.masses * np.exp(1j * t * locs)) for t in ts], dtype=complex)
+    rows, width = min(_CF_RUN, n), min(_CF_ATOMS, max(dist.atom_count, 1))
+    powers = np.empty((rows, width), dtype=complex)
+    powers[0] = 1.0
+    anchor = np.empty(width, dtype=complex)
+    phases = np.empty(width)
+    for lo in range(0, dist.atom_count, width):
+        x = locs[lo : lo + width]
+        m = dist.masses[lo : lo + width]
+        p, a, phase = powers[:, : x.size], anchor[: x.size], phases[: x.size]
+        if rows > 1:
+            np.multiply(h, x, out=phase)
+            np.cos(phase, out=p[1].real)
+            np.sin(phase, out=p[1].imag)
+        for j in range(2, rows):
+            np.multiply(p[j - 1], p[1], out=p[j])
+        for k0 in range(0, n, rows):
+            np.multiply(ts[k0], x, out=phase)
+            np.cos(phase, out=a.real)
+            np.sin(phase, out=a.imag)
+            a.real *= m
+            a.imag *= m
+            k1 = min(k0 + rows, n)
+            values[k0:k1] += p[: k1 - k0] @ a
+    return values
 
 
 def atom_cf(dist: ZetaDistribution, t) -> complex:
     """Characteristic function of the truncated atom table itself."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    phases = dist.locations @ t_arr
+    phases = _phases(dist.locations, np.atleast_1d(np.asarray(t, dtype=float)))
     return complex(
         exact_real_sum(dist.masses * np.cos(phases)),
         exact_real_sum(dist.masses * np.sin(phases)),

@@ -397,10 +397,15 @@ def _finite_support(
     config: ShintaniConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The whole finite support, ascending (degree, point), with its degrees,
-    theta values and linear forms, from one enumeration."""
+    theta values and linear forms, from one enumeration.
+
+    A point whose theta is 0 gets the forms 1, so its term theta(n) prod_l
+    L_l(n)^(-beta_l) is exactly 0 at every s, where its true power could
+    overflow (0 * inf is nan), and it keeps its place in every sum."""
     (pts,) = _blocks_upto(config, config.theta.support_degree)
     vals = np.asarray(cf.theta_values(config.theta, pts))
     forms = pts @ config.lam.T + config.form_offsets
+    forms[vals == 0] = 1.0
     return pts, pts.sum(axis=1), vals, forms
 
 

@@ -281,6 +281,18 @@ class TestCli:
         result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
         assert result.exit_code == 3
 
+    def test_missing_distribution_parameter_exits_2(self, tmp_path):
+        # make_special_distribution once raised KeyError, a traceback with exit 1
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: binomial, params: {j: 2}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert "'big_k'" in result.output
+        assert not (tmp_path / "eval.csv").exists()
+
     # the terms overflow on the way to the NumericError
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("function, s", [

@@ -1,7 +1,9 @@
 """Zeta distributions: atom tables, characteristic functions, closed-form
 constructions, sampling, and moments."""
 
+import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath as mp
@@ -11,10 +13,11 @@ import pytest
 from conftest import random_config, region_sigma
 from shintani import coefficients
 from shintani.coefficients import CoefficientSpec
-from shintani import series
+from shintani import distributions, series
 from shintani.distributions import (
     SPECIAL_DISTRIBUTION_KINDS,
     _merge_atoms,
+    _phases,
     atom_cf,
     atom_cf_grid,
     build_distribution,
@@ -265,6 +268,17 @@ class TestSpecials:
             with pytest.raises(ConfigError, match="unexpected parameters"):
                 make_special_distribution(kind, check=False, j=2, big_k=1, phi=1.0, sigma=-1.0, bogus=1)
 
+    @pytest.mark.parametrize("kind, params, missing", [
+        ("binomial", {"j": 2}, "big_k"),
+        ("binomial", {"j": 2, "big_k": 1, "sigma": -1.0}, "phi"),
+        ("poisson", {"j": 2}, "sigma"),
+        ("delta", {}, "sigma"),
+    ])
+    def test_missing_parameter_is_config_error(self, kind, params, missing):
+        # a missing parameter once raised KeyError
+        with pytest.raises(ConfigError, match=repr(missing)):
+            make_special_distribution(kind, **params)
+
     def test_parameter_errors(self):
         with pytest.raises(ConfigError):
             make_special_distribution("binomial", j=1, big_k=1, phi=1.0, sigma=-1.0)
@@ -454,3 +468,107 @@ class TestEmpirical:
             total = float(np.sum(dist.masses))
             assert 1.0 - 1e-5 <= total <= 1.0 + 1e-10
             done += 1
+
+
+class TestAtomCfGrid:
+    """`atom_cf_grid` against `atom_cf`, within the bound its docstring proves."""
+
+    U = 2.0**-53
+
+    @staticmethod
+    def table(rng, atoms, d):
+        base = build_distribution(riemann(), 2.0, delta=1e-3)
+        return dataclasses.replace(
+            base,
+            locations=rng.uniform(-8.0, 8.0, size=(atoms, d)),
+            masses=rng.dirichlet(np.ones(atoms)),
+        )
+
+    def stated_bound(self, dist, axis, ts):
+        """u M (6 K + 3 B + nb + 43 T X), the docstring's bound on the error
+        against the exact sum, plus atom_cf's own: its phase t x and its cos
+        or sin err by u T X and 2 u, its products by m by u, its sums by u."""
+        u, big_k, big_b = self.U, distributions._CF_RUN, distributions._CF_ATOMS
+        mass = math.fsum(dist.masses)
+        big_t = float(np.max(np.abs(ts)))
+        big_x = float(np.max(np.abs(dist.locations[:, axis - 1])))
+        blocks = -(-dist.atom_count // big_b)
+        grid = u * mass * (6 * big_k + 3 * big_b + blocks + 43 * big_t * big_x)
+        return grid + math.sqrt(2.0) * u * mass * (big_t * big_x + 4.0)
+
+    @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 101])
+    def test_seeded_tables_within_bound(self, count):
+        rng = np.random.default_rng(1000 + count)
+        for d in (1, 2, 3):
+            # 2,500 atoms fill two blocks and part of a third; 7 fit in one
+            for atoms in (7, 2500):
+                dist = self.table(rng, atoms, d)
+                lo = float(rng.uniform(-30.0, 30.0))
+                step = float(rng.uniform(0.01, 0.5)) * (1 if rng.random() < 0.5 else -1)
+                # the callers' two kinds of grid; the step is negative in half the draws
+                grids = (np.linspace(lo, lo + step * (count - 1), count),
+                         np.arange(lo, lo + step * (count - 0.5), step))
+                for axis in range(1, d + 1):
+                    for ts in grids:
+                        assert ts.size == count
+                        got = atom_cf_grid(dist, axis, ts)
+                        bound = self.stated_bound(dist, axis, ts)
+                        point = np.zeros(d)
+                        for t, value in zip(ts, got):
+                            point[axis - 1] = t
+                            assert abs(value - atom_cf(dist, point)) <= bound
+
+    def test_empty_grid(self):
+        dist = self.table(np.random.default_rng(6), 10, 1)
+        assert atom_cf_grid(dist, 1, []).shape == (0,)
+
+    @pytest.mark.parametrize("ts", [
+        [0.0, 1.0, 3.0],
+        [0.0, 0.5, math.nan],
+        [0.0, 0.5, math.inf],
+        np.linspace(-20.0, 20.0, 801) + np.where(np.arange(801) == 400, 1e-9, 0.0),
+    ])
+    def test_uneven_grid_is_config_error(self, ts):
+        dist = self.table(np.random.default_rng(7), 10, 1)
+        with pytest.raises(ConfigError, match="evenly spaced grid of finite t"):
+            atom_cf_grid(dist, 1, ts)
+
+    def test_arange_and_linspace_grids_are_even(self):
+        # both callers' grids, over wide ranges of ends and steps
+        dist = self.table(np.random.default_rng(8), 3, 1)
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            lo = float(rng.uniform(-100.0, 100.0) * 10 ** rng.uniform(-3, 3))
+            span = float(10 ** rng.uniform(-3, 3))
+            count = int(rng.integers(2, 2000))
+            atom_cf_grid(dist, 1, np.linspace(lo, lo + span, count))
+            atom_cf_grid(dist, 1, np.arange(lo, lo + span + span / count / 2, span / count))
+
+    def test_memory_stays_in_blocks(self):
+        rng = np.random.default_rng(10)
+        dist = self.table(rng, 1 << 20, 1)
+        ts = np.linspace(-20.0, 20.0, 801)
+        tracemalloc.start()
+        try:
+            got = atom_cf_grid(dist, 1, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - got.nbytes < 2 * 2**20
+
+    def test_phases_are_the_matvec_bits_at_d1(self):
+        rng = np.random.default_rng(11)
+        points = rng.standard_normal((4000, 1)) * 10.0 ** rng.integers(-300, 300, size=(4000, 1))
+        points[::7] = 0.0
+        points[1::7] = -0.0
+        for t in (1.7, -2.3, 0.0, -0.0, 1e300):
+            t_arr = np.array([t])
+            with np.errstate(over="ignore"):
+                assert np.array_equal((points @ t_arr).view(np.int64), _phases(points, t_arr).view(np.int64))
+
+    def test_point_dimension_checked(self):
+        # atom_cf's matvec once raised a bare ValueError
+        dist = self.table(np.random.default_rng(12), 10, 2)
+        for t in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ConfigError, match="dimension"):
+                atom_cf(dist, t)

@@ -278,6 +278,30 @@ class TestEvaluate:
             with pytest.raises(NumericError, match="not finite"):
                 call()
 
+    def test_zero_coefficient_with_overflowing_power(self):
+        # 0 * 1001^200 was 0 * inf = nan: a NumericError value and no tail;
+        # the tier-1 warning filter also shows the overflow is never formed
+        cfg = ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]],
+                             theta=CoefficientSpec.finite_support({(0,): 1.0, (1000,): 0.0}))
+        for s in (-200.0, complex(-200.0, 3.0)):
+            res = evaluate(cfg, s, tol=1e-8)
+            assert (res.value, res.tail_bound, res.certified) == (1.0, 0.0, True)
+            assert evaluate_many(cfg, [s, s], tol=1e-8) == [res, res]
+        assert tail_bound(cfg, -200.0, 0) == 0.0
+        for shell in (5, 1000):
+            res = evaluate_partial(cfg, -200.0, shell)
+            assert (res.value, res.tail_bound, res.certified) == (1.0, 0.0, True)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_at_nonzero_coefficient_still_raises(self):
+        cfg = ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]],
+                             theta=CoefficientSpec.finite_support(
+                                 {(0,): 1.0, (500,): 0.0, (1000,): 2.0}))
+        with pytest.raises(NumericError, match="not finite"):
+            evaluate(cfg, -200.0, tol=1e-8)
+        with pytest.raises(CertificationError, match="no certified bound"):
+            tail_bound(cfg, -200.0, 500)
+
     def test_nan_tail_route_is_skipped(self):
         # at s = -400 every route is nan or inf: no certified bound
         cfg = make_special("lerch_transcendent", u=1, q=0.5)
