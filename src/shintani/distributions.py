@@ -4,7 +4,9 @@ A definite-sign coefficient family and an in-region sigma induce a discrete
 law: atom locations are -(sum_l c_l log L_l(n)) per lattice point, masses
 are the normalized summands, and the characteristic function is the ratio
 of two certified series evaluations.  Atom tables are truncated at a
-certified unenumerated-mass bound delta and sampled by inverse CDF.
+certified unenumerated-mass bound delta and sampled by inverse CDF; a
+table's own characteristic function is the same ratio for the partial sum
+through its last shell.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .series import (
     ComplexPoint,
     EvalResult,
     ShintaniConfig,
+    _cap_from_budget,
+    _first_admissible,
     _lattice_blocks,
     _require_valid,
     _tail_bound,
@@ -31,10 +35,12 @@ from .series import (
     as_sigma,
     differentiate,
     evaluate_many,
+    evaluate_partial,
 )
 from .summation import CompensatedSum, exact_real_sum
 
 _GROW_BLOCK = 1 << 15
+_STOP_MARGIN = 2.0**-20  # relative slack of a skipped stop test (_next_stop_test)
 # atom_cf_grid: atoms per block and grid points per run (a 2^15-entry power
 # table), and how far a grid point may sit off t_0 + k h, in eps * max|t|
 _CF_ATOMS = 1 << 10
@@ -44,7 +50,11 @@ _CF_EVEN_EPS = 8
 
 @dataclass(frozen=True)
 class ZetaDistribution:
-    """Enumerated atom table with a certified unenumerated-mass bound."""
+    """Enumerated atom table with a certified unenumerated-mass bound.
+
+    `atom_cf` reads the table's config, sigma, shells and normalizer, not
+    its atoms: a table whose atoms were edited (`dataclasses.replace`) needs
+    `atom_cf_grid` or an explicit sum over its atoms."""
 
     config: ShintaniConfig
     sigma: np.ndarray
@@ -141,6 +151,14 @@ def build_distribution(
 
     Atoms landing on the same location are merged; every mass is checked
     nonnegative, which catches sign-class misclassification at run time.
+
+    The table ends with the first block of shells whose end N passes the
+    stop test tail(N) <= delta |S_N|, with tail = `_tail_bound` and S_N the
+    running compensated sum, so the blocks' growth fixes its atoms: rank 1
+    doubles from _GROW_BLOCK points, rank >= 2 takes one shell per block.
+    Rank 1 tests every block end, O(log N) tests.  At rank >= 2, with no
+    enumerable support, a failed test at k skips, with no tail call, every
+    block end that provably fails (`_next_stop_test`).
     """
     _require_valid(config)
     if not delta > 0:
@@ -160,10 +178,13 @@ def build_distribution(
     count = 0
     n_done = -1
     bound = math.inf
-    # the table ends with the first block whose tail bound meets delta, so
-    # the blocks' growth fixes its atoms: rank 1 doubles from _GROW_BLOCK
-    # points, rank >= 2 takes one shell per block
     size, grow = (_GROW_BLOCK, 2) if config.r == 1 else (1, 1)
+    # a bracket needs one shell per block and the monotone routes of
+    # `_first_admissible`, which are those of a support it cannot enumerate
+    bracketed = grow == 1 and config.theta.support(config.r, 0, 0) is None
+    last_shell = _cap_from_budget(config.r, shell_cap) + 1  # where the cap raises
+    tails = _Tails(config, sig)
+    next_test = 0
     for pts, n_complete in _lattice_blocks(config, None, size, grow):
         forms, weights = _terms(config, pts, sl, True)
         log_forms = np.log(forms)
@@ -178,11 +199,15 @@ def build_distribution(
         count += int(pts.shape[0])
         n_done = n_complete
         running = z_acc.value.real
-        if running != 0.0:
-            bound = _tail_bound(config, sig, n_done)
+        if running != 0.0 and n_done >= next_test:
+            bound = tails[n_done]
             if bound <= delta * abs(running):
                 break
+            if bracketed:
+                next_test = _next_stop_test(tails, n_done, abs(running), delta, last_shell)
         if count > shell_cap:
+            if running != 0.0:
+                bound = tails[n_done]
             raise CertificationError(
                 f"delta={delta} unreachable within shell_cap={shell_cap} "
                 f"(best bound {bound:.3e} at degree {n_done})"
@@ -215,6 +240,51 @@ def build_distribution(
         tail_mass_bound=tail_mass,
         shells_used=n_done,
     )
+
+
+class _Tails(dict):
+    """`_tail_bound(config, sigma, n)` by shell n, each computed once."""
+
+    def __init__(self, config: ShintaniConfig, sigma: np.ndarray) -> None:
+        super().__init__()
+        self.config, self.sigma = config, sigma
+
+    def __missing__(self, n: int) -> float:
+        self[n] = _tail_bound(self.config, self.sigma, n)
+        return self[n]
+
+
+def _next_stop_test(tails: _Tails, k: int, size: float, delta: float, last: int) -> int:
+    """The first shell past k whose stop test can pass, given a failed test
+    at k with the running sum's size |S_k| = `size` there, and the cap's
+    shell `last`; last + 1 when no shell up to it can.
+
+    Proof that every shell n in (k, n*) fails.  theta has a definite sign,
+    so |S_n| <= |S_inf| <= |S_k| + tail(k) for n > k, and the test at n
+    fails when tail(n) > limit = delta (|S_k| + tail(k)) (1 + _STOP_MARGIN).
+    The margin covers the rounding of the compensated sums (a few ulps
+    relative for terms of one sign), of delta |S| and of the tail routes,
+    so a test that rounding could pass is never skipped.  Every route of
+    `_tail_bound` is non-increasing in the shell (`_first_admissible`'s
+    proof), so the shells with tail <= limit form an up-set [n*, inf).  A
+    gallop probes k + 1, k + 2, k + 4, ..., up to `last`, until a probe hi
+    has tail(hi) <= limit; `_first_admissible` then finds n* in the bracket
+    above the last failed probe.  With one shell per block, the block
+    ending at n* is the next to test, and its tail is already in `tails`.
+    """
+    limit = delta * (size + tails[k]) * (1.0 + _STOP_MARGIN)
+    lo, tail_lo = k + 1, tails[k]
+    if not 0.0 < limit < math.inf or tail_lo <= limit:
+        return lo
+    hi, step = lo, 1
+    while tails[hi] > limit:
+        if hi >= last:
+            return last + 1
+        lo, tail_lo = hi + 1, tails[hi]
+        hi, step = min(hi + step, last), 2 * step
+    n, tail_n = _first_admissible(tails.config, tails.sigma, limit, hi, tails[hi], lo, tail_lo)
+    tails[n] = tail_n
+    return n
 
 
 def _merge_atoms(locations: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +476,12 @@ def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
     X_j = -sum_l c_lj log L_l(n) at atom n is exactly the log factor that
     each `differentiate(config, j)` multiplies theta by.  So the bound is the
     certified tail of the series differentiated k_j times along each axis j,
-    past the table's last shell, over |Z|."""
+    past the table's last shell, over |Z|.
+
+    The value stays a (binned) sum over the atoms.  As a partial sum it
+    would be `evaluate_partial` of the differentiated config, whose
+    log-factor theta goes by the block route: for riemann, k = 1, that
+    takes about twice as long as the sum over the 1M-atom table."""
     if isinstance(k, (int, np.integer)):
         k = (int(k),)
     k = tuple(int(x) for x in k)
@@ -455,7 +530,7 @@ def empirical_cf(batch: SampleBatch, t) -> complex:
 def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:
     """The atom table's characteristic function sum_x m_x e^(i t x) at
     t e_axis for each t of `ts` (axis in 1..d), an evenly spaced grid;
-    `atom_cf` is the order-independent path for one point.
+    `atom_cf` is the partial-sum path for one point.
 
     With h = (t_(n-1) - t_0) / (n - 1), every t_k must lie within
     _CF_EVEN_EPS * eps * max|t| of t_0 + k h (arange and linspace grids lie
@@ -550,9 +625,26 @@ def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:
 
 
 def atom_cf(dist: ZetaDistribution, t) -> complex:
-    """Characteristic function of the truncated atom table itself."""
-    phases = _phases(dist.locations, np.atleast_1d(np.asarray(t, dtype=float)))
-    return complex(
-        exact_real_sum(dist.masses * np.cos(phases)),
-        exact_real_sum(dist.masses * np.sin(phases)),
-    )
+    """Characteristic function of the truncated atom table itself,
+    sum_x m_x e^(i <t, x>), as a partial sum of the series.
+
+    A table from `build_distribution` holds the nonzero terms of shells
+    0..N, N = `shells_used`, with masses theta(n) L(n)^(-sigma) / Z_N, where
+    Z_N = `normalizer` is their sum; merging coincident atoms does not
+    change the cf.  At the atom x = -sum_l c_l log L_l(n), m e^(i <t, x>) is
+    theta(n) prod_l L_l(n)^(-<c_l, sigma + it>) / Z_N.  So the value is
+    `evaluate_partial(config, sigma + it, N)` over Z_N: it reads `config`,
+    `sigma`, `shells_used` and `normalizer`, never the atoms, and costs one
+    partial sum (O(lines) work on the line route).  A table whose atoms
+    were edited is no longer that partial sum: use `atom_cf_grid` or sum
+    its atoms explicitly.
+
+    Error against the table's own sum: the line sums' certified remainder,
+    at most 2^-60 times the tail bound at shell N (0 on the other routes),
+    over |Z_N|, plus the rounding of both sums, an estimate (rounding is
+    uncertified, as in `evaluate`)."""
+    t = np.array(t, dtype=float, ndmin=1)  # a copy: ComplexPoint makes its arrays read-only
+    if t.shape != (dist.d,):
+        raise ConfigError(f"t has dimension {t.size}, the table has {dist.d}")
+    s = ComplexPoint(dist.sigma, t)
+    return evaluate_partial(dist.config, s, dist.shells_used).value / dist.normalizer.value.real

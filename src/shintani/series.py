@@ -415,14 +415,20 @@ def _support_abs_terms(vals: np.ndarray, forms: np.ndarray, sl: np.ndarray) -> n
     return np.abs(vals) * _abs_form_powers(forms, sl)
 
 
-def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
-    """Exact remaining-support sum for finitely supported coefficients."""
+def _finite_tail(
+    config: ShintaniConfig,
+    sigma: np.ndarray,
+    n_shell: int,
+    support: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> float:
+    """Exact remaining-support sum for finitely supported coefficients;
+    `support` is the `_finite_support`, enumerated here when not given."""
     deg = config.theta.support_degree
     if deg is None:
         return math.inf
     if n_shell >= deg:
         return 0.0
-    _, degrees, vals, forms = _finite_support(config)
+    _, degrees, vals, forms = _finite_support(config) if support is None else support
     terms = _support_abs_terms(vals, forms, config.c @ sigma)
     return float(np.sum(terms[np.searchsorted(degrees, n_shell, side="right"):]))
 
@@ -1036,14 +1042,9 @@ def _line_partial_sum(
 def _partial_sum(
     config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float
 ) -> tuple[complex, float]:
-    """Partial sum over total degree <= n_shell, and `tail` plus the line
-    sums' remainder bound where line sums apply.  A finite support's sum
-    comes from `_finite_sums`, as in `evaluate`."""
-    if config.theta.support_degree is not None:
-        support = _finite_support(config)
-        kept = int(np.searchsorted(support[1], n_shell, side="right"))
-        (value,) = _finite_sums(config, support, (config.c @ pt.re)[None, :], pt.im[None, :], [kept])
-        return value, tail
+    """Partial sum over total degree <= n_shell of a config with no finite
+    support, and `tail` plus the line sums' remainder bound where line sums
+    apply."""
     lines = _line_partial_sum(config, pt, n_shell, tail)
     if lines is not None:
         value, remainder = lines
@@ -1114,12 +1115,19 @@ def _finite_shell(
 
 
 def _first_admissible(
-    config: ShintaniConfig, sigma: np.ndarray, tol: float, hi: int, tail_hi: float
+    config: ShintaniConfig,
+    sigma: np.ndarray,
+    tol: float,
+    hi: int,
+    tail_hi: float,
+    lo: int = 0,
+    tail_lo: float = math.inf,
 ) -> tuple[int, float]:
-    """The first shell n* <= hi with `_tail_bound` <= tol, and its bound,
-    given tail(hi) = tail_hi <= tol.
+    """The first shell n* in [lo, hi] with `_tail_bound` <= tol, and its
+    bound, given tail(hi) = tail_hi <= tol and, when lo > 0, tail(lo - 1) =
+    tail_lo > tol.
 
-    Proof that n* is found, and that it is the shell bisection of [0, hi]
+    Proof that n* is found, and that it is the shell bisection of [lo, hi]
     finds.  Every route of `_tail_bound` is non-increasing in the shell N:
     the poly, separable and nested routes are positive constants times
     (N + a)^(-p) or (floor(N/r) + a)^(-p) with a > 0 and p > 0 (sums of such
@@ -1128,17 +1136,17 @@ def _first_admissible(
     consecutive heads, so once finite the head falls and 1/(1 - rho) falls
     with it.  Their minimum is then non-increasing, so the admissible shells
     form the up-set [n*, inf).  The search keeps the bracket lo <= n* <= hi
-    with tail(hi) <= tol < tail(lo - 1) (nothing to check at lo = 0); each
-    probe c in [lo, hi) sets hi = c when tail(c) <= tol and lo = c + 1
-    otherwise, which keeps the invariant and shrinks the bracket, and it
-    stops at lo = hi = n*.  Bisection keeps the same invariant, so it ends on
+    with tail(hi) <= tol < tail(lo - 1) (nothing to check at lo = 0), which
+    the arguments give it at the start; each probe c in [lo, hi) sets
+    hi = c when tail(c) <= tol and lo = c + 1 otherwise, which keeps the
+    invariant and shrinks the bracket, and it stops at lo = hi = n*.  Bisection keeps the same invariant, so it ends on
     the same n*.  The monotonicity is that of the exact formulas; rounding
     could only matter where consecutive shells' tails differ by an ulp.
 
-    Probes: shell 0 first, or, when theta decays geometrically, the first
-    shell where the geometric route is finite (`_geometric_start`, which
-    needs no tail bound), clamped below hi; below that shell rho >= 1 makes
-    the geometric route inf.  Then log tail is interpolated linearly in
+    Probes: from lo = 0, shell 0 first, or, when theta decays geometrically,
+    the first shell where the geometric route is finite (`_geometric_start`,
+    which needs no tail bound), clamped below hi; below that shell rho >= 1
+    makes the geometric route inf.  Then log tail is interpolated linearly in
     log(N + 1) between the shells lo - 1 and hi (every polynomial route's
     leading term is a power of N plus a constant; in N itself when theta
     decays geometrically), and the probe is the first shell at or past the
@@ -1157,13 +1165,14 @@ def _first_admissible(
         # counts as that
         return math.log(max(tail, 2.0**-1074)) - log_tol
 
-    c: Optional[int] = 0  # the first probe
+    c: Optional[int] = 0 if lo == 0 else None  # the first probe
     if config.theta.envelope_triple[2] < 1.0:
         to_x, from_x = float, float
-        c = min(_geometric_start(config, sigma, hi), max(hi - 1, 0))
+        if lo == 0:
+            c = min(_geometric_start(config, sigma, hi), max(hi - 1, 0))
     else:
         to_x, from_x = math.log1p, math.expm1
-    lo, f_lo, f_hi = 0, math.inf, excess(tail_hi)  # f_lo at shell lo - 1
+    f_lo, f_hi = excess(tail_lo), excess(tail_hi)  # f_lo at shell lo - 1
     last_low, halve = None, False
     while lo < hi:
         width = hi - lo
@@ -1394,11 +1403,20 @@ def _finite_sums(
 
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     """Plain partial sum over total degree <= n_shell, with its tail bound;
-    NumericError when the sum is not finite."""
+    NumericError when the sum is not finite.
+
+    A finite support is enumerated once, for its `_finite_tail` and for
+    `_finite_sums`, which sums the kept points as in `evaluate`."""
     _require_valid(config)
     _require_shell(n_shell)
     pt = as_point(s, config.d)
-    value, tail = _partial_sum(config, pt, n_shell, _tail_bound(config, pt.re, n_shell))
+    if config.theta.support_degree is None:
+        value, tail = _partial_sum(config, pt, n_shell, _tail_bound(config, pt.re, n_shell))
+    else:
+        support = _finite_support(config)
+        tail = _finite_tail(config, pt.re, n_shell, support)
+        kept = int(np.searchsorted(support[1], n_shell, side="right"))
+        (value,) = _finite_sums(config, support, (config.c @ pt.re)[None, :], pt.im[None, :], [kept])
     return _result(value, tail, n_shell, math.isfinite(tail))
 
 

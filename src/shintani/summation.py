@@ -4,9 +4,10 @@ Shells can contain millions of terms, and the shell-order-independence
 contract requires results stable to 1e-12 relative under any enumeration
 order.  Chunk subtotals go through a Neumaier accumulator.
 
-Atom-table reductions (characteristic functions over atoms or samples,
+Atom-table reductions (the empirical characteristic function of samples,
 moments) are exactly order independent: a permutation of the input gives
-the same bits.  They use binned reproducible summation (Demmel & Nguyen,
+the same bits.  (An atom table's own characteristic function is a partial
+sum of its series, `distributions.atom_cf`, and not such a reduction.)  They use binned reproducible summation (Demmel & Nguyen,
 "Fast reproducible floating-point summation", ARITH 2013; "Parallel
 reproducible summation", IEEE TC 2015) as whole-array numpy operations.
 Each value is split into K slices on fixed power-of-two grids chosen from

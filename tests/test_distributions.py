@@ -29,6 +29,7 @@ from shintani.distributions import (
 )
 from shintani.errors import CertificationError, ConfigError, RegionError
 from shintani.series import ShintaniConfig, differentiate, evaluate, make_special
+from shintani.summation import exact_real_sum
 
 ZETA2 = math.pi**2 / 6
 
@@ -470,8 +471,21 @@ class TestEmpirical:
             done += 1
 
 
+def table_sum(dist, t):
+    """The atom table's cf as the order-independent (binned) sum over its
+    atoms, sum_x m_x e^(i <t, x>): what `atom_cf` computed before it became
+    a partial sum of the series, kept here as the reference for tables."""
+    phases = _phases(dist.locations, np.atleast_1d(np.asarray(t, dtype=float)))
+    return complex(
+        exact_real_sum(dist.masses * np.cos(phases)),
+        exact_real_sum(dist.masses * np.sin(phases)),
+    )
+
+
 class TestAtomCfGrid:
-    """`atom_cf_grid` against `atom_cf`, within the bound its docstring proves."""
+    """`atom_cf_grid` against the exact table sum, within the bound its
+    docstring proves.  The tables have edited atoms, so they are not their
+    config's partial sums, and `atom_cf` does not apply to them."""
 
     U = 2.0**-53
 
@@ -486,8 +500,9 @@ class TestAtomCfGrid:
 
     def stated_bound(self, dist, axis, ts):
         """u M (6 K + 3 B + nb + 43 T X), the docstring's bound on the error
-        against the exact sum, plus atom_cf's own: its phase t x and its cos
-        or sin err by u T X and 2 u, its products by m by u, its sums by u."""
+        against the exact sum, plus table_sum's own: its phase t x and its
+        cos or sin err by u T X and 2 u, its products by m by u, its sums
+        by u."""
         u, big_k, big_b = self.U, distributions._CF_RUN, distributions._CF_ATOMS
         mass = math.fsum(dist.masses)
         big_t = float(np.max(np.abs(ts)))
@@ -516,7 +531,7 @@ class TestAtomCfGrid:
                         point = np.zeros(d)
                         for t, value in zip(ts, got):
                             point[axis - 1] = t
-                            assert abs(value - atom_cf(dist, point)) <= bound
+                            assert abs(value - table_sum(dist, point)) <= bound
 
     def test_empty_grid(self):
         dist = self.table(np.random.default_rng(6), 10, 1)
@@ -572,3 +587,169 @@ class TestAtomCfGrid:
         for t in ([1.0], [1.0, 2.0, 3.0]):
             with pytest.raises(ConfigError, match="dimension"):
                 atom_cf(dist, t)
+
+
+class TestAtomCfPartialSum:
+    """`atom_cf` of a built table is Z_N(sigma + it) / Z_N: against the table
+    sum it may differ by the line sums' certified remainder plus rounding.
+
+    The rounding estimate (not a proof) is 64 u (1 + (|sigma| + |t|) X),
+    relative to sum |terms| = |Z_N|, with X the largest |location|
+    coordinate: both sums round each term's phase <t, x> and modulus
+    exponent <sigma, log L> by about u (|sigma| + |t|) X, and their
+    products, exp, cos, sin and sums by a few u."""
+
+    U = 2.0**-53
+
+    TABLES = {
+        "riemann d=1": lambda: (riemann(), 2.0, 1e-6),
+        "euler_zagier r=2, merged": lambda: (
+            make_special("euler_zagier", r=2, u=[0.0, 0.0]), [3.0, 2.0], 1e-4),
+        "barnes r=2 d=1, merged": lambda: (
+            make_special("barnes", r=2, lam=[1.0, 1.0], u=1.0), 4.0, 1e-5),
+        "generalized_barnes m=2, block route": lambda: (
+            make_special("generalized_barnes", m=2, r=2, lam=[[1.0, 2.0], [2.0, 1.0]],
+                         u=[1.0, 0.5]), [2.2, 2.2], 1e-4),
+        "euler_zagier r=3, d=3": lambda: (
+            make_special("euler_zagier", r=3, u=[0.0, 0.0, 0.0]), [4.0, 3.0, 3.0], 1e-3),
+        "binomial": lambda: (
+            make_special_distribution("binomial", j=3, big_k=4, phi=1.7, sigma=-2.0).config,
+            -2.0, 1e-13),
+        "poisson": lambda: (
+            make_special_distribution("poisson", j=2, rate=0.5, sigma=-1.2).config, -1.2, 1e-13),
+    }
+
+    def tolerance(self, dist, t):
+        """(line-sum remainder + rounding estimate) / |Z_N| at sigma + it.
+        The line route certifies its remainder at most 2^-60 times the tail
+        bound at shell N, which is the table's normalizer bound."""
+        remainder = 2.0**-60 * dist.normalizer.tail_bound
+        z = abs(dist.normalizer.value.real)
+        big_x = float(np.max(np.abs(dist.locations)))
+        spread = float(np.max(np.abs(dist.sigma)) + np.max(np.abs(t)))
+        return remainder / z + 64 * self.U * (1.0 + spread * big_x)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_matches_table_sum(self, name):
+        config, sigma, delta = self.TABLES[name]()
+        dist = build_distribution(config, sigma, delta=delta)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        direction = rng.uniform(-1.0, 1.0, size=dist.d)
+        for scale in (0.0, 0.3, 5.0, 40.0):
+            t = scale * direction
+            got = atom_cf(dist, t)
+            assert abs(got - table_sum(dist, t)) <= self.tolerance(dist, t)
+        assert atom_cf(dist, np.zeros(dist.d)).imag == 0.0
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_partial_sum_is_the_normalizer(self, name):
+        config, sigma, delta = self.TABLES[name]()
+        dist = build_distribution(config, sigma, delta=delta)
+        zero = np.zeros(dist.d)
+        z_n = series.evaluate_partial(dist.config, dist.sigma, dist.shells_used)
+        z = abs(dist.normalizer.value.real)
+        assert abs(z_n.value - dist.normalizer.value) <= self.tolerance(dist, zero) * z
+
+    def test_reads_config_not_atoms(self):
+        dist = build_distribution(riemann(), 2.0, delta=1e-3)
+        edited = dataclasses.replace(dist, masses=np.zeros(dist.atom_count))
+        assert atom_cf(edited, 1.5) == atom_cf(dist, 1.5)
+
+
+def every_block_stop(config, sigma, delta, shell_cap):
+    """The stop rule that tests every block end: (shell, tail bound, Z_N)
+    of the first block whose tail(N) <= delta |S_N|, or CertificationError
+    with the message `build_distribution` gives."""
+    sig = series.as_sigma(sigma, config.d)
+    sl = config.c @ sig
+    size, grow = (distributions._GROW_BLOCK, 2) if config.r == 1 else (1, 1)
+    acc = series.CompensatedSum()
+    count, bound = 0, math.inf
+    for pts, n_done in series._lattice_blocks(config, None, size, grow):
+        _, weights = series._terms(config, pts, sl, True)
+        weights = weights.real
+        acc.add_array(weights[weights != 0.0])
+        count += int(pts.shape[0])
+        running = acc.value.real
+        if running != 0.0:
+            bound = series._tail_bound(config, sig, n_done)
+            if bound <= delta * abs(running):
+                return n_done, bound, running
+        if count > shell_cap:
+            raise CertificationError(
+                f"delta={delta} unreachable within shell_cap={shell_cap} "
+                f"(best bound {bound:.3e} at degree {n_done})"
+            )
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStopRule:
+    """The bracketed stop rule of `build_distribution` stops where testing
+    every block stops, so its tables are the same bit for bit."""
+
+    @staticmethod
+    def random_rank2(rng):
+        r = 2 if rng.random() < 0.7 else 3
+        m = int(rng.integers(1, 4))
+        d = int(rng.integers(1, 3))
+        lam = rng.uniform(0.4, 2.0, size=(m, r))
+        if rng.random() < 0.3:  # a zero pattern: the matched-coordinate routes
+            lam = np.triu(rng.uniform(0.4, 2.0, size=(r, r)))
+            m = r
+        c = rng.uniform(0.6, 1.4, size=(m, d))
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            theta = CoefficientSpec.constant(float(rng.uniform(0.2, 2.0)))
+        elif kind == 1:
+            theta = CoefficientSpec.constant(-float(rng.uniform(0.2, 2.0)))
+        elif kind == 2:
+            mods = tuple(int(rng.integers(1, 4)) for _ in range(r))
+            theta = CoefficientSpec.periodic(mods, rng.uniform(0.0, 1.0, size=mods))
+        else:
+            theta = CoefficientSpec.geometric(tuple(rng.uniform(0.2, 0.95, size=r)))
+        return ShintaniConfig(d=d, m=m, r=r, lam=lam, u=rng.uniform(0.3, 1.5, size=r),
+                              c=c, theta=theta)
+
+    def test_seeded_sweep_matches_every_block(self):
+        rng = np.random.default_rng(16)
+        checked = raised = 0
+        while checked < 24:
+            config = self.random_rank2(rng)
+            sigma = region_sigma(config, rng, margin=float(rng.uniform(0.8, 2.0)))
+            delta = float(10 ** rng.uniform(-5.0, -2.0))
+            shell_cap = int(rng.choice([2_000, 100_000]))
+            try:
+                want = every_block_stop(config, sigma, delta, shell_cap)
+            except CertificationError as err:
+                with pytest.raises(CertificationError) as got:
+                    build_distribution(config, sigma, delta=delta, shell_cap=shell_cap)
+                assert str(got.value) == str(err)
+                raised += 1
+                continue
+            dist = build_distribution(config, sigma, delta=delta, shell_cap=shell_cap)
+            assert (dist.shells_used, bits(dist.normalizer.tail_bound),
+                    bits(dist.normalizer.value.real)) == (want[0], bits(want[1]), bits(want[2]))
+            # the same table as the build that tests every block
+            with mock.patch.object(distributions, "_next_stop_test",
+                                   lambda tails, k, *args: k + 1):
+                every = build_distribution(config, sigma, delta=delta, shell_cap=shell_cap)
+            for name in ("locations", "masses", "tail_mass_bound"):
+                assert bits(getattr(dist, name)) == bits(getattr(every, name))
+            checked += 1
+        assert raised >= 1
+
+    def test_tail_calls(self):
+        cases = (
+            (make_special("euler_zagier", r=2, u=[0.0, 0.0]), [3.0, 2.0], 1e-5, 660, 40),
+            (make_special("generalized_barnes", m=2, r=2, lam=[[1.0, 2.0], [2.0, 1.0]],
+                          u=[1.0, 0.5]), [2.2, 2.2], 1e-5, 323, 35),
+        )
+        for config, sigma, delta, shell, most in cases:
+            with mock.patch.object(distributions, "_tail_bound",
+                                   wraps=distributions._tail_bound) as spy:
+                dist = build_distribution(config, sigma, delta=delta)
+            assert dist.shells_used == shell
+            assert spy.call_count <= most
