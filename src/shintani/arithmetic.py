@@ -20,6 +20,22 @@ import numpy as np
 from .errors import ConfigError
 
 
+def frozen_array(x, dtype=float) -> np.ndarray:
+    """`x` as a read-only array of `dtype` no caller can write: taken as is
+    when it and every array it views are read-only, else copied and the
+    copy frozen.  Every constructor that keeps an array takes it here, so
+    a caller's array stays writable and its writes never reach the object."""
+    if isinstance(x, np.ndarray) and x.dtype == dtype:
+        base = x
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if not isinstance(base, np.ndarray):
+            return x
+    arr = np.array(x, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PrimeTable:
     """All primes up to ``limit``, ascending."""
@@ -28,7 +44,7 @@ class PrimeTable:
     primes: np.ndarray
 
     def __post_init__(self) -> None:
-        self.primes.setflags(write=False)
+        object.__setattr__(self, "primes", frozen_array(self.primes, np.int64))
 
     def __len__(self) -> int:
         return int(self.primes.size)
@@ -43,21 +59,9 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, int(limit**0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.nonzero(flags)[0].astype(np.int64))
-
-
-def smallest_prime_factors(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n, for 0 <= n <= limit (spf[0..1] = 0)."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
-            if p * p > limit:
-                # remaining unmarked entries are primes; finish cheaply
-                rest = np.nonzero(spf[p:] == 0)[0] + p
-                spf[rest] = rest
-                break
-    return spf
+    primes = np.nonzero(flags)[0].astype(np.int64)
+    primes.setflags(write=False)  # handed over as is, not copied
+    return PrimeTable(limit=limit, primes=primes)
 
 
 def prime_exponent(n: int, p: int) -> int:

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import coefficients as cf
+from .arithmetic import frozen_array
 from .coefficients import CoefficientSpec
 from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .series import (
@@ -65,11 +66,8 @@ class ZetaDistribution:
     shells_used: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        object.__setattr__(self, "locations", np.asarray(self.locations, dtype=float))
-        object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
         for name in ("sigma", "locations", "masses"):
-            getattr(self, name).setflags(write=False)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
 
     @property
     def d(self) -> int:
@@ -100,8 +98,7 @@ class SampleBatch:
     truncation: float  # total-variation bias bound inherited from the table
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        self.points.setflags(write=False)
+        object.__setattr__(self, "points", frozen_array(self.points))
 
     def as_table(self) -> tuple[list[str], np.ndarray]:
         header = [f"x_{j + 1}" for j in range(self.points.shape[1])]
@@ -228,6 +225,8 @@ def build_distribution(
     else:
         locs, masses = _merge_atoms(locs_all, masses)
     tail_mass = bound / abs(z_value)
+    for arr in (locs, masses):  # made here: handed over as is, not copied
+        arr.setflags(write=False)
     normalizer = EvalResult(
         value=complex(z_value), tail_bound=bound, shells_used=n_done, certified=True
     )
@@ -462,10 +461,9 @@ def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     idx = np.searchsorted(cdf, u, side="right")
-    return SampleBatch(
-        points=dist.locations[idx], seed=seed, count=count,
-        truncation=dist.tail_mass_bound,
-    )
+    points = dist.locations[idx]
+    points.setflags(write=False)  # made here: handed over as is, not copied
+    return SampleBatch(points=points, seed=seed, count=count, truncation=dist.tail_mass_bound)
 
 
 def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
@@ -643,7 +641,7 @@ def atom_cf(dist: ZetaDistribution, t) -> complex:
     at most 2^-60 times the tail bound at shell N (0 on the other routes),
     over |Z_N|, plus the rounding of both sums, an estimate (rounding is
     uncertified, as in `evaluate`)."""
-    t = np.array(t, dtype=float, ndmin=1)  # a copy: ComplexPoint makes its arrays read-only
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape != (dist.d,):
         raise ConfigError(f"t has dimension {t.size}, the table has {dist.d}")
     s = ComplexPoint(dist.sigma, t)

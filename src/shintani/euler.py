@@ -11,7 +11,7 @@ evaluations cross-check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .arithmetic import (
     chi_minus_4,
     coefficient_at,
     factorize,
+    frozen_array,
     prime_exponent,
     sieve_primes,
 )
@@ -60,8 +61,7 @@ class EulerConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(self.alphas))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        self.a.setflags(write=False)
+        object.__setattr__(self, "a", frozen_array(self.a))
         if self.d < 1 or self.m < 1:
             raise ConfigError("EulerConfig needs d >= 1 and m >= 1")
         if len(self.alphas) != self.m:
@@ -89,10 +89,8 @@ class DiscreteMeasure:
     power_cutoff: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "locations", np.asarray(self.locations, dtype=float))
-        object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
-        self.locations.setflags(write=False)
-        self.masses.setflags(write=False)
+        for name in ("locations", "masses"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
 
     @property
     def total_mass(self) -> float:
@@ -257,24 +255,15 @@ def hurwitz_half_levy_logcf(
     t: float,
     prime_limit: int = 10**4,
     power_cutoff: int = 40,
-    include_shift: bool = True,
 ) -> EvalResult:
     """The u = 1/2 representation: odd-prime double sum plus the drift.
 
     zeta(s, 1/2) = 2^s prod_{p>2} (1 - p^{-s})^{-1}, so the cf ratio is
-    2^{it} times the odd-prime compound-Poisson factor; include_shift=False
-    drops the i t log 2 drift, leaving exactly the riemann sum minus its
-    p = 2 part.
+    2^{it} times the odd-prime compound-Poisson factor: the riemann sum
+    minus its p = 2 part, plus the i t log 2 drift.
     """
     res = _levy_result(sigma, t, prime_limit, power_cutoff, odd_only=True)
-    if not include_shift:
-        return res
-    return EvalResult(
-        value=res.value + 1j * t * math.log(2.0),
-        tail_bound=res.tail_bound,
-        shells_used=res.shells_used,
-        certified=res.certified,
-    )
+    return replace(res, value=res.value + 1j * t * math.log(2.0))
 
 
 def levy_measure(
@@ -294,12 +283,10 @@ def levy_measure(
     for r in range(1, power_cutoff + 1):
         locs.append(r * log_p)
         masses.append(pf ** (-r * sigma) / r)
-    return DiscreteMeasure(
-        locations=np.concatenate(locs),
-        masses=np.concatenate(masses),
-        prime_cutoff=prime_limit,
-        power_cutoff=power_cutoff,
-    )
+    locs, masses = np.concatenate(locs), np.concatenate(masses)
+    for arr in (locs, masses):  # made here: handed over as is, not copied
+        arr.setflags(write=False)
+    return DiscreteMeasure(locs, masses, prime_cutoff=prime_limit, power_cutoff=power_cutoff)
 
 
 # ---------------------------------------------------------------------------

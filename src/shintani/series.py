@@ -2,7 +2,8 @@
 
 A configuration assembles linear forms L_l(n) = sum_j lam_lj (n_j + u_j)
 with complex exponents <c_l, s> and a lattice coefficient family theta.
-It copies its arrays read-only and validates itself once, when built.
+It keeps its arrays read-only (`arithmetic.frozen_array`) and validates
+itself once, when built.
 Evaluation enumerates the lattice by total-degree shells and stops at the
 first shell whose certified tail bound drops below the requested tolerance.
 Complex powers are always exp(-<c_l, s> log L) with the real log of the
@@ -14,13 +15,14 @@ ends of a bracket that holds the answer and falls back to the midpoint
 when a step does not halve it; every route is non-increasing in the shell,
 so the result is the shell bisection would find.  `evaluate_many` takes
 many points in one call and chooses the shell once per distinct Re s;
-`evaluate` is its one-point case.  A finite support is enumerated, and
-theta evaluated on it, once per call: each degree's tail is a suffix sum
-of one term array per Re s, and one kernel, `_finite_sums`, forms the
-partial sums of every point, real or complex, alone or batched, for any
-m and d.  Its terms are (points x support) arrays, formed a slice of
-points at a time from real products and sums, so that every entry, and a
-point's sum, has the same bits whatever else the call evaluates.
+`evaluate` is its one-point case, and `evaluate_partial` the same call at
+a given shell.  A finite support is enumerated, and theta evaluated on
+it, once per call: one table of |terms| (distinct Re s x support points)
+gives every degree's tail at every Re s as a row suffix sum, and one
+kernel, `_finite_sums`, forms the partial sums of every point, real or
+complex, alone or batched, for any m and d, as (points x support) arrays
+formed a slice at a time from real products and sums, so that every
+entry, and a point's sum, has the same bits whatever else the call holds.
 
 Tail certificates come from four routes, any of which may apply:
 exact remaining-support sums (finite support), a factorial-ratio majorant
@@ -54,6 +56,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import coefficients as cf
+from .arithmetic import frozen_array
 from .coefficients import _LATTICE_MAX, CoefficientSpec
 from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .summation import CompensatedSum
@@ -70,14 +73,12 @@ class ComplexPoint:
     im: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", np.atleast_1d(np.asarray(self.re, dtype=float)))
-        object.__setattr__(self, "im", np.atleast_1d(np.asarray(self.im, dtype=float)))
+        object.__setattr__(self, "re", frozen_array(np.atleast_1d(self.re)))
+        object.__setattr__(self, "im", frozen_array(np.atleast_1d(self.im)))
         if self.re.shape != self.im.shape or self.re.ndim != 1:
             raise ConfigError("ComplexPoint needs matching 1-d re and im vectors")
         if not all(map(math.isfinite, self.re.tolist() + self.im.tolist())):
             raise ConfigError(f"point components must be finite, got re {self.re}, im {self.im}")
-        self.re.setflags(write=False)
-        self.im.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -88,7 +89,7 @@ class ComplexPoint:
         return self.re + 1j * self.im
 
     def conj(self) -> "ComplexPoint":
-        return ComplexPoint(self.re.copy(), -self.im)
+        return ComplexPoint(self.re, -self.im)
 
     @property
     def is_real(self) -> bool:
@@ -130,9 +131,7 @@ class ShintaniConfig:
 
     def __post_init__(self) -> None:
         for name in ("lam", "u", "c"):
-            arr = np.array(getattr(self, name), dtype=float)  # a copy the caller cannot write
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
         # every field is immutable from here on, so the report is computed once
         object.__setattr__(self, "_report", _check_config(self))
 
@@ -212,36 +211,23 @@ def _require_valid(config: ShintaniConfig) -> None:
 
 def in_convergence_region(config: ShintaniConfig, s) -> bool:
     """True iff min_l Re<c_l, s> > r/m (the certified absolute-convergence region)."""
-    return _region_holds_sigma(config, as_point(s, config.d).re)
+    return _region_holds(config, config.c @ as_point(s, config.d).re)
 
 
-def _region_holds_sigma(config: ShintaniConfig, sigma: np.ndarray) -> bool:
-    # every Re<c_l, s> above r/m (a nan fails), compared as Python floats:
-    # it runs once per evaluation and in three tail routes per tail bound
+def _region_holds(config: ShintaniConfig, sl: np.ndarray) -> bool:
+    # every Re<c_l, s> = sl[l] above r/m (a nan fails), as fast Python floats
     bound = config.r / config.m
-    return all(x > bound for x in (config.c @ sigma).tolist())
+    return all(x > bound for x in sl.tolist())
 
 
 def absolutely_convergent_at(config: ShintaniConfig, s) -> bool:
     """Region membership, or a coefficient family convergent for every s."""
-    return _convergent_at_sigma(config, as_point(s, config.d).re)
-
-
-def _convergent_at_sigma(config: ShintaniConfig, sigma: np.ndarray) -> bool:
-    return _region_holds_sigma(config, sigma) or config.theta.is_entire
+    return _region_holds(config, config.c @ as_point(s, config.d).re) or config.theta.is_entire
 
 
 # ---------------------------------------------------------------------------
 # Certified tail bounds
 # ---------------------------------------------------------------------------
-
-def _abs_form_powers(forms: np.ndarray, sl: np.ndarray) -> np.ndarray:
-    """prod_l forms[:, l]^(-sl[l]) for real exponents."""
-    out = np.ones(forms.shape[0])
-    for l, b in enumerate(sl):
-        out *= forms[:, l] ** (-b)
-    return out
-
 
 def _poly_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Integral-comparison bound for strictly positive lam.
@@ -251,10 +237,10 @@ def _poly_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float
     convergence proof's integral constant while staying a genuine upper bound
     for every lattice rank.
     """
-    if not _region_holds_sigma(config, sigma) or (config.lam <= 0.0).any():
+    sl = config.c @ sigma
+    if not _region_holds(config, sl) or (config.lam <= 0.0).any():
         return math.inf
     r = config.r
-    sl = config.c @ sigma
     s_total = float(sl.sum())
     bound, growth, _ = config.theta.envelope_triple
     bound, growth = config.theta.log_weight.absorb(bound, growth, s_total - r - growth)
@@ -301,7 +287,8 @@ def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
     """
     if config.m != config.r:
         return math.inf
-    if not _region_holds_sigma(config, sigma):
+    sl = config.c @ sigma
+    if not _region_holds(config, sl):
         return math.inf
     r = config.r
     perm = _best_matching(config.lam.tobytes(), config.m, config.r)
@@ -310,7 +297,6 @@ def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
     env = config.theta.per_coordinate_envelope(r)
     if env is None:
         return math.inf
-    sl = config.c @ sigma
     full = np.empty(r)  # F_j: full 1-dim sums
     tails = np.empty(r)  # T_j: 1-dim tails past floor(N/r)
     m_start = n_shell // r
@@ -366,10 +352,12 @@ def _nested_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> flo
     one-dimensional tail times full one-dimensional sums.
     """
     flag = _flag_structure(config.lam.tobytes(), config.m, config.r)
-    if flag is None or not _region_holds_sigma(config, sigma):
+    if flag is None:
+        return math.inf
+    sl = config.c @ sigma
+    if not _region_holds(config, sl):
         return math.inf
     order, mins, chain = flag
-    sl = config.c @ sigma
     bound, growth, _ = config.theta.envelope_triple
     s_head = float(sl[order[0]])
     bound, growth = config.theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
@@ -409,28 +397,54 @@ def _finite_support(
     return pts, pts.sum(axis=1), vals, forms
 
 
-def _support_abs_terms(vals: np.ndarray, forms: np.ndarray, sl: np.ndarray) -> np.ndarray:
-    """|theta(n)| prod_l L_l(n)^(-sl_l) at every support point, sl = c @
-    sigma: each tail is the sum of a suffix of these terms."""
-    return np.abs(vals) * _abs_form_powers(forms, sl)
+def _finite_tails(
+    support: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    sl: np.ndarray,
+    kept: list[int],
+    tol: float = -math.inf,
+) -> np.ndarray:
+    """A finite support's tails at several Re s and shells from one table
+    of |terms|: out[i, j] sums |theta(n)| prod_l L_l(n)^(-sl[i, l]) past
+    the first kept[j] points of `support` (its `_finite_support`), where
+    sl[i] is c @ sigma at one Re s.
+
+    A row multiplies the powers `L_l ** -sl[i, l]` in form order (scalar
+    exponents: numpy rounds a broadcast one differently), then |theta|; a
+    tail is numpy's pairwise sum of a contiguous row suffix, with the bits
+    of the 1-d sum.  No entry depends on the other rows.  Rows go in slices
+    of at most _BLOCK entries (one row if a row alone is longer).  A slice
+    stops once each of its rows has had a tail <= tol (never at the default
+    -inf), and its later entries stay nan."""
+    _, _, vals, forms = support
+    abs_vals = np.abs(vals)
+    if min(kept) >= abs_vals.size:  # only empty suffixes: no table
+        return np.zeros((len(sl), len(kept)))
+    out = np.full((len(sl), len(kept)), math.nan)
+    step = max(_BLOCK // abs_vals.size, 1)
+    for lo in range(0, len(sl), step):
+        rows = sl[lo : lo + step]
+        terms = np.empty((len(rows), abs_vals.size))
+        for row, b in zip(terms, rows):
+            row[:] = forms[:, 0] ** -b[0]
+            for l in range(1, forms.shape[1]):
+                row *= forms[:, l] ** -b[l]
+        terms *= abs_vals
+        done = np.zeros(len(rows), dtype=bool)
+        for j, k in enumerate(kept):
+            out[lo : lo + step, j] = tails = terms[:, k:].sum(axis=1)
+            done |= tails <= tol
+            if done.all():
+                break
+    return out
 
 
-def _finite_tail(
-    config: ShintaniConfig,
-    sigma: np.ndarray,
-    n_shell: int,
-    support: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
-) -> float:
-    """Exact remaining-support sum for finitely supported coefficients;
-    `support` is the `_finite_support`, enumerated here when not given."""
-    deg = config.theta.support_degree
-    if deg is None:
-        return math.inf
-    if n_shell >= deg:
+def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
+    """Exact remaining-support sum for finitely supported coefficients."""
+    if n_shell >= config.theta.support_degree:
         return 0.0
-    _, degrees, vals, forms = _finite_support(config) if support is None else support
-    terms = _support_abs_terms(vals, forms, config.c @ sigma)
-    return float(np.sum(terms[np.searchsorted(degrees, n_shell, side="right"):]))
+    support = _finite_support(config)
+    kept = int(np.searchsorted(support[1], n_shell, side="right"))
+    return float(_finite_tails(support, (config.c @ sigma)[None, :], [kept])[0, 0])
 
 
 def _geometric_ratio(config: ShintaniConfig, sl: np.ndarray, usum: float, t0: float) -> float:
@@ -722,9 +736,17 @@ def _int_power(col: np.ndarray, k: int) -> np.ndarray:
 
 
 def _form_powers(forms: np.ndarray, beta: np.ndarray, is_real: bool) -> np.ndarray:
-    """prod_l forms[:, l]^(-beta_l); real fast path avoids log/exp."""
+    """prod_l forms[:, l]^(-beta_l); real fast path avoids log/exp.  At
+    complex beta, sum_l log L_l (-beta_l) is summed from 0.0 in index order
+    by real ufuncs, not a BLAS matvec (equal bits for m <= 3)."""
     if not is_real:
-        return np.exp(np.log(forms) @ (-beta))
+        logs = np.log(forms)
+        out = np.zeros(forms.shape[0], dtype=complex)
+        re, im = out.real, out.imag
+        for l, b in enumerate((-np.asarray(beta, dtype=complex)).tolist()):
+            re += logs[:, l] * b.real
+            im += logs[:, l] * b.imag
+        return np.exp(out, out=out)
     out = None
     for l in range(forms.shape[1]):
         b = float(beta[l].real)
@@ -1054,64 +1076,56 @@ def _partial_sum(
 
 def _choose_shell(
     config: ShintaniConfig,
-    sigma: np.ndarray,
+    sigmas: np.ndarray,
     tol: float,
     shell_cap: int,
     support: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
-) -> tuple[int, bool, float]:
-    """Smallest shell with tail <= tol, capped by the enumerated-point budget:
-    (shell, certified, its tail bound).  `support`, for a finite support, is
-    its `_finite_support`, enumerated here when not given."""
-    theta = config.theta
-    if theta.support_degree is not None:
-        if support is None:
-            support = _finite_support(config)
-        return _finite_shell(config, sigma, tol, shell_cap, support)
-    if theta.support(config.r, 0, 0) is not None:
-        # an unbounded sparse support: one candidate shell per support degree
-        for _, n in itertools.islice(_lattice_blocks(config), max(shell_cap, 1)):
-            tail = _tail_bound(config, sigma, n)
-            if tail <= tol:
-                return n, True, tail
-        return n, False, tail
+    sl: Optional[np.ndarray] = None,
+) -> list[tuple[int, bool, float]]:
+    """(shell, certified, its tail bound) at each row sigma of `sigmas`: the
+    smallest shell with tail <= tol, capped by the enumerated-point budget.
 
-    n_cap = _cap_from_budget(config.r, shell_cap)
-    tail = _tail_bound(config, sigma, n_cap)
-    if not tail <= tol:
-        return n_cap, False, tail
-    n, tail = _first_admissible(config, sigma, tol, n_cap, tail)
-    return n, True, tail
-
-
-def _finite_shell(
-    config: ShintaniConfig,
-    sigma: np.ndarray,
-    tol: float,
-    shell_cap: int,
-    support: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[int, bool, float]:
-    """`_choose_shell` for a finite support, from its `_finite_support`.
-
-    The tail at a support degree n is the sum of the terms of degree > n, the
-    same suffix `_finite_tail` sums.  The budget caps the shell at the
+    A finite support's tails at every row come from one `_finite_tails`
+    table; `support` is its `_finite_support` and `sl` the rows' c @ sigma,
+    each formed here when not given.  The budget caps the shell at the
     largest support degree with at most shell_cap support points up to it
     (0 when there is none); the result is the smallest support degree at or
     below that cap whose tail is <= tol, else the cap, uncertified.  Past
     the last degree the tail is exactly 0, so an uncapped choice is always
     certified.
     """
-    _, degrees, vals, forms = support
-    terms = _support_abs_terms(vals, forms, config.c @ sigma)
-    deg = degrees.tolist()
-    # (support degree, the support points up to it): the tail there sums the
-    # terms past those points
-    ends = [i for i in range(1, len(deg) + 1) if i == len(deg) or deg[i] != deg[i - 1]]
-    shells = [(deg[i - 1], i) for i in ends if i <= shell_cap] or [(0, deg.count(0))]
-    for n, kept in shells:
-        tail = float(terms[kept:].sum())
-        if tail <= tol:
-            break
-    return n, tail <= tol, tail
+    theta = config.theta
+    if theta.support_degree is not None:
+        if support is None:
+            support = _finite_support(config)
+        if sl is None:
+            sl = np.array([config.c @ sigma for sigma in sigmas])
+        deg = support[1].tolist()
+        # (support degree, the support points up to it): the tail there sums
+        # the terms past those points
+        ends = [i for i in range(1, len(deg) + 1) if i == len(deg) or deg[i] != deg[i - 1]]
+        shells = [(deg[i - 1], i) for i in ends if i <= shell_cap] or [(0, deg.count(0))]
+        chosen = []
+        for tails in _finite_tails(support, sl, [kept for _, kept in shells], tol).tolist():
+            j = next((j for j, tail in enumerate(tails) if tail <= tol), len(tails) - 1)
+            chosen.append((shells[j][0], tails[j] <= tol, tails[j]))
+        return chosen
+    sparse = theta.support(config.r, 0, 0) is not None
+    n_cap = _cap_from_budget(config.r, shell_cap)
+    chosen = []
+    for sigma in sigmas:
+        if sparse:
+            # an unbounded sparse support: one candidate shell per support degree
+            for _, n in itertools.islice(_lattice_blocks(config), max(shell_cap, 1)):
+                tail = _tail_bound(config, sigma, n)
+                if tail <= tol:
+                    break
+        else:
+            n, tail = n_cap, _tail_bound(config, sigma, n_cap)
+            if tail <= tol:
+                n, tail = _first_admissible(config, sigma, tol, n_cap, tail)
+        chosen.append((n, tail <= tol, tail))
+    return chosen
 
 
 def _first_admissible(
@@ -1281,47 +1295,54 @@ def _evaluate(
     tol: float,
     shell_cap: int,
     points: Optional[tuple[ComplexPoint, ...]] = None,
+    n_shell: Optional[int] = None,
 ) -> list[EvalResult]:
     """`evaluate_many` at the points Re s = re[p], Im s = im[p] of a valid
-    config; `points`, when given, holds them as ComplexPoints.
+    config; `points`, when given, holds them as ComplexPoints.  With
+    `n_shell` it is `evaluate_partial`: every point is summed through that
+    shell, certified when its tail is finite, and tol and the region go
+    unchecked.
 
-    The shell depends only on sigma = Re s, so the region check and the
-    shell choice run once for each distinct row of `re` (rows that are equal
-    bit for bit).  A finite support is enumerated, and theta evaluated on
-    it, once for all points, and `_finite_sums` sums every point through
-    the support points up to its shell; every other config sums each
-    point's `_partial_sum` through the shell of its sigma.
+    c @ sigma, the region check and the shell depend only on sigma = Re s:
+    each is formed once per distinct row of `re` (equal bit for bit), the
+    shells by one `_choose_shell` call.  A finite support is enumerated,
+    and theta evaluated on it, once, and `_finite_sums` sums every point;
+    any other config sums each point's `_partial_sum`.
     """
-    if not tol > 0:
+    if n_shell is None and not tol > 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
     if not len(re):
         return []
     if len(re) == 1:
-        sigmas, inverse = [re[0]], [0]
+        sigmas, inverse = re[:1], [0]
     else:
         rows = re.view(np.dtype((np.void, re.itemsize * re.shape[1])))[:, 0]
         _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        sigmas, inverse = list(re[first]), inverse.tolist()
-    for sigma in sigmas:
-        if not _convergent_at_sigma(config, sigma):
-            raise RegionError(
-                "point outside certified convergence region: needs "
-                f"min_l Re<c_l,s> > r/m = {config.r / config.m}"
-            )
+        sigmas, inverse = re[first], inverse.tolist()
+    sl = np.array([config.c @ sigma for sigma in sigmas])
+    convergent = config.theta.is_entire or all(_region_holds(config, x) for x in sl)
+    if n_shell is None and not convergent:
+        raise RegionError("point outside certified convergence region: needs "
+                          f"min_l Re<c_l,s> > r/m = {config.r / config.m}")
     support = None if config.theta.support_degree is None else _finite_support(config)
-    shells = [_choose_shell(config, sigma, tol, shell_cap, support) for sigma in sigmas]
+    if n_shell is None:
+        shells = _choose_shell(config, sigmas, tol, shell_cap, support, sl)
+    else:
+        if support is None:
+            tails = [_tail_bound(config, sigma, n_shell) for sigma in sigmas]
+        else:
+            kept = int(np.searchsorted(support[1], n_shell, side="right"))
+            tails = _finite_tails(support, sl, [kept])[:, 0].tolist()
+        shells = [(n_shell, math.isfinite(tail), tail) for tail in tails]
     if support is None:
-        if points is None:
-            points = tuple(map(ComplexPoint, re, im))
+        if points is None:  # rows of read-only arrays: no copy per point
+            points = tuple(map(ComplexPoint, frozen_array(re), frozen_array(im)))
         sums = [_partial_sum(config, pt, shells[u][0], shells[u][2]) for pt, u in zip(points, inverse)]
     else:
         kept = np.searchsorted(support[1], [n for n, _, _ in shells], side="right").tolist()
-        beta_re = np.array([config.c @ sigma for sigma in sigmas])[inverse]
-        values = _finite_sums(config, support, beta_re, im, [kept[u] for u in inverse])
+        values = _finite_sums(config, support, sl[inverse], im, [kept[u] for u in inverse])
         sums = [(value, shells[u][2]) for value, u in zip(values, inverse)]
-    return [
-        _result(value, tail, shells[u][0], shells[u][1]) for (value, tail), u in zip(sums, inverse)
-    ]
+    return [_result(v, tail, shells[u][0], shells[u][1]) for (v, tail), u in zip(sums, inverse)]
 
 
 def _result(value: complex, tail: float, n_shell: int, certified: bool) -> EvalResult:
@@ -1403,21 +1424,12 @@ def _finite_sums(
 
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     """Plain partial sum over total degree <= n_shell, with its tail bound;
-    NumericError when the sum is not finite.
-
-    A finite support is enumerated once, for its `_finite_tail` and for
-    `_finite_sums`, which sums the kept points as in `evaluate`."""
+    NumericError when the sum is not finite.  It is `_evaluate` at that
+    shell, so each config takes the summation route `evaluate` takes."""
     _require_valid(config)
     _require_shell(n_shell)
     pt = as_point(s, config.d)
-    if config.theta.support_degree is None:
-        value, tail = _partial_sum(config, pt, n_shell, _tail_bound(config, pt.re, n_shell))
-    else:
-        support = _finite_support(config)
-        tail = _finite_tail(config, pt.re, n_shell, support)
-        kept = int(np.searchsorted(support[1], n_shell, side="right"))
-        (value,) = _finite_sums(config, support, (config.c @ pt.re)[None, :], pt.im[None, :], [kept])
-    return _result(value, tail, n_shell, math.isfinite(tail))
+    return _evaluate(config, pt.re[None, :], pt.im[None, :], math.nan, 0, (pt,), n_shell)[0]
 
 
 def _require_shell(n_shell) -> None:

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
+from .arithmetic import frozen_array
 from .distributions import ZetaDistribution, atom_cf_grid, build_distribution
 from .errors import ConfigError, NumericError, RegionError
 from .series import (
@@ -52,10 +53,7 @@ class SliceSpec:
     rect: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "direction", np.atleast_1d(np.asarray(self.direction, dtype=complex))
-        )
-        self.direction.setflags(write=False)
+        object.__setattr__(self, "direction", frozen_array(np.atleast_1d(self.direction), complex))
         if not np.isfinite(self.direction).all():
             raise ConfigError(f"slice direction must be finite, got {self.direction}")
         re_lo, re_hi, im_lo, im_hi = self.rect

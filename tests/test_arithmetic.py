@@ -17,7 +17,6 @@ from shintani.arithmetic import (
     prime_exponent,
     prime_power_coefficient,
     sieve_primes,
-    smallest_prime_factors,
 )
 from shintani.errors import ConfigError
 
@@ -46,12 +45,6 @@ class TestSieve:
     def test_limit_too_small(self):
         with pytest.raises(ConfigError):
             sieve_primes(1)
-
-    def test_smallest_prime_factors(self):
-        spf = smallest_prime_factors(50)
-        for n in range(2, 51):
-            assert n % spf[n] == 0
-            assert spf[n] == min(p for p, _ in factorize(n))
 
 
 class TestExponents:

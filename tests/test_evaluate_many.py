@@ -344,3 +344,29 @@ def test_finite_supports_use_one_kernel(monkeypatch):
     evaluate(binomial.config, -1.0)
     evaluate(differentiate(binomial.config, 1), -1.0 + 2.0j)
     assert kernel.call_count == calls + 2
+
+
+def test_tail_table_past_one_block():
+    """A call whose (distinct Re s x support points) tail table exceeds
+    _BLOCK = 2^21 entries is formed in slices of rows, and every result,
+    including evaluate_partial's, keeps the bits of its own evaluate call."""
+    rng = np.random.default_rng(17)
+    pts = series._shells(0, 30, 3)  # 5,456 support points, 31 degrees
+    config = ShintaniConfig(
+        d=2, m=3, r=3, lam=rng.uniform(0.5, 2.0, (3, 3)), u=rng.uniform(0.3, 2.0, 3),
+        c=rng.uniform(0.2, 1.0, (3, 2)),
+        theta=CoefficientSpec.finite_support(
+            dict(zip(map(tuple, pts.tolist()), rng.uniform(-1.0, 1.0, len(pts)).tolist()))
+        ),
+    )
+    n = 400
+    re = rng.uniform(0.5, 4.0, (n, 2))
+    im = rng.uniform(-10.0, 10.0, (n, 2)) * (rng.random((n, 1)) < 0.5)
+    assert n * len(pts) > series._BLOCK
+    batch = re + 1j * im
+    many = evaluate_many(config, batch, tol=1e-6, shell_cap=10**6)
+    assert len({res.shells_used for res in many}) > 5
+    for k, (s, res) in enumerate(zip(batch, many)):
+        assert _bits(res) == _bits(evaluate(config, s, tol=1e-6, shell_cap=10**6)), s
+        if k % 20 == 0:
+            assert _bits(evaluate_partial(config, s, res.shells_used))[:4] == _bits(res)[:4], s

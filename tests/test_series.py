@@ -1,6 +1,7 @@
 """Core series evaluation: validation, region, certified tails, derivative
 closure, named constructions, and the module invariants."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,8 +12,10 @@ import pytest
 import scipy.special as sp
 
 from conftest import random_config, region_sigma
+from shintani.arithmetic import AlphaRule, PrimeTable
 from shintani.coefficients import CoefficientSpec, Envelope
 from shintani import series
+from shintani.distributions import SampleBatch, build_distribution, sample
 from shintani.errors import CertificationError, ConfigError, NumericError, RegionError
 from shintani.series import (
     SPECIAL_KINDS,
@@ -28,7 +31,9 @@ from shintani.series import (
     tail_bound,
     validate_config,
 )
+from shintani.euler import DiscreteMeasure, EulerConfig
 from shintani.summation import exact_complex_sum
+from shintani.zeros import SliceSpec
 
 ZETA2 = math.pi**2 / 6
 ZETA_PRIME_2 = -0.9375482543158437  # zeta'(2)
@@ -509,3 +514,58 @@ class TestBudget:
         assert lattice_count(1, 10) == 11
         assert lattice_count(2, 3) == 10
         assert lattice_count(3, 2) == 10
+
+
+def _array_keepers(name):
+    """(a writable array, a function that builds the object from it and
+    returns the array the object keeps) for every class that keeps an
+    array, and for the entry points that handed callers' arrays to them."""
+    dist = build_distribution(riemann(), 2.0, delta=1e-2)
+    base = ComplexPoint([2.0], [0.0])
+    return {
+        "ComplexPoint.re": (np.array([2.0]), lambda a: ComplexPoint(a, [0.0]).re),
+        "ComplexPoint.im": (np.array([1.0]), lambda a: ComplexPoint([2.0], a).im),
+        "ShintaniConfig": (
+            np.array([0.5]),
+            lambda a: ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=a, c=[[1.0]],
+                                     theta=CoefficientSpec.constant(1.0)).u,
+        ),
+        "SliceSpec": (np.array([1j]), lambda a: SliceSpec(base, a, (0.0, 1.0, 0.0, 1.0)).direction),
+        "ZetaDistribution": (dist.masses.copy(), lambda a: dataclasses.replace(dist, masses=a).masses),
+        "SampleBatch": (np.zeros((3, 1)), lambda a: SampleBatch(a, 0, 3, 0.0).points),
+        "EulerConfig": (np.ones((1, 1)), lambda a: EulerConfig(1, 1, (AlphaRule.constant(1.0),), a).a),
+        "DiscreteMeasure": (np.ones(2), lambda a: DiscreteMeasure(a, np.ones(2), 2, 1).locations),
+        "PrimeTable": (np.array([2, 3]), lambda a: PrimeTable(3, a).primes),
+        "build_distribution": (np.array([2.0]), lambda a: build_distribution(riemann(), a, delta=1e-2).sigma),
+        "evaluate": (np.array([2.0]), lambda a: np.array([evaluate(riemann(), ComplexPoint(a, [0.0])).value])),
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "ComplexPoint.re", "ComplexPoint.im", "ShintaniConfig", "SliceSpec", "ZetaDistribution",
+    "SampleBatch", "EulerConfig", "DiscreteMeasure", "PrimeTable", "build_distribution", "evaluate",
+])
+def test_constructors_leave_callers_arrays_writable(name):
+    arr, build = _array_keepers(name)
+    kept = build(arr)
+    before = kept.copy()
+    assert arr.flags.writeable, name
+    arr[...] = 7
+    assert np.array_equal(kept, before), name
+    if name != "evaluate":
+        assert not kept.flags.writeable, name
+
+
+def test_read_only_arrays_are_kept_as_is():
+    dist = build_distribution(riemann(), 2.0, delta=1e-2)
+    copy = dataclasses.replace(dist)
+    assert copy.locations is dist.locations and copy.masses is dist.masses
+    batch = sample(dist, seed=1, count=5)
+    assert dataclasses.replace(batch).points is batch.points
+    # a read-only view of a writable array is copied: its base could change
+    owner = np.array([0.5])
+    view = owner[:]
+    view.setflags(write=False)
+    cfg = ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=view, c=[[1.0]], theta=CoefficientSpec.constant(1.0))
+    owner[0] = 2.0
+    assert cfg.u.tolist() == [0.5]

@@ -23,14 +23,12 @@ from shintani.arithmetic import AlphaRule
 from shintani.coefficients import CoefficientSpec
 from shintani.series import (
     ShintaniConfig,
-    _abs_form_powers,
     _cap_from_budget,
     _choose_shell,
     _finite_support,
     _finite_tail,
     _geometric_start,
     _geometric_tail,
-    _support_abs_terms,
     _tail_bound,
     as_point,
     evaluate,
@@ -70,6 +68,14 @@ def _reference_choose_shell(config, sigma, tol, shell_cap):
         else:
             lo = mid + 1
     return lo, True, _tail_bound(config, sigma, lo)
+
+
+def _abs_form_powers(forms, sl):
+    """prod_l forms[:, l]^(-sl[l]), one power per form in form order."""
+    out = np.ones(forms.shape[0])
+    for l, b in enumerate(sl):
+        out *= forms[:, l] ** (-b)
+    return out
 
 
 def _reference_finite_tail(config, sigma, n_shell):
@@ -157,7 +163,7 @@ def cases(draw):
 @given(cases())
 def test_matches_bisection_reference(case):
     config, sigma, tol, cap = case
-    n, certified, tail = _choose_shell(config, sigma, tol, cap)
+    ((n, certified, tail),) = _choose_shell(config, sigma[None, :], tol, cap)
     ref_n, ref_certified, ref_tail = _reference_choose_shell(config, sigma, tol, cap)
     assert (n, certified, float(tail).hex()) == (ref_n, ref_certified, float(ref_tail).hex())
     assert float(tail).hex() == float(_tail_bound(config, sigma, n)).hex()
@@ -169,12 +175,30 @@ def test_one_pass_finite_tails(data):
     config = _family("finite_support", data.draw)
     sigma = np.array([data.draw(st.floats(-3.0, 4.0))])
     _, degrees, vals, forms = _finite_support(config)
-    terms = _support_abs_terms(vals, forms, config.c @ sigma)
+    terms = np.abs(vals) * _abs_form_powers(forms, config.c @ sigma)
     for n in range(-1, config.theta.support_degree + 2):
         one_pass = float(np.sum(terms[np.searchsorted(degrees, n, side="right"):]))
         assert one_pass == _finite_tail(config, sigma, n)
         if config.r == 1:  # a form is one product and one sum, whatever its row
             assert one_pass == _reference_finite_tail(config, sigma, n)
+
+
+def test_one_table_keeps_scalar_power_bits():
+    """sigma = 1, -1/2 and -2 on one form give the exponents -1, 1/2 and 2,
+    where numpy's `**` with a scalar exponent rounds differently from a
+    broadcast one: every tail of a many-row table keeps the bits of its own
+    one-row table and of the per-form reference."""
+    config = _one_form(CoefficientSpec.finite_support({(k,): 1.0 + k % 3 for k in range(200)}), u=0.37)
+    sigmas = np.array([[x] for x in (1.0, -0.5, -2.0, 0.0, 0.5, 2.0, -1.0, 1.5, 3.0)])
+    support = _finite_support(config)
+    sl = np.array([config.c @ sigma for sigma in sigmas])
+    kept = list(range(201))
+    table = series._finite_tails(support, sl, kept)
+    for i, sigma in enumerate(sigmas):
+        row = series._finite_tails(support, sl[i : i + 1], kept)[0]
+        assert [x.hex() for x in table[i]] == [x.hex() for x in row], sigma
+        ref = [_reference_finite_tail(config, sigma, n - 1) for n in kept]
+        assert [x.hex() for x in table[i].tolist()] == [x.hex() for x in ref], sigma
 
 
 class TestShellCap:

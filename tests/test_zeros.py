@@ -270,3 +270,74 @@ class TestBatchedContours:
             reference = scan()
             assert report == reference
             assert repr(report) == repr(reference)  # repr tells 0.0 from -0.0
+
+
+class TestFailureOutcomes:
+    """The outcomes where a zero finder cannot confirm or count a zero."""
+
+    HALF = dict(j=2, big_k=1, phi=math.e, sigma=-1.0)  # p = 1/2, a zero at t = pi
+
+    def test_unreachable_tol_is_unconfirmed(self):
+        sd = make_special_distribution("binomial", **self.HALF)
+        report = scan_cf_zeros(sd.config, sd.sigma, t_range=(2.0, 4.0), step=0.05, tol=1e-300)
+        (cand,) = report.candidates
+        assert cand.status == "unconfirmed" and cand.multiplicity is None
+        assert abs(cand.location - math.pi) <= 1e-8 and cand.residual >= 1e-300
+        assert not report.certificate and not report.confirmed
+        assert report.rectangle_counts == ()
+        with pytest.raises(NumericError, match="no confirmed zero"):
+            non_id_certificate(report, build_distribution(sd.config, sd.sigma, delta=1e-6))
+
+    def test_failed_refinement_keeps_the_grid_point(self, monkeypatch):
+        monkeypatch.setattr(zeros, "_refine_zero", lambda *args, **kwargs: None)
+        sd = make_special_distribution("binomial", **self.HALF)
+        report = scan_cf_zeros(sd.config, sd.sigma, t_range=(2.0, 4.0), step=0.05, tol=1e-9)
+        (cand,) = report.candidates
+        assert cand.status == "refine_failed"
+        assert cand.location.imag == 0.0 and abs(cand.location.real - math.pi) <= 0.025
+        assert cand.residual < 0.2  # the grid |f| that triggered the refinement
+        assert not report.certificate and report.rectangle_counts == ()
+
+    def test_refine_error_in_difference_pair(self):
+        def f(ws):
+            if len(ws) == 2:
+                raise NumericError("pair")
+            return [w - 1.0 for w in ws]
+
+        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) is None
+
+    def test_refine_region_error_in_difference_pair(self):
+        def f(ws):
+            if len(ws) == 2:
+                raise RegionError("pair")
+            return [w - 1.0 for w in ws]
+
+        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) is None
+
+    def test_refine_flat_difference(self):
+        assert zeros._refine_zero(lambda ws: [1.0 + 0j for _ in ws], 0j, 1e-9, 0.1) is None
+
+    def test_refine_step_is_clamped(self):
+        # the Newton step 1000 is clamped to 10 * scale = 1, which decreases |f|
+        w, resid = zeros._refine_zero(lambda ws: [1.0 + 1e-3 * w for w in ws], 0j, 1e-9, 0.1, max_iter=1)
+        assert w == -1.0 + 0j
+        assert resid == abs(1.0 - 1e-3)
+
+    def test_refine_line_search_errors_exhaust_it(self):
+        def f(ws):
+            if len(ws) == 1 and ws[0] != 0:
+                raise NumericError("line search")
+            return [w - 1.0 for w in ws]
+
+        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) == (0j, 1.0)
+
+    def test_refine_line_search_without_descent(self):
+        # |f| grows along the Newton direction at every damping, so w stays put
+        f = lambda ws: [1.0 + abs(w) + 0.5 * w for w in ws]  # noqa: E731
+        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) == (0j, 1.0)
+
+    def test_persistent_boundary_zero(self):
+        # a series that vanishes everywhere has a zero on every grown boundary
+        cfg = dirichlet_poly({0: 0.0})
+        with pytest.raises(NumericError, match="persists on the rectangle boundary"):
+            count_zeros_rectangle(cfg, real_axis_slice((-1.0, 1.0, -1.0, 1.0)))
