@@ -179,6 +179,12 @@ class CoefficientSpec:
         every family but constant and periodic."""
         return None
 
+    def log_split(self) -> Optional[tuple["CoefficientSpec", np.ndarray, np.ndarray, np.ndarray]]:
+        """(rest, coeffs, lam, u) when theta(n) = rest(n) sum_q coeffs_q
+        log(sum_j lam_qj (n_j + u_j)) with exactly one ``log_factor`` and no
+        log factor in ``rest``; None otherwise (none, or two or more)."""
+        return None
+
     def prewarm(self, max_coord: int) -> None:
         """Build any table ``values`` needs for coordinates up to max_coord."""
 
@@ -531,6 +537,10 @@ class _LogFactor(CoefficientSpec, family="log_factor"):
         forms = points @ lam.T + (lam @ u)
         return np.log(forms) @ coeffs
 
+    def log_split(self):
+        lam, u, coeffs = self._arrays()
+        return CoefficientSpec.constant(1.0), coeffs, lam, u
+
     def sign_class(self):
         lam, u, coeffs = self._arrays()
         if np.all(coeffs == 0.0):
@@ -651,6 +661,18 @@ class _Product(CoefficientSpec, family="product_of_families"):
     def prewarm(self, max_coord):
         for factor in self.params["factors"]:
             factor.prewarm(max_coord)
+
+    def log_split(self):
+        fs = self.params["factors"]
+        logs = [i for i, f in enumerate(fs) if f.log_weight.power]
+        split = fs[logs[0]].log_split() if len(logs) == 1 else None
+        if split is None:
+            return None
+        inner, coeffs, lam, u = split
+        rest = tuple(f for f in fs[: logs[0]] + (inner,) + fs[logs[0] + 1 :] if not f.is_one)
+        if len(rest) > 1:
+            return CoefficientSpec.product(rest), coeffs, lam, u
+        return (rest[0] if rest else inner), coeffs, lam, u
 
     def times(self, factor):
         return CoefficientSpec.product(self.params["factors"] + (factor,))

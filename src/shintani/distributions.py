@@ -477,9 +477,11 @@ def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
     past the table's last shell, over |Z|.
 
     The value stays a (binned) sum over the atoms.  As a partial sum it
-    would be `evaluate_partial` of the differentiated config, whose
-    log-factor theta goes by the block route: for riemann, k = 1, that
-    takes about twice as long as the sum over the 1M-atom table."""
+    would be `evaluate_partial` of the differentiated config.  At order 1
+    that could now be a line partial sum (one log factor on a line config),
+    but at order >= 2 the two or more log factors go by the block route,
+    which enumerates every atom again; so every order keeps the one table
+    sum."""
     if isinstance(k, (int, np.integer)):
         k = (int(k),)
     k = tuple(int(x) for x in k)

@@ -38,10 +38,13 @@ contains n_j is the same multiple of one form: always for r = 1, column 0
 of euler_zagier, any column of barnes), it is a sum of Euler–Maclaurin
 line sums (Johansson 2015), one per rest point of the other r - 1
 coordinates and residue class of n_j, all computed in one array kernel.
+The same holds for such a theta times one log_factor on the config's own
+forms (a first derivative from `differentiate`): along a line the log
+factor is a + g log(k + v), so each line sums (w + g log x) x^(-b).
 Their certified remainder, at most 2^-60 times the tail bound, is added to
-the reported bound.  Every other config, including any log_factor theta,
-enumerates the lattice in blocks.  Rounding error is uncertified on both
-routes.
+the reported bound.  Every other config, including two or more log
+factors (second derivatives), enumerates the lattice in blocks.  Rounding
+error is uncertified on both routes.
 """
 
 from __future__ import annotations
@@ -816,6 +819,7 @@ _EM_HEAD = 16  # Euler–Maclaurin starts no lower than k + v = 16
 _EM_MAX_HEAD = 1 << 16  # a line that needs a longer direct head is left to the block route
 _EM_REL = 2.0**-60  # remainder target relative to the shell tail bound
 _EM_DIRECT = 1 << 9  # lines with at most this many terms in all are summed directly
+_EM_NEWTON = 50  # Newton steps at most for a log-weighted start point (a handful converge)
 _EM_ORDERS = np.arange(1, len(_EM_COEFFS) + 1)
 
 
@@ -831,10 +835,31 @@ def _expm1_ratio(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# (k + 1) / (k + 2)!, k = 0..18: the Taylor coefficients of `_expm1_ratio2`
+_RATIO2_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(19))
+
+
+def _expm1_ratio2(z: np.ndarray) -> np.ndarray:
+    """int_0^1 t e^(z t) dt = ((z - 1) e^z + 1) / z^2 elementwise.
+
+    For |z| <= 1 its Taylor series sum_k (k + 1) z^k / (k + 2)!, whose
+    terms past k = 18 are below 2^-56 of the first; beyond, the closed form
+    (e^z - (e^z - 1)/z) / z, whose two parts cancel by at most a factor of
+    about 3 there."""
+    small = np.abs(z) <= 1.0
+    near = np.where(small, z, 0.0)
+    series = _RATIO2_SERIES[-1]
+    for c in reversed(_RATIO2_SERIES[:-1]):
+        series = series * near + c
+    far = np.where(small, 2.0, z)
+    return np.where(small, series, (np.exp(far) - _expm1_ratio(far)) / far)
+
+
 def _em_remainder_constants(b: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orders M that `_em_remainder_bounds` keeps, with log C_M and
-    p_M = Re b + 2M - 1 > 0 such that its bound is C_M (h+v)^(-p_M).  The
-    last order has log C_M = -inf when the remainder is exactly 0."""
+    """The orders M that `_em_remainder_bounds` keeps for a line without a
+    log weight, with log C_M and p_M = Re b + 2M - 1 > 0 such that its bound
+    is C_M (h+v)^(-p_M).  The last order has log C_M = -inf when the
+    remainder is exactly 0."""
     with np.errstate(divide="ignore"):  # log 0 = -inf for a zero factor
         log_rising = np.cumsum(np.log(np.abs(b + np.arange(2 * _EM_ORDERS.size))))[1::2]
     decay = b.real + 2.0 * _EM_ORDERS - 1.0
@@ -850,29 +875,86 @@ def _em_remainder_constants(b: complex) -> tuple[np.ndarray, np.ndarray, np.ndar
     return _EM_ORDERS[keep], log_c[keep], decay[keep]
 
 
-def _em_remainder_bounds(b: complex, v: float, h: int) -> Iterator[tuple[int, float]]:
+def _em_log_remainder_constants(
+    b: complex,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The orders M that `_em_remainder_bounds` keeps for a line with a log
+    weight, with log C_M, p_M = Re b + 2M - 1 > 0 and (a_M, a0_M) such that
+    its bound for the line (w + g log x) x^(-b) from X >= 1 on is
+        C_M X^(-p_M) (a_M (|w| + |g| log X) + a0_M |g|).
+    Where (b)_2M != 0: C_M = 4 |(b)_2M| (2 pi)^(-2M) / p_M, a_M = 1 and
+    a0_M = 1/p_M + |(b)_2M' / (b)_2M|.  Where a factor b + i0 (i0 < 2M) is
+    exactly 0: a_M = 0, a0_M = 1 and C_M = 4 |(b)_2M'| (2 pi)^(-2M) / p_M,
+    with (b)_2M' = prod_{i != i0} (b + i)."""
+    factors = b + np.arange(2 * _EM_ORDERS.size)
+    zero = factors == 0
+    factors[zero] = 1.0  # leaves prod_{i != i0} (b + i) past the zero
+    log_rising = np.cumsum(np.log(np.abs(factors)))[1::2]
+    ratio = np.abs(np.cumsum(1.0 / factors))[1::2]  # |(b)_n' / (b)_n| before the zero
+    past_zero = np.cumsum(zero)[1::2] > 0
+    decay = b.real + 2.0 * _EM_ORDERS - 1.0
+    keep = decay > 0.0
+    decay = decay[keep]
+    log_c = (
+        math.log(4.0) + log_rising[keep] - _EM_ORDERS[keep] * (2.0 * math.log(2.0 * math.pi))
+        - np.log(decay)
+    )
+    a = np.where(past_zero[keep], 0.0, 1.0)
+    a0 = np.where(past_zero[keep], 1.0, 1.0 / decay + ratio[keep])
+    return _EM_ORDERS[keep], log_c, decay, a, a0
+
+
+def _em_log_bound(log_c, decay, a, a0, w_abs, g_abs, log_x):
+    """C X^(-p) (a (|w| + |g| log X) + a0 |g|) from `_em_log_remainder_constants`,
+    at log X = log_x (broadcasting)."""
+    return np.exp(log_c - decay * log_x) * (a * (w_abs + g_abs * log_x) + a0 * g_abs)
+
+
+def _em_remainder_bounds(
+    b: complex, v: float, h: int, w: complex = 1.0, g: complex = 0.0
+) -> Iterator[tuple[int, float]]:
     """(M, bound) for M = 1..20: the Euler–Maclaurin remainder of
-    sum_{k=h}^{K} (k+v)^(-b) with M Bernoulli terms, for every K >= h.
+    sum_{k=h}^{K} (w + g log(k+v)) (k+v)^(-b) with M Bernoulli terms, for
+    every K >= h, where h + v >= 1 when g != 0.
 
     Proof (Johansson, "Rigorous high-precision computation of the Hurwitz
     zeta function and its derivatives", Numer. Algorithms 2015, Theorem 1,
-    with f(x) = (x+v)^(-b), v > 0).  Summation by parts against the periodic
-    Bernoulli function B~_2M leaves the remainder
-        R = -int_h^K B~_2M(x) / (2M)! f^(2M)(x) dx.
+    with f(x) = (w + g log x) x^(-b) and x = k + v > 0).  Summation by parts
+    against the periodic Bernoulli function B~_2M leaves the remainder
+        R = -int_X^(K+v) B~_2M(x - v) / (2M)! f^(2M)(x) dx,  X = h + v.
     For even order, |B~_2M(x)| <= |B_2M| = 2 (2M)! zeta(2M) / (2 pi)^(2M),
     and zeta(2M) <= zeta(2) < 2, so |B~_2M| / (2M)! < 4 (2 pi)^(-2M).
-    f^(2M)(x) = (b)_2M (x+v)^(-b-2M) with the rising factorial
-    (b)_2M = b (b+1) ... (b+2M-1), and |(x+v)^(-b-2M)| = (x+v)^(-Re b-2M)
-    because x + v > 0.  When Re b + 2M > 1 the integral over [h, K] is at
-    most the one over [h, inf), which gives
-        |R| <= 4 |(b)_2M| (2 pi)^(-2M) (h+v)^(1-Re b-2M) / (Re b + 2M - 1).
-    Orders with Re b + 2M <= 1 are skipped.  The bound is formed in
-    logarithms, so large rising factorials cannot overflow.  A zero factor
-    of (b)_2M (b a non-positive integer) makes f a polynomial of degree
-    below 2M and the remainder exactly 0.
+    With the rising factorial (b)_n = b (b+1) ... (b+n-1) and its
+    b-derivative (b)_n', d^n/dx^n x^(-b) = (-1)^n (b)_n x^(-b-n), and
+    log x x^(-b) = -d/db x^(-b), so
+        f^(n)(x) = (-1)^n x^(-b-n) ((b)_n (w + g log x) - g (b)_n'),
+    and |x^(-b-n)| = x^(-Re b-n) because x > 0.  Let p = Re b + 2M - 1.
+    When g = 0 and p > 0, the integral over [X, K+v] is at most the one
+    over [X, inf), which gives
+        |R| <= 4 |w| |(b)_2M| (2 pi)^(-2M) X^(-p) / p.
+    When g != 0, x >= X >= 1 gives |w + g log x| <= |w| + |g| log x, and
+    int_X^inf x^(-p-1) dx = X^(-p)/p, int_X^inf log x x^(-p-1) dx =
+    X^(-p) (log X + 1/p)/p, so for p > 0
+        |R| <= 4 (2 pi)^(-2M) X^(-p) (|(b)_2M| (|w| + |g| (log X + 1/p))
+               + |g| |(b)_2M'|) / p,
+    which is the form of `_em_log_remainder_constants`, with
+    |(b)_2M'| = |(b)_2M| |sum_{i<2M} 1/(b+i)| where (b)_2M != 0.  It holds
+    where (b)_2M = 0 as well: the log part is then no polynomial, and only
+    the |g| |(b)_2M'| term is left.  Orders with p <= 0 are skipped.  Both
+    bounds are formed in logarithms, so large rising factorials cannot
+    overflow.  When g = 0 a zero factor of (b)_2M (b a non-positive
+    integer) makes f a polynomial of degree below 2M and the remainder
+    exactly 0.  Both bounds fall as X grows (for g != 0: the derivative of
+    X^(-p) (alpha + beta log X) has the sign of beta - p (alpha + beta log X),
+    and p alpha >= |(b)_2M| |g| = beta), so a line that starts past X keeps
+    the bound at X.
     """
-    orders, log_c, decay = _em_remainder_constants(b)
-    return zip(orders.tolist(), np.exp(log_c - decay * math.log(h + v)).tolist())
+    log_x = math.log(h + v)
+    if g == 0:
+        orders, log_c, decay = _em_remainder_constants(b)
+        return zip(orders.tolist(), (abs(w) * np.exp(log_c - decay * log_x)).tolist())
+    orders, log_c, decay, a, a0 = _em_log_remainder_constants(b)
+    return zip(orders.tolist(), _em_log_bound(log_c, decay, a, a0, abs(w), abs(g), log_x).tolist())
 
 
 def _line_powers(x: np.ndarray, b: complex) -> np.ndarray:
@@ -881,12 +963,21 @@ def _line_powers(x: np.ndarray, b: complex) -> np.ndarray:
 
 def _em_sum(
     b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray,
-    h: np.ndarray, order: int,
+    h: np.ndarray, order: int, logs: Optional[np.ndarray] = None,
 ) -> complex:
-    """sum_i weights_i sum_{k=0}^{k_max_i} (k+v_i)^(-b) without remainders:
-    line i sums its terms k < h_i directly (all heads in one flat array) and
-    the rest by Euler–Maclaurin over [h_i, k_max_i] (the integral, the two
-    endpoint halves and `order` Bernoulli terms), all lines at once."""
+    """sum_i sum_{k=0}^{k_max_i} (weights_i + logs_i log(k+v_i)) (k+v_i)^(-b)
+    (logs None: 0) without remainders: line i sums its terms k < h_i
+    directly (all heads in one flat array) and the rest by Euler–Maclaurin
+    over [h_i, k_max_i] (the integral, the two endpoint halves and `order`
+    Bernoulli terms), all lines at once.
+
+    With x0 = h_i + v_i, x1 = k_max_i + v_i, z = 1 - b and L = log(x1/x0),
+    int_x0^x1 x^(-b) dx = x0^(1-b) L E1(z L) and int_x0^x1 log x x^(-b) dx
+    = x0^(1-b) L (log x0 E1(z L) + L E2(z L)) (substitute x = x0 e^(L t)),
+    with E1 = `_expm1_ratio` and E2 = `_expm1_ratio2`.  The Bernoulli terms
+    use -f^(2j-1)(x) = x^(-b-2j+1) ((b)_(2j-1) (w + g log x) - g (b)_(2j-1)')
+    (see `_em_remainder_bounds`), with (b)_n' formed by the product rule in
+    the loop that forms (b)_n."""
     acc = CompensatedSum()
     counts = np.minimum(h, k_max + 1)
     lines = np.flatnonzero(counts)
@@ -899,81 +990,145 @@ def _em_sum(
         rep = counts[start:stop]
         idx = np.repeat(lines[start:stop], rep)
         k = np.arange(first, int(ends[stop - 1])) - np.repeat(ends[start:stop] - rep, rep)
-        acc.add_array(weights[idx] * _line_powers(k + v[idx], b))
+        x = k + v[idx]
+        if logs is None:
+            acc.add_array(weights[idx] * _line_powers(x, b))
+        else:
+            acc.add_array((weights[idx] + logs[idx] * np.log(x)) * _line_powers(x, b))
         start = stop
     em = h <= k_max
     if not em.all():
         if not em.any():
             return acc.value
         h, v, k_max, weights = h[em], v[em], k_max[em], weights[em]
+        if logs is not None:
+            logs = logs[em]
     bb = b.real if b.imag == 0.0 else b
     x0 = h + v
     ends = np.concatenate((x0, k_max + v))  # x0 then x1 of every line
     f = _line_powers(ends, b)
     f0, f1 = f[: x0.size], f[x0.size:]
     log_ratio = np.log1p((k_max - h) / x0)
-    # int_x0^x1 x^(-b) dx = x0^(1-b) (e^((1-b) L) - 1) / (1-b), L = log(x1/x0)
-    tails = x0 * f0 * log_ratio * _expm1_ratio((1.0 - bb) * log_ratio) + 0.5 * (f0 + f1)
+    if logs is None:
+        # int_x0^x1 x^(-b) dx = x0^(1-b) (e^((1-b) L) - 1) / (1-b), L = log(x1/x0)
+        tails = x0 * f0 * log_ratio * _expm1_ratio((1.0 - bb) * log_ratio) + 0.5 * (f0 + f1)
+    else:
+        # the weight w + g log x at x0 then x1 of every line
+        logs = np.concatenate((logs, logs))
+        lw = np.concatenate((weights, weights)) + logs * np.log(ends)
+        lw0, lw1 = lw[: x0.size], lw[x0.size:]
+        zl = (1.0 - bb) * log_ratio
+        tails = (
+            x0 * f0 * log_ratio * (lw0 * _expm1_ratio(zl) + logs[: x0.size] * log_ratio * _expm1_ratio2(zl))
+            + 0.5 * (lw0 * f0 + lw1 * f1)
+        )
     if order:
         # -f^(2j-1)(x) = (b)_(2j-1) x^(-b-2j+1) = f(x)/x (b)_(2j-1) y^(j-1) with
         # y = 1/x^2: the Bernoulli terms are f/x times a polynomial in y (Horner)
-        coeffs, rise = [], bb
+        coeffs, dcoeffs, rise, drise = [], [], bb, 1.0
         for j in range(order):
-            if j:
+            if j:  # (b)_(2j+1) and its b-derivative by the product rule
+                drise = drise * (bb + 2 * j - 1) * (bb + 2 * j) + rise * (2.0 * bb + 4 * j - 1)
                 rise *= (bb + 2 * j - 1) * (bb + 2 * j)
             coeffs.append(_EM_COEFFS[j] * rise)
+            dcoeffs.append(_EM_COEFFS[j] * drise)
         y = 1.0 / (ends * ends)
         poly = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             poly = poly * y + c
-        corr = f / ends * poly
+        if logs is None:
+            corr = f / ends * poly
+        else:
+            dpoly = dcoeffs[-1]
+            for c in reversed(dcoeffs[:-1]):
+                dpoly = dpoly * y + c
+            corr = f / ends * (lw * poly - logs * dpoly)
         tails += corr[: x0.size] - corr[x0.size:]
-    acc.add_array(weights * tails)
+    acc.add_array(weights * tails if logs is None else tails)
     return acc.value
 
 
-def _em_line_sum(b: complex, v: float, k_max: int, h: int, order: int) -> complex:
-    """sum_{k=0}^{k_max} (k+v)^(-b) without its remainder, for one line."""
-    return _em_sum(b, np.array([float(v)]), np.array([k_max]), np.array([1.0]), np.array([h]), order)
-
-
 def _em_line_sums(
-    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray, target: float
+    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray, target: float,
+    logs: Optional[np.ndarray] = None,
 ) -> Optional[tuple[complex, float]]:
-    """sum_i weights_i sum_{k=0}^{k_max_i} (k+v_i)^(-b), and a bound on the
-    Euler–Maclaurin remainders that is at most `target`.
+    """sum_i sum_{k=0}^{k_max_i} (weights_i + logs_i log(k+v_i)) (k+v_i)^(-b)
+    (logs None: 0), and a bound on the Euler–Maclaurin remainders that is at
+    most `target`.
 
-    One Bernoulli order M serves every line.  With W = sum_i |weights_i|, let
-    X_M >= _EM_HEAD be the smallest point with W C_M X_M^(-p_M) <= target
-    (C_M, p_M from `_em_remainder_constants`).  Euler–Maclaurin starts on
-    every line at the first k with k + v_i >= X = min_M X_M, with the first
-    order M that reaches it; each line's remainder is then at most
-    C_M X^(-p_M), so the weighted total is at most target.  A line's head
-    grows with X and never exceeds the line, so no other choice of X has
-    fewer head terms.  A line with v_i >= X needs no head; one whose head
-    covers it is summed directly with no remainder.  Every line is summed
-    directly when the lines hold at most _EM_DIRECT terms in all, when no
-    order applies, or when target or W is 0.  Returns None when a line
-    needs more than _EM_MAX_HEAD direct terms.
+    One Bernoulli order M serves every line.  With W = sum_i |weights_i|
+    and G = sum_i |logs_i|, let X_M >= _EM_HEAD be the smallest point where
+    the weighted bound of `_em_remainder_bounds` at X_M, W C_M X_M^(-p_M)
+    (C_M, p_M from `_em_remainder_constants`) without logs and
+    C_M X_M^(-p_M) (a_M (W + G log X_M) + a0_M G) (from
+    `_em_log_remainder_constants`) with them, is at most target.  Without
+    logs that X_M has a closed form.  With them, in y = log X the condition
+    is psi(y) = p y - log(1 + kappa y) - c0 >= 0, with alpha = a W + a0 G,
+    kappa = a G / alpha <= p and c0 = log(C alpha / target); psi is convex
+    and increasing for y >= 0, so Newton's method from c0/p (where
+    psi <= 0) steps past the root once and then falls to it from above,
+    every iterate after the first with psi >= 0, and stopping at any of
+    them keeps the bound.  Iterates are clamped at log _EM_HEAD, which is
+    X_M when psi >= 0 there already.
+    Euler–Maclaurin starts on every line at the first k with k + v_i >=
+    X = min_M X_M, with the first order M that reaches it; each line's
+    bound only falls past X, so the weighted total is at most target.  A
+    line's head grows with X and never exceeds the line, so no other
+    choice of X has fewer head terms.  A line with v_i >= X needs no head;
+    one whose head covers it is summed directly with no remainder.  Every
+    line is summed directly when the lines hold at most _EM_DIRECT terms in
+    all, when no order applies, or when target or W + G is 0.  Returns None
+    when a line needs more than _EM_MAX_HEAD direct terms.
     """
     b = complex(b)
     k_len = k_max + 1
-    x, order, log_c, decay = math.inf, 0, 0.0, 1.0  # every line direct
+    x, order = math.inf, 0  # every line direct
     total_w = float(np.abs(weights).sum())
-    if k_len.sum() > _EM_DIRECT and target > 0.0 and total_w > 0.0:
-        orders, log_cs, decays = _em_remainder_constants(b)
-        if orders.size:
-            log_budget = math.log(total_w) - math.log(target * (1.0 - 2.0**-20))
-            # exp(-inf) = 0 where the remainder is exactly 0
-            xs = np.maximum(np.exp(np.minimum((log_cs + log_budget) / decays, 700.0)), _EM_HEAD)
-            i = int(np.argmin(xs))
-            x, order, log_c, decay = float(xs[i]), int(orders[i]), float(log_cs[i]), float(decays[i])
+    total_g = 0.0 if logs is None else float(np.abs(logs).sum())
+    direct = k_len.sum() <= _EM_DIRECT or not target > 0.0 or total_w + total_g == 0.0
+    log_target = 0.0 if direct else math.log(target * (1.0 - 2.0**-20))
+    if logs is None:
+        log_c, decay = 0.0, 1.0
+        if not direct:
+            orders, log_cs, decays = _em_remainder_constants(b)
+            if orders.size:
+                log_budget = math.log(total_w) - log_target
+                # exp(-inf) = 0 where the remainder is exactly 0
+                xs = np.maximum(np.exp(np.minimum((log_cs + log_budget) / decays, 700.0)), _EM_HEAD)
+                i = int(np.argmin(xs))
+                x, order, log_c, decay = float(xs[i]), int(orders[i]), float(log_cs[i]), float(decays[i])
+    else:
+        consts = None
+        if not direct:
+            orders, log_cs, decays, a, a0 = _em_log_remainder_constants(b)
+            if orders.size:
+                alpha = a * total_w + a0 * total_g
+                kappa = a * total_g / alpha
+                c0 = log_cs + np.log(alpha) - log_target
+                floor = math.log(_EM_HEAD)
+                y = np.maximum(c0 / decays, floor)
+                for _ in range(_EM_NEWTON):
+                    psi = decays * y - np.log1p(kappa * y) - c0
+                    step = psi / (decays - kappa / (1.0 + kappa * y))
+                    y, last = np.maximum(y - step, floor), y
+                    if not np.abs(y - last).max() > 1e-12 * y.max():
+                        break
+                xs = np.exp(np.fmin(y, 700.0))
+                i = int(np.argmin(xs))
+                x, order = float(xs[i]), int(orders[i])
+                consts = log_cs[i], decays[i], a[i], a0[i]
     heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len).astype(np.int64)
     if heads.max() > _EM_MAX_HEAD:
         return None
     em = heads <= k_max
-    remainder = float((np.abs(weights[em]) * np.exp(log_c - decay * np.log(heads[em] + v[em]))).sum())
-    return _em_sum(b, v, k_max, weights, heads, order), remainder
+    if logs is None:
+        remainder = float((np.abs(weights[em]) * np.exp(log_c - decay * np.log(heads[em] + v[em]))).sum())
+        return _em_sum(b, v, k_max, weights, heads, order), remainder
+    remainder = 0.0  # no order: every line direct
+    if consts is not None:
+        bounds = _em_log_bound(*consts, np.abs(weights[em]), np.abs(logs[em]), np.log(heads[em] + v[em]))
+        remainder = float(bounds.sum())
+    return _em_sum(b, v, k_max, weights, heads, order, logs=logs), remainder
 
 
 def _line_column(lam: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
@@ -1002,26 +1157,37 @@ def _line_partial_sum(
     and the bound on their remainders.
 
     Applies when `_line_column` finds a line coordinate j with rows S and
-    theta has residue classes along j (constant or periodic theta); returns
-    None otherwise.  With the rest point rho (the other r - 1 coordinates,
-    |rho| <= n_shell, from `_iter_blocks`) and b = sum_{l in S} <c_l, s>,
-    the terms along n_j = q k + a (q the period of theta along coordinate j,
-    a < q) are
+    theta, or the rest of theta after its one log factor (`log_split`, whose
+    forms must be the config's own), has residue classes along j (constant
+    or periodic); returns None otherwise.  With the rest point rho (the
+    other r - 1 coordinates, |rho| <= n_shell, from `_iter_blocks`) and
+    b = sum_{l in S} <c_l, s>, the terms along n_j = q k + a (q the period
+    of theta along coordinate j, a < q) are
         theta(rho, a) prod_{l not in S} L_l(rho)^(-beta_l)
         prod_{l in S} (q lam_lj)^(-beta_l) (k + v)^(-b),
     with v = (a + v_rho)/q, v_rho = u_j + sum_{i != j} lam_li (rho_i + u_i)/lam_lj
-    for l in S, and k <= (n_shell - |rho| - a)/q.  `_em_line_sums` sums all
+    for l in S, and k <= (n_shell - |rho| - a)/q.  A log factor
+    sum_l g_l log L_l(n) is A + G log(k + v) there, because L_l =
+    q lam_lj (k + v) for l in S: G = sum_{l in S} g_l and A = sum_{l in S}
+    g_l log(q lam_lj) + sum_{l not in S} g_l log L_l(rho), so the line's
+    weight w becomes w A + (w G) log(k + v).  `_em_line_sums` sums all
     lines with a remainder bound of at most 2^-60 times `tail` (times the
-    weighted first terms of the lines when `tail` is 0 or infinite), so
-    adding it to a finite tail bound leaves the float unchanged.  Also None
-    when a line would need more than _EM_MAX_HEAD direct terms (Re b below
-    about -38).
+    weighted first terms' scale, (|w A| + |w G|) v^(-Re b) with a log
+    factor, when `tail` is 0 or infinite), so adding it to a finite tail
+    bound leaves the float unchanged.  Also None when a line would need
+    more than _EM_MAX_HEAD direct terms (Re b below about -38).
     """
     line = _line_column(config.lam)
     if line is None:
         return None
     j, rows = line
-    classes = config.theta.residue_classes(j)
+    theta, logs = config.theta, None
+    split = theta.log_split()
+    if split is not None:
+        theta, logs, log_lam, log_u = split
+        if not (np.array_equal(log_lam, config.lam) and np.array_equal(log_u, config.u)):
+            return None
+    classes = theta.residue_classes(j)
     if classes is None:
         return None
     q, theta_on = classes
@@ -1034,16 +1200,31 @@ def _line_partial_sum(
     rest = [i for i in range(r) if i != j]
     along = lam[rows[0], rest] / lam[rows[0], j]
     lam_o, off_o = lam[others][:, rest], config.form_offsets[others]
-    vs, ks, ws = [], [], []
+    if logs is not None:
+        # on a line L_l = q lam_lj (k + v) for l in S, so sum_l g_l log L_l
+        # = a_rows + sum_{l not in S} g_l log L_l(rho) + g_sum log(k + v)
+        a_rows = float(logs[rows] @ np.log(q * lam[rows, j]))
+        g_sum, g_o = float(logs[rows].sum()), logs[others]
+    vs, ks, ws, gs = [], [], [], []
     for block, _ in _iter_blocks(r - 1, n_shell):
         deg = block.sum(axis=1)
         v_rho = config.u[j] + (block + config.u[rest]) @ along
-        weight = scale * _form_powers(block @ lam_o.T + off_o, beta[others], is_real)
+        forms_o = block @ lam_o.T + off_o
+        weight = scale * _form_powers(forms_o, beta[others], is_real)
+        if logs is not None:
+            g_weight = weight * g_sum
+            weight = weight * (a_rows + np.log(forms_o) @ g_o)
         for a in range(min(q, n_shell + 1)):
-            w = weight * theta_on(block, a)
+            theta_a = theta_on(block, a)
+            w = weight * theta_a
             k_max = (n_shell - a - deg) // q
             line_v = (a + v_rho) / q
-            keep = (k_max >= 0) & (w != 0)
+            if logs is None:
+                keep = (k_max >= 0) & (w != 0)
+            else:
+                g = g_weight * theta_a
+                keep = (k_max >= 0) & ((w != 0) | (g != 0))
+                gs.append(g[keep])
             if not keep.all():
                 line_v, k_max, w = line_v[keep], k_max[keep], w[keep]
             vs.append(line_v)
@@ -1054,11 +1235,18 @@ def _line_partial_sum(
         return 0.0j, 0.0
     if np.iscomplexobj(w) and not w.imag.any():
         w = w.real
+    if logs is not None:
+        logs = np.concatenate(gs)
+        if np.iscomplexobj(logs) and not logs.imag.any():
+            logs = logs.real
+        if not logs.any():  # g_sum = 0: every line is log-free
+            logs = None
     if 0.0 < tail < math.inf:
         target = _EM_REL * tail
     else:
-        target = _EM_REL * float((np.abs(w) * v ** -b_sum.real).sum())
-    return _em_line_sums(complex(b_sum), v, k_max, w, target)
+        size = np.abs(w) if logs is None else np.abs(w) + np.abs(logs)
+        target = _EM_REL * float((size * v ** -b_sum.real).sum())
+    return _em_line_sums(complex(b_sum), v, k_max, w, target, logs)
 
 
 def _partial_sum(

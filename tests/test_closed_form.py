@@ -17,12 +17,13 @@ from shintani.series import (
     ComplexPoint,
     ShintaniConfig,
     _blocks_upto,
-    _em_line_sum,
     _em_line_sums,
+    _em_sum,
     _em_remainder_bounds,
     _line_partial_sum,
     _sum_terms,
     _tail_bound,
+    differentiate,
     evaluate,
     evaluate_partial,
     make_special,
@@ -87,6 +88,13 @@ def _tolerance(config: ShintaniConfig, pt: ComplexPoint, n_shell: int) -> float:
 
 def _block(config: ShintaniConfig, pt: ComplexPoint, n_shell: int) -> complex:
     return _sum_terms(config, pt, _blocks_upto(config, n_shell))
+
+
+def _em_line_sum(b: complex, v: float, k_max: int, h: int, order: int, w: complex = 1.0,
+                 g: complex = 0.0) -> complex:
+    """sum_{k=0}^{k_max} (w + g log(k+v)) (k+v)^(-b) by `_em_sum` without its remainder, one line."""
+    return _em_sum(b, np.array([float(v)]), np.array([k_max]), np.array([w]), np.array([h]), order,
+                   logs=None if g == 0 else np.array([g]))
 
 
 def _head(config: ShintaniConfig, pt: ComplexPoint) -> int:
@@ -156,10 +164,16 @@ class TestAgainstBlockRoute:
     def test_other_families_keep_the_block_route(self):
         pt = ComplexPoint([3.0], [0.0])
         for config in (
-            make_special("riemann_derivative"),
             make_special("lerch_transcendent", u=0.5, q=0.5),
+            differentiate(make_special("riemann_derivative"), 1),  # two log factors
         ):
             assert _line_partial_sum(config, series.as_point(pt, config.d), 100, 1.0) is None
+        # one log factor: riemann' is summed along its line
+        config = make_special("riemann_derivative")
+        assert _line_partial_sum(config, pt, 100, 1.0) is not None
+        with mock.patch.object(series, "_sum_terms") as block:
+            evaluate(config, pt, tol=1e-8)
+        assert block.call_count == 0
 
     def test_real_point_real_value(self):
         res = evaluate(make_special("hurwitz", u=0.25), 2.5, tol=1e-10)
@@ -300,6 +314,99 @@ class TestRemainder:
                 # the plan's target is relative to the first terms when the tail is infinite
                 _, rem_inf = _line_partial_sum(cfg, pt, n_shell, math.inf)
                 assert 0.0 < rem_inf <= 2.0**-60 * _abs_terms(cfg, pt, n_shell)
+
+
+class TestLogLines:
+    """Lines (w + g log x) x^(-b), x = k + v, as `differentiate` gives them,
+    against mpmath at 40 digits."""
+
+    @staticmethod
+    def _prefix_sums(b: complex, v: float, w: complex, g: complex, count: int) -> tuple[list, list]:
+        """sum_{k<=K} (w + g log(k+v)) (k+v)^(-b) and 1 + the sum of |terms|, K < count."""
+        exact, scale = [], []
+        with mp.workdps(40):
+            bb, ww, gg = (mp.mpc(z.real, z.imag) for z in map(complex, (b, w, g)))
+            acc, acc_abs = mp.mpc(0), mp.mpf(1)
+            for k in range(count):
+                x = k + mp.mpf(v)
+                term = (ww + gg * mp.log(x)) * x ** (-bb)
+                acc, acc_abs = acc + term, acc_abs + abs(term)
+                exact.append(complex(acc))
+                scale.append(float(acc_abs))
+        return exact, scale
+
+    def test_bound_holds_with_small_head_and_order(self):
+        checked = 0
+        for b in (2.0, 1.5 + 10j, 0.5 - 3j, 3.0 + 40j, -1.5 + 2j, 1.0, 1.0 + 1e-12, -1.0, -2.0):
+            for v in (0.3, 1.0):
+                for w, g in ((0.0, -1.0), (0.7, 1.3 - 0.4j)):
+                    exact, scale = self._prefix_sums(b, v, w, g, 1501)
+                    for h in (1, 2, 4, 8):
+                        bounds = dict(series._em_remainder_bounds(complex(b), v, h, w, g))
+                        for k_max in (h, h + 5, 1500):
+                            for order, bound in bounds.items():
+                                err = abs(_em_line_sum(complex(b), v, k_max, h, order, w, g) - exact[k_max])
+                                allowed = bound + 1e-12 * bound + 1e-14 * scale[k_max]
+                                assert err <= allowed, (b, v, w, h, k_max, order)
+                                checked += 1
+        assert checked > 5000
+
+    def test_zero_factor_keeps_a_log_remainder(self):
+        # b = -2: (b)_2M = 0 from M = 2 on, but the log part is no polynomial
+        for b in (-1.0, -2.0):
+            plain = dict(series._em_remainder_bounds(b, 1.0, 4))
+            logged = dict(series._em_remainder_bounds(b, 1.0, 4, 0.0, 1.0))
+            assert 0.0 in plain.values()
+            assert all(bound > 0.0 for bound in logged.values())
+
+    def test_each_bernoulli_term_against_mpmath(self):
+        # EM(M) - EM(M-1) is B_2M/(2M)! (f^(2M-1)(K+v) - f^(2M-1)(h+v)) with
+        # f^(n)(x) = (-1)^n x^(-b-n) ((b)_n (w + g log x) - g (b)_n'), and
+        # (b)_n' = (b)_n (psi(b+n) - psi(b))
+        w, g = 0.7, 1.3 - 0.4j
+        for b in (2.0 + 0j, 0.5 - 3j, 3.0 + 40j):
+            v, h, k_max = 0.6, 2, 40
+            prev = _em_line_sum(b, v, k_max, h, 0, w, g)
+            for order in range(1, 21):
+                cur = _em_line_sum(b, v, k_max, h, order, w, g)
+                with mp.workdps(40):
+                    bb, gg = mp.mpc(b.real, b.imag), mp.mpc(g.real, g.imag)
+                    n = 2 * order - 1
+                    rise = mp.rf(bb, n)
+                    drise = rise * (mp.digamma(bb + n) - mp.digamma(bb))
+
+                    def deriv(x):
+                        return -(x ** (-bb - n)) * (rise * (w + gg * mp.log(x)) - gg * drise)
+
+                    coeff = mp.bernoulli(2 * order) / mp.factorial(2 * order)
+                    term = complex(coeff * (deriv(mp.mpf(k_max + v)) - deriv(mp.mpf(h + v))))
+                assert abs((cur - prev) - term) <= 1e-12 * abs(term) + 4e-16 * abs(cur), (b, order)
+                prev = cur
+
+    def test_hurwitz_derivative_against_mpmath(self):
+        # d/ds zeta(s, u) = -sum_n log(n+u) (n+u)^(-s); the sum of |terms| is
+        # -zeta'(sigma, u) less twice the one negative-log term when u < 1
+        for u in (0.05, 0.3, 1.0):
+            config = differentiate(make_special("hurwitz", u=u), 1)
+            for s in (2.5, 3.0 + 7.0j, 2.5 - 30.0j, 4.0 + 1.0j):
+                res = evaluate(config, s, tol=1e-10, shell_cap=10**8)
+                with mp.workdps(40):
+                    s_mp = mp.mpc(s.real, s.imag)
+                    ref = complex(mp.zeta(s_mp, u, 1))
+                    scale = float(-mp.zeta(s.real, u, 1) - 2 * min(mp.log(u), 0) * mp.mpf(u) ** -s.real)
+                assert res.certified
+                assert abs(res.value - ref) <= res.tail_bound + ROUNDING * (1.0 + scale), (u, s)
+            for n_shell in (0, 17, 2000):  # 2,001 terms: Euler–Maclaurin past the head
+                for s in (2.0, 1.5 - 30.0j, 0.5 + 3.0j):
+                    got = evaluate_partial(config, s, n_shell).value
+                    with mp.workdps(40):
+                        s_mp = mp.mpc(complex(s).real, complex(s).imag)
+                        ref = complex(mp.zeta(s_mp, u, 1) - mp.zeta(s_mp, u + n_shell + 1, 1))
+                        scale = float(mp.fsum(
+                            abs(mp.log(n + mp.mpf(u))) * (n + mp.mpf(u)) ** -s_mp.real
+                            for n in range(n_shell + 1)
+                        ))
+                    assert abs(got - ref) <= ROUNDING * (1.0 + scale), (u, s, n_shell)
 
 
 class TestStartPoint:

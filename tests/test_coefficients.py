@@ -242,3 +242,21 @@ class TestStructure:
             CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.2),)])
         with pytest.raises(ConfigError):
             Envelope(-1.0, 0.0)
+
+    def test_log_split(self):
+        lam, u = np.array([[1.0, 2.0], [0.0, 1.5]]), np.array([0.5, 0.25])
+        log = CoefficientSpec.log_factor((-1.0, 0.5), lam, u)
+        periodic = CoefficientSpec.periodic((2, 3), np.arange(6.0).reshape(2, 3))
+        for theta, rest in ((log, CoefficientSpec.constant(1.0)),
+                            (CoefficientSpec.constant(1.0).times(log), CoefficientSpec.constant(1.0)),
+                            (periodic.times(log), periodic)):
+            got, coeffs, got_lam, got_u = theta.log_split()
+            assert got == rest
+            assert coeffs.tolist() == [-1.0, 0.5]
+            assert np.array_equal(got_lam, lam) and np.array_equal(got_u, u)
+            pts = np.array([[0, 0], [3, 1], [7, 4]])
+            assert np.allclose(theta_values(theta, pts),
+                               theta_values(got, pts) * theta_values(log, pts), rtol=1e-15)
+        # no log factor, or two: no split
+        for theta in (periodic, CoefficientSpec.constant(1.0), periodic.times(log).times(log)):
+            assert theta.log_split() is None

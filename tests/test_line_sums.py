@@ -144,6 +144,52 @@ class TestAgainstBlockRoute:
         assert lines.certified == block.certified
         assert abs(lines.value - block.value) <= _tolerance(config, pt, lines.shells_used)
 
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.floats(0.1, 3.0),
+        st.booleans(),
+        st.sampled_from([1e-3, 1e-6, 1e-9]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_fields_bit_identical(self, kind, seed, axis, margin, complex_s, tol):
+        # one log factor (from `differentiate` along any axis) keeps the line route
+        config = _config(kind, seed)
+        config = differentiate(config, (axis - 1) % config.d + 1)
+        pt = _point(config, seed, margin, complex_s)
+        with mock.patch.object(series, "_sum_terms", wraps=series._sum_terms) as block:
+            lines = evaluate(config, pt, tol=tol, shell_cap=10**5)
+        assert block.call_count == 0
+        with mock.patch.object(series, "_line_partial_sum", return_value=None):
+            ref = evaluate(config, pt, tol=tol, shell_cap=10**5)
+        assert lines.tail_bound == ref.tail_bound
+        assert lines.shells_used == ref.shells_used
+        assert lines.certified == ref.certified
+        assert abs(lines.value - ref.value) <= _tolerance(config, pt, lines.shells_used)
+
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.floats(0.1, 3.0),
+        st.booleans(),
+        st.one_of(st.sampled_from(["0", "1", "h-1", "h", "h+1"]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_partial_sums_agree(self, kind, seed, axis, margin, complex_s, where):
+        config = _config(kind, seed)
+        config = differentiate(config, (axis - 1) % config.d + 1)
+        pt = _point(config, seed, margin, complex_s)
+        h = _head(config, pt)
+        if isinstance(where, float):
+            n_shell = int(where * MAX_SHELL[config.r])
+        else:
+            n_shell = {"0": 0, "1": 1, "h-1": h - 1, "h": h, "h+1": h + 1}[where]
+        got = evaluate_partial(config, pt, n_shell)
+        assert abs(got.value - _block(config, pt, n_shell)) <= _tolerance(config, pt, n_shell)
+        assert got.tail_bound == _tail_bound(config, pt.re, n_shell)
+
     def test_proportional_forms_share_the_line(self):
         # form 1 is twice form 0, so on a line both are one Hurwitz-type factor
         config = ShintaniConfig(
@@ -164,9 +210,9 @@ class TestRoutes:
             make_special("generalized_barnes", m=2, r=2, lam=[[1.0, 2.0], [2.0, 1.0]], u=[1.0, 0.5]),
             make_special("generalized_barnes", m=2, r=3, lam=[[1.0, 2.0, 1.5], [2.0, 1.0, 1.0]],
                          u=[1.0, 0.5, 0.7]),
-            differentiate(make_special("barnes", r=2, lam=[1.0, 1.5], u=1.0), 1),
-            differentiate(make_special("euler_zagier", r=2, u=[0.0, 0.0]), 1),
-            make_special("riemann_derivative"),
+            make_special("lerch_transcendent", u=0.5, q=0.5),
+            # a second derivative: two log factors
+            differentiate(differentiate(make_special("euler_zagier", r=2, u=[0.0, 0.0]), 1), 2),
         )
         for config in ineligible:
             point = series.as_point(np.full(config.d, 3.0), config.d)
@@ -175,7 +221,10 @@ class TestRoutes:
                 evaluate(config, point, tol=1e-3, shell_cap=10**4)
             assert block.call_count == 1
         for config in (make_special("euler_zagier", r=2, u=[0.0, 0.0]),
-                       make_special("barnes", r=3, lam=[1.0, 2.0, 3.0], u=0.5)):
+                       make_special("barnes", r=3, lam=[1.0, 2.0, 3.0], u=0.5),
+                       differentiate(make_special("barnes", r=2, lam=[1.0, 1.5], u=1.0), 1),
+                       differentiate(make_special("euler_zagier", r=2, u=[0.0, 0.0]), 1),
+                       make_special("riemann_derivative")):
             point = series.as_point(np.full(config.d, 4.0), config.d)
             with mock.patch.object(series, "_sum_terms") as block:
                 evaluate(config, point, tol=1e-3, shell_cap=10**4)
