@@ -29,6 +29,7 @@ from .series import (
     _cap_from_budget,
     _first_admissible,
     _lattice_blocks,
+    _require_shell,
     _require_valid,
     _tail_bound,
     _terms,
@@ -158,6 +159,7 @@ def build_distribution(
     block end that provably fails (`_next_stop_test`).
     """
     _require_valid(config)
+    _require_shell(shell_cap, "shell_cap")
     if not delta > 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     _definite_sign(config)
@@ -451,10 +453,10 @@ def _no_extra(kind: str, params: dict) -> None:
 def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
     """Inverse-CDF draws from the renormalized truncated atom table;
     the seed fully determines the batch."""
+    _require_shell(seed, "sample seed")
+    _require_shell(count, "sample count")
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
-    if seed < 0:
-        raise ConfigError(f"sample seed must be >= 0, got {seed}")
     masses = dist.masses / np.sum(dist.masses)
     cdf = np.cumsum(masses)
     cdf[-1] = 1.0
@@ -482,11 +484,12 @@ def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
     but at order >= 2 the two or more log factors go by the block route,
     which enumerates every atom again; so every order keeps the one table
     sum."""
-    if isinstance(k, (int, np.integer)):
-        k = (int(k),)
-    k = tuple(int(x) for x in k)
-    if len(k) != dist.d or any(x < 0 for x in k):
-        raise ConfigError(f"moment multi-index must be {dist.d} nonnegative integers")
+    k = tuple(k) if np.ndim(k) else (k,)
+    if len(k) != dist.d:
+        raise ConfigError(f"moment multi-index must be {dist.d} nonnegative integers, got {k!r}")
+    for x in k:
+        _require_shell(x, "moment multi-index entry")
+    k = tuple(map(int, k))
     order = sum(k)
     if order > cap:
         raise ConfigError(f"moment order {order} exceeds cap {cap}")

@@ -819,8 +819,11 @@ _EM_HEAD = 16  # Euler–Maclaurin starts no lower than k + v = 16
 _EM_MAX_HEAD = 1 << 16  # a line that needs a longer direct head is left to the block route
 _EM_REL = 2.0**-60  # remainder target relative to the shell tail bound
 _EM_DIRECT = 1 << 9  # lines with at most this many terms in all are summed directly
-_EM_NEWTON = 50  # Newton steps at most for a log-weighted start point (a handful converge)
-_EM_ORDERS = np.arange(1, len(_EM_COEFFS) + 1)
+_EM_NEWTON = 50  # Newton steps at most for a start point (a handful converge)
+_LOG_EM_HEAD = math.log(_EM_HEAD)
+_LOG_4 = math.log(4.0)
+_EM_ORDER_TERMS = tuple(  # (M, 2M, log (2 pi)^(2M)) for the Bernoulli orders M = 1..20
+    (m, 2.0 * m, 2.0 * m * math.log(2.0 * math.pi)) for m in range(1, len(_EM_COEFFS) + 1))
 
 
 def _expm1_ratio(z: np.ndarray) -> np.ndarray:
@@ -855,67 +858,45 @@ def _expm1_ratio2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, (np.exp(far) - _expm1_ratio(far)) / far)
 
 
-def _em_remainder_constants(b: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orders M that `_em_remainder_bounds` keeps for a line without a
-    log weight, with log C_M and p_M = Re b + 2M - 1 > 0 such that its bound
-    is C_M (h+v)^(-p_M).  The last order has log C_M = -inf when the
-    remainder is exactly 0."""
-    with np.errstate(divide="ignore"):  # log 0 = -inf for a zero factor
-        log_rising = np.cumsum(np.log(np.abs(b + np.arange(2 * _EM_ORDERS.size))))[1::2]
-    decay = b.real + 2.0 * _EM_ORDERS - 1.0
-    zero = log_rising == -math.inf
-    keep = (decay > 0.0) | zero
-    if zero.any():
-        keep &= _EM_ORDERS <= _EM_ORDERS[zero][0]
-        decay = np.where(zero, np.maximum(decay, 1.0), decay)
-    log_c = (
-        math.log(4.0) + log_rising - _EM_ORDERS * (2.0 * math.log(2.0 * math.pi))
-        - np.log(np.where(keep, decay, 1.0))
-    )
-    return _EM_ORDERS[keep], log_c[keep], decay[keep]
-
-
-def _em_log_remainder_constants(
-    b: complex,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The orders M that `_em_remainder_bounds` keeps for a line with a log
-    weight, with log C_M, p_M = Re b + 2M - 1 > 0 and (a_M, a0_M) such that
-    its bound for the line (w + g log x) x^(-b) from X >= 1 on is
+def _em_remainder_constants(b: complex) -> Iterator[tuple[int, float, float, float, float]]:
+    """(M, log C_M, p_M, a_M, a0_M) for each order M that `_em_remainder_bounds`
+    keeps, those with p_M = Re b + 2M - 1 > 0, in increasing M, such that its
+    bound for the line (w + g log x) x^(-b) from X on (X >= 1 when g != 0) is
         C_M X^(-p_M) (a_M (|w| + |g| log X) + a0_M |g|).
     Where (b)_2M != 0: C_M = 4 |(b)_2M| (2 pi)^(-2M) / p_M, a_M = 1 and
     a0_M = 1/p_M + |(b)_2M' / (b)_2M|.  Where a factor b + i0 (i0 < 2M) is
     exactly 0: a_M = 0, a0_M = 1 and C_M = 4 |(b)_2M'| (2 pi)^(-2M) / p_M,
-    with (b)_2M' = prod_{i != i0} (b + i)."""
-    factors = b + np.arange(2 * _EM_ORDERS.size)
-    zero = factors == 0
-    factors[zero] = 1.0  # leaves prod_{i != i0} (b + i) past the zero
-    log_rising = np.cumsum(np.log(np.abs(factors)))[1::2]
-    ratio = np.abs(np.cumsum(1.0 / factors))[1::2]  # |(b)_n' / (b)_n| before the zero
-    past_zero = np.cumsum(zero)[1::2] > 0
-    decay = b.real + 2.0 * _EM_ORDERS - 1.0
-    keep = decay > 0.0
-    decay = decay[keep]
-    log_c = (
-        math.log(4.0) + log_rising[keep] - _EM_ORDERS[keep] * (2.0 * math.log(2.0 * math.pi))
-        - np.log(decay)
-    )
-    a = np.where(past_zero[keep], 0.0, 1.0)
-    a0 = np.where(past_zero[keep], 1.0, 1.0 / decay + ratio[keep])
-    return _EM_ORDERS[keep], log_c, decay, a, a0
+    with (b)_2M' = prod_{i != i0} (b + i), so the bound is 0 when g = 0.
+    Formed one order at a time in logarithms, so large rising factorials
+    cannot overflow."""
+    re_b, bb = b.real, (b.real if b.imag == 0.0 else b)
+    log_rising, ratio, past_zero = 0.0, 0.0, False  # log |(b)_2M|, (b)_2M' / (b)_2M
+    for order, two_m, log_2pi_2m in _EM_ORDER_TERMS:
+        f0, f1 = bb + (two_m - 2.0), bb + (two_m - 1.0)
+        if f0 and f1:
+            log_rising = log_rising + math.log(abs(f0)) + math.log(abs(f1))
+            ratio = ratio + 1.0 / f0 + 1.0 / f1
+        else:  # the one zero factor: from here on log |(b)_2M'| and a = 0
+            log_rising, past_zero = log_rising + math.log(abs(f0 or f1)), True
+        decay = re_b + two_m - 1.0
+        if decay > 0.0:
+            log_c = _LOG_4 + log_rising - log_2pi_2m - math.log(decay)
+            a, a0 = (0.0, 1.0) if past_zero else (1.0, 1.0 / decay + abs(ratio))
+            yield order, log_c, decay, a, a0
 
 
 def _em_log_bound(log_c, decay, a, a0, w_abs, g_abs, log_x):
-    """C X^(-p) (a (|w| + |g| log X) + a0 |g|) from `_em_log_remainder_constants`,
+    """C X^(-p) (a (|w| + |g| log X) + a0 |g|) from `_em_remainder_constants`,
     at log X = log_x (broadcasting)."""
     return np.exp(log_c - decay * log_x) * (a * (w_abs + g_abs * log_x) + a0 * g_abs)
 
 
 def _em_remainder_bounds(
     b: complex, v: float, h: int, w: complex = 1.0, g: complex = 0.0
-) -> Iterator[tuple[int, float]]:
-    """(M, bound) for M = 1..20: the Euler–Maclaurin remainder of
-    sum_{k=h}^{K} (w + g log(k+v)) (k+v)^(-b) with M Bernoulli terms, for
-    every K >= h, where h + v >= 1 when g != 0.
+) -> list[tuple[int, float]]:
+    """(M, bound) for the orders M = 1..20 with p = Re b + 2M - 1 > 0: the
+    Euler–Maclaurin remainder of sum_{k=h}^{K} (w + g log(k+v)) (k+v)^(-b)
+    with M Bernoulli terms, for every K >= h, where h + v >= 1 when g != 0.
 
     Proof (Johansson, "Rigorous high-precision computation of the Hurwitz
     zeta function and its derivatives", Numer. Algorithms 2015, Theorem 1,
@@ -928,33 +909,24 @@ def _em_remainder_bounds(
     b-derivative (b)_n', d^n/dx^n x^(-b) = (-1)^n (b)_n x^(-b-n), and
     log x x^(-b) = -d/db x^(-b), so
         f^(n)(x) = (-1)^n x^(-b-n) ((b)_n (w + g log x) - g (b)_n'),
-    and |x^(-b-n)| = x^(-Re b-n) because x > 0.  Let p = Re b + 2M - 1.
-    When g = 0 and p > 0, the integral over [X, K+v] is at most the one
-    over [X, inf), which gives
-        |R| <= 4 |w| |(b)_2M| (2 pi)^(-2M) X^(-p) / p.
-    When g != 0, x >= X >= 1 gives |w + g log x| <= |w| + |g| log x, and
+    and |x^(-b-n)| = x^(-Re b-n) because x > 0.  The integral over
+    [X, K+v] is at most the one over [X, inf).  There |w + g log x| <=
+    |w| + |g| log x (x >= 1 when g != 0), and for p > 0
     int_X^inf x^(-p-1) dx = X^(-p)/p, int_X^inf log x x^(-p-1) dx =
-    X^(-p) (log X + 1/p)/p, so for p > 0
+    X^(-p) (log X + 1/p)/p, so
         |R| <= 4 (2 pi)^(-2M) X^(-p) (|(b)_2M| (|w| + |g| (log X + 1/p))
                + |g| |(b)_2M'|) / p,
-    which is the form of `_em_log_remainder_constants`, with
-    |(b)_2M'| = |(b)_2M| |sum_{i<2M} 1/(b+i)| where (b)_2M != 0.  It holds
-    where (b)_2M = 0 as well: the log part is then no polynomial, and only
-    the |g| |(b)_2M'| term is left.  Orders with p <= 0 are skipped.  Both
-    bounds are formed in logarithms, so large rising factorials cannot
-    overflow.  When g = 0 a zero factor of (b)_2M (b a non-positive
-    integer) makes f a polynomial of degree below 2M and the remainder
-    exactly 0.  Both bounds fall as X grows (for g != 0: the derivative of
-    X^(-p) (alpha + beta log X) has the sign of beta - p (alpha + beta log X),
-    and p alpha >= |(b)_2M| |g| = beta), so a line that starts past X keeps
-    the bound at X.
+    which is the form of `_em_remainder_constants`, with
+    |(b)_2M'| = |(b)_2M| |sum_{i<2M} 1/(b+i)| where (b)_2M != 0.  Where
+    (b)_2M = 0 (b a non-positive integer) only the |g| |(b)_2M'| term is
+    left: the log part is no polynomial, while at g = 0 f is a polynomial of
+    degree below 2M, and the bound 0 is the exact remainder.  The bound
+    falls as X grows (the derivative of X^(-p) (alpha + beta log X) has the
+    sign of beta - p (alpha + beta log X), and p alpha >= |(b)_2M| |g| =
+    beta), so a line that starts past X keeps the bound at X.
     """
-    log_x = math.log(h + v)
-    if g == 0:
-        orders, log_c, decay = _em_remainder_constants(b)
-        return zip(orders.tolist(), (abs(w) * np.exp(log_c - decay * log_x)).tolist())
-    orders, log_c, decay, a, a0 = _em_log_remainder_constants(b)
-    return zip(orders.tolist(), _em_log_bound(log_c, decay, a, a0, abs(w), abs(g), log_x).tolist())
+    log_x, consts = math.log(h + v), _em_remainder_constants(complex(b))
+    return [(c[0], float(_em_log_bound(*c[1:], abs(w), abs(g), log_x))) for c in consts]
 
 
 def _line_powers(x: np.ndarray, b: complex) -> np.ndarray:
@@ -1058,77 +1030,64 @@ def _em_line_sums(
 
     One Bernoulli order M serves every line.  With W = sum_i |weights_i|
     and G = sum_i |logs_i|, let X_M >= _EM_HEAD be the smallest point where
-    the weighted bound of `_em_remainder_bounds` at X_M, W C_M X_M^(-p_M)
-    (C_M, p_M from `_em_remainder_constants`) without logs and
-    C_M X_M^(-p_M) (a_M (W + G log X_M) + a0_M G) (from
-    `_em_log_remainder_constants`) with them, is at most target.  Without
-    logs that X_M has a closed form.  With them, in y = log X the condition
-    is psi(y) = p y - log(1 + kappa y) - c0 >= 0, with alpha = a W + a0 G,
-    kappa = a G / alpha <= p and c0 = log(C alpha / target); psi is convex
-    and increasing for y >= 0, so Newton's method from c0/p (where
-    psi <= 0) steps past the root once and then falls to it from above,
-    every iterate after the first with psi >= 0, and stopping at any of
-    them keeps the bound.  Iterates are clamped at log _EM_HEAD, which is
-    X_M when psi >= 0 there already.
+    the weighted bound of `_em_remainder_bounds`,
+    C_M X_M^(-p_M) (a_M (W + G log X_M) + a0_M G), is at most target; it is
+    _EM_HEAD when alpha = a W + a0 G = 0 (a zero bound).  Otherwise, in
+    y = log X the condition is psi(y) = p y - log(1 + kappa y) - c0 >= 0,
+    with kappa = a G / alpha <= p and c0 = log(C alpha / target).  At
+    kappa = 0 (G = 0, or a = 0) psi is linear, with the root c0/p.  Else
+    psi is convex and increasing for y >= 0, so Newton's method from c0/p
+    (where psi <= 0) steps past the root once and then falls to it from
+    above, every iterate after the first with psi >= 0, and stopping at any
+    of them keeps the bound.  Iterates are clamped at log _EM_HEAD, which
+    is X_M when psi >= 0 there already.
     Euler–Maclaurin starts on every line at the first k with k + v_i >=
-    X = min_M X_M, with the first order M that reaches it; each line's
-    bound only falls past X, so the weighted total is at most target.  A
-    line's head grows with X and never exceeds the line, so no other
-    choice of X has fewer head terms.  A line with v_i >= X needs no head;
-    one whose head covers it is summed directly with no remainder.  Every
-    line is summed directly when the lines hold at most _EM_DIRECT terms in
-    all, when no order applies, or when target or W + G is 0.  Returns None
+    X = min_M X_M, with the first order M that reaches it (the search stops
+    at an order with X_M = _EM_HEAD, as no X_M is lower); each line's bound
+    only falls past X, so the weighted total is at most target.  A line's
+    head grows with X and never exceeds the line, so no other choice of X
+    has fewer head terms.  A line with v_i >= X needs no head; one whose
+    head covers it is summed directly with no remainder.  Every line is
+    summed directly when the lines hold at most _EM_DIRECT terms in all,
+    when no order applies, or when target or W + G is 0.  Returns None
     when a line needs more than _EM_MAX_HEAD direct terms.
     """
     b = complex(b)
     k_len = k_max + 1
-    x, order = math.inf, 0  # every line direct
+    x, chosen = math.inf, None  # every line direct
     total_w = float(np.abs(weights).sum())
     total_g = 0.0 if logs is None else float(np.abs(logs).sum())
-    direct = k_len.sum() <= _EM_DIRECT or not target > 0.0 or total_w + total_g == 0.0
-    log_target = 0.0 if direct else math.log(target * (1.0 - 2.0**-20))
-    if logs is None:
-        log_c, decay = 0.0, 1.0
-        if not direct:
-            orders, log_cs, decays = _em_remainder_constants(b)
-            if orders.size:
-                log_budget = math.log(total_w) - log_target
-                # exp(-inf) = 0 where the remainder is exactly 0
-                xs = np.maximum(np.exp(np.minimum((log_cs + log_budget) / decays, 700.0)), _EM_HEAD)
-                i = int(np.argmin(xs))
-                x, order, log_c, decay = float(xs[i]), int(orders[i]), float(log_cs[i]), float(decays[i])
-    else:
-        consts = None
-        if not direct:
-            orders, log_cs, decays, a, a0 = _em_log_remainder_constants(b)
-            if orders.size:
-                alpha = a * total_w + a0 * total_g
+    if k_len.sum() > _EM_DIRECT and target > 0.0 and total_w + total_g > 0.0:
+        log_target = math.log(target * (1.0 - 2.0**-20))
+        for const in _em_remainder_constants(b):
+            _, log_c, decay, a, a0 = const
+            alpha = a * total_w + a0 * total_g
+            y = _LOG_EM_HEAD
+            if alpha > 0.0:
                 kappa = a * total_g / alpha
-                c0 = log_cs + np.log(alpha) - log_target
-                floor = math.log(_EM_HEAD)
-                y = np.maximum(c0 / decays, floor)
-                for _ in range(_EM_NEWTON):
-                    psi = decays * y - np.log1p(kappa * y) - c0
-                    step = psi / (decays - kappa / (1.0 + kappa * y))
-                    y, last = np.maximum(y - step, floor), y
-                    if not np.abs(y - last).max() > 1e-12 * y.max():
+                c0 = log_c + (math.log(alpha) - log_target)
+                y = max(c0 / decay, _LOG_EM_HEAD)  # the root when kappa = 0: psi is linear
+                for _ in range(_EM_NEWTON if kappa > 0.0 else 0):
+                    psi = decay * y - math.log1p(kappa * y) - c0
+                    y, last = max(y - psi / (decay - kappa / (1.0 + kappa * y)), _LOG_EM_HEAD), y
+                    if not abs(y - last) > 1e-12 * y:
                         break
-                xs = np.exp(np.fmin(y, 700.0))
-                i = int(np.argmin(xs))
-                x, order = float(xs[i]), int(orders[i])
-                consts = log_cs[i], decays[i], a[i], a0[i]
+            x_m = max(math.exp(min(y, 700.0)), _EM_HEAD)
+            if x_m < x:
+                x, chosen = x_m, const
+                if x == _EM_HEAD:
+                    break
     heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len).astype(np.int64)
     if heads.max() > _EM_MAX_HEAD:
         return None
-    em = heads <= k_max
-    if logs is None:
-        remainder = float((np.abs(weights[em]) * np.exp(log_c - decay * np.log(heads[em] + v[em]))).sum())
-        return _em_sum(b, v, k_max, weights, heads, order), remainder
-    remainder = 0.0  # no order: every line direct
-    if consts is not None:
-        bounds = _em_log_bound(*consts, np.abs(weights[em]), np.abs(logs[em]), np.log(heads[em] + v[em]))
+    order = 0 if chosen is None else chosen[0]  # no order: every line direct
+    value, remainder = _em_sum(b, v, k_max, weights, heads, order, logs=logs), 0.0
+    if chosen is not None:  # the sum first: arrays live across it slow its allocations
+        em = heads <= k_max  # lines summed directly have no remainder
+        g_abs = 0.0 if logs is None else np.abs(logs[em])  # G = 0 without logs
+        bounds = _em_log_bound(*chosen[1:], np.abs(weights[em]), g_abs, np.log(heads[em] + v[em]))
         remainder = float(bounds.sum())
-    return _em_sum(b, v, k_max, weights, heads, order, logs=logs), remainder
+    return value, remainder
 
 
 def _line_column(lam: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
@@ -1427,6 +1386,7 @@ def evaluate(
     `evaluate_many`.
     """
     _require_valid(config)
+    _require_shell(shell_cap, "shell_cap")
     pt = as_point(s, config.d)
     return _evaluate(config, pt.re[None, :], pt.im[None, :], tol, shell_cap, (pt,))[0]
 
@@ -1448,6 +1408,7 @@ def evaluate_many(
     calls.
     """
     _require_valid(config)
+    _require_shell(shell_cap, "shell_cap")
     re, im = _as_points(points, config.d)
     return _evaluate(config, re, im, tol, shell_cap)
 
@@ -1620,9 +1581,10 @@ def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     return _evaluate(config, pt.re[None, :], pt.im[None, :], math.nan, 0, (pt,), n_shell)[0]
 
 
-def _require_shell(n_shell) -> None:
+def _require_shell(n_shell, name: str = "shell index") -> None:
+    """ConfigError unless n_shell is an integer >= 0 (a bool or a float is none)."""
     if isinstance(n_shell, bool) or not isinstance(n_shell, (int, np.integer)) or n_shell < 0:
-        raise ConfigError(f"shell index must be an integer >= 0, got {n_shell!r}")
+        raise ConfigError(f"{name} must be an integer >= 0, got {n_shell!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,19 @@ class TestCli:
         with pytest.raises(ConfigError, match="unknown special"):
             parse_config("function: {kind: special, name: zeta}\n")
 
+    def test_negative_shell_cap_exits_2(self, tmp_path):
+        # it once returned an uncertified shell-0 value
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            "action: {s: 2.0, tol: 1.0e-6, shell_cap: -5}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert "shell_cap" in result.output
+        assert not (tmp_path / "eval.csv").exists()
+
     def test_exit_code_noncertified(self, tmp_path):
         cfgp = self.write(
             tmp_path,

@@ -314,6 +314,13 @@ class TestSampling:
         with pytest.raises(ConfigError, match="seed"):
             sample(dist, seed=-1, count=10)
 
+    def test_seed_and_count_are_integers(self):
+        dist = build_distribution(riemann(), 2.0, delta=1e-4)
+        for seed, count in ((1.0, 10), (1.5, 10), (True, 10), (1, 10.0), (1, 2.5), (1, False)):
+            with pytest.raises(ConfigError, match="seed|count"):
+                sample(dist, seed=seed, count=count)
+        assert sample(dist, seed=np.int64(3), count=np.int64(4)).count == 4
+
     def test_atom_zero_frequency(self):
         dist = build_distribution(riemann(), 2.0, delta=1e-6)
         batch = sample(dist, seed=7, count=200000)
@@ -354,6 +361,14 @@ class TestMoments:
         dist = build_distribution(riemann(), 2.0, delta=1e-4)
         with pytest.raises(ConfigError, match="cap"):
             moment(dist, 9)
+
+    def test_multi_index_entries_are_integers(self):
+        # (2.9,) once returned the order-2 moment and 1.5 raised a TypeError
+        dist = build_distribution(riemann(), 2.0, delta=1e-4)
+        for k in ((2.9,), 1.5, (1.0,), (True,), (-1,), "1", (1, 0), ()):
+            with pytest.raises(ConfigError, match="multi-index"):
+                moment(dist, k)
+        assert moment(dist, (np.int64(2),)) == moment(dist, 2) == moment(dist, [2])
 
     def test_euler_zagier_mean_has_finite_bound(self):
         cfg = make_special("euler_zagier", r=2, u=(1.0, 1.0))

@@ -201,6 +201,20 @@ class TestTailBound:
             with pytest.raises(ConfigError, match="shell index"):
                 tail_bound(riemann(), 2.0, n_shell)
 
+    def test_bad_shell_cap(self):
+        # 1e6 once reached math.comb as a TypeError, 2.5 was used as a cap and
+        # -5 returned an uncertified shell-0 value
+        for cap in (1e6, 2.5, -5, True, "10"):
+            with pytest.raises(ConfigError, match="shell_cap"):
+                evaluate(riemann(), 2.0, tol=1e-6, shell_cap=cap)
+            with pytest.raises(ConfigError, match="shell_cap"):
+                evaluate_many(riemann(), [2.0, 3.0], tol=1e-6, shell_cap=cap)
+            with pytest.raises(ConfigError, match="shell_cap"):
+                build_distribution(riemann(), 2.0, delta=1e-4, shell_cap=cap)
+        # 0 and numpy integers stay valid caps
+        assert evaluate(riemann(), 2.0, tol=1e-6, shell_cap=0).shells_used == 0
+        assert evaluate(riemann(), 2.0, tol=1e-6, shell_cap=np.int64(10**6)).certified
+
     def test_poisson_tail_keeps_the_first_point_past_the_shell(self):
         # the support point 3^35 - 1 lies past 2^53 and just past the shell
         base, rate, sigma = 3, 1.0, -3.0
