@@ -91,15 +91,43 @@ class ZetaDistribution:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Inverse-CDF samples drawn from a truncated atom table."""
+    """Inverse-CDF samples drawn from a truncated atom table.
+
+    `atoms` and `counts` group the rows of `points`: each row of `points`
+    equals one row of `atoms`, and counts[k] rows equal atoms[k].  Omitted,
+    they are `points` and ones, so a batch built from its points alone
+    needs no sort; `sample` fills them from its draws."""
 
     points: np.ndarray  # (count, d)
     seed: int
     count: int
     truncation: float  # total-variation bias bound inherited from the table
+    atoms: np.ndarray | None = None  # (k, d) locations of the rows of points
+    counts: np.ndarray | None = None  # (k,) how many rows sit at each
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", frozen_array(self.points))
+        points = frozen_array(self.points)
+        atoms = points if self.atoms is None else frozen_array(self.atoms)
+        if self.counts is None:
+            counts = np.ones(len(points), dtype=np.int64)
+            counts.setflags(write=False)
+        else:
+            counts = frozen_array(self.counts, np.int64)
+            if not np.array_equal(counts, self.counts):
+                raise ConfigError("counts must be integers")
+        if points.ndim != 2 or atoms.ndim != 2 or atoms.shape[1] != points.shape[1]:
+            raise ConfigError(
+                f"points and atoms must be (rows, d) arrays of one d, got shapes "
+                f"{points.shape} and {atoms.shape}"
+            )
+        if self.count != points.shape[0]:
+            raise ConfigError(f"count {self.count} is not the number of rows {points.shape[0]}")
+        if counts.shape != (atoms.shape[0],) or np.any(counts < 0):
+            raise ConfigError("counts must hold one nonnegative integer per row of atoms")
+        if int(np.sum(counts)) != self.count:
+            raise ConfigError(f"counts sum to {int(np.sum(counts))}, not count {self.count}")
+        for name, arr in (("points", points), ("atoms", atoms), ("counts", counts)):
+            object.__setattr__(self, name, arr)
 
     def as_table(self) -> tuple[list[str], np.ndarray]:
         header = [f"x_{j + 1}" for j in range(self.points.shape[1])]
@@ -452,7 +480,9 @@ def _no_extra(kind: str, params: dict) -> None:
 
 def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
     """Inverse-CDF draws from the renormalized truncated atom table;
-    the seed fully determines the batch."""
+    the seed fully determines the batch.  The batch's `atoms` are the
+    drawn atoms of the table, in table order, and `counts` how often
+    each was drawn."""
     _require_shell(seed, "sample seed")
     _require_shell(count, "sample count")
     if count < 1:
@@ -463,9 +493,17 @@ def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     idx = np.searchsorted(cdf, u, side="right")
+    del u
     points = dist.locations[idx]
-    points.setflags(write=False)  # made here: handed over as is, not copied
-    return SampleBatch(points=points, seed=seed, count=count, truncation=dist.tail_mass_bound)
+    counts = np.bincount(idx, minlength=dist.atom_count)
+    drawn = np.flatnonzero(counts)
+    atoms, counts = dist.locations[drawn], counts[drawn]
+    for arr in (points, atoms, counts):  # made here: handed over as is, not copied
+        arr.setflags(write=False)
+    return SampleBatch(
+        points=points, seed=seed, count=count, truncation=dist.tail_mass_bound,
+        atoms=atoms, counts=counts,
+    )
 
 
 def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
@@ -522,12 +560,56 @@ def _phases(points: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def empirical_cf(batch: SampleBatch, t) -> complex:
-    """(1/N) sum_j exp(i <t, x_j>)."""
+    """(1/N) sum_j exp(i <t, x_j>) over the N rows x_j of the batch, as
+    (1/N) sum_k c_k exp(i <t, x_k>) over its distinct locations x_k
+    (`atoms`) with their multiplicities c_k (`counts`): O(atoms) work per
+    t, not O(N).
+
+    Each part, with f = cos or sin, is `exact_real_sum` of exact products
+    whose sum is sum_k c_k f(p_k), p_k = <t, x_k> from `_phases`:
+
+    - Veltkamp's split (Dekker, Numer. Math. 18, 1971) with the factor
+      2^27 + 1 writes each f(p_k) as hi + lo exactly, hi and lo of at most
+      26 significant bits each; underflow does not break the split (Boldo,
+      IJCAR 2006), and nothing overflows at |f| <= 1.
+    - c_k = a 2^27 + b with 0 <= b < 2^27 and a < 2^26, as c_k <= N < 2^53.
+      So b hi, b lo, a hi and a lo are products of at most 27 + 26 = 53
+      bits, exact, and so is the scaling of a hi and a lo by 2^27: their
+      sum is exactly c_k f(p_k).
+
+    Regrouping.  `_phases` works row by row and adds 0.0 last, so a row
+    at -0.0 and one at 0.0 get the same phase; the rows grouped into x_k
+    all give p_k, and the exact sum of the products equals the exact sum
+    of f over the rows, for any grouping of equal rows and any order.
+    `exact_real_sum` returns that exact sum S minus its truncation R,
+    |R| < 2^(E-70) with 2^E above the largest product, correctly rounded;
+    so a batch, its row permutations and its regroupings give the same
+    bits whenever R = 0 (every product a multiple of the last fold's grid)
+    or S - R and S - R' round alike, and otherwise differ by one rounding
+    of S.
+
+    A t that is not finite raises ConfigError, as in `atom_cf`."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ConfigError(f"t must be finite, got {t!r}")
     if batch.points.size == 0:
         raise ConfigError("empty sample batch")
-    phases = _phases(batch.points, np.atleast_1d(np.asarray(t, dtype=float)))
-    total = complex(exact_real_sum(np.cos(phases)), exact_real_sum(np.sin(phases)))
+    phases = _phases(batch.atoms, t)
+    high, low = np.divmod(batch.counts, 1 << 27)
+    high, low = high * 2.0**27, low.astype(float)
+    total = complex(
+        _weighted_sum(np.cos(phases), low, high), _weighted_sum(np.sin(phases), low, high)
+    )
     return total / batch.count
+
+
+def _weighted_sum(values: np.ndarray, low: np.ndarray, high: np.ndarray) -> float:
+    """`exact_real_sum` of the exact products of `empirical_cf`'s proof:
+    values split as hi + lo, each times low and high (count = low + high)."""
+    scaled = values * (2.0**27 + 1.0)
+    hi = scaled - (scaled - values)
+    lo = values - hi
+    return exact_real_sum(np.concatenate((low * hi, low * lo, high * hi, high * lo)))
 
 
 def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:

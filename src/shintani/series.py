@@ -232,6 +232,36 @@ def absolutely_convergent_at(config: ShintaniConfig, s) -> bool:
 # Certified tail bounds
 # ---------------------------------------------------------------------------
 
+_NORMAL_MIN = 2.0**-1022  # the least positive normal float
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _exp_up(products: list[list[float]]) -> float:
+    """An upper bound on sum_i exp(sum(products[i])), each list holding the
+    logarithms of one product's positive factors (-inf for a 0 factor).
+
+    A route whose float value underflows to 0 or a subnormal forms it here
+    instead: the same bound, with no power leaving the float range.  Each
+    entry is one rounded log (or lgamma), or one exponent times one, so it
+    errs by at most a few u (u = 2^-53) of its size plus its exponent's
+    error; the sums, the log of the sum of exps and its max-shift err by a
+    few u more per term.  The margin 2^-40 (len + sum |entries|) added to
+    the exponent covers all of it, exp errs by less than one ulp, and
+    `math.nextafter` rounds up past that, so the result is at least
+    ulp(0.0) = 2^-1074.
+    """
+    sums = [math.fsum(p) for p in products]
+    top = max(sums)
+    finite = [abs(x) for p in products for x in p if math.isfinite(x)]
+    margin = 2.0**-40 * (len(finite) + math.fsum(finite))
+    if top > -math.inf:
+        top += math.log(math.fsum(math.exp(x - top) for x in sums))
+    return math.nextafter(math.exp(top + margin), math.inf)
+
+
 def _poly_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Integral-comparison bound for strictly positive lam.
 
@@ -264,7 +294,19 @@ def _poly_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float
             * (y + ru) ** (j - big_g)
             / (math.factorial(j - 1) * (big_g - j))
         )
-    return amp * total
+    out = amp * total
+    if not out < _NORMAL_MIN:  # normal, inf or nan: kept
+        return out
+    amp_logs = [_log(bound * k_u), -s_total * math.log(lam_min)]
+    return _exp_up([
+        amp_logs + [
+            math.log(math.comb(r, r - j)),
+            (j - big_g) * math.log(max(0.0, n_shell + 1.0 - j) + ru),
+            -math.lgamma(j),
+            -math.log(big_g - j),
+        ]
+        for j in range(1, r + 1)
+    ])
 
 
 @lru_cache(maxsize=256)
@@ -302,6 +344,7 @@ def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
         return math.inf
     full = np.empty(r)  # F_j: full 1-dim sums
     tails = np.empty(r)  # T_j: 1-dim tails past floor(N/r)
+    factors = [()] * r  # the inputs of F_j and T_j, for `_exp_up`
     m_start = n_shell // r
     for l in range(r):
         j = perm[l]
@@ -316,11 +359,23 @@ def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
         amp = b_j * k_u * lam_lj ** (-s_l)
         full[j] = amp * (u_j ** (-decay) + u_j ** (1.0 - decay) / (decay - 1.0))
         tails[j] = amp * (m_start + u_j) ** (1.0 - decay) / (decay - 1.0)
+        factors[j] = (b_j * k_u, lam_lj, s_l, u_j, decay)
     total = 0.0
     for j in range(r):
         others = np.prod(np.delete(full, j)) if r > 1 else 1.0
         total += tails[j] * others
-    return float(total)
+    if not total < _NORMAL_MIN:
+        return float(total)
+    full_logs, tail_logs = [], []
+    for b, lam_lj, s_l, u_j, decay in factors:
+        amp_logs = [_log(b), -s_l * math.log(lam_lj)]
+        full_logs.append(amp_logs + [-decay * math.log(u_j), math.log1p(u_j / (decay - 1.0))])
+        tail_logs.append(amp_logs + [
+            (1.0 - decay) * math.log(m_start + u_j), -math.log(decay - 1.0)
+        ])
+    return _exp_up([
+        tail_logs[j] + [x for i in range(r) if i != j for x in full_logs[i]] for j in range(r)
+    ])
 
 
 @lru_cache(maxsize=256)
@@ -381,7 +436,16 @@ def _nested_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> flo
         total *= mins[i] ** (-s_l) * (
             v[i] ** (-s_l) + v[i] ** (1.0 - s_l) / (s_l - 1.0)
         )
-    return total
+    if not total < _NORMAL_MIN:
+        return total
+    logs = [
+        _log(amp), -s_head * math.log(mins[0]),
+        (1.0 - decay_head) * math.log(n_shell + v[0]), -math.log(decay_head - 1.0),
+    ]
+    for i in range(1, len(order)):
+        s_l = float(sl[order[i]])
+        logs += [-s_l * math.log(mins[i]), -s_l * math.log(v[i]), math.log1p(v[i] / (s_l - 1.0))]
+    return _exp_up([logs])
 
 
 def _finite_support(
@@ -528,7 +592,17 @@ def _geometric_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
     rho = _geometric_ratio(config, sl, usum, t0)
     if not rho < 1.0:
         return math.inf
-    return head(t0) / (1.0 - rho)
+    out = head(t0) / (1.0 - rho)
+    if not out < _NORMAL_MIN:  # normal, inf or nan: kept
+        return out
+    logs = [
+        _log(bound), t0 * _log(g), growth * math.log(t0 + 1.0),
+        math.log(math.comb(int(t0) + r - 1, r - 1)), _log(weight.at(t0)), -math.log(1.0 - rho),
+    ]
+    for l, b in enumerate(sl):
+        base = lower_base(l, t0) if b >= 0 else row_max[l] * (t0 + usum)
+        logs.append(-b * math.log(base))
+    return _exp_up([logs])
 
 
 def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
@@ -557,9 +631,18 @@ def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> fl
             v = math.exp(log_v + math.fsum(logs))
         return v
 
+    def term_logs(k: int) -> list[float]:  # term(k)'s factors' logs, for `_exp_up`
+        n = float(base) ** k - 1.0
+        return [
+            rate * k * logj, -math.lgamma(k + 1.0), _log(b_other),
+            eps_other * math.log(n + 1.0), _log(weight.at(n)),
+            *(-sl * np.log(lam * (n + u0))).tolist(),
+        ]
+
     k = 0
     while base**k - 1 <= n_shell:  # exact: past 2^53 a float walk skips a tail point
         k += 1
+    first = k
     total = 0.0
     try:
         for _ in range(100000):
@@ -573,7 +656,12 @@ def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> fl
             ratio *= weight.ratio(n, n_next)
             v = term(k)
             if ratio <= 0.5:
-                return total + v + v * ratio / (1.0 - ratio)
+                out = total + v + v * ratio / (1.0 - ratio)
+                if not out < _NORMAL_MIN:
+                    return out
+                logs = [term_logs(i) for i in range(first, k + 1)]
+                logs.append(logs[-1] + [_log(ratio), -math.log(1.0 - ratio)])
+                return _exp_up(logs)
             total += v
             k += 1
     except OverflowError:  # a support point or a term past the float range: no bound
@@ -584,6 +672,9 @@ def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> fl
 def _tail_bound(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Certified bound on sum |theta(n)| prod_l L_l(n)^(-<c_l, sigma>) over degree
     > n_shell from theta's structural envelope: the least route, inf if none.
+    A route whose float value underflows to 0 or a subnormal forms it again
+    in logarithms (`_exp_up`), rounded up and at least 2^-1074, so an
+    infinite support's tail is never 0; any other value is kept as formed.
     A route that comes out nan (inf * 0 where a power overflows and a
     factor underflows) bounds nothing and is skipped."""
     if config.theta.support_degree is not None:
@@ -1302,7 +1393,8 @@ def _first_admissible(
     hi = c when tail(c) <= tol and lo = c + 1 otherwise, which keeps the
     invariant and shrinks the bracket, and it stops at lo = hi = n*.  Bisection keeps the same invariant, so it ends on
     the same n*.  The monotonicity is that of the exact formulas; rounding
-    could only matter where consecutive shells' tails differ by an ulp.
+    could only matter where consecutive shells' tails differ by an ulp, or
+    by `_exp_up`'s margin where a route is formed in logarithms.
 
     Probes: from lo = 0, shell 0 first, or, when theta decays geometrically,
     the first shell where the geometric route is finite (`_geometric_start`,

@@ -16,6 +16,7 @@ from shintani.coefficients import CoefficientSpec
 from shintani import distributions, series
 from shintani.distributions import (
     SPECIAL_DISTRIBUTION_KINDS,
+    SampleBatch,
     _merge_atoms,
     _phases,
     atom_cf,
@@ -453,6 +454,9 @@ class TestEmpirical:
         dist = build_distribution(riemann(), 2.0, delta=1e-5)
         batch = sample(dist, seed=3, count=1000)
         assert empirical_cf(batch, 0.0) == 1.0
+        dist = build_distribution(make_special("euler_zagier", r=2, u=[0.0, 0.0]), [3.0, 2.0],
+                                  delta=1e-4)
+        assert empirical_cf(sample(dist, seed=1, count=3000), [0.0, 0.0]) == 1.0
 
     def test_delta_batch(self):
         sd = make_special_distribution("delta", lam=2.0, u=1.0, c=1.0, theta0=1.0, sigma=2.0)
@@ -468,6 +472,101 @@ class TestEmpirical:
         got = empirical_cf(batch, 1.0)
         want = char_fn(riemann(), 2.0, 1.0, tol=1e-8).value
         assert abs(got - want) <= 4.0 / math.sqrt(batch.count)
+
+    @staticmethod
+    def per_sample(batch, t):
+        """The cf as the order-independent sum over every row of the batch:
+        what `empirical_cf` computed before it summed over distinct atoms."""
+        phases = _phases(batch.points, np.atleast_1d(np.asarray(t, dtype=float)))
+        total = complex(exact_real_sum(np.cos(phases)), exact_real_sum(np.sin(phases)))
+        return total / batch.count
+
+    @pytest.mark.parametrize("kind, sigma, delta, ts", [
+        ("riemann", 2.0, 1e-6, [0.5, 1.0, 2.0, -3.7, 40.0, 1e-9]),
+        ("euler_zagier", [3.0, 2.0], 1e-5, [[0.5, 1.0], [1.0, -2.0], [-7.0, 4.0], [0.0, 3.0]]),
+    ])
+    def test_grouped_sum_equals_per_sample_sum(self, kind, sigma, delta, ts):
+        cfg = riemann() if kind == "riemann" else make_special(kind, r=2, u=[0.0, 0.0])
+        dist = build_distribution(cfg, sigma, delta=delta)
+        for seed in (1, 3, 7):
+            batch = sample(dist, seed, 100_000)
+            assert batch.atoms.shape[0] < batch.count
+            for t in ts:
+                assert empirical_cf(batch, t) == self.per_sample(batch, t), (kind, seed, t)
+
+    # the riemann inputs of the benchmark's dist-cf workload at seeds 1 and 7:
+    # (sigma, sample seed, the six empirical-cf t), 10^6 draws each
+    @pytest.mark.parametrize("sigma, seed, ts", [
+        (2.000671821220562, 131383004, [0.30989845075022027, 2.3933198120575665,
+                                        3.691238152001678, 1.3751824399711274,
+                                        4.742772269103435, 4.536709050773973]),
+        (2.0016191638241656, 1703729684, [4.186204985958579, 0.8818692174033342,
+                                          1.3492231336529683, 3.2489361453062697,
+                                          4.754232029547927, 3.0123838585022438]),
+    ])
+    def test_benchmark_batches_match_per_sample_sum(self, sigma, seed, ts):
+        batch = sample(build_distribution(riemann(), sigma, delta=1e-6), seed, 10**6)
+        for t in ts:
+            assert empirical_cf(batch, [t]) == self.per_sample(batch, [t]), t
+
+    def test_sample_groups_its_own_draws(self):
+        dist = build_distribution(riemann(), 2.0, delta=1e-5)
+        batch = sample(dist, seed=7, count=20_000)
+        # points are the inverse-CDF draws of the seed, as before grouping
+        cdf = np.cumsum(dist.masses / np.sum(dist.masses))
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, np.random.default_rng(7).random(20_000), side="right")
+        assert np.array_equal(batch.points, dist.locations[idx])
+        atoms, counts = np.unique(batch.points, axis=0, return_counts=True)
+        order = np.argsort(batch.atoms[:, 0])
+        assert np.array_equal(batch.atoms[order], atoms)
+        assert np.array_equal(batch.counts[order], counts)
+        for arr in (batch.points, batch.atoms, batch.counts):
+            assert not arr.flags.writeable
+
+    def test_any_regrouping_of_rows_gives_the_same_value(self):
+        # the phase adds 0.0 last, so rows at -0.0 and 0.0 are one atom
+        rng = np.random.default_rng(4)
+        atoms = np.array([[-0.0, 1.5], [0.0, -2.25], [0.75, 0.0], [-3.0, 0.5], [1.0, 1.0]])
+        counts = np.array([3, 1, 5, 2, 4])
+        points = np.repeat(atoms, counts, axis=0)
+        points[1, 0] = 0.0  # one row of the first atom at +0.0
+        points[7, 1] = -0.0  # one row of the third atom at -0.0
+        n = int(counts.sum())
+        direct = SampleBatch(points, 0, n, 0.0)
+        assert direct.atoms is direct.points and np.array_equal(direct.counts, np.ones(n))
+        shuffled = SampleBatch(points[rng.permutation(n)], 0, n, 0.0)
+        grouped = SampleBatch(points, 0, n, 0.0, atoms=atoms, counts=counts)
+        regrouped = SampleBatch(points, 0, n, 0.0, atoms=np.vstack([atoms, atoms]),
+                                counts=np.concatenate([counts - 1, np.ones(5, dtype=int)]))
+        for t in ([0.0, 0.0], [1.0, -0.5], [3.7, 2.9], [-1e3, 1e-3]):
+            want = self.per_sample(direct, t)
+            for batch in (direct, shuffled, grouped, regrouped):
+                assert empirical_cf(batch, t) == want, t
+        assert empirical_cf(grouped, [0.0, 0.0]) == 1.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    def test_non_finite_t_is_config_error(self, t):
+        dist = build_distribution(riemann(), 2.0, delta=1e-3)
+        batch = sample(dist, seed=1, count=10)
+        with pytest.raises(ConfigError, match="finite"):
+            empirical_cf(batch, t)
+
+    def test_inconsistent_batch_is_config_error(self):
+        # a count that is not the number of rows once gave 0.6 for empirical_cf(batch, 1.0)
+        with pytest.raises(ConfigError, match="number of rows"):
+            SampleBatch(np.zeros((3, 1)), 0, 5, 0.0)
+        with pytest.raises(ConfigError, match="sum to"):
+            SampleBatch(np.zeros((3, 1)), 0, 3, 0.0, atoms=np.zeros((1, 1)), counts=[2])
+        with pytest.raises(ConfigError, match="integers"):
+            SampleBatch(np.zeros((3, 1)), 0, 3, 0.0, atoms=np.zeros((2, 1)), counts=[1.5, 1.5])
+        with pytest.raises(ConfigError, match="one nonnegative integer per row"):
+            SampleBatch(np.zeros((3, 1)), 0, 3, 0.0, atoms=np.zeros((2, 1)), counts=[3])
+        with pytest.raises(ConfigError, match="one nonnegative integer per row"):
+            SampleBatch(np.zeros((3, 1)), 0, 3, 0.0, atoms=np.zeros((2, 1)), counts=[4, -1])
+        with pytest.raises(ConfigError, match="arrays of one d"):
+            SampleBatch(np.zeros((3, 1)), 0, 3, 0.0, atoms=np.zeros((1, 2)), counts=[3])
+        assert empirical_cf(SampleBatch(np.zeros((3, 1)), 0, 3, 0.0), 1.0) == 1.0
 
     def test_normalization_random_configs(self):
         rng = np.random.default_rng(21)

@@ -229,6 +229,53 @@ class TestTailBound:
         for n_shell in (point - 2, point - 1):
             assert tail_bound(cfg, sigma, n_shell) >= first
 
+    @staticmethod
+    def tenth_lambda():
+        # terms (0.1 (n + 1))^(-s): at large s, lam^(-s) overflows the float
+        # range long before the power of n + 1 underflows
+        return ShintaniConfig(d=1, m=1, r=1, lam=[[0.1]], u=[1.0], c=[[1.0]],
+                              theta=CoefficientSpec.constant(1.0))
+
+    @pytest.mark.parametrize("s, n_shell", [(300, 12), (300, 40), (200, 60)])
+    def test_underflowing_routes_stay_above_the_tail(self, s, n_shell):
+        # each route once formed lam^(-s) * (N + 1)^(1 - s) with the power at
+        # 0.0, and evaluate_partial reported certified=True, tail_bound=0.0
+        cfg = self.tenth_lambda()
+        with mp.workdps(30):
+            true = mp.mpf(10) ** s * mp.zeta(s, n_shell + 2)  # sum over n > N
+        sig = np.array([float(s)])
+        for route in (series._poly_tail, series._separable_tail, series._nested_tail):
+            assert true <= route(cfg, sig, n_shell) < math.inf, route.__name__
+        res = evaluate_partial(cfg, float(s), n_shell)
+        assert res.certified and true <= res.tail_bound == tail_bound(cfg, float(s), n_shell)
+
+    def test_tail_below_the_float_range_is_the_least_subnormal(self):
+        with mp.workdps(30):
+            true = mp.zeta(300, 10002)  # about 10^-1200
+        res = evaluate_partial(riemann(), 300.0, 10000)
+        assert res.certified and res.tail_bound == math.ulp(0.0) and true <= res.tail_bound
+
+    def test_underflowing_geometric_and_poisson_tails(self):
+        lerch = make_special("lerch_transcendent", u=1.0, q=0.5)
+        for s, n_shell in ((300.0, 10), (2.0, 1100), (50.0, 900)):
+            with mp.workdps(30):
+                true = mp.nsum(lambda k: mp.mpf(0.5) ** k * (k + 1) ** -s, [n_shell + 1, mp.inf])
+            bound = series._geometric_tail(lerch, np.array([s]), n_shell)
+            assert true <= bound < math.inf and bound > 0.0, (s, n_shell)
+        cfg = ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[-1.0 / math.log(2.0)]],
+                             theta=CoefficientSpec.poisson_powers(2, 0.0))
+        for sigma, n_shell in ((-700.0, 2**12), (-300.0, 2**20), (-1.0, 2**62)):
+            first = n_shell.bit_length()  # the least k with 2^k - 1 > N
+            with mp.workdps(30):
+                true = mp.fsum(mp.exp(sigma * k) / mp.factorial(k) for k in range(first, first + 80))
+            bound = series._poisson_tail(cfg, np.array([sigma]), n_shell)
+            assert true <= bound < math.inf and bound > 0.0, (sigma, n_shell)
+
+    def test_monotone_where_the_float_route_underflows(self):
+        cfg = self.tenth_lambda()
+        values = [tail_bound(cfg, 300.0, n) for n in range(0, 200, 3)]
+        assert all(a >= b > 0.0 for a, b in zip(values, values[1:]))
+
     def test_honest_for_random_configs(self):
         # bound(N) must dominate the measured remainder to a much deeper sum;
         # rounding error is outside the certificate (double precision only)
