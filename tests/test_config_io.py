@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani.cli import cli
+from shintani.arithmetic import AlphaRule
 from shintani.config_io import (
+    alpha_from_dict,
+    alpha_to_dict,
     emit_csv,
     euler_from_dict,
     euler_to_dict,
@@ -26,7 +29,7 @@ from shintani.config_io import (
 )
 from shintani.coefficients import FAMILIES, CoefficientSpec
 from shintani.errors import ConfigError
-from shintani.euler import dedekind_euler_config
+from shintani.euler import EulerConfig, dedekind_euler_config
 from shintani.distributions import SPECIAL_DISTRIBUTION_KINDS
 from shintani.series import SPECIAL_KINDS, make_special
 
@@ -185,6 +188,35 @@ class TestRoundTrips:
         cfg = dedekind_euler_config()
         again = euler_from_dict(euler_to_dict(cfg))
         assert euler_to_dict(again) == euler_to_dict(cfg)
+
+    def test_alpha_table_rule_round_trip(self):
+        rule = AlphaRule.table({2: 0.5, 3: complex(0.0, -1.0)}, default=0.25)
+        assert alpha_to_dict(rule) == {
+            "rule": "table",
+            "params": {"default": 0.25, "entries": [{"p": 2, "value": 0.5},
+                                                     {"p": 3, "value": [0.0, -1.0]}]},
+        }
+        assert alpha_from_dict(alpha_to_dict(rule)) == rule
+        spec = CoefficientSpec.multiplicative_product([(rule,)])
+        assert theta_from_dict(theta_to_dict(spec)) == spec
+        doc = {"function": shintani_to_dict(make_special("riemann"))}
+        doc["function"]["theta"] = theta_to_dict(spec)
+        rc = parse_config(yaml.safe_dump(doc))
+        assert rc.shintani_config().theta == spec
+        assert parse_config(serialize_config(rc)) == rc
+
+    def test_euler_single_rule(self):
+        # m = 1 writes its one rule without a list
+        cfg = EulerConfig(d=1, m=1, alphas=(AlphaRule.constant(-1.0),), a=[[2.0]])
+        doc = euler_to_dict(cfg)
+        assert doc["alpha"] == {"rule": "constant", "params": {"value": -1.0}}
+        assert euler_to_dict(euler_from_dict(doc)) == doc
+        # one rule for m > 1 stands for every factor
+        chi = {"rule": "character", "params": {"mod": 4, "table": [0.0, 1.0, 0.0, -1.0]}}
+        wide = euler_from_dict({"kind": "euler", "m": 3, "d": 1, "alpha": chi,
+                                "a": [[1.0], [2.0], [3.0]]})
+        assert wide.alphas == (alpha_from_dict(chi),) * 3
+        assert euler_to_dict(wide)["alpha"]["params"]["items"] == [chi] * 3
 
     def test_generated_run_configs_round_trip(self):
         rng = np.random.default_rng(33)
@@ -660,6 +692,33 @@ class TestCli:
         lines = (tmp_path / "cf_comparison.csv").read_text().splitlines()
         diffs = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(diffs) < 1e-10
+
+    def test_special_plain_function_writes_config(self, tmp_path):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: hurwitz, params: {u: 0.5}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["special", "--config", cfgp])
+        assert result.exit_code == 0, result.output
+        assert "hurwitz: configuration written to" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "special_config.yaml"]
+        doc = yaml.safe_load((tmp_path / "special_config.yaml").read_text())
+        assert doc == {"function": shintani_to_dict(make_special("hurwitz", u=0.5)),
+                       "action": {}, "output": {"dir": str(tmp_path)}}
+
+    def test_io_error_inside_a_run_exits_4(self, tmp_path):
+        # the output directory is an existing file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            f"action: {{s: 2.0, tol: 1.0e-6}}\noutput: {{dir: '{blocker}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
+        assert result.exit_code == 4, result.output
+        assert "i/o error" in result.output
 
     def test_missing_config_file(self):
         result = CliRunner().invoke(cli, ["eval", "--config", "/nonexistent.yaml"])

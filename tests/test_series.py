@@ -249,6 +249,22 @@ class TestTailBound:
         res = evaluate_partial(cfg, float(s), n_shell)
         assert res.certified and true <= res.tail_bound == tail_bound(cfg, float(s), n_shell)
 
+    @pytest.mark.parametrize("route, n_shell", [
+        (series._nested_tail, 12), (series._nested_tail, 40), (series._separable_tail, 40),
+    ])
+    def test_underflowing_routes_at_rank_two(self, route, n_shell):
+        # euler_zagier at s = (300, 300): L_1 = n_1 + n_2 + 2, L_2 = n_2 + 1,
+        # and the product of the routes' float factors underflows
+        cfg = make_special("euler_zagier", r=2, u=(0.0, 0.0))
+        s = 300
+        with mp.workdps(30):
+            true = mp.fsum(  # degree t = n_1 + n_2 > N; terms past N + 400 are below 10^-40 of it
+                mp.mpf(t + 2) ** -s * mp.fsum(mp.mpf(k + 1) ** -s for k in range(t + 1))
+                for t in range(n_shell + 1, n_shell + 400)
+            )
+        bound = route(cfg, np.array([float(s), float(s)]), n_shell)
+        assert 0.0 < bound < math.inf and true <= bound
+
     def test_tail_below_the_float_range_is_the_least_subnormal(self):
         with mp.workdps(30):
             true = mp.zeta(300, 10002)  # about 10^-1200
