@@ -1,10 +1,15 @@
 """Config-document parsing, serialization, and CSV emission.
 
-One YAML document drives one subcommand invocation.  Parsing validates
-against a closed schema (unknown keys are rejected with their location),
-fills defaults, and normalizes values so that parse -> serialize -> parse
-is the identity on documents.  CSV output uses 17 significant digits so
-downstream scripts reproduce doubles exactly.
+One YAML document drives one subcommand invocation.  Each section (function,
+theta and each family, alpha rules, action, output) is a table of fields:
+key, codec (leaf decoder and encoder), default or required.  One helper,
+`_decode_fields`, reads every section through its table and raises
+ConfigError with the key path for a value that is not a mapping, an unknown
+key, a missing required key or a wrongly shaped value; `parse_config` adds
+the key's line where YAML gives one.  `_encode_fields` writes a section
+back through the same table, so parse -> serialize -> parse is the identity
+on documents.  CSV output uses 17 significant digits so downstream scripts
+reproduce doubles exactly.
 """
 
 from __future__ import annotations
@@ -12,43 +17,28 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
 
 from .arithmetic import AlphaRule
-from .coefficients import FAMILIES, CoefficientSpec, Envelope
+from .coefficients import CoefficientSpec, Envelope
 from .distributions import SPECIAL_DISTRIBUTION_KINDS
 from .errors import ConfigError
 from .euler import EulerConfig
-from .series import SPECIAL_KINDS, ShintaniConfig
-
-ACTION_DEFAULTS: dict[str, Any] = {
-    "s": None,
-    "sigma": None,
-    "t": None,
-    "t_grid": {"axis": 1, "lo": -10.0, "hi": 10.0, "count": 201},
-    "tol": 1e-8,
-    "shell_cap": 10**6,
-    "delta": 1e-6,
-    "seed": 0,
-    "count": 1000,
-    "prime_limit": 10**4,
-    "power_cutoff": 40,
-    "coeff_limit": 50,
-    "rectangle": None,
-    "base": None,
-    "direction": None,
-    "scan": {"axis": 1, "lo": -20.0, "hi": 20.0, "step": 0.05, "trigger": 0.2},
-}
+from .series import (
+    SPECIAL_KINDS, ComplexPoint, ShintaniConfig, as_point, as_sigma, validate_config,
+)
 
 _SPECIAL_KINDS = SPECIAL_KINDS + SPECIAL_DISTRIBUTION_KINDS
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalized config document; ``data`` round-trips through YAML."""
+    """Normalized config document; ``data`` round-trips through YAML.  The
+    action's points, sigma and t grid come decoded from `point`, `sigma`
+    and `t_grid`."""
 
     data: dict
 
@@ -64,30 +54,172 @@ class RunConfig:
     def output_dir(self) -> str:
         return self.data["output"]["dir"]
 
-    def shintani_config(self) -> ShintaniConfig:
-        if self.function_kind != "shintani":
+    def _function(self, kind: str, article: str = "a") -> dict:
+        """The function section; ConfigError unless it is of `kind`."""
+        if self.function_kind != kind:
             raise ConfigError(
-                f"subcommand needs a shintani function, got {self.function_kind!r}"
+                f"subcommand needs {article} {kind} function, got {self.function_kind!r}"
             )
-        return shintani_from_dict(self.data["function"])
+        return self.data["function"]
+
+    def shintani_config(self) -> ShintaniConfig:
+        return shintani_from_dict(self._function("shintani"))
 
     def euler_config(self) -> EulerConfig:
-        if self.function_kind != "euler":
-            raise ConfigError(
-                f"subcommand needs an euler function, got {self.function_kind!r}"
-            )
-        return euler_from_dict(self.data["function"])
+        return euler_from_dict(self._function("euler", "an"))
 
     def special(self) -> tuple[str, dict]:
-        if self.function_kind != "special":
-            raise ConfigError(
-                f"subcommand needs a special function, got {self.function_kind!r}"
-            )
-        return self.data["function"]["name"], dict(self.data["function"].get("params", {}))
+        function = self._function("special")
+        return function["name"], dict(function.get("params", {}))
+
+    def point(self, key: str, d: int, default: Optional[ComplexPoint] = None) -> ComplexPoint:
+        """The action's point `key` (s, base or direction) in C^d; `default`
+        when the action has none, and ConfigError when there is no default."""
+        if default is not None and not self.action.get(key):
+            return default
+        vals = _NUMBERS.decode(self._broadcast(key, d), f"action.{key}")
+        return as_point(np.asarray(vals, dtype=complex), d)
+
+    def sigma(self, d: int) -> np.ndarray:
+        return as_sigma(self._broadcast("sigma", d), d)
+
+    def t_grid(self) -> tuple[int, np.ndarray]:
+        """The action's t grid: its axis and its evenly spaced points."""
+        g = self.action["t_grid"]
+        return g["axis"], np.linspace(g["lo"], g["hi"], g["count"])
+
+    def _broadcast(self, key: str, d: int) -> list:
+        """The action's components of `key`, one standing for all d."""
+        vals = self.action.get(key)
+        if vals is None:
+            raise ConfigError(f"action.{key} is required for this subcommand")
+        return vals * d if len(vals) == 1 and d > 1 else vals
 
 
 # ---------------------------------------------------------------------------
-# Value encoding: complex numbers as [re, im], vectors as lists
+# Field tables and the one helper that reads and writes them
+# ---------------------------------------------------------------------------
+
+class _PathError(ConfigError):
+    """A ConfigError at one key path; `parse_config` adds the key's line."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(message)
+        self.path = path
+
+
+def _error(path: str, what: str) -> _PathError:
+    return _PathError(path, f"{path or 'config'}: {what}")
+
+
+class _Codec(NamedTuple):
+    decode: Callable[[Any, str], Any]  # (YAML value, its key path) -> value
+    encode: Callable[[Any], Any]  # value -> YAML value
+
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One key of a section.  A default of None stands for an absent
+    optional value; any other default is a YAML value, decoded like a given
+    one.  `name` is the constructor argument or attribute, when not `key`."""
+
+    key: str
+    codec: _Codec
+    default: Any = _REQUIRED
+    name: Optional[str] = None
+
+
+def _join(path: str, key: Any) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _mapping(v: Any, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise _error(path, f"expected a mapping, got {v!r}")
+    return v
+
+
+def _decode_fields(v: Any, fields: tuple, path: str, null_is_default: bool = False) -> dict:
+    """The section `v` at `path` read through its table: the decoded value
+    of every field by name, defaults filled.  With `null_is_default` a null
+    value stands for an absent one."""
+    allowed = [f.key for f in fields]
+    for key in _mapping(v, path):
+        if key not in allowed:
+            key_path = _join(path, key)
+            raise _PathError(key_path, f"unknown key '{key_path}'; allowed: {sorted(allowed)}")
+    out = {}
+    for f in fields:
+        given = f.key in v and not (null_is_default and v[f.key] is None)
+        if not given and f.default is _REQUIRED:
+            raise _error(path, f"missing required key {f.key!r}")
+        raw = v[f.key] if given else f.default
+        decoded = given or raw is not None  # an absent optional value stays None
+        out[f.name or f.key] = f.codec.decode(raw, _join(path, f.key)) if decoded else None
+    return out
+
+
+def _encode_fields(values: dict, fields: tuple) -> dict:
+    """The YAML mapping of a section from its values by field name."""
+    out = {}
+    for f in fields:
+        x = values[f.name or f.key]
+        out[f.key] = None if x is None else f.codec.encode(x)
+    return out
+
+
+def _section(fields: tuple, make: Callable = dict, parts: Callable = dict) -> _Codec:
+    """A nested section: decoded to make(**values), encoded from
+    parts(value), its values by field name."""
+    return _Codec(
+        lambda v, path: make(**_decode_fields(v, fields, path)),
+        lambda x: _encode_fields(parts(x), fields),
+    )
+
+
+def _record(*fields: _Field) -> _Codec:
+    """A nested section read as the tuple of its values in table order."""
+    names = [f.name or f.key for f in fields]
+    return _section(fields, lambda **values: tuple(values.values()), lambda t: dict(zip(names, t)))
+
+
+def _list_of(codec: _Codec) -> _Codec:
+    def decode(v: Any, path: str) -> list:
+        if not isinstance(v, list):
+            raise _error(path, f"expected a list, got {v!r}")
+        return [codec.decode(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+    return _Codec(decode, lambda xs: [codec.encode(x) for x in xs])
+
+
+def _pairs(key: _Field, value: _Field) -> _Codec:
+    """A list of two-field sections read as a dict from the first field's
+    value to the second's (a repeated key keeps its last value)."""
+    items = _list_of(_record(key, value))
+    return _Codec(lambda v, path: dict(items.decode(v, path)), items.encode)
+
+
+def _choice(names, what: str) -> _Codec:
+    def decode(v: Any, path: str) -> str:
+        if not isinstance(v, str) or v not in names:
+            raise _error(path, f"unknown {what} {v!r}; allowed: {list(names)}")
+        return v
+
+    return _Codec(decode, _ANY.encode)
+
+
+def _build(path: str, make: Callable, **values) -> Any:
+    """make(**values), a constructor's error named by `path`."""
+    try:
+        return make(**values)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise _error(path, str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# Leaf codecs: complex numbers as [re, im], vectors as lists
 # ---------------------------------------------------------------------------
 
 def _encode_number(z: complex) -> Any:
@@ -97,34 +229,53 @@ def _encode_number(z: complex) -> Any:
     return [float(z.real), float(z.imag)]
 
 
+def _is_real(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _decode_number(v: Any, path: str) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
         return complex(v[0], v[1])
-    raise ConfigError(f"{path}: expected a number or [re, im] pair, got {v!r}")
+    raise _error(path, f"expected a number or [re, im] pair, got {v!r}")
 
 
-def _decode_real(v: Any, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}: expected a real number, got {v!r}")
+def _decode_real(v: Any, path: str, positive: bool = False) -> float:
+    if not _is_real(v):
+        raise _error(path, f"expected a real number, got {v!r}")
+    if positive and not v > 0:
+        raise _error(path, f"must be positive, got {float(v)}")
     return float(v)
 
 
-def _decode_int(v: Any, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}: expected an integer, got {v!r}")
-    return v
-
-
 def _decode_real_vector(v: Any, path: str) -> list[float]:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _is_real(v):
         return [float(v)]
-    if isinstance(v, list) and v and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
+    if isinstance(v, list) and v and all(map(_is_real, v)):
         return [float(x) for x in v]
-    raise ConfigError(f"{path}: expected a real number or list of reals, got {v!r}")
+    raise _error(path, f"expected a real number or list of reals, got {v!r}")
+
+
+def _typed(kind: type, what: str) -> _Codec:
+    """A leaf that is an instance of `kind`, never a bool, kept as is."""
+    def decode(v: Any, path: str) -> Any:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise _error(path, f"expected {what}, got {v!r}")
+        return v
+
+    return _Codec(decode, lambda x: x)
+
+
+_ANY = _Codec(lambda v, path: v, lambda x: x)
+_NUMBER = _Codec(_decode_number, _encode_number)
+_REAL = _Codec(_decode_real, float)
+_INT = _typed(int, "an integer")
+_STRING = _typed(str, "a string path")
+_INTS = _Codec(lambda v, path: tuple(_list_of(_INT).decode(v, path)), list)
+_REALS = _Codec(_decode_real_vector, lambda xs: [float(x) for x in xs])
+_ROWS = _list_of(_REALS)
+_NUMBERS = _list_of(_NUMBER)
 
 
 def _decode_point(v: Any, path: str) -> list[complex]:
@@ -135,195 +286,63 @@ def _decode_point(v: Any, path: str) -> list[complex]:
     pairs inside the list, e.g. [[2.0, 1.0]] for the single point 2 + i.
     """
     if isinstance(v, dict):
-        _check_keys(v, {"re", "im"}, path)
-        re = _decode_real_vector(v.get("re", 0.0), f"{path}.re")
-        im = _decode_real_vector(v.get("im", 0.0), f"{path}.im")
-        if len(re) != len(im):
-            raise ConfigError(f"{path}: re and im need matching lengths")
-        return [complex(a, b) for a, b in zip(re, im)]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        parts = _decode_fields(v, (_Field("re", _REALS, 0.0), _Field("im", _REALS, 0.0)), path)
+        if len(parts["re"]) != len(parts["im"]):
+            raise _error(path, "re and im need matching lengths")
+        return [complex(a, b) for a, b in zip(parts["re"], parts["im"])]
+    if _is_real(v):
         return [complex(v)]
     if isinstance(v, list):
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+        if all(map(_is_real, v)):
             return [complex(x) for x in v]
-        return [_decode_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
-    raise ConfigError(f"{path}: cannot read a complex point from {v!r}")
+        return _NUMBERS.decode(v, path)
+    raise _error(path, f"cannot read a complex point from {v!r}")
 
 
-def _check_keys(d: dict, allowed: set, path: str, lines: Optional[dict] = None) -> None:
-    for key in d:
-        if key not in allowed:
-            key_path = f"{path}.{key}" if path else str(key)
-            loc = ""
-            if lines and key_path in lines:
-                loc = f" (line {lines[key_path]})"
-            raise ConfigError(
-                f"unknown key '{key_path}'{loc}; allowed: {sorted(allowed)}"
-            )
+_POINT = _Codec(_decode_point, lambda pt: [_encode_number(z) for z in pt])
+
+
+# ---------------------------------------------------------------------------
+# Alpha rules <-> dicts
+# ---------------------------------------------------------------------------
+
+def alpha_to_dict(rule: AlphaRule) -> dict:
+    _, *fields = _RULE_FIELDS[rule.kind]
+    head, *rest = rule.params  # (the first field, *the second field)
+    values = dict(zip((f.name or f.key for f in fields), (head, tuple(rest))))
+    return {"rule": rule.kind, "params": _encode_fields(values, fields)}
+
+
+def alpha_from_dict(d: Any, path: str = "alpha") -> AlphaRule:
+    top = _decode_fields(d, _ALPHA, path)
+    make, *fields = _RULE_FIELDS[top["rule"]]
+    p = f"{path}.params"
+    return _build(p, make, **_decode_fields(top["params"], fields, p))
+
+
+_RULE_FIELDS = {  # rule -> (constructor, *the fields of its params)
+    "constant": (AlphaRule.constant, _Field("value", _NUMBER, 1.0)),
+    "character": (
+        AlphaRule.character, _Field("mod", _INT), _Field("table", _NUMBERS, name="values")
+    ),
+    "table": (
+        AlphaRule.table,
+        _Field("default", _NUMBER, 0.0),
+        _Field("entries", _pairs(_Field("p", _INT), _Field("value", _NUMBER)), []),
+    ),
+}
+_ALPHA = (_Field("rule", _choice(_RULE_FIELDS, "alpha rule")), _Field("params", _ANY, {}))
+_ALPHA_CODEC = _Codec(alpha_from_dict, alpha_to_dict)
 
 
 # ---------------------------------------------------------------------------
 # Coefficient specs <-> dicts
 # ---------------------------------------------------------------------------
 
-def theta_to_dict(spec: CoefficientSpec) -> dict:
-    fam = spec.family
-    if fam == "constant":
-        params: dict = {"value": _encode_number(spec.params["value"])}
-    elif fam == "finite_support":
-        params = {
-            "entries": [
-                {"n": list(pt), "value": _encode_number(v)}
-                for pt, v in spec.params["entries"]
-            ]
-        }
-    elif fam == "periodic":
-        table = np.asarray(spec.params["table"], dtype=complex)
-        params = {
-            "mods": list(spec.params["mods"]),
-            "table": _encode_nested(table),
-        }
-    elif fam == "geometric":
-        params = {"ratios": [_encode_number(q) for q in spec.params["ratios"]]}
-    elif fam == "log_factor":
-        params = {
-            "coeffs": [float(x) for x in spec.params["coeffs"]],
-            "lambda": [list(map(float, row)) for row in spec.params["lam"]],
-            "u": [float(x) for x in spec.params["u"]],
-        }
-    elif fam == "character_product":
-        params = {
-            "factors": [
-                {
-                    "mod": mod,
-                    "table": [_encode_number(v) for v in table],
-                    "coord": coord,
-                    "shift": shift,
-                }
-                for mod, table, coord, shift in spec.params["factors"]
-            ]
-        }
-    elif fam == "product_of_families":
-        params = {"factors": [theta_to_dict(f) for f in spec.params["factors"]]}
-    elif fam == "multiplicative_product":
-        params = {
-            "coords": [
-                [alpha_to_dict(rule) for rule in rules]
-                for rules in spec.params["coords"]
-            ],
-            "growth": float(spec.params["growth"]),
-        }
-    elif fam == "poisson_powers":
-        params = {"base": spec.params["base"], "rate": float(spec.params["rate"])}
-    else:
-        raise ConfigError(f"cannot serialize family {fam!r}")
-    return {
-        "family": fam,
-        "params": params,
-        "envelope": {"B": float(spec.envelope.bound), "eps": float(spec.envelope.growth)},
-    }
-
-
 def _encode_nested(arr: np.ndarray):
     if arr.ndim == 1:
         return [_encode_number(v) for v in arr]
     return [_encode_nested(row) for row in arr]
-
-
-def theta_from_dict(d: Any, path: str = "theta") -> CoefficientSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    _check_keys(d, {"family", "params", "envelope"}, path)
-    fam = d.get("family")
-    if not isinstance(fam, str) or fam not in FAMILIES:
-        raise ConfigError(f"{path}.family: unknown family {fam!r}")
-    params = d.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params: expected a mapping")
-    envelope = None
-    if "envelope" in d:
-        env = d["envelope"]
-        _check_keys(env, {"B", "eps"}, f"{path}.envelope")
-        envelope = Envelope(
-            _decode_real(env.get("B", 1.0), f"{path}.envelope.B"),
-            _decode_real(env.get("eps", 0.0), f"{path}.envelope.eps"),
-        )
-    p = f"{path}.params"
-    try:
-        if fam == "constant":
-            _check_keys(params, {"value"}, p)
-            return CoefficientSpec.constant(
-                _decode_number(params.get("value", 1.0), f"{p}.value"), envelope
-            )
-        if fam == "finite_support":
-            _check_keys(params, {"entries"}, p)
-            entries = {}
-            for i, e in enumerate(params.get("entries", [])):
-                _check_keys(e, {"n", "value"}, f"{p}.entries[{i}]")
-                pt = tuple(_decode_int(x, f"{p}.entries[{i}].n") for x in e["n"])
-                entries[pt] = _decode_number(e["value"], f"{p}.entries[{i}].value")
-            return CoefficientSpec.finite_support(entries, envelope)
-        if fam == "periodic":
-            _check_keys(params, {"mods", "table"}, p)
-            mods = [_decode_int(x, f"{p}.mods") for x in params["mods"]]
-            table = _decode_table(params["table"], mods, f"{p}.table")
-            return CoefficientSpec.periodic(mods, table, envelope)
-        if fam == "geometric":
-            _check_keys(params, {"ratios"}, p)
-            ratios = [
-                _decode_number(x, f"{p}.ratios[{i}]")
-                for i, x in enumerate(params["ratios"])
-            ]
-            return CoefficientSpec.geometric(ratios, envelope)
-        if fam == "log_factor":
-            _check_keys(params, {"coeffs", "lambda", "u"}, p)
-            return CoefficientSpec.log_factor(
-                _decode_real_vector(params["coeffs"], f"{p}.coeffs"),
-                [_decode_real_vector(row, f"{p}.lambda") for row in params["lambda"]],
-                _decode_real_vector(params["u"], f"{p}.u"),
-                envelope=envelope,
-            )
-        if fam == "character_product":
-            _check_keys(params, {"factors"}, p)
-            factors = []
-            for i, f in enumerate(params.get("factors", [])):
-                _check_keys(f, {"mod", "table", "coord", "shift"}, f"{p}.factors[{i}]")
-                factors.append(
-                    (
-                        _decode_int(f["mod"], f"{p}.factors[{i}].mod"),
-                        [
-                            _decode_number(x, f"{p}.factors[{i}].table")
-                            for x in f["table"]
-                        ],
-                        _decode_int(f.get("coord", 0), f"{p}.factors[{i}].coord"),
-                        _decode_int(f.get("shift", 0), f"{p}.factors[{i}].shift"),
-                    )
-                )
-            return CoefficientSpec.character_product(factors, envelope)
-        if fam == "product_of_families":
-            _check_keys(params, {"factors"}, p)
-            factors = [
-                theta_from_dict(f, f"{p}.factors[{i}]")
-                for i, f in enumerate(params.get("factors", []))
-            ]
-            return CoefficientSpec.product(factors, envelope)
-        if fam == "multiplicative_product":
-            _check_keys(params, {"coords", "growth"}, p)
-            coords = [
-                [alpha_from_dict(rd, f"{p}.coords[{i}][{k}]") for k, rd in enumerate(rules)]
-                for i, rules in enumerate(params["coords"])
-            ]
-            return CoefficientSpec.multiplicative_product(
-                coords, growth=float(params.get("growth", 0.05)), envelope=envelope
-            )
-        _check_keys(params, {"base", "rate"}, p)
-        return CoefficientSpec.poisson_powers(
-            _decode_int(params["base"], f"{p}.base"),
-            _decode_real(params.get("rate", 0.0), f"{p}.rate"),
-            envelope,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{p}: missing required key {exc.args[0]!r}") from exc
 
 
 def _decode_table(v: Any, mods: list[int], path: str):
@@ -332,60 +351,66 @@ def _decode_table(v: Any, mods: list[int], path: str):
     if not mods:
         return _decode_number(v, path)
     if not isinstance(v, list) or len(v) != mods[0]:
-        raise ConfigError(f"{path}: expected a list of length {mods[0]}")
+        raise _error(path, f"expected a list of length {mods[0]}")
     return [_decode_table(x, mods[1:], f"{path}[{i}]") for i, x in enumerate(v)]
 
 
-# ---------------------------------------------------------------------------
-# Alpha rules <-> dicts
-# ---------------------------------------------------------------------------
-
-def alpha_to_dict(rule: AlphaRule) -> dict:
-    if rule.kind == "constant":
-        return {"rule": "constant", "params": {"value": _encode_number(rule.params[0])}}
-    if rule.kind == "character":
-        mod = rule.params[0]
-        return {
-            "rule": "character",
-            "params": {"mod": mod, "table": [_encode_number(v) for v in rule.params[1:]]},
-        }
-    return {
-        "rule": "table",
-        "params": {
-            "default": _encode_number(rule.params[0]),
-            "entries": [
-                {"p": p, "value": _encode_number(v)} for p, v in rule.params[1:]
-            ],
-        },
-    }
+def theta_to_dict(spec: CoefficientSpec) -> dict:
+    params = _encode_fields(spec.params, _FAMILY_FIELDS[spec.family][1:])
+    return {"family": spec.family, "params": params, "envelope": _ENVELOPE.encode(spec.envelope)}
 
 
-def alpha_from_dict(d: Any, path: str = "alpha") -> AlphaRule:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected a mapping with rule/params")
-    _check_keys(d, {"rule", "params"}, path)
-    kind = d.get("rule")
-    params = d.get("params", {})
+def theta_from_dict(d: Any, path: str = "theta") -> CoefficientSpec:
+    top = _decode_fields(d, _THETA, path)
+    make, *fields = _FAMILY_FIELDS[top["family"]]
     p = f"{path}.params"
-    if kind == "constant":
-        _check_keys(params, {"value"}, p)
-        return AlphaRule.constant(_decode_number(params.get("value", 1.0), f"{p}.value"))
-    if kind == "character":
-        _check_keys(params, {"mod", "table"}, p)
-        return AlphaRule.character(
-            _decode_int(params["mod"], f"{p}.mod"),
-            [_decode_number(x, f"{p}.table") for x in params["table"]],
-        )
-    if kind == "table":
-        _check_keys(params, {"default", "entries"}, p)
-        entries = {}
-        for i, e in enumerate(params.get("entries", [])):
-            _check_keys(e, {"p", "value"}, f"{p}.entries[{i}]")
-            entries[_decode_int(e["p"], f"{p}.entries[{i}].p")] = _decode_number(
-                e["value"], f"{p}.entries[{i}].value"
-            )
-        return AlphaRule.table(entries, _decode_number(params.get("default", 0.0), f"{p}.default"))
-    raise ConfigError(f"{path}.rule: unknown alpha rule {kind!r}")
+    params = _decode_fields(top["params"], fields, p)
+    if top["family"] == "periodic":
+        params["table"] = _decode_table(params["table"], params["mods"], f"{p}.table")
+    return _build(p, make, **params, envelope=top["envelope"])
+
+
+_THETA_CODEC = _Codec(theta_from_dict, theta_to_dict)
+# a periodic table is read once the moduli are known (`theta_from_dict`)
+_TABLE = _Codec(lambda v, path: v, lambda t: _encode_nested(np.asarray(t, dtype=complex)))
+_FAMILY_FIELDS = {  # family -> (constructor, *the fields of its params)
+    "constant": (CoefficientSpec.constant, _Field("value", _NUMBER, 1.0)),
+    "finite_support": (
+        CoefficientSpec.finite_support,
+        _Field("entries", _pairs(_Field("n", _INTS), _Field("value", _NUMBER)), []),
+    ),
+    "periodic": (CoefficientSpec.periodic, _Field("mods", _INTS), _Field("table", _TABLE)),
+    "geometric": (CoefficientSpec.geometric, _Field("ratios", _NUMBERS)),
+    "log_factor": (
+        CoefficientSpec.log_factor,
+        _Field("coeffs", _REALS), _Field("lambda", _ROWS, name="lam"), _Field("u", _REALS),
+    ),
+    "character_product": (
+        CoefficientSpec.character_product,
+        _Field("factors", _list_of(_record(
+            _Field("mod", _INT), _Field("table", _NUMBERS), _Field("coord", _INT, 0),
+            _Field("shift", _INT, 0),
+        )), []),
+    ),
+    "product_of_families": (CoefficientSpec.product, _Field("factors", _list_of(_THETA_CODEC), [])),
+    "multiplicative_product": (
+        CoefficientSpec.multiplicative_product,
+        _Field("coords", _list_of(_list_of(_ALPHA_CODEC))), _Field("growth", _REAL, 0.05),
+    ),
+    "poisson_powers": (
+        CoefficientSpec.poisson_powers, _Field("base", _INT), _Field("rate", _REAL, 0.0)
+    ),
+}
+
+
+_ENVELOPE = _section(
+    (_Field("B", _REAL, 1.0, "bound"), _Field("eps", _REAL, 0.0, "growth")), Envelope, vars
+)
+_THETA = (
+    _Field("family", _choice(_FAMILY_FIELDS, "family")),
+    _Field("params", _ANY, {}),  # read by the family's table
+    _Field("envelope", _ENVELOPE, None),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -393,82 +418,145 @@ def alpha_from_dict(d: Any, path: str = "alpha") -> AlphaRule:
 # ---------------------------------------------------------------------------
 
 def shintani_to_dict(config: ShintaniConfig) -> dict:
-    return {
-        "kind": "shintani",
-        "d": config.d,
-        "m": config.m,
-        "r": config.r,
-        "lambda": [list(map(float, row)) for row in config.lam],
-        "u": [float(x) for x in config.u],
-        "c": [list(map(float, row)) for row in config.c],
-        "theta": theta_to_dict(config.theta),
-    }
+    return _encode_fields({**vars(config), "kind": "shintani"}, _SHINTANI)
 
 
-def shintani_from_dict(d: dict, path: str = "function") -> ShintaniConfig:
-    _check_keys(d, {"kind", "d", "m", "r", "lambda", "u", "c", "theta"}, path)
-    try:
-        return ShintaniConfig(
-            d=_decode_int(d["d"], f"{path}.d"),
-            m=_decode_int(d["m"], f"{path}.m"),
-            r=_decode_int(d["r"], f"{path}.r"),
-            lam=np.asarray(
-                [_decode_real_vector(row, f"{path}.lambda") for row in d["lambda"]]
-            ),
-            u=np.asarray(_decode_real_vector(d["u"], f"{path}.u")),
-            c=np.asarray([_decode_real_vector(row, f"{path}.c") for row in d["c"]]),
-            theta=theta_from_dict(d["theta"], f"{path}.theta"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc.args[0]!r}") from exc
+def shintani_from_dict(d: Any, path: str = "function") -> ShintaniConfig:
+    values = _decode_fields(d, _SHINTANI, path)
+    del values["kind"]
+    return _build(path, ShintaniConfig, **values)
 
 
 def euler_to_dict(config: EulerConfig) -> dict:
-    if config.m == 1:
-        alpha = alpha_to_dict(config.alphas[0])
-    else:
-        alpha = {
-            "rule": "list",
-            "params": {"items": [alpha_to_dict(r) for r in config.alphas]},
-        }
-    return {
-        "kind": "euler",
-        "m": config.m,
-        "d": config.d,
-        "alpha": alpha,
-        "a": [list(map(float, row)) for row in config.a],
-    }
+    return _encode_fields({**vars(config), "kind": "euler"}, _EULER)
 
 
-def euler_from_dict(d: dict, path: str = "function") -> EulerConfig:
-    _check_keys(d, {"kind", "m", "d", "alpha", "a"}, path)
-    try:
-        m = _decode_int(d["m"], f"{path}.m")
-        alpha = d["alpha"]
-        if isinstance(alpha, dict) and alpha.get("rule") == "list":
-            _check_keys(alpha, {"rule", "params"}, f"{path}.alpha")
-            _check_keys(alpha["params"], {"items"}, f"{path}.alpha.params")
-            rules = tuple(
-                alpha_from_dict(item, f"{path}.alpha.params.items[{i}]")
-                for i, item in enumerate(alpha["params"]["items"])
-            )
-        else:
-            rules = (alpha_from_dict(alpha, f"{path}.alpha"),)
-            if m > 1:
-                rules = rules * m
-        return EulerConfig(
-            d=_decode_int(d["d"], f"{path}.d"),
-            m=m,
-            alphas=rules,
-            a=np.asarray([_decode_real_vector(row, f"{path}.a") for row in d["a"]]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc.args[0]!r}") from exc
+def euler_from_dict(d: Any, path: str = "function") -> EulerConfig:
+    values = _decode_fields(d, _EULER, path)
+    del values["kind"]
+    if isinstance(values["alphas"], AlphaRule):  # one rule for every factor
+        values["alphas"] = (values["alphas"],) * max(values["m"], 1)
+    return _build(path, EulerConfig, **values)
+
+
+def _decode_euler_alpha(v: Any, path: str) -> AlphaRule | tuple[AlphaRule, ...]:
+    """An Euler section's alpha: one rule, or the rule `list` holding one
+    rule per factor (a tuple)."""
+    if isinstance(v, dict) and v.get("rule") == "list":
+        return tuple(_decode_fields(v, _ALPHA_LIST, path)["params"]["items"])
+    return alpha_from_dict(v, path)
+
+
+def _encode_euler_alpha(rules: tuple[AlphaRule, ...]) -> dict:
+    if len(rules) == 1:
+        return alpha_to_dict(rules[0])
+    return _encode_fields({"rule": "list", "params": {"items": rules}}, _ALPHA_LIST)
+
+
+_ALPHA_LIST = (
+    _Field("rule", _ANY),
+    _Field("params", _section((_Field("items", _list_of(_ALPHA_CODEC)),))),
+)
+_SHINTANI = (
+    _Field("kind", _ANY, None),
+    *(_Field(key, _INT) for key in ("d", "m", "r")),
+    _Field("lambda", _ROWS, name="lam"),
+    _Field("u", _REALS),
+    _Field("c", _ROWS),
+    _Field("theta", _THETA_CODEC),
+)
+_EULER = (
+    _Field("kind", _ANY, None),
+    _Field("m", _INT),
+    _Field("d", _INT),
+    _Field("alpha", _Codec(_decode_euler_alpha, _encode_euler_alpha), name="alphas"),
+    _Field("a", _ROWS),
+)
+
+
+def _plain(v: Any, path: str) -> Any:
+    """Normalize loaded YAML values to plain JSON-ish types."""
+    if isinstance(v, dict):
+        return {str(k): _plain(x, _join(path, k)) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_plain(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
+        return v
+    if isinstance(v, float):
+        return float(v)
+    raise _error(path, f"unsupported value in config: {v!r}")
+
+
+_SPECIAL = (
+    _Field("kind", _ANY),
+    _Field("name", _choice(_SPECIAL_KINDS, "special")),
+    _Field("params", _Codec(lambda v, path: _plain(_mapping(v, path), path), _ANY.encode), {}),
+)
+
+
+def _decode_function(v: Any, path: str) -> dict:
+    """The normalized function section of a shintani, euler or special kind."""
+    if not isinstance(v, dict) or "kind" not in v:
+        raise _error(path, "needs a 'kind' (shintani, euler, or special)")
+    kind = _choice(("shintani", "euler", "special"), "kind").decode(v["kind"], f"{path}.kind")
+    if kind == "euler":
+        return euler_to_dict(euler_from_dict(v, path))
+    if kind == "special":
+        return _encode_fields(_decode_fields(v, _SPECIAL, path), _SPECIAL)
+    config = shintani_from_dict(v, path)
+    report = validate_config(config)
+    if not report.ok:
+        raise ConfigError("; ".join(f"{path}: {violation}" for violation in report.violations))
+    return shintani_to_dict(config)
 
 
 # ---------------------------------------------------------------------------
 # Run configs
 # ---------------------------------------------------------------------------
+
+def _decode_t_grid(v: Any, path: str) -> dict:
+    g = _decode_fields(v, _T_GRID, path)
+    if not (math.isfinite(g["lo"]) and math.isfinite(g["hi"]) and g["count"] >= 1):
+        raise _error(path, "needs finite lo and hi and count >= 1")
+    return g
+
+
+_T_GRID = (
+    _Field("axis", _INT, 1), _Field("lo", _REAL, -10.0), _Field("hi", _REAL, 10.0),
+    _Field("count", _INT, 201),
+)
+_SCAN = (
+    _Field("axis", _INT, 1), _Field("lo", _REAL, -20.0), _Field("hi", _REAL, 20.0),
+    _Field("step", _REAL, 0.05), _Field("trigger", _REAL, 0.2),
+)
+_RECTANGLE = tuple(_Field(side, _REAL) for side in ("re_lo", "re_hi", "im_lo", "im_hi"))
+_POSITIVE = _Codec(lambda v, path: _decode_real(v, path, positive=True), float)
+_ACTION = (
+    _Field("s", _POINT, None),
+    _Field("sigma", _REALS, None),
+    _Field("t", _REALS, None),
+    _Field("t_grid", _Codec(_decode_t_grid, _ANY.encode), {}),
+    _Field("tol", _POSITIVE, 1e-8),
+    _Field("shell_cap", _INT, 10**6),
+    _Field("delta", _POSITIVE, 1e-6),
+    _Field("seed", _INT, 0),
+    _Field("count", _INT, 1000),
+    _Field("prime_limit", _INT, 10**4),
+    _Field("power_cutoff", _INT, 40),
+    _Field("coeff_limit", _INT, 50),
+    _Field("rectangle", _section(_RECTANGLE), None),
+    _Field("base", _POINT, None),
+    _Field("direction", _POINT, None),
+    _Field("scan", _section(_SCAN), {}),
+)
+_ROOT = (
+    _Field("function", _Codec(_decode_function, _ANY.encode)),
+    _Field("action", _Codec(
+        lambda v, path: _encode_fields(_decode_fields(v, _ACTION, path, True), _ACTION), _ANY.encode
+    ), {}),
+    _Field("output", _section((_Field("dir", _STRING, "."),)), {}),
+)
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; errors carry key paths and,
@@ -481,106 +569,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config syntax error{line}: {exc}") from exc
     if raw is None:
         raise ConfigError("empty config document")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    lines = _key_lines(text)
-    _check_keys(raw, {"function", "action", "output"}, "", lines)
-    if "function" not in raw:
-        raise ConfigError("config: missing required section 'function'")
-    func = raw["function"]
-    if not isinstance(func, dict) or "kind" not in func:
-        raise ConfigError("function: needs a 'kind' (shintani, euler, or special)")
-    kind = func["kind"]
-    if kind == "shintani":
-        config = shintani_from_dict(func)
-        from .series import validate_config
-
-        report = validate_config(config)
-        if not report.ok:
-            raise ConfigError("; ".join(f"function: {v}" for v in report.violations))
-        func_norm = shintani_to_dict(config)
-    elif kind == "euler":
-        func_norm = euler_to_dict(euler_from_dict(func))
-    elif kind == "special":
-        _check_keys(func, {"kind", "name", "params"}, "function", lines)
-        name = func.get("name")
-        if name not in _SPECIAL_KINDS:
-            raise ConfigError(
-                f"function.name: unknown special {name!r}; allowed: {list(_SPECIAL_KINDS)}"
-            )
-        params = func.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("function.params: expected a mapping")
-        func_norm = {"kind": "special", "name": name, "params": _plain(params)}
-    else:
-        raise ConfigError(f"function.kind: unknown kind {kind!r}")
-    action = _parse_action(raw.get("action", {}) or {}, lines)
-    output = raw.get("output", {}) or {}
-    if not isinstance(output, dict):
-        raise ConfigError("output: expected a mapping")
-    _check_keys(output, {"dir"}, "output", lines)
-    out_dir = output.get("dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.dir: expected a string path")
-    return RunConfig(
-        data={"function": func_norm, "action": action, "output": {"dir": out_dir}}
-    )
-
-
-def _parse_action(action: Any, lines: Optional[dict]) -> dict:
-    if not isinstance(action, dict):
-        raise ConfigError("action: expected a mapping")
-    _check_keys(action, set(ACTION_DEFAULTS), "action", lines)
-    out: dict = {}
-    for key, default in ACTION_DEFAULTS.items():
-        if key not in action or action[key] is None:
-            out[key] = default
-            continue
-        v = action[key]
-        path = f"action.{key}"
-        if key in ("s", "base", "direction"):
-            out[key] = [_encode_number(z) for z in _decode_point(v, path)]
-        elif key in ("sigma", "t"):
-            out[key] = _decode_real_vector(v, path)
-        elif key in ("t_grid", "scan"):
-            _check_keys(v, set(default), path, lines)
-            out[key] = {
-                sub: (_decode_int if sub in ("axis", "count") else _decode_real)(
-                    v.get(sub, sub_default), f"{path}.{sub}"
-                )
-                for sub, sub_default in default.items()
-            }
-            if key == "t_grid":
-                lo, hi, count = out[key]["lo"], out[key]["hi"], out[key]["count"]
-                if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1):
-                    raise ConfigError(f"{path}: needs finite lo and hi and count >= 1")
-        elif key == "rectangle":
-            _check_keys(v, {"re_lo", "re_hi", "im_lo", "im_hi"}, path, lines)
-            out[key] = {
-                side: _decode_real(v[side], f"{path}.{side}")
-                for side in ("re_lo", "re_hi", "im_lo", "im_hi")
-            }
-        elif key in ("shell_cap", "seed", "count", "prime_limit", "power_cutoff", "coeff_limit"):
-            out[key] = _decode_int(v, path)
-        elif key in ("tol", "delta"):
-            x = _decode_real(v, path)
-            if not x > 0:
-                raise ConfigError(f"{path}: must be positive, got {x}")
-            out[key] = x
-    return out
-
-
-def _plain(v: Any) -> Any:
-    """Normalize loaded YAML values to plain JSON-ish types."""
-    if isinstance(v, dict):
-        return {str(k): _plain(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [_plain(x) for x in v]
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
-        return v
-    if isinstance(v, float):
-        return float(v)
-    raise ConfigError(f"unsupported value in config: {v!r}")
+    try:
+        return RunConfig(data=_decode_fields(raw, _ROOT, "", null_is_default=True))
+    except _PathError as exc:
+        line = _key_lines(text).get(exc.path)
+        if line is None:
+            raise
+        raise ConfigError(f"{exc} (line {line})") from exc
 
 
 def serialize_config(rc: RunConfig) -> str:
@@ -589,25 +584,23 @@ def serialize_config(rc: RunConfig) -> str:
 
 
 def _key_lines(text: str) -> dict[str, int]:
-    """Map of dotted key paths to 1-based line numbers via the compose tree."""
-    try:
-        root = yaml.compose(text)
-    except yaml.YAMLError:
-        return {}
+    """Map of key paths (dotted keys, [i] for list items) to 1-based line
+    numbers via the compose tree."""
+    root = yaml.compose(text)
     out: dict[str, int] = {}
 
     def walk(node, path: str) -> None:
         if isinstance(node, yaml.MappingNode):
             for key_node, val_node in node.value:
-                sub = f"{path}.{key_node.value}" if path else str(key_node.value)
+                sub = _join(path, key_node.value)
                 out[sub] = key_node.start_mark.line + 1
                 walk(val_node, sub)
         elif isinstance(node, yaml.SequenceNode):
             for i, item in enumerate(node.value):
+                out[f"{path}[{i}]"] = item.start_mark.line + 1
                 walk(item, f"{path}[{i}]")
 
-    if root is not None:
-        walk(root, "")
+    walk(root, "")
     return out
 
 

@@ -24,12 +24,20 @@ complex, alone or batched, for any m and d, as (points x support) arrays
 formed a slice at a time from real products and sums, so that every
 entry, and a point's sum, has the same bits whatever else the call holds.
 
-Tail certificates come from four routes, any of which may apply:
-exact remaining-support sums (finite support), a factorial-ratio majorant
-(sparse j^k - 1 support), a geometric-ratio majorant (|q| < 1 decay), and
-integral comparison against the total-degree envelope.  The integral route
-has two variants: the dense chain for strictly positive lam, and a
-matched-coordinate product bound for identity/triangular zero patterns.
+Tail certificates come from six routes.  A finite support has one,
+`_finite_tail`: the exact remaining-support sums.  Any other support takes
+the least of the routes that apply: `_poisson_tail`, a factorial-ratio
+majorant (sparse j^k - 1 support); `_geometric_tail`, a geometric-ratio
+majorant (|q| < 1 decay); and three integral comparisons against the
+total-degree envelope, `_poly_tail` (the dense chain, strictly positive
+lam), `_separable_tail` (a matched-coordinate product bound for
+identity/triangular zero patterns) and `_nested_tail` (complete-flag
+supports: a one-dimensional tail times full one-dimensional sums).  All six
+share one underflow rule: a value whose float form falls below 2^-1022 (0 or
+a subnormal) is formed again in logarithms by `_exp_up`, rounded up and at
+least 2^-1074, so no omitted nonzero term gives a 0 tail; the finite route
+does so for a suffix with a power below 2^-1022.  Every other value keeps
+the bits it is formed with.
 
 The shell choice and its tail bound are the same for every config; only
 the partial sum through the chosen shell is computed two ways.  With
@@ -66,6 +74,9 @@ from .summation import CompensatedSum
 
 DEFAULT_SHELL_CAP = 10**6
 _BLOCK = 1 << 21
+# the most lattice points one partial sum walks where theta's support is not
+# enumerable; past it the sum raises NumericError before it starts
+_POINT_BUDGET = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -233,6 +244,7 @@ def absolutely_convergent_at(config: ShintaniConfig, s) -> bool:
 # ---------------------------------------------------------------------------
 
 _NORMAL_MIN = 2.0**-1022  # the least positive normal float
+_LOG_NORMAL_MIN = -1022 * math.log(2.0)
 
 
 def _log(x: float) -> float:
@@ -481,11 +493,20 @@ def _finite_tails(
     of the 1-d sum.  No entry depends on the other rows.  Rows go in slices
     of at most _BLOCK entries (one row if a row alone is longer).  A slice
     stops once each of its rows has had a tail <= tol (never at the default
-    -inf), and its later entries stay nan."""
+    -inf), and its later entries stay nan.
+
+    A tail below 2^-1022 (0 or subnormal) whose suffix holds a nonzero theta
+    with a power prod_l L_l^(-sl_l) below 2^-1022 is formed again by
+    `_exp_up` from log |theta(n)| - sum_l sl_l log L_l(n) over that suffix
+    (`_log_tail`): rounded up and at least 2^-1074, so no term lost to the
+    power's underflow is reported as a 0 tail.  Every other tail keeps its
+    bits, those of coefficients below 2^-1022 at a normal power included."""
     _, _, vals, forms = support
     abs_vals = np.abs(vals)
     if min(kept) >= abs_vals.size:  # only empty suffixes: no table
         return np.zeros((len(sl), len(kept)))
+    nonzero = np.flatnonzero(abs_vals)
+    last = nonzero[-1] if nonzero.size else -1  # a suffix from k <= last holds a nonzero theta
     out = np.full((len(sl), len(kept)), math.nan)
     step = max(_BLOCK // abs_vals.size, 1)
     for lo in range(0, len(sl), step):
@@ -499,10 +520,28 @@ def _finite_tails(
         done = np.zeros(len(rows), dtype=bool)
         for j, k in enumerate(kept):
             out[lo : lo + step, j] = tails = terms[:, k:].sum(axis=1)
+            low = tails < _NORMAL_MIN
+            if k <= last and low.any():
+                for i in np.flatnonzero(low).tolist():
+                    tail = _log_tail(abs_vals[k:], forms[k:], rows[i])
+                    if tail is not None:
+                        out[lo + i, j] = tails[i] = tail
             done |= tails <= tol
             if done.all():
                 break
     return out
+
+
+def _log_tail(abs_vals: np.ndarray, forms: np.ndarray, b: np.ndarray) -> Optional[float]:
+    """`_exp_up` of sum_n |theta(n)| prod_l L_l(n)^(-b_l) over the points
+    with theta(n) != 0, from log |theta(n)| and -b_l log L_l(n); None when
+    no such point's power, multiplied up in form order as the float table
+    forms it, falls below 2^-1022."""
+    idx = np.flatnonzero(abs_vals)
+    powers = np.log(forms[idx]) * -b
+    if not (np.cumsum(powers, axis=1) < _LOG_NORMAL_MIN).any():
+        return None
+    return _exp_up(np.column_stack([np.log(abs_vals[idx]), powers]).tolist())
 
 
 def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
@@ -1309,6 +1348,12 @@ def _partial_sum(
     if lines is not None:
         value, remainder = lines
         return value, tail + remainder
+    points = lattice_count(config.r, n_shell)
+    if points > _POINT_BUDGET and config.theta.support(config.r, 0, 0) is None:
+        raise NumericError(
+            f"the partial sum through shell {n_shell} walks {points} lattice points, "
+            f"past the budget of {_POINT_BUDGET}"
+        )
     return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
 
 
@@ -1474,7 +1519,9 @@ def evaluate(
     The shell count is the smallest one whose tail bound is <= tol; if the
     enumerated-point budget shell_cap is hit first, the partial sum is
     returned flagged non-certified with the achieved bound.  A partial sum
-    that is not finite raises NumericError.  This is the one-point case of
+    that is not finite raises NumericError, and so does one that would walk
+    more than _POINT_BUDGET lattice points of a support that is not
+    enumerable, before it starts.  This is the one-point case of
     `evaluate_many`.
     """
     _require_valid(config)
@@ -1665,8 +1712,10 @@ def _finite_sums(
 
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     """Plain partial sum over total degree <= n_shell, with its tail bound;
-    NumericError when the sum is not finite.  It is `_evaluate` at that
-    shell, so each config takes the summation route `evaluate` takes."""
+    NumericError when the sum is not finite or would walk more than
+    _POINT_BUDGET lattice points of a support that is not enumerable.  It
+    is `_evaluate` at that shell, so each config takes the summation route
+    `evaluate` takes."""
     _require_valid(config)
     _require_shell(n_shell)
     pt = as_point(s, config.d)

@@ -270,6 +270,93 @@ class TestCsv:
         assert path.read_text().endswith("\n")
 
 
+def _series(theta="{family: constant}", lam="[[1.0]]", c="[[1.0]]", m=1):
+    return (f"function: {{kind: shintani, d: 1, m: {m}, r: 1, lambda: {lam}, u: [1.0], c: {c},\n"
+            f"           theta: {theta}}}\n")
+
+
+def _rules(coords):
+    return _series(f"{{family: multiplicative_product, params: {{coords: {coords}}}}}")
+
+
+_EULER_DOC = "function: {{kind: euler, m: {m}, d: 1, alpha: {alpha}, a: {a}}}\n"
+_RIEMANN = "function: {kind: special, name: riemann}\n"
+
+# document -> the key path its ConfigError names; each once escaped
+# parse_config as a TypeError, KeyError or ValueError (a traceback, exit 1)
+MALFORMED = {
+    "theta mods": (_series("{family: periodic, params: {mods: 2, table: [1.0, -1.0]}}"),
+                   "function.theta.params.mods"),
+    "theta entries": (_series("{family: finite_support, params: {entries: 3}}"),
+                      "function.theta.params.entries"),
+    "theta entry": (_series("{family: finite_support, params: {entries: [3]}}"),
+                    "function.theta.params.entries[0]"),
+    "theta n": (_series("{family: finite_support, params: {entries: [{n: 0, value: 1.0}]}}"),
+                "function.theta.params.entries[0].n"),
+    "theta ratios": (_series("{family: geometric, params: {ratios: 0.5}}"),
+                     "function.theta.params.ratios"),
+    "theta lambda": (
+        _series("{family: log_factor, params: {coeffs: [1.0], lambda: 1.0, u: [1.0]}}"),
+        "function.theta.params.lambda",
+    ),
+    "theta factors": (_series("{family: character_product, params: {factors: 3}}"),
+                      "function.theta.params.factors"),
+    "theta factor": (_series("{family: character_product, params: {factors: [3]}}"),
+                     "function.theta.params.factors[0]"),
+    "character table": (
+        _series("{family: character_product, params: {factors: [{mod: 2, table: 1.0}]}}"),
+        "function.theta.params.factors[0].table",
+    ),
+    "product factors": (_series("{family: product_of_families, params: {factors: 3}}"),
+                        "function.theta.params.factors"),
+    "coords": (_rules("3"), "function.theta.params.coords"),
+    "coords row": (_rules("[3]"), "function.theta.params.coords[0]"),
+    "envelope": (_series("{family: constant, envelope: 3}"), "function.theta.envelope"),
+    "growth": (_series("{family: multiplicative_product,\n"
+                       "                   params: {coords: [[{rule: constant}]], growth: abc}}"),
+               "function.theta.params.growth"),
+    "function lambda": (_series(lam="1.0"), "function.lambda"),
+    "function lambda rows": (_series(lam="[[1.0], [1.0, 2.0]]", c="[[1.0], [1.0]]", m=2),
+                             "function"),
+    "function c": (_series(c="1.0"), "function.c"),
+    "function a": (_EULER_DOC.format(m=1, alpha="{rule: constant}", a="1.0"), "function.a"),
+    "alpha items": (_EULER_DOC.format(m=2, alpha="{rule: list, params: {items: 3}}",
+                                      a="[[1.0], [1.0]]"), "function.alpha.params.items"),
+    "alpha item": (_EULER_DOC.format(m=2, alpha="{rule: list, params: {items: [3, 3]}}",
+                                     a="[[1.0], [1.0]]"), "function.alpha.params.items[0]"),
+    "alpha params": (_rules("[[{rule: character, params: 3}]]"),
+                     "function.theta.params.coords[0][0].params"),
+    "alpha table": (_rules("[[{rule: character, params: {mod: 2, table: 1.0}}]]"),
+                    "function.theta.params.coords[0][0].params.table"),
+    "alpha entries": (_rules("[[{rule: table, params: {entries: 3}}]]"),
+                      "function.theta.params.coords[0][0].params.entries"),
+    "alpha entry": (_rules("[[{rule: table, params: {entries: [3]}}]]"),
+                    "function.theta.params.coords[0][0].params.entries[0]"),
+    "t_grid": (_RIEMANN + "action: {t_grid: 3}\n", "action.t_grid"),
+    "scan": (_RIEMANN + "action: {scan: 3}\n", "action.scan"),
+    "rectangle": (_RIEMANN + "action: {rectangle: 3}\n", "action.rectangle"),
+    "rectangle without im_hi": (
+        _RIEMANN + "action: {rectangle: {re_lo: 0.0, re_hi: 1.0, im_lo: 0.0}}\n",
+        "action.rectangle: missing required key 'im_hi'",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, path", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_document_is_config_error(tmp_path, doc, path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value).startswith(path)
+    assert "(line " in str(err.value)
+    cfgp = tmp_path / "config.yaml"
+    cfgp.write_text(doc + f"output: {{dir: '{tmp_path}'}}\n")
+    result = CliRunner().invoke(cli, ["eval", "--config", str(cfgp)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "config error: " + path in result.output
+    assert "Traceback" not in result.output
+
+
 class TestCli:
     def write(self, tmp_path, text):
         p = tmp_path / "config.yaml"

@@ -4,6 +4,7 @@ closure, named constructions, and the module invariants."""
 import dataclasses
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -265,6 +266,25 @@ class TestTailBound:
         bound = route(cfg, np.array([float(s), float(s)]), n_shell)
         assert 0.0 < bound < math.inf and true <= bound
 
+    def test_underflowing_finite_tails(self):
+        # each omitted term underflowed in the float table: the tail was 0.0
+        # and evaluate_partial reported certified=True, tail_bound=0.0
+        one = ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]],
+                             theta=CoefficientSpec.finite_support({(0,): 1.0, (1000,): 1.0}))
+        two = ShintaniConfig(d=1, m=1, r=2, lam=[[1.0, 1.0]], u=[1.0, 1.0], c=[[1.0]],
+                             theta=CoefficientSpec.finite_support({(0, 0): 1.0, (400, 600): 2.0}))
+        with mp.workdps(30):
+            cases = ((one, 200.0, mp.mpf(1001) ** -200), (two, 120.0, 2 * mp.mpf(1002) ** -120))
+        for cfg, s, true in cases:
+            bound = tail_bound(cfg, s, 0)
+            assert 0.0 < bound < 1e-300 and true <= bound
+            res = evaluate_partial(cfg, s, 0)
+            assert (res.certified, res.tail_bound) == (True, bound)
+            res = evaluate(cfg, s, tol=1e-300)
+            assert (res.shells_used, res.certified, res.tail_bound) == (0, True, bound)
+            # past the last support point nothing is omitted
+            assert tail_bound(cfg, s, cfg.theta.support_degree) == 0.0
+
     def test_tail_below_the_float_range_is_the_least_subnormal(self):
         with mp.workdps(30):
             true = mp.zeta(300, 10002)  # about 10^-1200
@@ -359,6 +379,22 @@ class TestEvaluate:
         ):
             with pytest.raises(NumericError, match="not finite"):
                 call()
+
+    def test_point_budget(self):
+        # the block route once walked all 5.0e11 points through shell 10^6
+        cfg = make_special("generalized_barnes", m=2, r=2, lam=[[1.0, 2.0], [3.0, 1.0]],
+                           u=[1.0, 0.5])
+        assert lattice_count(2, 10**6) > series._POINT_BUDGET >= 2**31
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="budget"):
+            evaluate_partial(cfg, (2.5, 2.5), 10**6)
+        with pytest.raises(NumericError, match="budget"):
+            evaluate(cfg, (2.5, 2.5), tol=1e-300, shell_cap=10**12)
+        assert time.perf_counter() - start < 5.0
+        # a sparse support walks only its own points
+        sparse = ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]],
+                                theta=CoefficientSpec.poisson_powers(2))
+        assert evaluate_partial(sparse, 2.0, 10**12).certified
 
     def test_zero_coefficient_with_overflowing_power(self):
         # 0 * 1001^200 was 0 * inf = nan: a NumericError value and no tail;
