@@ -60,16 +60,9 @@ def _function_config(rc: RunConfig) -> series.ShintaniConfig:
     if rc.function_kind == "special":
         name, params = rc.special()
         if name in distributions.SPECIAL_DISTRIBUTION_KINDS:
-            return _special_distribution(rc).config
+            return distributions.make_special_distribution(name, **params).config
         return series.make_special(name, **params)
     raise ConfigError(f"subcommand needs a series function, got {rc.function_kind!r}")
-
-
-def _special_distribution(rc: RunConfig) -> distributions.SpecialDistribution:
-    name, params = rc.special()
-    if name not in distributions.SPECIAL_DISTRIBUTION_KINDS:
-        raise ConfigError(f"special {name!r} is a plain function, not a distribution")
-    return distributions.make_special_distribution(name, **params)
 
 
 def _eval(run: _Run) -> None:
@@ -205,7 +198,7 @@ def _special(run: _Run) -> None:
         path = run.write("special_config.yaml", _document(config, {}, run.out))
         run.say(f"{name}: configuration written to {path}")
         return
-    sd = _special_distribution(run.rc)
+    sd = distributions.make_special_distribution(name, **params)
     run.write("special_config.yaml", _document(sd.config, {"sigma": [sd.sigma]}, run.out))
     dist = run.distribution(sd.config, [sd.sigma])
     run.csv("atoms.csv", *dist.as_table())
