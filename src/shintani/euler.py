@@ -28,7 +28,7 @@ from .arithmetic import (
 )
 from .coefficients import CoefficientSpec
 from .errors import ConfigError, RegionError
-from .series import EvalResult, ShintaniConfig, as_point
+from .series import EvalResult, ShintaniConfig, _two_pass, as_point
 
 __all__ = [
     "AlphaRule",
@@ -120,7 +120,10 @@ def evaluate_euler(config: EulerConfig, s, prime_table: PrimeTable) -> EvalResul
 
     Needs min_l Re<a_l, s> > 1.  The omitted factor F over p > P satisfies
     |log F| <= sum_l (1 - (P+1)^{-sigma_l})^{-1} P^{1-sigma_l}/(sigma_l - 1),
-    so |Z - partial| <= |partial| (exp(...) - 1).
+    so |Z - partial| <= |partial| (exp(...) - 1).  That bound is formed by
+    `series._two_pass`: in floats, and where that value is below 2^-1022 or
+    overflows, again in the wide type, rounded up and at least 2^-1074.  A
+    bound that is inf (sigma_l next to 1 with many primes) is not certified.
     """
     pt = as_point(s, config.d)
     if len(prime_table) == 0:
@@ -141,15 +144,19 @@ def evaluate_euler(config: EulerConfig, s, prime_table: PrimeTable) -> EvalResul
             raise RegionError("Euler factor vanishes at a table prime")
         partial *= complex(np.prod(1.0 / factors))
     p_cut = float(prime_table.limit)
-    log_tail = 0.0
-    for l in range(config.m):
-        sl = float(sig[l])
-        log_tail += (
-            1.0 / (1.0 - (p_cut + 1.0) ** (-sl)) * p_cut ** (1.0 - sl) / (sl - 1.0)
-        )
-    tail = abs(partial) * math.expm1(log_tail)
+
+    def tail(num):
+        log_tail = 0.0
+        for sl in sig.tolist():
+            log_tail += (
+                1.0 / (1.0 - (p_cut + 1.0) ** (-sl)) * num.pow(p_cut, 1.0 - sl) / (sl - 1.0)
+            )
+        return abs(partial) * num.expm1(log_tail)
+
+    bound = _two_pass(tail)
     return EvalResult(
-        value=partial, tail_bound=tail, shells_used=len(prime_table), certified=True
+        value=partial, tail_bound=bound, shells_used=len(prime_table),
+        certified=math.isfinite(bound),
     )
 
 
@@ -210,18 +217,26 @@ def _levy_tail(primes: np.ndarray, sigma: float, prime_limit: int, power_cutoff:
     An odd-prime table omits no prime <= P other than 2, which the
     u = 1/2 representation carries exactly in its drift, and the outer part
     over all p > P covers its odd ones.
+
+    The sum is formed by `series._two_pass`: in floats, and where that value
+    is below 2^-1022, again in the wide type, rounded up and at least
+    2^-1074.
     """
     pf = primes.astype(float)
     r_next = power_cutoff + 1
-    inner = float(np.sum(2.0 * pf ** (-r_next * sigma) / (r_next * (1.0 - pf**-sigma))))
     p_cut = float(prime_limit)
-    outer = (
-        2.0
-        / (1.0 - (p_cut + 1.0) ** (-sigma))
-        * p_cut ** (1.0 - sigma)
-        / (sigma - 1.0)
-    )
-    return inner + outer
+
+    def tail(num):
+        inner = np.sum(2.0 * num.array(pf) ** (-r_next * sigma) / (r_next * (1.0 - pf**-sigma)))
+        outer = (
+            2.0
+            / (1.0 - (p_cut + 1.0) ** (-sigma))
+            * num.pow(p_cut, 1.0 - sigma)
+            / (sigma - 1.0)
+        )
+        return inner + outer
+
+    return _two_pass(tail)
 
 
 def _levy_result(

@@ -33,11 +33,16 @@ total-degree envelope, `_poly_tail` (the dense chain, strictly positive
 lam), `_separable_tail` (a matched-coordinate product bound for
 identity/triangular zero patterns) and `_nested_tail` (complete-flag
 supports: a one-dimensional tail times full one-dimensional sums).  All six
-share one underflow rule: a value whose float form falls below 2^-1022 (0 or
-a subnormal) is formed again in logarithms by `_exp_up`, rounded up and at
-least 2^-1074, so no omitted nonzero term gives a 0 tail; the finite route
-does so for a suffix with a power below 2^-1022.  Every other value keeps
-the bits it is formed with.
+share one underflow rule, in one piece of code.  Each infinite-support
+route is one formula over a number kind (`_tail_route`): `_two_pass`
+evaluates it in floats (`_Float`), with the expressions and bits it always
+had, and that value stands unless it is 0 or subnormal, a power in it is
+subnormal, or a power overflows; there the same formula is evaluated again
+in `_Wide`, a nonnegative real kept as its logarithm with a proven error
+bound, whose float is rounded up and at least 2^-1074.  So no omitted
+nonzero term gives a 0 tail and no overflow escapes as OverflowError.  The
+finite route sums a suffix below 2^-1022 with a power below 2^-1022 again
+in `_Wide`.  Every other value keeps the bits it is formed with.
 
 The shell choice and its tail bound are the same for every config; only
 the partial sum through the chosen shell is computed two ways.  With
@@ -58,6 +63,7 @@ error is uncertified on both routes.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -244,37 +250,117 @@ def absolutely_convergent_at(config: ShintaniConfig, s) -> bool:
 # ---------------------------------------------------------------------------
 
 _NORMAL_MIN = 2.0**-1022  # the least positive normal float
-_LOG_NORMAL_MIN = -1022 * math.log(2.0)
 
 
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
+def _checked(out):
+    if 0.0 < out < _NORMAL_MIN:
+        raise FloatingPointError("subnormal power")
+    return out
 
 
-def _exp_up(products: list[list[float]]) -> float:
-    """An upper bound on sum_i exp(sum(products[i])), each list holding the
-    logarithms of one product's positive factors (-inf for a 0 factor).
+class _Float:
+    """The float pass of a tail formula: its float expressions, bits and
+    types, with a check on each power and exponential: a subnormal result
+    (its relative error can reach percents) raises FloatingPointError, and
+    past the float range Python's `**` and `math.exp` raise OverflowError."""
 
-    A route whose float value underflows to 0 or a subnormal forms it here
-    instead: the same bound, with no power leaving the float range.  Each
-    entry is one rounded log (or lgamma), or one exponent times one, so it
-    errs by at most a few u (u = 2^-53) of its size plus its exponent's
-    error; the sums, the log of the sum of exps and its max-shift err by a
-    few u more per term.  The margin 2^-40 (len + sum |entries|) added to
-    the exponent covers all of it, exp errs by less than one ulp, and
-    `math.nextafter` rounds up past that, so the result is at least
-    ulp(0.0) = 2^-1074.
-    """
-    sums = [math.fsum(p) for p in products]
-    top = max(sums)
-    finite = [abs(x) for p in products for x in p if math.isfinite(x)]
-    margin = 2.0**-40 * (len(finite) + math.fsum(finite))
-    if top > -math.inf:
-        top += math.log(math.fsum(math.exp(x - top) for x in sums))
-    return math.nextafter(math.exp(top + margin), math.inf)
+    pow = staticmethod(lambda x, y: _checked(x**y))
+    exp = staticmethod(lambda x, size: _checked(math.exp(x)))
+    expm1 = staticmethod(math.expm1)
+    array = staticmethod(lambda xs: xs)
 
 
-def _poly_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
+def _wide(x) -> "_Wide":
+    return x if isinstance(x, _Wide) else _Wide(math.log(x) if x else -math.inf)
+
+
+class _Wide:
+    """The wide pass of a tail formula: a nonnegative real x kept as l, its
+    natural logarithm, with a bound e on |ln x - l| (l = -inf for x = 0).
+
+    Proof.  Each operation adds to e the error of its own l, at most 2^-50
+    (|l| + 1): libm's log errs by less than an ulp (an int is rounded to a
+    float, or logged from its leading bits, first); a product, quotient or
+    power rounds once; a sum hi + log1p(exp(lo - hi)) errs by at most 2^-53
+    in each of its steps (its slope, below 1/2, damps the ulp of lo - hi).
+    The operands' errors propagate: a product or quotient adds their e, x^y
+    takes |y| e, a sum the larger e.  `exp(x, size)` adds 2^-48 (size + 1)
+    for an exponent formed from terms of total magnitude size, each within
+    16 ulps (CPython's lgamma stays within 4 over the Poisson route's range,
+    by an mpmath scan).  The float is exp(l + e (1 + 2^-20) + 2^-40): the
+    factor covers the roundings of e, and 2^-40 the few ulps of each factor
+    a formula forms in plain floats (1 - rho, G - j), a few dozen at most to
+    a product.  The exponent is rounded to nearest and stepped up; exp's
+    result, less than an ulp off, is stepped up once, twice in the normal
+    range (the true value may lie in the next binade).  So the float is at
+    least x and 2^-1074, and inf past e^709."""
+
+    __slots__ = ("l", "e")
+
+    def __init__(self, l: float, e: float = 0.0) -> None:
+        self.l = l
+        self.e = e + 2.0**-50 * (abs(l) + 1.0) if math.isfinite(l) else 0.0
+
+    def __mul__(self, other) -> "_Wide":
+        other = _wide(other)
+        return _Wide(self.l + other.l, self.e + other.e)
+
+    __rmul__ = __mul__
+
+    __truediv__ = lambda self, other: self * _wide(other) ** -1  # noqa: E731
+
+    def __pow__(self, y) -> "_Wide":
+        return _Wide(self.l * y, abs(y) * self.e) if y else _Wide(0.0)  # x^0 = 1
+
+    def __add__(self, other) -> "_Wide":
+        other = _wide(other)
+        hi, lo = (self, other) if self.l >= other.l else (other, self)
+        if lo.l == -math.inf:
+            return hi
+        return _Wide(hi.l + math.log1p(math.exp(lo.l - hi.l)), max(hi.e, lo.e))
+
+    __radd__ = __add__
+
+    def __float__(self) -> float:
+        x = math.nextafter(math.fsum((self.l, self.e * (1.0 + 2.0**-20), 2.0**-40)), math.inf)
+        out = math.inf if x > 709.0 else math.exp(x)  # nan stays nan
+        out = math.nextafter(out, math.inf) if out >= _NORMAL_MIN else out
+        return math.nextafter(out, math.inf)
+
+    pow = staticmethod(lambda x, y: _wide(x) ** y)
+    exp = staticmethod(lambda x, size: _Wide(x, 2.0**-48 * (size + 1.0)))
+    array = staticmethod(lambda xs: np.array([_wide(x) for x in xs.tolist()], dtype=object))
+    # e^x - 1 <= x + (e - 2) x^2 <= x (1 + x) for 0 <= x <= 1 (to 1.79, past the test's rounding)
+    expm1 = staticmethod(lambda x: x * (1.0 + x) if x.l + x.e <= 0.0 else _Wide(float(x)))
+
+
+def _two_pass(formula, *args) -> float:
+    """formula(num, *args) as a float: over `_Float` where that value stands
+    (unless it is 0 or subnormal, or a power in it is subnormal or
+    overflows), else over `_Wide`, rounded up and at least 2^-1074.  A nan
+    stands and bounds nothing; a wide pass that overflows gives inf."""
+    try:
+        out = float(formula(_Float, *args))
+        if not out < _NORMAL_MIN:  # normal, inf or nan
+            return out
+    except (OverflowError, FloatingPointError):
+        pass
+    try:
+        return float(formula(_Wide, *args))
+    except OverflowError:
+        return math.inf
+
+
+def _tail_route(formula):
+    """route(config, sigma, n_shell): `_two_pass` of the route's one formula
+    formula(num, config, sigma, n_shell), kept as route.formula."""
+    route = functools.partial(_two_pass, formula)
+    route.__name__, route.__doc__, route.formula = formula.__name__, formula.__doc__, formula
+    return route
+
+
+@_tail_route
+def _poly_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
     """Integral-comparison bound for strictly positive lam.
 
     Partitions lattice points of total degree > N by their set of zero
@@ -296,29 +382,17 @@ def _poly_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float
         return 0.0
     lam_min = float(config.lam.min())
     ru = r * float(config.u.min())
-    k_u = max(1.0, ru ** (-growth)) if growth > 0 else 1.0
-    amp = bound * k_u * lam_min ** (-s_total)
+    k_u = num.pow(ru, -growth) if growth > 0 and ru < 1.0 else 1.0  # max(1, ru^-growth)
+    amp = bound * k_u * num.pow(lam_min, -s_total)
     total = 0.0
     for j in range(1, r + 1):  # j = number of free (nonzero) coordinates
         y = max(0.0, n_shell + 1.0 - j)
         total += (
             math.comb(r, r - j)
-            * (y + ru) ** (j - big_g)
+            * num.pow(y + ru, j - big_g)
             / (math.factorial(j - 1) * (big_g - j))
         )
-    out = amp * total
-    if not out < _NORMAL_MIN:  # normal, inf or nan: kept
-        return out
-    amp_logs = [_log(bound * k_u), -s_total * math.log(lam_min)]
-    return _exp_up([
-        amp_logs + [
-            math.log(math.comb(r, r - j)),
-            (j - big_g) * math.log(max(0.0, n_shell + 1.0 - j) + ru),
-            -math.lgamma(j),
-            -math.log(big_g - j),
-        ]
-        for j in range(1, r + 1)
-    ])
+    return amp * total
 
 
 @lru_cache(maxsize=256)
@@ -335,7 +409,8 @@ def _best_matching(lam_bytes: bytes, m: int, r: int) -> Optional[tuple[int, ...]
     return best
 
 
-def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
+@_tail_route
+def _separable_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
     """Matched-coordinate product bound for zero-pattern lam (m == r).
 
     Drops every unmatched (nonnegative) term of each form, leaving an
@@ -354,9 +429,8 @@ def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
     env = config.theta.per_coordinate_envelope(r)
     if env is None:
         return math.inf
-    full = np.empty(r)  # F_j: full 1-dim sums
-    tails = np.empty(r)  # T_j: 1-dim tails past floor(N/r)
-    factors = [()] * r  # the inputs of F_j and T_j, for `_exp_up`
+    full = [0.0] * r  # F_j: full 1-dim sums
+    tails = [0.0] * r  # T_j: 1-dim tails past floor(N/r)
     m_start = n_shell // r
     for l in range(r):
         j = perm[l]
@@ -367,27 +441,15 @@ def _separable_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> 
         decay = s_l - eps_j
         if decay <= 1.0:
             return math.inf
-        k_u = max(1.0, u_j ** (-eps_j)) if eps_j > 0 else 1.0
-        amp = b_j * k_u * lam_lj ** (-s_l)
-        full[j] = amp * (u_j ** (-decay) + u_j ** (1.0 - decay) / (decay - 1.0))
-        tails[j] = amp * (m_start + u_j) ** (1.0 - decay) / (decay - 1.0)
-        factors[j] = (b_j * k_u, lam_lj, s_l, u_j, decay)
+        k_u = num.pow(u_j, -eps_j) if eps_j > 0 and u_j < 1.0 else 1.0  # max(1, u_j^-eps_j)
+        amp = b_j * k_u * num.pow(lam_lj, -s_l)
+        full[j] = amp * (num.pow(u_j, -decay) + num.pow(u_j, 1.0 - decay) / (decay - 1.0))
+        tails[j] = amp * num.pow(m_start + u_j, 1.0 - decay) / (decay - 1.0)
     total = 0.0
     for j in range(r):
         others = np.prod(np.delete(full, j)) if r > 1 else 1.0
         total += tails[j] * others
-    if not total < _NORMAL_MIN:
-        return float(total)
-    full_logs, tail_logs = [], []
-    for b, lam_lj, s_l, u_j, decay in factors:
-        amp_logs = [_log(b), -s_l * math.log(lam_lj)]
-        full_logs.append(amp_logs + [-decay * math.log(u_j), math.log1p(u_j / (decay - 1.0))])
-        tail_logs.append(amp_logs + [
-            (1.0 - decay) * math.log(m_start + u_j), -math.log(decay - 1.0)
-        ])
-    return _exp_up([
-        tail_logs[j] + [x for i in range(r) if i != j for x in full_logs[i]] for j in range(r)
-    ])
+    return total
 
 
 @lru_cache(maxsize=256)
@@ -414,7 +476,8 @@ def _flag_structure(
     return tuple(order), tuple(mins), tuple(chain)
 
 
-def _nested_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
+@_tail_route
+def _nested_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
     """Tail bound for complete-flag supports via m_l = sum of supported n_j.
 
     The map n -> (m_1 >= m_2 >= ... >= m_r) is a bijection, m_1 equals the
@@ -437,27 +500,17 @@ def _nested_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> flo
     if decay_head <= 1.0:
         return math.inf
     v = [float(np.sum(config.u[sorted(supp)])) for supp in chain]
-    k_u = max(1.0, v[0] ** (-growth)) if growth > 0 else 1.0
-    amp = bound * k_u
-    head = (n_shell + v[0]) ** (1.0 - decay_head) / (decay_head - 1.0)
-    total = amp * mins[0] ** (-s_head) * head
+    k_u = num.pow(v[0], -growth) if growth > 0 and v[0] < 1.0 else 1.0  # max(1, v_0^-growth)
+    head = num.pow(n_shell + v[0], 1.0 - decay_head) / (decay_head - 1.0)
+    total = bound * k_u * num.pow(mins[0], -s_head) * head
     for i in range(1, len(order)):
         s_l = float(sl[order[i]])
         if s_l <= 1.0:
             return math.inf
-        total *= mins[i] ** (-s_l) * (
-            v[i] ** (-s_l) + v[i] ** (1.0 - s_l) / (s_l - 1.0)
+        total *= num.pow(mins[i], -s_l) * (
+            num.pow(v[i], -s_l) + num.pow(v[i], 1.0 - s_l) / (s_l - 1.0)
         )
-    if not total < _NORMAL_MIN:
-        return total
-    logs = [
-        _log(amp), -s_head * math.log(mins[0]),
-        (1.0 - decay_head) * math.log(n_shell + v[0]), -math.log(decay_head - 1.0),
-    ]
-    for i in range(1, len(order)):
-        s_l = float(sl[order[i]])
-        logs += [-s_l * math.log(mins[i]), -s_l * math.log(v[i]), math.log1p(v[i] / (s_l - 1.0))]
-    return _exp_up([logs])
+    return total
 
 
 def _finite_support(
@@ -496,8 +549,7 @@ def _finite_tails(
     -inf), and its later entries stay nan.
 
     A tail below 2^-1022 (0 or subnormal) whose suffix holds a nonzero theta
-    with a power prod_l L_l^(-sl_l) below 2^-1022 is formed again by
-    `_exp_up` from log |theta(n)| - sum_l sl_l log L_l(n) over that suffix
+    with a power prod_l L_l^(-sl_l) below 2^-1022 is summed again in `_Wide`
     (`_log_tail`): rounded up and at least 2^-1074, so no term lost to the
     power's underflow is reported as a 0 tail.  Every other tail keeps its
     bits, those of coefficients below 2^-1022 at a normal power included."""
@@ -533,15 +585,18 @@ def _finite_tails(
 
 
 def _log_tail(abs_vals: np.ndarray, forms: np.ndarray, b: np.ndarray) -> Optional[float]:
-    """`_exp_up` of sum_n |theta(n)| prod_l L_l(n)^(-b_l) over the points
-    with theta(n) != 0, from log |theta(n)| and -b_l log L_l(n); None when
-    no such point's power, multiplied up in form order as the float table
-    forms it, falls below 2^-1022."""
-    idx = np.flatnonzero(abs_vals)
-    powers = np.log(forms[idx]) * -b
-    if not (np.cumsum(powers, axis=1) < _LOG_NORMAL_MIN).any():
-        return None
-    return _exp_up(np.column_stack([np.log(abs_vals[idx]), powers]).tolist())
+    """sum_n |theta(n)| prod_l L_l(n)^(-b_l) over the points with theta(n) !=
+    0, summed as `_Wide` numbers and rounded up; None when no such point's
+    power, multiplied up in form order, falls below 2^-1022."""
+    total, low = 0.0, False
+    for value, row in zip(abs_vals.tolist(), forms.tolist()):
+        if value:
+            power = 1.0
+            for form, b_l in zip(row, b.tolist()):
+                power *= _Wide.pow(form, -b_l)
+                low = low or float(power) < _NORMAL_MIN
+            total = _wide(value) * power + total
+    return float(total) if low else None
 
 
 def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
@@ -592,59 +647,43 @@ def _geometric_start(config: ShintaniConfig, sigma: np.ndarray, hi: int) -> int:
     return n
 
 
-def _geometric_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
+@_tail_route
+def _geometric_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
     """Ratio-test majorant when |theta| decays like g^t with g < 1."""
     bound, growth, g = config.theta.envelope_triple
-    weight = config.theta.log_weight
     if g >= 1.0:
         return math.inf
     if bound == 0.0:
         return 0.0
-    r = config.r
     sl = config.c @ sigma
     usum = float(np.sum(config.u))
-    offsets = config.form_offsets
     row_min = config.lam.min(axis=1)
     row_max = config.lam.max(axis=1)
-    full_support = config.lam.min(axis=1) > 0.0
-
-    def lower_base(l: int, t: float) -> float:
-        if full_support[l]:
-            return row_min[l] * (t + usum)
-        return float(offsets[l])  # constant lower bound only
-
-    def head(t: float) -> float:
-        pf = 1.0
-        for l, b in enumerate(sl):
-            base = lower_base(l, t) if b >= 0 else row_max[l] * (t + usum)
-            pf *= base ** (-b)
-        return (
-            bound
-            * g**t
-            * (t + 1.0) ** growth
-            * math.comb(int(t) + r - 1, r - 1)
-            * pf
-            * weight.at(t)
-        )
-
+    full_support = row_min > 0.0
     t0 = float(n_shell + 1)
     rho = _geometric_ratio(config, sl, usum, t0)
     if not rho < 1.0:
         return math.inf
-    out = head(t0) / (1.0 - rho)
-    if not out < _NORMAL_MIN:  # normal, inf or nan: kept
-        return out
-    logs = [
-        _log(bound), t0 * _log(g), growth * math.log(t0 + 1.0),
-        math.log(math.comb(int(t0) + r - 1, r - 1)), _log(weight.at(t0)), -math.log(1.0 - rho),
-    ]
+    pf = 1.0
     for l, b in enumerate(sl):
-        base = lower_base(l, t0) if b >= 0 else row_max[l] * (t0 + usum)
-        logs.append(-b * math.log(base))
-    return _exp_up([logs])
+        if b >= 0 and not full_support[l]:
+            base = float(config.form_offsets[l])  # constant lower bound only
+        else:
+            base = (row_min[l] if b >= 0 else row_max[l]) * (t0 + usum)
+        pf *= num.pow(base, -b)
+    head = (
+        bound
+        * num.pow(g, t0)
+        * num.pow(t0 + 1.0, growth)
+        * math.comb(int(t0) + config.r - 1, config.r - 1)
+        * pf
+        * config.theta.log_weight.at(t0)
+    )
+    return head / (1.0 - rho)
 
 
-def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
+@_tail_route
+def _poisson_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
     """Factorial-ratio majorant for sparse support on {j^k - 1}."""
     decomp = config.theta.poisson_decomposition
     if decomp is None or config.r != 1:
@@ -652,84 +691,50 @@ def _poisson_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> fl
     weight = config.theta.log_weight
     base, rate, b_other, eps_other = decomp
     sl = config.c @ sigma
-    lam = config.lam[:, 0]
+    forms = list(zip(config.lam[:, 0].tolist(), sl.tolist()))  # (lam_l, Re<c_l, s>)
     u0 = float(config.u[0])
     logj = math.log(base)
-
-    def term(k: int) -> float:
-        n = float(base) ** k - 1.0
-        log_theta = rate * k * logj - math.lgamma(k + 1.0)
-        forms = lam * (n + u0)
-        pf = float(np.prod(forms ** (-sl)))
-        v = math.exp(log_theta) * b_other * (n + 1.0) ** eps_other * pf * weight.at(n)
-        if not math.isfinite(v):
-            # at sigma < 0 the power overflows to inf where the factorial weight
-            # is tiny or 0 (inf * 0 = nan): the term is formed in logarithms
-            logs = [math.log(f) if f > 0.0 else -math.inf for f in (b_other, weight.at(n))]
-            log_v = log_theta - float(sl @ np.log(forms)) + eps_other * math.log(n + 1.0)
-            v = math.exp(log_v + math.fsum(logs))
-        return v
-
-    def term_logs(k: int) -> list[float]:  # term(k)'s factors' logs, for `_exp_up`
-        n = float(base) ** k - 1.0
-        return [
-            rate * k * logj, -math.lgamma(k + 1.0), _log(b_other),
-            eps_other * math.log(n + 1.0), _log(weight.at(n)),
-            *(-sl * np.log(lam * (n + u0))).tolist(),
-        ]
-
     k = 0
     while base**k - 1 <= n_shell:  # exact: past 2^53 a float walk skips a tail point
         k += 1
-    first = k
     total = 0.0
-    try:
-        for _ in range(100000):
-            n = float(base) ** k - 1.0
-            n_next = float(base) ** (k + 1) - 1.0
-            ratio = (base**rate) * (base**eps_other) / (k + 1.0)
-            rl = (n_next + u0) / (n + u0)
-            for b in sl:
-                if b < 0:
-                    ratio *= rl ** (-b)
-            ratio *= weight.ratio(n, n_next)
-            v = term(k)
-            if ratio <= 0.5:
-                out = total + v + v * ratio / (1.0 - ratio)
-                if not out < _NORMAL_MIN:
-                    return out
-                logs = [term_logs(i) for i in range(first, k + 1)]
-                logs.append(logs[-1] + [_log(ratio), -math.log(1.0 - ratio)])
-                return _exp_up(logs)
-            total += v
-            k += 1
-    except OverflowError:  # a support point or a term past the float range: no bound
-        pass
+    # a support point past the float range raises OverflowError in both passes: no bound
+    for _ in range(100000):
+        n = float(base) ** k - 1.0
+        n_next = float(base) ** (k + 1) - 1.0
+        ratio = (base**rate) * (base**eps_other) / (k + 1.0)
+        rl = (n_next + u0) / (n + u0)
+        for b in sl:
+            if b < 0:
+                ratio *= rl ** (-b)
+        ratio *= weight.ratio(n, n_next)
+        pf = 1.0
+        for lam_l, b in forms:  # Python floats: an overflowing power raises
+            pf *= num.pow(lam_l * (n + u0), -b)
+        log_rate, log_factorial = rate * k * logj, math.lgamma(k + 1.0)
+        theta = num.exp(log_rate - log_factorial, log_rate + log_factorial)
+        v = theta * b_other * num.pow(n + 1.0, eps_other) * pf * weight.at(n)
+        if ratio <= 0.5:
+            return total + v + v * ratio / (1.0 - ratio)
+        total += v
+        k += 1
     return math.inf
 
 
 def _tail_bound(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
     """Certified bound on sum |theta(n)| prod_l L_l(n)^(-<c_l, sigma>) over degree
-    > n_shell from theta's structural envelope: the least route, inf if none.
-    A route whose float value underflows to 0 or a subnormal forms it again
-    in logarithms (`_exp_up`), rounded up and at least 2^-1074, so an
-    infinite support's tail is never 0; any other value is kept as formed.
-    A route that comes out nan (inf * 0 where a power overflows and a
-    factor underflows) bounds nothing and is skipped."""
+    > n_shell from theta's structural envelope: the least route (each one
+    formula, evaluated by `_two_pass`), inf if none.  A route that comes out
+    nan (inf * 0 where a numpy power overflows and a factor underflows to
+    0) bounds nothing and is skipped."""
     if config.theta.support_degree is not None:
         return _finite_tail(config, sigma, n_shell)
-    routes = []
-    if config.theta.poisson_decomposition is not None and config.r == 1:
-        routes.append(_poisson_tail(config, sigma, n_shell))
-    routes.append(_geometric_tail(config, sigma, n_shell))
-    routes.append(_poly_tail(config, sigma, n_shell))
-    routes.append(_separable_tail(config, sigma, n_shell))
-    routes.append(_nested_tail(config, sigma, n_shell))
     best = math.inf
-    for x in routes:
+    for route in (_poisson_tail, _geometric_tail, _poly_tail, _separable_tail, _nested_tail):
+        x = route(config, sigma, n_shell)
         if x < best:  # false for nan
             best = x
-    return float(best)
+    return best
 
 
 def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
@@ -1437,9 +1442,18 @@ def _first_admissible(
     the arguments give it at the start; each probe c in [lo, hi) sets
     hi = c when tail(c) <= tol and lo = c + 1 otherwise, which keeps the
     invariant and shrinks the bracket, and it stops at lo = hi = n*.  Bisection keeps the same invariant, so it ends on
-    the same n*.  The monotonicity is that of the exact formulas; rounding
-    could only matter where consecutive shells' tails differ by an ulp, or
-    by `_exp_up`'s margin where a route is formed in logarithms.
+    the same n*.  The monotonicity is that of the exact formulas, and it
+    survives the switch from a route's float pass to its wide pass
+    (`_two_pass`), which, once taken at shell N, is taken at every later
+    shell: a power that can be subnormal falls with N ((N + a)^(-p),
+    (floor(N/r) + a)^(-p), g^t; every other power is constant in N or at
+    least 1), a value below 2^-1022 stays below it as the route falls, and
+    an overflow is in a constant or in a power or binomial that grows with
+    N.  Both passes evaluate the same exact formula, the float pass to a few
+    ulps and the wide pass rounded up by its margin (`_Wide`; below a
+    relative 2^-30 wherever tests/test_tail_routes.py compares the two), so
+    rounding could only matter where consecutive shells' tails differ by
+    less than that.
 
     Probes: from lo = 0, shell 0 first, or, when theta decays geometrically,
     the first shell where the geometric route is finite (`_geometric_start`,

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from shintani.coefficients import CoefficientSpec
 from shintani.series import ShintaniConfig
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, and more of them
+settings.register_profile("ci", derandomize=True, max_examples=1000, deadline=None)
 
 
 def random_config(rng: np.random.Generator, allow_sparse: bool = True) -> ShintaniConfig:
