@@ -3,14 +3,15 @@
 Characteristic-function zeros are scanned on a grid along one t axis, then
 refined by damped complex Newton iterations on the analytic continuation in
 the complexified grid variable.  Rectangle counts use the argument
-principle on one-complex-parameter affine slices, with adaptive boundary
-subdivision keeping every phase step below pi/2.  A confirmed zero's
-multiplicity is such a count, on a small square of the scan's own slice.
-One slice evaluator maps an array of w to series values in one
-`evaluate_many` call, so a rectangle's initial samples and a Newton step's
-central-difference pair are one call each.  A confirmed zero yields a
-non-infinite-divisibility certificate: an infinitely divisible law has a
-nonvanishing characteristic function.
+principle on one-complex-parameter affine slices: a walk over refinement
+levels halves every boundary segment whose phase step is not below pi/2,
+and gives None for a zero on the boundary, where the rectangle grows.  A
+confirmed zero's multiplicity is such a count, on a small square of the
+scan's own slice.  One slice evaluator maps an array of w to series values
+in one `evaluate_many` call, so a rectangle's initial samples, each level's
+midpoints and a Newton step's central-difference pair are one call each.
+A confirmed zero yields a non-infinite-divisibility certificate: an
+infinitely divisible law has a nonvanishing characteristic function.
 """
 
 from __future__ import annotations
@@ -276,10 +277,6 @@ def _dedup_candidates(
 # Argument-principle rectangle counts
 # ---------------------------------------------------------------------------
 
-class _BoundaryZero(Exception):
-    pass
-
-
 def count_zeros_rectangle(
     config: ShintaniConfig,
     slice_spec: SliceSpec,
@@ -287,9 +284,11 @@ def count_zeros_rectangle(
     shell_cap: int = DEFAULT_SHELL_CAP,
 ) -> int:
     """Winding number of the slice restriction around 0 (zeros counted with
-    multiplicity).  A zero on the boundary grows the rectangle by 1e-3 of
-    its spans per retry, at most _MAX_PERTURB = 6 times; a persistent one
-    raises NumericError."""
+    multiplicity), from `_winding_rect`.  Where the walk returns None (a
+    zero on the boundary, or a phase jump no halving resolves) the
+    rectangle grows by 1e-3 of its spans per retry, at most _MAX_PERTURB =
+    6 times; a persistent one raises NumericError, and a grown rectangle
+    that leaves the convergence region raises RegionError."""
     if slice_spec.base.d != config.d or slice_spec.direction.size != config.d:
         raise ConfigError(
             f"slice base and direction need {config.d} components, got "
@@ -308,42 +307,62 @@ def count_zeros_rectangle(
             rect[2] - grow * spans[1],
             rect[3] + grow * spans[1],
         )
-        try:
-            spec_try = SliceSpec(slice_spec.base, slice_spec.direction, rect_try)
-            if not _slice_valid(config, spec_try):
-                raise RegionError("perturbed rectangle leaves the convergence region")
-            return _winding_rect(g, spec_try)
-        except _BoundaryZero:
-            continue
+        spec_try = SliceSpec(slice_spec.base, slice_spec.direction, rect_try)
+        if not _slice_valid(config, spec_try):
+            raise RegionError("perturbed rectangle leaves the convergence region")
+        winding = _winding_rect(g, spec_try)
+        if winding is not None:
+            return winding
     raise NumericError(
         f"zero persists on the rectangle boundary after {_MAX_PERTURB} perturbations"
     )
 
 
-def _winding_rect(g: Callable[[np.ndarray], list[complex]], spec: SliceSpec) -> int:
-    """Phase tracking around the boundary of the slice rectangle; g maps an
-    array of w to a list of values.
+def _winding_rect(
+    g: Callable[[np.ndarray], list[complex]], spec: SliceSpec
+) -> Optional[int]:
+    """Phase tracking around the boundary of the slice rectangle, one level
+    of segment halving at a time; g maps an array of w to a list of values.
 
     Each edge starts from a dense sample grid, evaluated in one call:
-    endpoint deltas alone can hide a full 2 pi wrap, which adaptive
-    bisection then never detects.
+    endpoint deltas alone can hide a full 2 pi wrap, which halving then
+    never detects.  The pending segments are four arrays (w0, z0, w1, z1),
+    first the _INIT_SAMPLES segments per edge.  Each level tests them all:
+    a value below the floor, 1e-11 of the largest initial |value|, is a
+    zero on the boundary; a phase step angle(z1 / z0) below pi/2 is added
+    to the total; every other segment is halved, and all midpoints of the
+    level are one call of g.  A boundary zero, or a segment unresolved
+    after _MAX_DEPTH halvings (a jump no halving separates from a zero),
+    returns None.
     """
-    corners = spec.corners()
-    samples: list[complex] = []
-    for i in range(4):
-        w0, w1 = corners[i], corners[(i + 1) % 4]
-        for k in range(_INIT_SAMPLES):
-            samples.append(w0 + (w1 - w0) * (k / _INIT_SAMPLES))
-    samples.append(corners[0])
-    values = g(np.array(samples))
+    corners = np.array(spec.corners())
+    frac = np.arange(_INIT_SAMPLES) / _INIT_SAMPLES
+    edges = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * frac
+    w = np.append(edges.ravel(), corners[0])
+    values = g(w)
     scale = max(abs(z) for z in values)
     if scale == 0.0:
-        raise _BoundaryZero
+        return None
     floor = 1e-11 * scale
+    z = np.array(values, dtype=complex)
+    w0, z0, w1, z1 = w[:-1], z[:-1], w[1:], z[1:]
     total = 0.0
-    for i in range(len(samples) - 1):
-        total += _track_segment(
-            g, samples[i], values[i], samples[i + 1], values[i + 1], floor, _MAX_DEPTH
+    for depth in range(_MAX_DEPTH + 1):
+        if (np.abs(z0) < floor).any() or (np.abs(z1) < floor).any():
+            return None
+        dphi = np.angle(z1 / z0)
+        split = np.abs(dphi) >= math.pi / 2
+        total += float(dphi[~split].sum())
+        if not split.any():
+            break
+        if depth == _MAX_DEPTH:
+            return None
+        w0, z0, w1, z1 = w0[split], z0[split], w1[split], z1[split]
+        wm = (w0 + w1) / 2.0
+        zm = np.array(g(wm), dtype=complex)
+        w0, z0, w1, z1 = (
+            np.concatenate((w0, wm)), np.concatenate((z0, zm)),
+            np.concatenate((wm, w1)), np.concatenate((zm, z1)),
         )
     winding = round(total / TWO_PI)
     if abs(total / TWO_PI - winding) > 0.25:
@@ -351,30 +370,6 @@ def _winding_rect(g: Callable[[np.ndarray], list[complex]], spec: SliceSpec) -> 
             f"argument tracking inconsistent: total phase {total / TWO_PI:.3f} turns"
         )
     return int(winding)
-
-
-def _track_segment(
-    g: Callable[[np.ndarray], list[complex]],
-    w0: complex,
-    z0: complex,
-    w1: complex,
-    z1: complex,
-    floor: float,
-    depth: int,
-) -> float:
-    """Accumulated phase change with per-step increments < pi/2."""
-    if abs(z0) < floor or abs(z1) < floor:
-        raise _BoundaryZero
-    dphi = np.angle(z1 / z0)
-    if abs(dphi) < math.pi / 2:
-        return float(dphi)
-    if depth <= 0:
-        raise _BoundaryZero  # cannot separate the phase jump from a zero
-    mid = (w0 + w1) / 2.0
-    zm = _at(g, mid)
-    return _track_segment(g, w0, z0, mid, zm, floor, depth - 1) + _track_segment(
-        g, mid, zm, w1, z1, floor, depth - 1
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from shintani.coefficients import (
     theta_values,
 )
 from shintani.errors import ConfigError
+from shintani.series import ShintaniConfig, evaluate
 
 lattice_points = st.lists(
     st.lists(st.integers(min_value=0, max_value=300), min_size=2, max_size=2),
@@ -75,6 +77,30 @@ class TestValues:
         )  # chi_-4 at n+1
         got = [spec.values(np.array([(n,)]))[0].real for n in range(6)]
         assert got == [1, 0, -1, 0, 1, 0]
+
+    CHI5 = (0, 1, 1j, -1j, -1)  # the character mod 5 with chi(2) = i
+
+    @pytest.mark.parametrize("s", [3.0, 2.5 + 4j])
+    def test_complex_character_series(self, s):
+        # sum chi(n+1) (n+1)^-s is the Dirichlet L-function of chi
+        theta = CoefficientSpec.character_product([(5, self.CHI5, 0, 1)])
+        cfg = ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]], theta=theta)
+        res = evaluate(cfg, s, tol=1e-8)
+        with mp.workdps(30):
+            ref = complex(mp.dirichlet(s, list(self.CHI5)))
+        assert res.certified and abs(res.value - ref) <= res.tail_bound
+
+    def test_character_product_values_multiply_lookups(self):
+        # a real factor before and after a complex one
+        factors = [(3, (1.0, -2.0, 0.5), 0, 0), (5, self.CHI5, 1, 1), (2, (1.0, -0.75), 0, 1)]
+        spec = CoefficientSpec.character_product(factors)
+        pts = np.array([(a, b) for a in range(7) for b in range(7)])
+        got = spec.values(pts)
+        want = [
+            math.prod(complex(tab[(p[coord] + shift) % mod]) for mod, tab, coord, shift in factors)
+            for p in pts.tolist()
+        ]
+        assert np.iscomplexobj(got) and got.tolist() == want
 
     def test_product(self):
         spec = CoefficientSpec.product(

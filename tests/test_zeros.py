@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shintani import zeros
 from shintani.coefficients import CoefficientSpec
@@ -84,6 +86,12 @@ class TestScan:
         sd = make_special_distribution("binomial", j=2, big_k=1, phi=math.e, sigma=-1.0)
         with pytest.raises(ConfigError, match="t_range"):
             scan_cf_zeros(sd.config, sd.sigma, t_range=t_range)
+
+    def test_t_axis_out_of_range_rejected(self):
+        sd = make_special_distribution("binomial", j=2, big_k=1, phi=math.e, sigma=-1.0)
+        for axis in (0, sd.config.d + 1):
+            with pytest.raises(ConfigError, match="t_axis"):
+                scan_cf_zeros(sd.config, sd.sigma, t_axis=axis)
 
     def test_nan_step_and_trigger_rejected(self):
         # a nan trigger made the zero-free law at sigma = -1 "confirm" zeros
@@ -186,11 +194,110 @@ class TestRectangles:
                     parts += count_zeros_rectangle(cfg, real_axis_slice((rl, rh, il, ih)))
             assert parts == whole
 
+    def test_grown_rectangle_leaving_the_region(self, monkeypatch):
+        # the first growth moves Re w below 1, where riemann diverges
+        monkeypatch.setattr(zeros, "_winding_rect", lambda g, spec: None)
+        with pytest.raises(RegionError, match="perturbed rectangle"):
+            count_zeros_rectangle(make_special("riemann"), real_axis_slice((1.0 + 1e-4, 2.0, -1.0, 1.0)))
+
     def test_boundary_zero_perturbation(self):
         # zero exactly on the right edge: auto-perturbation must resolve it
         cfg = dirichlet_poly({0: 1.0, 1: -2.0})
         count = count_zeros_rectangle(cfg, real_axis_slice((0.0, 1.0, -1.0, 1.0)))
         assert count in (0, 1)  # resolved deterministically, no exception
+
+
+def _poly_roots(a0: float, a1: float, a3: float, rect, margin: float):
+    """Zeros of a0 + a1 2^-s + a3 4^-s inside rect, or None if one lies
+    within margin of its boundary."""
+    inside = 0
+    for x in np.roots([a3, a1, a0]):  # in x = 2^-s
+        s_re, s_im0 = -math.log2(abs(x)), -np.angle(x) / LOG2
+        k_lo = math.floor((rect[2] - margin - s_im0) / PERIOD)
+        for k in range(k_lo, math.ceil((rect[3] + margin - s_im0) / PERIOD) + 1):
+            z = complex(s_re, s_im0 + k * PERIOD)
+            dx = max(rect[0] - z.real, 0.0, z.real - rect[1])
+            dy = max(rect[2] - z.imag, 0.0, z.imag - rect[3])
+            if dx == dy == 0.0:
+                edge = min(z.real - rect[0], rect[1] - z.real, z.imag - rect[2], rect[3] - z.imag)
+                if edge < margin:
+                    return None
+                inside += 1
+            elif math.hypot(dx, dy) < margin:
+                return None
+    return inside
+
+
+@settings(deadline=None)
+@given(
+    st.floats(0.5, 2.0), st.floats(-3.0, 3.0), st.floats(0.5, 2.0),
+    st.floats(-3.0, 1.0), st.floats(0.3, 4.0), st.floats(-12.0, 4.0), st.floats(0.3, 12.0),
+)
+def test_count_matches_polynomial_roots(a0, a1, a3, re_lo, width, im_lo, height):
+    """The count on a random rectangle at least 0.05 from every root of a
+    random a0 + a1 2^-s + a3 4^-s is the number of roots inside."""
+    rect = (re_lo, re_lo + width, im_lo, im_lo + height)
+    inside = _poly_roots(a0, a1, a3, rect, 0.05)
+    assume(inside is not None)
+    cfg = dirichlet_poly({0: a0, 1: a1, 3: a3})
+    assert count_zeros_rectangle(cfg, real_axis_slice(rect)) == inside
+
+
+class TestLevelWalk:
+    """`_winding_rect` on synthetic slice functions: its counts and exits."""
+
+    SPEC = real_axis_slice((-1.0, 1.0, -1.0, 1.0))
+
+    @staticmethod
+    def recording(fn):
+        calls = []
+
+        def g(ws):
+            calls.append(ws.copy())
+            return [fn(w) for w in ws.tolist()]
+
+        return g, calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_power_counts(self, k):
+        w0 = 0.2 - 0.3j
+        assert zeros._winding_rect(lambda ws: list((ws - w0) ** k), self.SPEC) == k
+
+    @pytest.mark.parametrize("w0", [1.0 + 0j, 1.0 + 0.03j, 0.3 - 1j])
+    def test_edge_zero_is_none(self, w0):
+        # 1 is an initial sample; the other two are reached by halving
+        assert zeros._winding_rect(lambda ws: list(ws - w0), self.SPEC) is None
+
+    def test_unresolvable_jump_is_none(self):
+        # g jumps from 1 to -1 across Re w = 0.3: |g| = 1 never meets the
+        # floor, and every halving keeps a phase step of pi
+        g, calls = self.recording(lambda w: 1.0 + 0j if w.real < 0.3 else -1.0 + 0j)
+        assert zeros._winding_rect(g, self.SPEC) is None
+        assert len(calls) == 1 + zeros._MAX_DEPTH
+        assert all(len(ws) == 2 for ws in calls[1:])  # the two crossing segments
+
+    def test_one_call_per_level(self):
+        # a triple zero 0.1 from the right edge: only segments near it halve
+        w0 = 0.9 + 0.01j
+        g, calls = self.recording(lambda w: (w - w0) ** 3)
+        assert zeros._winding_rect(g, self.SPEC) == 3
+        assert len(calls[0]) == 4 * zeros._INIT_SAMPLES + 1 and len(calls) > 2
+        samples = calls[0]
+        steps = np.angle((samples[1:] - w0) ** 3 / (samples[:-1] - w0) ** 3)
+        unresolved = np.abs(steps) >= math.pi / 2
+        mids = (samples[:-1] + samples[1:]) / 2
+        assert sorted(calls[1].tolist(), key=lambda w: (w.real, w.imag)) == sorted(
+            mids[unresolved].tolist(), key=lambda w: (w.real, w.imag)
+        )
+        later = np.concatenate(calls[1:])
+        assert np.all(later.real == 1.0)  # no resolved segment is halved
+        # each point once, but the first corner, which also closes the contour
+        assert len(set(np.concatenate(calls).tolist())) == sum(map(len, calls)) - 1
+
+    def test_resolved_contour_is_one_call(self):
+        g, calls = self.recording(lambda w: w - 0.1j)
+        assert zeros._winding_rect(g, self.SPEC) == 1
+        assert len(calls) == 1
 
 
 def _near_zero_line(y: float, margin: float = 0.4) -> bool:
