@@ -10,6 +10,7 @@ an import cycle.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -237,36 +238,55 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
     """A(1..limit) as a read-only array (index n holds A(n); index 0 unused).
 
     Built by touching each n once per prime with its exact exponent class,
-    so zero coefficients need no special casing.  At most 32 tables are
-    cached, the oldest evicted first; one lock guards lookup, insert and
-    eviction, so concurrent calls are safe (threads that miss on the same
-    key may each build it).
+    so zero coefficients need no special casing.  A prime P > sqrt(build
+    limit) divides each n at most once and no n has two of them, so those
+    primes go last, one `out[k P] *= A(P)` over all of them per multiplier
+    k: every n still takes its factors in ascending prime order, one
+    multiplication per prime, so a real table has the bits of a per-prime
+    loop (a complex one may differ in last bits: numpy rounds a complex
+    product differently in its vector loop and its remainder).  A miss
+    builds the table through the next power of two at or past `limit`, so
+    nearby larger limits hit.
+    At most 32 tables are cached, the oldest evicted first; one lock guards
+    lookup, insert and eviction, so concurrent calls are safe (threads that
+    miss on the same key may each build it).
     """
-    key = (rules, limit)
     with _COEFF_ARRAY_LOCK:
         for (crules, climit), arr in _COEFF_ARRAY_CACHE.items():
             if crules == rules and climit >= limit:
                 return arr[: limit + 1]
+    build = 1 << max(limit - 1, 1).bit_length()  # the least power of two >= limit, at least 2
     is_real = all(rule.is_real for rule in rules)
     dtype = np.float64 if is_real else np.complex128
-    out = np.ones(limit + 1, dtype=dtype)
+    out = np.ones(build + 1, dtype=dtype)
     out[0] = 0.0
-    primes = sieve_primes(max(limit, 2)).primes
-    primes = primes[primes <= limit]
-    for p in primes.tolist():
+    primes = sieve_primes(build).primes
+    root = math.isqrt(build)
+    for p in primes[primes <= root].tolist():
         q = p
         nu = 1
-        while q <= limit:
+        while q <= build:
             coeff = prime_power_coefficient(rules, p, nu)
             coeff = coeff.real if is_real else coeff
-            idx = np.arange(q, limit + 1, q)
-            exact = idx[(idx % (q * p)) != 0] if q * p <= limit else idx
+            idx = np.arange(q, build + 1, q)
+            exact = idx[(idx % (q * p)) != 0] if q * p <= build else idx
             out[exact] *= coeff
             q *= p
             nu += 1
+    large = primes[primes > root]
+    # A(P) from `_prime_power_coefficient`, once per distinct (alpha_l(P))_l
+    alphas = np.stack([rule.at_array(large) for rule in rules], axis=1)
+    keys = alphas.view(np.dtype((np.void, alphas.itemsize * len(rules))))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = [_prime_power_coefficient(tuple(row), 1) for row in alphas[first].tolist()]
+    coeffs = np.array(distinct)[inverse.reshape(-1)]
+    coeffs = coeffs.real if is_real else coeffs
+    for k in range(1, build // (root + 1) + 1):
+        count = int(np.searchsorted(large, build // k, side="right"))
+        out[k * large[:count]] *= coeffs[:count]
     out.setflags(write=False)
     with _COEFF_ARRAY_LOCK:
-        _COEFF_ARRAY_CACHE[key] = out
+        _COEFF_ARRAY_CACHE[(rules, build)] = out
         if len(_COEFF_ARRAY_CACHE) > 32:
             _COEFF_ARRAY_CACHE.pop(next(iter(_COEFF_ARRAY_CACHE)))
-    return out
+    return out[: limit + 1]

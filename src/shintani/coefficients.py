@@ -10,18 +10,23 @@ support) that unlocks sharper certified tails.
 Each family is one subclass of CoefficientSpec, registered in FAMILIES under
 its name.  The base class answers every query for a dense family with a
 polynomial envelope; a family overrides only what differs.
+
+Multiplicative coefficients have exact envelopes, formed as a product of
+local maxima over a finite set of primes (`_rules_envelope`), at a ladder
+of growth exponents; a tail takes the least bound over the ladder's rungs
+(`envelope_ladder`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
-from .arithmetic import AlphaRule, coefficient_array
+from .arithmetic import AlphaRule, coefficient_array, sieve_primes
 from .errors import ConfigError
 
 NONNEGATIVE = "nonnegative"
@@ -31,7 +36,10 @@ COMPLEX = "complex"
 
 FAMILIES: dict[str, type] = {}  # family name -> its CoefficientSpec subclass
 
-_ENVELOPE_SCAN_LIMIT = 10**6
+# the growth exponents above a multiplicative family's own `growth` at
+# which its exact envelope is also formed; each tail takes the least bound
+_RUNGS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5)
+_RUNG_PRIME_LIMIT = 1 << 16  # a rung that needs primes past this is dropped
 _LATTICE_MAX = int(np.iinfo(np.int64).max)  # lattice points are int64 rows
 _SIGN_SCAN_LIMIT = 4096
 
@@ -103,8 +111,9 @@ class CoefficientSpec:
     nonnegative / nonpositive / mixed / complex); the other queries below
     have defaults.  The structural invariants ``support_degree``,
     ``envelope_triple``, ``log_weight`` and ``poisson_decomposition`` are
-    computed once, at construction; they are not dataclass fields, so
-    equality and the config schema see only family, params and envelope.
+    computed once, at construction, and ``envelope_ladder`` once, on first
+    use; they are not dataclass fields, so equality and the config schema
+    see only family, params and envelope.
     Together the triple (B, eps, g) and the log weight bound every value:
     |theta(n)| <= B (t + 1)^eps g^t (offset + log(t + 1))^power, t = |n|.
     """
@@ -184,6 +193,13 @@ class CoefficientSpec:
         log(sum_j lam_qj (n_j + u_j)) with exactly one ``log_factor`` and no
         log factor in ``rest``; None otherwise (none, or two or more)."""
         return None
+
+    @cached_property
+    def envelope_ladder(self) -> tuple["CoefficientSpec", ...]:
+        """This spec first, then the same theta under other proven envelopes
+        (the multiplicative family's exponent rungs, and products holding
+        it); each tail route takes its least bound over them."""
+        return (self,)
 
     def prewarm(self, max_coord: int) -> None:
         """Build any table ``values`` needs for coordinates up to max_coord."""
@@ -304,7 +320,13 @@ class CoefficientSpec:
         envelope: Optional[Envelope] = None,
     ) -> "CoefficientSpec":
         """theta(n) = prod_j A_j(n_j + 1), each A_j the multiplicative
-        coefficient of an Euler factor list attached to coordinate j."""
+        coefficient of an Euler factor list attached to coordinate j.
+
+        ``growth`` is the lowest exponent rung of the envelope ladder
+        (`_envelope_rungs`); the default envelope is the exact one at the
+        lowest rung kept, B = prod_j `_rules_envelope` over the coordinates
+        with two or more rules and eps = rung times their count (a one-rule
+        coordinate has |A_j| <= 1)."""
         norm = tuple(tuple(rules) for rules in coords)
         if not norm or any(not rules for rules in norm):
             raise ConfigError("multiplicative_product needs rules for every coordinate")
@@ -312,8 +334,9 @@ class CoefficientSpec:
             for rule in rules:
                 if rule.max_abs() > 1.0 + 1e-12:
                     raise ConfigError("multiplicative coefficients need |alpha(p)| <= 1")
-        env = envelope or _multiplicative_envelope(norm, growth)
-        return _MultiplicativeProduct._of({"coords": norm, "growth": float(growth)}, env)
+        growth = float(growth)
+        env = envelope or _multiplicative_envelope(norm, _envelope_rungs(norm, growth)[0])
+        return _MultiplicativeProduct._of({"coords": norm, "growth": growth}, env)
 
     @staticmethod
     def poisson_powers(
@@ -352,24 +375,100 @@ def _log_offsets(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rules_envelope(rules: tuple[AlphaRule, ...], growth: float) -> float:
-    """max |A(n)| / n^growth over 1 <= n <= _ENVELOPE_SCAN_LIMIT for one
-    coordinate's rules: empirical over the scan range; the coefficient lemma
-    guarantees the asymptotic order for any positive growth."""
-    arr = np.abs(coefficient_array(rules, _ENVELOPE_SCAN_LIMIT))
-    n = np.arange(_ENVELOPE_SCAN_LIMIT + 1, dtype=float)
-    n[0] = 1.0
-    return float(np.max(arr / n**growth))
+def _rules_envelope(rules: tuple[AlphaRule, ...], eps: float) -> float:
+    """B = sup over n >= 1 of |A(n)| / n^eps for one coordinate's rules,
+    rounded up; inf where B passes the float range or the primes it needs
+    pass _RUNG_PRIME_LIMIT.
+
+    Proof.  A is multiplicative, so |A(n)|/n^eps is the product over p^nu
+    || n of |A(p^nu)| p^(-nu eps), and the supremum is the product over all
+    p of f_p = max over nu >= 0 of |A(p^nu)| p^(-nu eps) (nu = 0 gives 1,
+    so every f_p >= 1; Hardy and Wright, section 18.1, with exact local
+    maxima).  A(p^nu) = h_nu(alpha_1(p), ..., alpha_k(p)), the complete
+    homogeneous symmetric polynomial, a sum of M_nu = C(nu + k - 1, k - 1)
+    monomials, so |A(p^nu)| <= a^nu M_nu <= (a k)^nu with a = max(1,
+    max |alpha_l|): f_p = 1 for every p >= (a k)^(1/eps).  Below that, the
+    majorant's log nu log a + log M_nu - nu eps log p is concave in nu (its
+    steps log(a (nu + k) / (nu + 1)) - eps log p fall), so once it drops
+    below the running best it stays there, which ends the scan over nu of
+    that prime.
+    Rounding.  h_nu is formed by h^(l)_nu = h^(l-1)_nu + alpha_l
+    h^(l)_(nu-1), which the majorant a^nu M_nu satisfies with every alpha =
+    a, so by induction each step's error stays below 4 u (nu + l) a^nu
+    M^(l)_nu (u = 2^-53: a complex product errs by sqrt(5) u, a sum by u),
+    and |A(p^nu)| <= U_nu = |h_nu| + 2^-50 (nu + k) a^nu M_nu.  Each log
+    (of U_nu >= 2^-50, of p, of the majorant) and nu eps log p errs by a
+    few ulps of a value below 35 + log(a^nu M_nu) + nu eps log p, so by
+    less than slack = 2^-46 (1 + log(a^nu M_nu) + nu eps log p), which
+    grows with nu: each log U_nu - nu eps log p is raised by it, and a
+    prime stops only where its computed majorant is 3 slacks below the
+    raised best (the true majorant then is below a true earlier value, so
+    past its peak, and below the true best).  The raised logs are summed by
+    fsum, the sum raised by 2^-48 of itself, and its exp stepped up past
+    exp's one-ulp error.
+    """
+    k = len(rules)
+    a = max([1.0] + [rule.max_abs() for rule in rules])
+    log_ak = math.log(a * k)
+    if not eps > 0.0 or log_ak / eps > math.log(_RUNG_PRIME_LIMIT):
+        return math.inf
+    primes = sieve_primes(max(int(math.exp(log_ak / eps)) + 1, 2)).primes
+    log_p = np.log(primes.astype(float)) * eps  # eps log p
+    alphas = np.stack([rule.at_array(primes) for rule in rules])
+    h = [np.ones(primes.size, dtype=complex) for _ in range(k)]  # h^(l)_nu, nu = 0
+    best = np.zeros(primes.size)  # log f_p so far, raised by its rounding bound
+    active = np.arange(primes.size)
+    nu = 0
+    while active.size:
+        nu += 1
+        for l in range(k):
+            h[l] = alphas[l] * h[l] + (h[l - 1] if l else 0.0)
+        log_m = math.log(math.comb(nu + k - 1, k - 1)) + nu * math.log(a)
+        step = nu * log_p
+        slack = 2.0**-46 * (1.0 + log_m + step)
+        majorant = math.exp(log_m) if log_m < 709.0 else math.inf
+        upper = np.abs(h[-1]) + 2.0**-50 * (nu + k) * majorant
+        best[active] = np.maximum(best[active], np.log(upper) - step + slack)
+        going = log_m - step + 3.0 * slack >= best[active]
+        active, alphas, h = active[going], alphas[:, going], [x[going] for x in h]
+        log_p = log_p[going]
+    log_b = math.fsum(best.tolist())
+    x = math.nextafter(log_b + 2.0**-48 * (abs(log_b) + 1.0), math.inf)
+    return math.nextafter(math.exp(x), math.inf) if x < 709.0 else math.inf  # nan gives inf
 
 
-def _multiplicative_envelope(coords, growth: float) -> Envelope:
-    if all(len(rules) == 1 for rules in coords):
+def _rung_bound(coords, eps: float) -> float:
+    """The product of the coordinates' `_rules_envelope` at eps, each
+    product rounded up (a one-rule coordinate has |A| <= 1 exactly); inf
+    where a factor is."""
+    factors = [_rules_envelope(rules, eps) for rules in coords if len(rules) > 1] or [1.0]
+    bound = factors[0]
+    for factor in factors[1:]:
+        bound = math.nextafter(bound * factor, math.inf)
+    return bound
+
+
+@lru_cache(maxsize=None)
+def _envelope_rungs(coords, growth: float) -> tuple[float, ...]:
+    """The envelope ladder's exponents with a finite bound, ascending:
+    growth and the _RUNGS above it, walked down from the top and stopped
+    at the first whose `_rung_bound` is inf (B only grows as eps falls)."""
+    rungs: list[float] = []
+    for eps in sorted({growth, *(e for e in _RUNGS if e > growth)}, reverse=True):
+        if math.isinf(_rung_bound(coords, eps)):
+            break
+        rungs.insert(0, eps)
+    if not rungs:
+        raise ConfigError(f"multiplicative_product: no finite envelope at growth {growth} or above")
+    return tuple(rungs)
+
+
+def _multiplicative_envelope(coords, eps: float) -> Envelope:
+    multi = sum(len(rules) > 1 for rules in coords)
+    if not multi:
         # one Euler factor per coordinate: |A(n)| <= 1 exactly
         return Envelope(1.0, 0.0)
-    bound = 1.0
-    for rules in coords:
-        bound *= max(_rules_envelope(tuple(rules), growth), 1.0)
-    return Envelope(bound, growth * len(coords))
+    return Envelope(_rung_bound(coords, eps), eps * multi)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +776,15 @@ class _Product(CoefficientSpec, family="product_of_families"):
     def times(self, factor):
         return CoefficientSpec.product(self.params["factors"] + (factor,))
 
+    @cached_property
+    def envelope_ladder(self):
+        # rung i multiplies each factor's rung i, or its last when it has fewer
+        ladders = [f.envelope_ladder for f in self.params["factors"]]
+        return (self,) + tuple(
+            CoefficientSpec.product([ladder[min(i, len(ladder) - 1)] for ladder in ladders])
+            for i in range(1, max(map(len, ladders)))
+        )
+
 
 class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
     def values(self, points):
@@ -695,15 +803,29 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
             cls = _sign_product(cls, _sign_of_values(arr[1:]))
         return cls
 
+    @cached_property
+    def envelope_ladder(self):
+        coords, growth = self.params["coords"], self.params["growth"]
+        if all(len(rules) == 1 for rules in coords):
+            return (self,)
+        return (self,) + tuple(
+            _MultiplicativeProduct._of(
+                {"coords": coords, "growth": eps}, _multiplicative_envelope(coords, eps)
+            )
+            for eps in _envelope_rungs(coords, growth)[1:]
+        )
+
     def per_coordinate_envelope(self, r):
-        growth = self.params["growth"]
-        out = []
-        for rules in self.params["coords"]:
-            if len(rules) == 1:
-                out.append((1.0, 0.0))
-            else:
-                out.append((max(_rules_envelope(tuple(rules), growth), 1.0), growth))
-        return out
+        return list(self._coordinate_envelopes)
+
+    @cached_property
+    def _coordinate_envelopes(self) -> tuple[tuple[float, float], ...]:
+        coords = self.params["coords"]
+        eps = _envelope_rungs(coords, self.params["growth"])[0]
+        return tuple(
+            (1.0, 0.0) if len(rules) == 1 else (_rules_envelope(rules, eps), eps)
+            for rules in coords
+        )
 
     def validate(self, r):
         if len(self.params["coords"]) != r:

@@ -357,6 +357,18 @@ def _two_pass(formula, *args) -> float:
         return math.inf
 
 
+def _least(values: list):
+    """The least of a formula's values over the rungs of theta's envelope
+    ladder (`CoefficientSpec.envelope_ladder`), compared as floats (each
+    bounds the tail, so the comparison's rounding is harmless), a nan only
+    when all are nan; a single value is returned as it is."""
+    if len(values) == 1:
+        return values[0]
+    keys = [float(x) for x in values]
+    numbers = [k for k in keys if k == k]  # not nan
+    return values[keys.index(min(numbers))] if numbers else values[0]
+
+
 def _tail_route(formula):
     """route(config, sigma, n_shell): `_two_pass` of the route's one formula
     formula(num, config, sigma, n_shell), kept as route.formula."""
@@ -372,33 +384,35 @@ def _poly_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
     Partitions lattice points of total degree > N by their set of zero
     coordinates and maps each class onto disjoint unit cubes; this keeps the
     convergence proof's integral constant while staying a genuine upper bound
-    for every lattice rank.
+    for every lattice rank.  The least over the envelope ladder's rungs.
     """
     sl = config.c @ sigma
     if not _region_holds(config, sl) or (config.lam <= 0.0).any():
         return math.inf
     r = config.r
     s_total = float(sl.sum())
-    bound, growth, _ = config.theta.envelope_triple
-    bound, growth = config.theta.log_weight.absorb(bound, growth, s_total - r - growth)
-    big_g = s_total - growth
-    if big_g <= r:
-        return math.inf
-    if bound == 0.0:
-        return 0.0
     lam_min = float(config.lam.min())
     ru = r * float(config.u.min())
-    k_u = num.pow(ru, -growth) if growth > 0 and ru < 1.0 else 1.0  # max(1, ru^-growth)
-    amp = bound * k_u * num.pow(lam_min, -s_total)
-    total = 0.0
-    for j in range(1, r + 1):  # j = number of free (nonzero) coordinates
-        y = max(0.0, n_shell + 1.0 - j)
-        total += (
-            math.comb(r, r - j)
-            * num.pow(y + ru, j - big_g)
-            / (math.factorial(j - 1) * (big_g - j))
-        )
-    return amp * total
+    out = []
+    for theta in config.theta.envelope_ladder:
+        bound, growth, _ = theta.envelope_triple
+        bound, growth = theta.log_weight.absorb(bound, growth, s_total - r - growth)
+        big_g = s_total - growth
+        if big_g <= r or bound == 0.0:
+            out.append(math.inf if big_g <= r else 0.0)
+            continue
+        k_u = num.pow(ru, -growth) if growth > 0 and ru < 1.0 else 1.0  # max(1, ru^-growth)
+        amp = bound * k_u * num.pow(lam_min, -s_total)
+        total = 0.0
+        for j in range(1, r + 1):  # j = number of free (nonzero) coordinates
+            y = max(0.0, n_shell + 1.0 - j)
+            total += (
+                math.comb(r, r - j)
+                * num.pow(y + ru, j - big_g)
+                / (math.factorial(j - 1) * (big_g - j))
+            )
+        out.append(amp * total)
+    return _least(out)
 
 
 @lru_cache(maxsize=256)
@@ -421,7 +435,7 @@ def _separable_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int
 
     Drops every unmatched (nonnegative) term of each form, leaving an
     independent product over coordinates; the tail then splits by which
-    coordinate exceeds N/r.
+    coordinate exceeds N/r.  The least over the envelope ladder's rungs.
     """
     if config.m != config.r:
         return math.inf
@@ -432,30 +446,36 @@ def _separable_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int
     perm = _best_matching(config.lam.tobytes(), config.m, config.r)
     if perm is None:
         return math.inf
-    env = config.theta.per_coordinate_envelope(r)
-    if env is None:
-        return math.inf
-    full = [0.0] * r  # F_j: full 1-dim sums
-    tails = [0.0] * r  # T_j: 1-dim tails past floor(N/r)
     m_start = n_shell // r
-    for l in range(r):
-        j = perm[l]
-        lam_lj = float(config.lam[l, j])
-        u_j = float(config.u[j])
-        b_j, eps_j = env[j]
-        s_l = float(sl[l])
-        decay = s_l - eps_j
-        if decay <= 1.0:
-            return math.inf
-        k_u = num.pow(u_j, -eps_j) if eps_j > 0 and u_j < 1.0 else 1.0  # max(1, u_j^-eps_j)
-        amp = b_j * k_u * num.pow(lam_lj, -s_l)
-        full[j] = amp * (num.pow(u_j, -decay) + num.pow(u_j, 1.0 - decay) / (decay - 1.0))
-        tails[j] = amp * num.pow(m_start + u_j, 1.0 - decay) / (decay - 1.0)
-    total = 0.0
-    for j in range(r):
-        others = np.prod(np.delete(full, j)) if r > 1 else 1.0
-        total += tails[j] * others
-    return total
+    # (j, lam_lj, u_j, Re<c_l, s>) of each form l and its matched coordinate j
+    matched = [
+        (j, float(config.lam[l, j]), float(config.u[j]), float(sl[l])) for l, j in enumerate(perm)
+    ]
+    out = []
+    for theta in config.theta.envelope_ladder:
+        env = theta.per_coordinate_envelope(r)
+        if env is None:
+            out.append(math.inf)
+            continue
+        full = [0.0] * r  # F_j: full 1-dim sums
+        tails = [0.0] * r  # T_j: 1-dim tails past floor(N/r)
+        for j, lam_lj, u_j, s_l in matched:
+            b_j, eps_j = env[j]
+            decay = s_l - eps_j
+            if decay <= 1.0:
+                out.append(math.inf)
+                break
+            k_u = num.pow(u_j, -eps_j) if eps_j > 0 and u_j < 1.0 else 1.0  # max(1, u_j^-eps_j)
+            amp = b_j * k_u * num.pow(lam_lj, -s_l)
+            full[j] = amp * (num.pow(u_j, -decay) + num.pow(u_j, 1.0 - decay) / (decay - 1.0))
+            tails[j] = amp * num.pow(m_start + u_j, 1.0 - decay) / (decay - 1.0)
+        else:
+            total = 0.0
+            for j in range(r):
+                others = np.prod(np.delete(full, j)) if r > 1 else 1.0
+                total += tails[j] * others
+            out.append(total)
+    return _least(out)
 
 
 @lru_cache(maxsize=256)
@@ -488,7 +508,8 @@ def _nested_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
 
     The map n -> (m_1 >= m_2 >= ... >= m_r) is a bijection, m_1 equals the
     total degree, and dropping the ordering constraint splits the tail into a
-    one-dimensional tail times full one-dimensional sums.
+    one-dimensional tail times full one-dimensional sums.  The least over
+    the envelope ladder's rungs.
     """
     flag = _flag_structure(config.lam.tobytes(), config.m, config.r)
     if flag is None:
@@ -497,26 +518,29 @@ def _nested_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
     if not _region_holds(config, sl):
         return math.inf
     order, mins, chain = flag
-    bound, growth, _ = config.theta.envelope_triple
     s_head = float(sl[order[0]])
-    bound, growth = config.theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
-    if bound == 0.0:
-        return 0.0
-    decay_head = s_head - growth
-    if decay_head <= 1.0:
-        return math.inf
     v = [float(np.sum(config.u[sorted(supp)])) for supp in chain]
-    k_u = num.pow(v[0], -growth) if growth > 0 and v[0] < 1.0 else 1.0  # max(1, v_0^-growth)
-    head = num.pow(n_shell + v[0], 1.0 - decay_head) / (decay_head - 1.0)
-    total = bound * k_u * num.pow(mins[0], -s_head) * head
-    for i in range(1, len(order)):
-        s_l = float(sl[order[i]])
-        if s_l <= 1.0:
-            return math.inf
-        total *= num.pow(mins[i], -s_l) * (
-            num.pow(v[i], -s_l) + num.pow(v[i], 1.0 - s_l) / (s_l - 1.0)
-        )
-    return total
+    out = []
+    for theta in config.theta.envelope_ladder:
+        bound, growth, _ = theta.envelope_triple
+        bound, growth = theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
+        decay_head = s_head - growth
+        if bound == 0.0 or decay_head <= 1.0:
+            out.append(0.0 if bound == 0.0 else math.inf)
+            continue
+        k_u = num.pow(v[0], -growth) if growth > 0 and v[0] < 1.0 else 1.0  # max(1, v_0^-growth)
+        head = num.pow(n_shell + v[0], 1.0 - decay_head) / (decay_head - 1.0)
+        total = bound * k_u * num.pow(mins[0], -s_head) * head
+        for i in range(1, len(order)):
+            s_l = float(sl[order[i]])
+            if s_l <= 1.0:
+                total = math.inf
+                break
+            total *= num.pow(mins[i], -s_l) * (
+                num.pow(v[i], -s_l) + num.pow(v[i], 1.0 - s_l) / (s_l - 1.0)
+            )
+        out.append(total)
+    return _least(out)
 
 
 def _finite_support(
@@ -923,13 +947,19 @@ def _exponents(config: ShintaniConfig, pt: ComplexPoint) -> np.ndarray:
 def _terms(
     config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The forms L_l(n) at the lattice points `pts` and the terms
-    theta(n) prod_l L_l(n)^(-beta_l)."""
+    """The forms L_l(n) and the terms theta(n) prod_l L_l(n)^(-beta_l) at
+    the lattice points `pts` where theta(n) != 0 (every point when theta is
+    1): theta is taken first, and a point where it is 0 adds nothing to a
+    sum, so its forms and powers are never formed."""
+    if config.theta.is_one:
+        forms = pts @ config.lam.T + config.form_offsets
+        return forms, _form_powers(forms, beta, is_real)
+    vals = np.asarray(cf.theta_values(config.theta, pts))
+    nonzero = np.flatnonzero(vals)
+    if nonzero.size < vals.size:
+        pts, vals = pts.take(nonzero, axis=0), vals.take(nonzero)
     forms = pts @ config.lam.T + config.form_offsets
-    terms = _form_powers(forms, beta, is_real)
-    if not config.theta.is_one:
-        terms = np.asarray(cf.theta_values(config.theta, pts)) * terms
-    return forms, terms
+    return forms, vals * _form_powers(forms, beta, is_real)
 
 
 def _sum_terms(config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray]) -> complex:
