@@ -188,11 +188,12 @@ class CoefficientSpec:
         every family but constant and periodic."""
         return None
 
-    def log_split(self) -> Optional[tuple["CoefficientSpec", np.ndarray, np.ndarray, np.ndarray]]:
-        """(rest, coeffs, lam, u) when theta(n) = rest(n) sum_q coeffs_q
-        log(sum_j lam_qj (n_j + u_j)) with exactly one ``log_factor`` and no
-        log factor in ``rest``; None otherwise (none, or two or more)."""
-        return None
+    def log_split(self, lam: np.ndarray, u: np.ndarray) -> Optional[tuple["CoefficientSpec", np.ndarray]]:
+        """(rest, coeffs) when theta(n) = rest(n) prod_i sum_l coeffs[i, l]
+        log L_l(n) over the K >= 0 ``log_factor``s of theta, none left in
+        ``rest``, all on the forms L_l(n) = sum_j lam_lj (n_j + u_j): coeffs
+        is (K, m), m = len(lam).  None when a log factor sits on other forms."""
+        return (self, np.zeros((0, len(lam)))) if not self.log_weight.power else None
 
     @cached_property
     def envelope_ladder(self) -> tuple["CoefficientSpec", ...]:
@@ -325,8 +326,9 @@ class CoefficientSpec:
         ``growth`` is the lowest exponent rung of the envelope ladder
         (`_envelope_rungs`); the default envelope is the exact one at the
         lowest rung kept, B = prod_j `_rules_envelope` over the coordinates
-        with two or more rules and eps = rung times their count (a one-rule
-        coordinate has |A_j| <= 1)."""
+        with two or more rules or a rule past |alpha| = 1, and eps = rung
+        times their count (a coordinate with one rule and |alpha| <= 1 has
+        |A_j| <= 1)."""
         norm = tuple(tuple(rules) for rules in coords)
         if not norm or any(not rules for rules in norm):
             raise ConfigError("multiplicative_product needs rules for every coordinate")
@@ -437,11 +439,18 @@ def _rules_envelope(rules: tuple[AlphaRule, ...], eps: float) -> float:
     return math.nextafter(math.exp(x), math.inf) if x < 709.0 else math.inf  # nan gives inf
 
 
+def _unit_rules(rules) -> bool:
+    """One rule with |alpha(p)| <= 1: then |A(p^k)| = |alpha(p)|^k <= 1, so
+    |A(n)| <= 1 exactly.  A rule past 1 (the constructors accept 1 + 1e-12)
+    grows without bound along p^k and takes `_rules_envelope`."""
+    return len(rules) == 1 and rules[0].max_abs() <= 1.0
+
+
 def _rung_bound(coords, eps: float) -> float:
     """The product of the coordinates' `_rules_envelope` at eps, each
-    product rounded up (a one-rule coordinate has |A| <= 1 exactly); inf
-    where a factor is."""
-    factors = [_rules_envelope(rules, eps) for rules in coords if len(rules) > 1] or [1.0]
+    product rounded up (a `_unit_rules` coordinate has |A| <= 1 exactly);
+    inf where a factor is."""
+    factors = [_rules_envelope(rules, eps) for rules in coords if not _unit_rules(rules)] or [1.0]
     bound = factors[0]
     for factor in factors[1:]:
         bound = math.nextafter(bound * factor, math.inf)
@@ -464,9 +473,9 @@ def _envelope_rungs(coords, growth: float) -> tuple[float, ...]:
 
 
 def _multiplicative_envelope(coords, eps: float) -> Envelope:
-    multi = sum(len(rules) > 1 for rules in coords)
+    multi = sum(not _unit_rules(rules) for rules in coords)
     if not multi:
-        # one Euler factor per coordinate: |A(n)| <= 1 exactly
+        # one Euler factor with |alpha| <= 1 per coordinate: |A(n)| <= 1 exactly
         return Envelope(1.0, 0.0)
     return Envelope(_rung_bound(coords, eps), eps * multi)
 
@@ -636,9 +645,10 @@ class _LogFactor(CoefficientSpec, family="log_factor"):
         forms = points @ lam.T + (lam @ u)
         return np.log(forms) @ coeffs
 
-    def log_split(self):
-        lam, u, coeffs = self._arrays()
-        return CoefficientSpec.constant(1.0), coeffs, lam, u
+    def log_split(self, lam, u):
+        own_lam, own_u, coeffs = self._arrays()
+        on_forms = np.array_equal(own_lam, lam) and np.array_equal(own_u, u)
+        return (CoefficientSpec.constant(1.0), coeffs[None, :]) if on_forms else None
 
     def sign_class(self):
         lam, u, coeffs = self._arrays()
@@ -761,17 +771,16 @@ class _Product(CoefficientSpec, family="product_of_families"):
         for factor in self.params["factors"]:
             factor.prewarm(max_coord)
 
-    def log_split(self):
-        fs = self.params["factors"]
-        logs = [i for i, f in enumerate(fs) if f.log_weight.power]
-        split = fs[logs[0]].log_split() if len(logs) == 1 else None
-        if split is None:
+    def log_split(self, lam, u):
+        if not self.log_weight.power:
+            return super().log_split(lam, u)
+        splits = [f.log_split(lam, u) for f in self.params["factors"]]
+        if None in splits:
             return None
-        inner, coeffs, lam, u = split
-        rest = tuple(f for f in fs[: logs[0]] + (inner,) + fs[logs[0] + 1 :] if not f.is_one)
-        if len(rest) > 1:
-            return CoefficientSpec.product(rest), coeffs, lam, u
-        return (rest[0] if rest else inner), coeffs, lam, u
+        rest = [f for f, _ in splits if not f.is_one]
+        if len(rest) != 1:
+            rest = [CoefficientSpec.product(rest) if rest else CoefficientSpec.constant(1.0)]
+        return rest[0], np.concatenate([coeffs for _, coeffs in splits])
 
     def times(self, factor):
         return CoefficientSpec.product(self.params["factors"] + (factor,))
@@ -806,7 +815,7 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
     @cached_property
     def envelope_ladder(self):
         coords, growth = self.params["coords"], self.params["growth"]
-        if all(len(rules) == 1 for rules in coords):
+        if all(map(_unit_rules, coords)):
             return (self,)
         return (self,) + tuple(
             _MultiplicativeProduct._of(
@@ -823,7 +832,7 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
         coords = self.params["coords"]
         eps = _envelope_rungs(coords, self.params["growth"])[0]
         return tuple(
-            (1.0, 0.0) if len(rules) == 1 else (_rules_envelope(rules, eps), eps)
+            (1.0, 0.0) if _unit_rules(rules) else (_rules_envelope(rules, eps), eps)
             for rules in coords
         )
 

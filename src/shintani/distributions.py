@@ -54,9 +54,10 @@ _CF_EVEN_EPS = 8
 class ZetaDistribution:
     """Enumerated atom table with a certified unenumerated-mass bound.
 
-    `atom_cf` reads the table's config, sigma, shells and normalizer, not
-    its atoms: a table whose atoms were edited (`dataclasses.replace`) needs
-    `atom_cf_grid` or an explicit sum over its atoms."""
+    `atom_cf` and `moment` read the table's config, sigma, shells and
+    normalizer, not its atoms: a table whose atoms were edited
+    (`dataclasses.replace`) needs `atom_cf_grid` or an explicit sum over
+    its atoms."""
 
     config: ShintaniConfig
     sigma: np.ndarray
@@ -507,43 +508,36 @@ def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
 
 
 def moment(dist: ZetaDistribution, k, cap: int = 8) -> MomentValue:
-    """Mixed moment E[prod_j X_j^(k_j)] over the atom table plus a certified
-    bound for the unenumerated part.
+    """Mixed moment E[prod_j X_j^(k_j)] of the atom table, as a partial sum
+    of the series, plus a certified bound for the unenumerated part.
 
-    The moment is d^k Z(sigma) / Z(sigma) with Z the normalizing series, and
     X_j = -sum_l c_lj log L_l(n) at atom n is exactly the log factor that
-    each `differentiate(config, j)` multiplies theta by.  So the bound is the
-    certified tail of the series differentiated k_j times along each axis j,
-    past the table's last shell, over |Z|.
-
-    The value stays a (binned) sum over the atoms.  As a partial sum it
-    would be `evaluate_partial` of the differentiated config.  At order 1
-    that could now be a line partial sum (one log factor on a line config),
-    but at order >= 2 the two or more log factors go by the block route,
-    which enumerates every atom again; so every order keeps the one table
-    sum."""
+    each `differentiate(config, j)` multiplies theta by, so the table's
+    moment is Z_N^(k)(sigma) / Z_N: `evaluate_partial` of the config
+    differentiated k_j times along each axis j, through the table's last
+    shell N = `shells_used`, over Z_N = `normalizer`.  It reads `config`,
+    `sigma`, `shells_used` and `normalizer`, never the atoms, as `atom_cf`
+    does, and takes the route `evaluate` takes: one Euler–Maclaurin line
+    sum over K = |k| log factors where the config has a line coordinate,
+    a walk of the lattice through shell N otherwise.  The bound is that
+    partial sum's: the certified tail of the differentiated series past
+    shell N (plus the line sums' remainder, at most 2^-60 of it), over
+    |Z_N|.  Rounding is uncertified, as in `evaluate`."""
     k = tuple(k) if np.ndim(k) else (k,)
     if len(k) != dist.d:
         raise ConfigError(f"moment multi-index must be {dist.d} nonnegative integers, got {k!r}")
     for x in k:
         _require_shell(x, "moment multi-index entry")
     k = tuple(map(int, k))
-    order = sum(k)
-    if order > cap:
-        raise ConfigError(f"moment order {order} exceeds cap {cap}")
-    powers = np.ones(dist.atom_count)
-    for j, kj in enumerate(k):
-        if kj:
-            powers *= dist.locations[:, j] ** kj
-    value = exact_real_sum(powers * dist.masses)
-    if order == 0:
-        return MomentValue(value=value, tail_bound=dist.tail_mass_bound)
+    if sum(k) > cap:
+        raise ConfigError(f"moment order {sum(k)} exceeds cap {cap}")
     config = dist.config
     for axis, kj in enumerate(k, start=1):
         for _ in range(kj):
             config = differentiate(config, axis)
-    raw = _tail_bound(config, dist.sigma, dist.shells_used)
-    return MomentValue(value=value, tail_bound=raw / abs(dist.normalizer.value.real))
+    part = evaluate_partial(config, dist.sigma, dist.shells_used)
+    z = dist.normalizer.value.real
+    return MomentValue(value=part.value.real / z, tail_bound=part.tail_bound / abs(z))
 
 
 def _phases(points: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -46,18 +46,17 @@ in `_Wide`.  Every other value keeps the bits it is formed with.
 
 The shell choice and its tail bound are the same for every config; only
 the partial sum through the chosen shell is computed two ways.  With
-constant or periodic theta and a line coordinate j (every form that
-contains n_j is the same multiple of one form: always for r = 1, column 0
-of euler_zagier, any column of barnes), it is a sum of Euler–Maclaurin
-line sums (Johansson 2015), one per rest point of the other r - 1
-coordinates and residue class of n_j, all computed in one array kernel.
-The same holds for such a theta times one log_factor on the config's own
-forms (a first derivative from `differentiate`): along a line the log
-factor is a + g log(k + v), so each line sums (w + g log x) x^(-b).
-Their certified remainder, at most 2^-60 times the tail bound, is added to
-the reported bound.  Every other config, including two or more log
-factors (second derivatives), enumerates the lattice in blocks.  Rounding
-error is uncertified on both routes.
+constant or periodic theta, times any number K of log_factors on the
+config's own forms (the K-th derivatives `differentiate` builds), and a
+line coordinate j (every form that contains n_j is the same multiple of
+one form: always for r = 1, column 0 of euler_zagier, any column of
+barnes), it is a sum of Euler–Maclaurin line sums (Johansson 2015), one
+per rest point of the other r - 1 coordinates and residue class of n_j,
+all computed in one array kernel.  Along a line each log factor is
+a + g log(k + v), so each line sums P(log x) x^(-b) with P a polynomial
+of degree K.  Their certified remainder, at most 2^-60 times the tail
+bound, is added to the reported bound.  Every other config enumerates the
+lattice in blocks.  Rounding error is uncertified on both routes.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -827,7 +827,11 @@ def _last_degree(r: int, count: int, lo: int, top: int) -> int:
     """The largest degree h in [lo, top] with lattice_count(r, h) <= count,
     given that lo has it (degree -1, with no points, always does).
 
-    Gallops up from lo by doubling steps, then bisects the last step."""
+    Gallops up from lo by doubling steps, then bisects the last step; top
+    itself when it has it (rank 0, the rest point of a rank-1 line, has one
+    point at every degree)."""
+    if lattice_count(r, top) <= count:
+        return top
     step, hi = 1, lo
     while lo < top:
         hi = min(lo + step, top)
@@ -1000,130 +1004,167 @@ _EM_ORDER_TERMS = tuple(  # (M, 2M, log (2 pi)^(2M)) for the Bernoulli orders M 
     (m, 2.0 * m, 2.0 * m * math.log(2.0 * math.pi)) for m in range(1, len(_EM_COEFFS) + 1))
 
 
-def _expm1_ratio(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1) / z elementwise, accurate near z = 0 (exactly 1 there)."""
+def _horner(coeffs: list, y):
+    """sum_i coeffs[i] y^i (y unused for one coefficient)."""
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * y + c
+    return out
+
+
+def _derivatives(cols: list, y) -> list:
+    """P^(a)(y) for a = 0..degree, where P(y) = sum_i cols[i] y^i."""
+    return [_horner(cols, y)] + [_horner([col * math.perm(i, a) for i, col in enumerate(cols[a:], a)], y)
+                                 for a in range(1, len(cols))]
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_series(j: int) -> tuple[float, ...]:
+    """1 / (k! (j + k + 1)), k = 0..18: the Taylor coefficients of E_j."""
+    return tuple(1 / (math.factorial(k) * (j + k + 1)) for k in range(19))
+
+
+def _exp_moments(z: np.ndarray, degree: int) -> list[np.ndarray]:
+    """E_j(z) = int_0^1 t^j e^(z t) dt elementwise, for j = 0..degree.
+
+    E_0 = (e^z - 1)/z from expm1, exactly 1 at z = 0.  For j >= 1, where
+    |z| <= 1 the Taylor series sum_k z^k / (k! (j + k + 1)), whose terms
+    past k = 18 are below 2^-56 of the first; beyond, integration by parts,
+    E_j = (e^z - j E_(j-1)) / z, which passes an error in E_(j-1) on times
+    j/|z| < j (not at all at degree 1)."""
     if np.iscomplexobj(z):
         x, y = z.real, z.imag
         num = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * (np.exp(x) * np.sin(y))
     else:
         num = np.expm1(z)
-    out = np.ones_like(num)
-    np.divide(num, z, out=out, where=z != 0)
-    return out
+    moments = [np.ones_like(num)]
+    np.divide(num, z, out=moments[0], where=z != 0)
+    for j in range(1, degree + 1):
+        small = np.abs(z) <= 1.0
+        near, far = np.where(small, z, 0.0), np.where(small, 2.0, z)
+        series = _horner(_exp_series(j), near)
+        moments.append(np.where(small, series, (np.exp(far) - j * moments[-1]) / far))
+    return moments
 
 
-# (k + 1) / (k + 2)!, k = 0..18: the Taylor coefficients of `_expm1_ratio2`
-_RATIO2_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in range(19))
-
-
-def _expm1_ratio2(z: np.ndarray) -> np.ndarray:
-    """int_0^1 t e^(z t) dt = ((z - 1) e^z + 1) / z^2 elementwise.
-
-    For |z| <= 1 its Taylor series sum_k (k + 1) z^k / (k + 2)!, whose
-    terms past k = 18 are below 2^-56 of the first; beyond, the closed form
-    (e^z - (e^z - 1)/z) / z, whose two parts cancel by at most a factor of
-    about 3 there."""
-    small = np.abs(z) <= 1.0
-    near = np.where(small, z, 0.0)
-    series = _RATIO2_SERIES[-1]
-    for c in reversed(_RATIO2_SERIES[:-1]):
-        series = series * near + c
-    far = np.where(small, 2.0, z)
-    return np.where(small, series, (np.exp(far) - _expm1_ratio(far)) / far)
-
-
-def _em_remainder_constants(b: complex) -> Iterator[tuple[int, float, float, float, float]]:
-    """(M, log C_M, p_M, a_M, a0_M) for each order M that `_em_remainder_bounds`
+def _em_remainder_constants(b: complex, degree: int) -> Iterator[tuple[int, float, float, list]]:
+    """(M, log C_M, p_M, alphas_M) for each order M that `_em_remainder_bounds`
     keeps, those with p_M = Re b + 2M - 1 > 0, in increasing M, such that its
-    bound for the line (w + g log x) x^(-b) from X on (X >= 1 when g != 0) is
-        C_M X^(-p_M) (a_M (|w| + |g| log X) + a0_M |g|).
-    Where (b)_2M != 0: C_M = 4 |(b)_2M| (2 pi)^(-2M) / p_M, a_M = 1 and
-    a0_M = 1/p_M + |(b)_2M' / (b)_2M|.  Where a factor b + i0 (i0 < 2M) is
-    exactly 0: a_M = 0, a0_M = 1 and C_M = 4 |(b)_2M'| (2 pi)^(-2M) / p_M,
-    with (b)_2M' = prod_{i != i0} (b + i), so the bound is 0 when g = 0.
-    Formed one order at a time in logarithms, so large rising factorials
-    cannot overflow."""
+    bound for a line P(log x) x^(-b) of degree <= `degree` from X >= 1 on is
+        C_M X^(-p_M) sum_c alphas_M[c] Pbar^(c)(log X),
+    Pbar the polynomial of the |coefficients| of P.  With
+    (b + eps)_2M = sum_a r_a eps^a and r_a0 its first nonzero coefficient
+    (a0 = 1 where a factor b + i, i < 2M, is exactly 0, else a0 = 0):
+    C_M = 4 |r_a0| (2 pi)^(-2M) / p_M and alphas_M[c] = sum_{a<=c}
+    |r_a / r_a0| p_M^(a-c), so alphas_M = (1,) at degree 0 and (0, 1, ...)
+    past a zero factor.  log |r_a0| is a sum of logs, one factor at a time,
+    and r_a / r_a0 are the coefficients of prod_i (1 + eps/(b + i)) over the
+    nonzero factors, times eps for the zero one, so no rising factorial
+    overflows; an order whose ratios do (b + i within about 1e-38 of 0) is
+    skipped."""
     re_b, bb = b.real, (b.real if b.imag == 0.0 else b)
-    log_rising, ratio, past_zero = 0.0, 0.0, False  # log |(b)_2M|, (b)_2M' / (b)_2M
+    log_rising, ratio = 0.0, [1.0] + [0.0] * degree  # log |r_a0|, r_a / r_a0
     for order, two_m, log_2pi_2m in _EM_ORDER_TERMS:
         f0, f1 = bb + (two_m - 2.0), bb + (two_m - 1.0)
         if f0 and f1:
             log_rising = log_rising + math.log(abs(f0)) + math.log(abs(f1))
-            ratio = ratio + 1.0 / f0 + 1.0 / f1
-        else:  # the one zero factor: from here on log |(b)_2M'| and a = 0
-            log_rising, past_zero = log_rising + math.log(abs(f0 or f1)), True
+        else:  # the one zero factor: times eps
+            log_rising, ratio = log_rising + math.log(abs(f0 or f1)), [0.0] + ratio[:-1]
+        if degree:  # times (1 + eps/f0)(1 + eps/f1) = 1 + lin eps + quad eps^2, zero factors left out
+            lin, quad = (1 / f0 + 1 / f1, 1 / (f0 * f1)) if f0 and f1 else (1 / (f0 or f1), 0.0)
+            for a in range(degree, 0, -1):
+                ratio[a] = ratio[a] + ratio[a - 1] * lin + (ratio[a - 2] * quad if a > 1 else 0.0)
         decay = re_b + two_m - 1.0
         if decay > 0.0:
-            log_c = _LOG_4 + log_rising - log_2pi_2m - math.log(decay)
-            a, a0 = (0.0, 1.0) if past_zero else (1.0, 1.0 / decay + abs(ratio))
-            yield order, log_c, decay, a, a0
+            alphas = [abs(ratio[0])]
+            for r in ratio[1:]:
+                alphas.append(alphas[-1] / decay + abs(r))
+            if math.isfinite(alphas[-1]):  # an inf or nan reaches every later alpha
+                yield order, _LOG_4 + log_rising - log_2pi_2m - math.log(decay), decay, alphas
 
 
-def _em_log_bound(log_c, decay, a, a0, w_abs, g_abs, log_x):
-    """C X^(-p) (a (|w| + |g| log X) + a0 |g|) from `_em_remainder_constants`,
-    at log X = log_x (broadcasting)."""
-    return np.exp(log_c - decay * log_x) * (a * (w_abs + g_abs * log_x) + a0 * g_abs)
+def _derivative_rows(pbar: list) -> list:
+    """Row i holds (i + c)!/i! pbar[i + c] for c = 0..degree - i: the
+    coefficients of y^i in Pbar^(c), Pbar(y) = sum_i pbar[i] y^i."""
+    return [[p * k if (k := math.perm(i + c, c)) > 1 else p for c, p in enumerate(pbar[i:])]
+            for i in range(len(pbar))]
 
 
-def _em_remainder_bounds(
-    b: complex, v: float, h: int, w: complex = 1.0, g: complex = 0.0
-) -> list[tuple[int, float]]:
+def _bound_poly(alphas: list, rows: list) -> list:
+    """The coefficients of S(y) = sum_c alphas[c] Pbar^(c)(y) from Pbar's
+    `_derivative_rows`: s_i = sum_c alphas[c] (i + c)!/i! pbar[i + c]."""
+    return [functools.reduce(operator.add, map(operator.mul, alphas, row)) for row in rows]
+
+
+def _em_remainder_bounds(b: complex, v: float, h: int, *poly: complex) -> list[tuple[int, float]]:
     """(M, bound) for the orders M = 1..20 with p = Re b + 2M - 1 > 0: the
-    Euler–Maclaurin remainder of sum_{k=h}^{K} (w + g log(k+v)) (k+v)^(-b)
-    with M Bernoulli terms, for every K >= h, where h + v >= 1 when g != 0.
+    Euler–Maclaurin remainder of sum_{k=h}^{K} P(log(k+v)) (k+v)^(-b) with
+    M Bernoulli terms, P(y) = sum_i poly[i] y^i (P = 1 when `poly` is
+    empty), for every K >= h, where h + v >= 1.
 
     Proof (Johansson, "Rigorous high-precision computation of the Hurwitz
     zeta function and its derivatives", Numer. Algorithms 2015, Theorem 1,
-    with f(x) = (w + g log x) x^(-b) and x = k + v > 0).  Summation by parts
+    with f(x) = P(log x) x^(-b) and x = k + v > 0).  Summation by parts
     against the periodic Bernoulli function B~_2M leaves the remainder
         R = -int_X^(K+v) B~_2M(x - v) / (2M)! f^(2M)(x) dx,  X = h + v.
     For even order, |B~_2M(x)| <= |B_2M| = 2 (2M)! zeta(2M) / (2 pi)^(2M),
     and zeta(2M) <= zeta(2) < 2, so |B~_2M| / (2M)! < 4 (2 pi)^(-2M).
-    With the rising factorial (b)_n = b (b+1) ... (b+n-1) and its
-    b-derivative (b)_n', d^n/dx^n x^(-b) = (-1)^n (b)_n x^(-b-n), and
-    log x x^(-b) = -d/db x^(-b), so
-        f^(n)(x) = (-1)^n x^(-b-n) ((b)_n (w + g log x) - g (b)_n'),
-    and |x^(-b-n)| = x^(-Re b-n) because x > 0.  The integral over
-    [X, K+v] is at most the one over [X, inf).  There |w + g log x| <=
-    |w| + |g| log x (x >= 1 when g != 0), and for p > 0
-    int_X^inf x^(-p-1) dx = X^(-p)/p, int_X^inf log x x^(-p-1) dx =
-    X^(-p) (log X + 1/p)/p, so
-        |R| <= 4 (2 pi)^(-2M) X^(-p) (|(b)_2M| (|w| + |g| (log X + 1/p))
-               + |g| |(b)_2M'|) / p,
-    which is the form of `_em_remainder_constants`, with
-    |(b)_2M'| = |(b)_2M| |sum_{i<2M} 1/(b+i)| where (b)_2M != 0.  Where
-    (b)_2M = 0 (b a non-positive integer) only the |g| |(b)_2M'| term is
-    left: the log part is no polynomial, while at g = 0 f is a polynomial of
-    degree below 2M, and the bound 0 is the exact remainder.  The bound
-    falls as X grows (the derivative of X^(-p) (alpha + beta log X) has the
-    sign of beta - p (alpha + beta log X), and p alpha >= |(b)_2M| |g| =
-    beta), so a line that starts past X keeps the bound at X.
+    Since (log x)^i x^(-b) = (-d/db)^i x^(-b), f = P(-d/db) x^(-b), and
+    d^n/dx^n x^(-b) = (-1)^n (b)_n x^(-b-n) with the rising factorial
+    (b)_n = b (b+1) ... (b+n-1).  With r_(n,a) = [eps^a] (b + eps)_n,
+    (b + eps)_n x^(-b-eps) = sum_(a,l) r_(n,a) eps^a (-log x)^l eps^l / l!,
+    and the coefficient of eps^i, times (-1)^i i!, is d^i/db^i, so
+        f^(n)(x) = (-1)^n x^(-b-n) sum_(a<=deg P) (-1)^a r_(n,a) P^(a)(log x),
+    and |x^(-b-n)| = x^(-Re b-n) because x > 0.  The integral over [X, K+v]
+    is at most the one over [X, inf), where |P^(a)(log x)| <=
+    Pbar^(a)(log x) (log x >= 0), Pbar the polynomial of the |coefficients|
+    of P.  With p > 0 and y = log x, int_X^inf x^(-p-1) Q(log x) dx =
+    int_(log X)^inf e^(-p y) Q(y) dy = X^(-p) sum_(m>=0) Q^(m)(log X) / p^(m+1)
+    for any polynomial Q (integrate by parts), so
+        |R| <= 4 (2 pi)^(-2M) X^(-p) sum_c Pbar^(c)(log X)
+               sum_(a<=c) |r_(2M,a)| p^(a-c-1),
+    which is the form of `_em_remainder_constants`.  At degree <= 1 it is
+    C_M X^(-p) (a_M (|w| + |g| log X) + a0_M |g|) for P = w + g y, with
+    a_M = 1 and a0_M = 1/p + |(b)_2M' / (b)_2M| where (b)_2M != 0.  Where
+    (b)_2M = 0 (b a non-positive integer) the degree-0 term is 0: at degree
+    0 f is a polynomial of degree below 2M and 0 is the exact remainder.
+    The bound is an integral from X on of a nonnegative function, so it
+    falls as X grows, and a line that starts past X keeps the bound at X.
     """
-    log_x, consts = math.log(h + v), _em_remainder_constants(complex(b))
-    return [(c[0], float(_em_log_bound(*c[1:], abs(w), abs(g), log_x))) for c in consts]
-
+    log_x, rows = math.log(h + v), _derivative_rows([abs(complex(c)) for c in poly or (1.0,)])
+    return [(order, math.exp(log_c - decay * log_x) * _horner(_bound_poly(alphas, rows), log_x))
+            for order, log_c, decay, alphas in _em_remainder_constants(complex(b), max(len(poly) - 1, 0))]
 
 def _line_powers(x: np.ndarray, b: complex) -> np.ndarray:
     return _form_powers(x.reshape(-1, 1), np.array([b]), b.imag == 0.0)
 
 
 def _em_sum(
-    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray,
-    h: np.ndarray, order: int, logs: Optional[np.ndarray] = None,
+    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray, h: np.ndarray, order: int
 ) -> complex:
-    """sum_i sum_{k=0}^{k_max_i} (weights_i + logs_i log(k+v_i)) (k+v_i)^(-b)
-    (logs None: 0) without remainders: line i sums its terms k < h_i
-    directly (all heads in one flat array) and the rest by Euler–Maclaurin
-    over [h_i, k_max_i] (the integral, the two endpoint halves and `order`
+    """sum_i sum_{k=0}^{k_max_i} P_i(log(k+v_i)) (k+v_i)^(-b) without
+    remainders, where P_i(y) = sum_a weights[i, a] y^a (a 1-d `weights`
+    holds degree-0 lines): line i sums its terms k < h_i directly (all heads
+    in one flat array, P_i by Horner) and the rest by Euler–Maclaurin over
+    [h_i, k_max_i] (the integral, the two endpoint halves and `order`
     Bernoulli terms), all lines at once.
 
-    With x0 = h_i + v_i, x1 = k_max_i + v_i, z = 1 - b and L = log(x1/x0),
-    int_x0^x1 x^(-b) dx = x0^(1-b) L E1(z L) and int_x0^x1 log x x^(-b) dx
-    = x0^(1-b) L (log x0 E1(z L) + L E2(z L)) (substitute x = x0 e^(L t)),
-    with E1 = `_expm1_ratio` and E2 = `_expm1_ratio2`.  The Bernoulli terms
-    use -f^(2j-1)(x) = x^(-b-2j+1) ((b)_(2j-1) (w + g log x) - g (b)_(2j-1)')
-    (see `_em_remainder_bounds`), with (b)_n' formed by the product rule in
-    the loop that forms (b)_n."""
+    With x0 = h_i + v_i, x1 = k_max_i + v_i, y0 = log x0, z = 1 - b and
+    L = log(x1/x0), each part is linear in P, and the line's sum is
+    sum_c P^(c)(y0) D_c with D_c free of P:
+    - the substitution x = x0 e^(L t) gives int_x0^x1 P(log x) x^(-b) dx =
+      x0^(1-b) L sum_c P^(c)(y0) L^c / c! E_c(z L) (the t-coefficients of
+      P(y0 + L t)), E_c = `_exp_moments`;
+    - the Bernoulli terms use -f^(2j-1)(x) = x^(-b-2j+1) sum_a (-1)^a
+      r_(2j-1,a) P^(a)(log x), r_(n,a) = [eps^a] (b + eps)_n (see
+      `_em_remainder_bounds`), so at each end they are f/x sum_a
+      P^(a)(log x) Q_a(1/x^2) with the polynomials `_bernoulli_polys`;
+    - at x1, P^(a)(log x1) = sum_(c>=a) P^(c)(y0) L^(c-a) / (c-a)!
+      (Taylor's formula, exact for a polynomial).
+    At degree 0, D_0 is the sum of a line x^(-b), and the line's sum is
+    P D_0."""
+    cols = list(weights.reshape(v.size, -1).T)  # the coefficients of y^a, a = 0..degree
+    degree = len(cols) - 1
     acc = CompensatedSum()
     counts = np.minimum(h, k_max + 1)
     lines = np.flatnonzero(counts)
@@ -1137,131 +1178,169 @@ def _em_sum(
         idx = np.repeat(lines[start:stop], rep)
         k = np.arange(first, int(ends[stop - 1])) - np.repeat(ends[start:stop] - rep, rep)
         x = k + v[idx]
-        if logs is None:
-            acc.add_array(weights[idx] * _line_powers(x, b))
-        else:
-            acc.add_array((weights[idx] + logs[idx] * np.log(x)) * _line_powers(x, b))
+        poly = _horner([col[idx] for col in cols], np.log(x) if degree else None)
+        acc.add_array(poly * _line_powers(x, b))
         start = stop
     em = h <= k_max
     if not em.all():
         if not em.any():
             return acc.value
-        h, v, k_max, weights = h[em], v[em], k_max[em], weights[em]
-        if logs is not None:
-            logs = logs[em]
+        h, v, k_max, cols = h[em], v[em], k_max[em], [col[em] for col in cols]
     bb = b.real if b.imag == 0.0 else b
     x0 = h + v
     ends = np.concatenate((x0, k_max + v))  # x0 then x1 of every line
     f = _line_powers(ends, b)
     f0, f1 = f[: x0.size], f[x0.size:]
     log_ratio = np.log1p((k_max - h) / x0)
-    if logs is None:
-        # int_x0^x1 x^(-b) dx = x0^(1-b) (e^((1-b) L) - 1) / (1-b), L = log(x1/x0)
-        tails = x0 * f0 * log_ratio * _expm1_ratio((1.0 - bb) * log_ratio) + 0.5 * (f0 + f1)
-    else:
-        # the weight w + g log x at x0 then x1 of every line
-        logs = np.concatenate((logs, logs))
-        lw = np.concatenate((weights, weights)) + logs * np.log(ends)
-        lw0, lw1 = lw[: x0.size], lw[x0.size:]
-        zl = (1.0 - bb) * log_ratio
-        tails = (
-            x0 * f0 * log_ratio * (lw0 * _expm1_ratio(zl) + logs[: x0.size] * log_ratio * _expm1_ratio2(zl))
-            + 0.5 * (lw0 * f0 + lw1 * f1)
-        )
+    moments = _exp_moments((1.0 - bb) * log_ratio, degree)
+    # D_0 is the integral of x^(-b) plus the endpoint halves, D_c its L^c/c! parts
+    tails, taylor = [x0 * f0 * log_ratio * moments[0] + 0.5 * (f0 + f1)], [1.0]
+    for c in range(1, degree + 1):
+        taylor.append(taylor[-1] * log_ratio / c)
+        tails.append(x0 * f0 * log_ratio * taylor[c] * moments[c] + 0.5 * f1 * taylor[c])
+    del moments  # no longer needed: a large line set keeps its peak memory
     if order:
-        # -f^(2j-1)(x) = (b)_(2j-1) x^(-b-2j+1) = f(x)/x (b)_(2j-1) y^(j-1) with
-        # y = 1/x^2: the Bernoulli terms are f/x times a polynomial in y (Horner)
-        coeffs, dcoeffs, rise, drise = [], [], bb, 1.0
-        for j in range(order):
-            if j:  # (b)_(2j+1) and its b-derivative by the product rule
-                drise = drise * (bb + 2 * j - 1) * (bb + 2 * j) + rise * (2.0 * bb + 4 * j - 1)
-                rise *= (bb + 2 * j - 1) * (bb + 2 * j)
-            coeffs.append(_EM_COEFFS[j] * rise)
-            dcoeffs.append(_EM_COEFFS[j] * drise)
         y = 1.0 / (ends * ends)
-        poly = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            poly = poly * y + c
-        if logs is None:
-            corr = f / ends * poly
-        else:
-            dpoly = dcoeffs[-1]
-            for c in reversed(dcoeffs[:-1]):
-                dpoly = dpoly * y + c
-            corr = f / ends * (lw * poly - logs * dpoly)
-        tails += corr[: x0.size] - corr[x0.size:]
-    acc.add_array(weights * tails if logs is None else tails)
+        qs = [_horner(poly, y) for poly in _bernoulli_polys(bb, order, degree)]  # Q_a(1/x^2)
+        corr = [f / ends * q for q in qs]
+        for c in range(degree + 1):
+            tails[c] += corr[c][: x0.size] - corr[c][x0.size:]
+            for a in range(c):
+                tails[c] -= taylor[c - a] * corr[a][x0.size:]
+    derivs = _derivatives(cols, np.log(x0) if degree else None)
+    total = derivs[0] * tails[0]
+    for c in range(1, degree + 1):
+        total += derivs[c] * tails[c]
+    acc.add_array(total)
     return acc.value
 
 
-def _em_line_sums(
-    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray, target: float,
-    logs: Optional[np.ndarray] = None,
-) -> Optional[tuple[complex, float]]:
-    """sum_i sum_{k=0}^{k_max_i} (weights_i + logs_i log(k+v_i)) (k+v_i)^(-b)
-    (logs None: 0), and a bound on the Euler–Maclaurin remainders that is at
-    most `target`.
+def _bernoulli_polys(bb: complex, order: int, degree: int) -> list[list]:
+    """The coefficients of Q_a(y) = sum_(j<order) (-1)^a B_2(j+1)/(2(j+1))!
+    r_(2j+1,a) y^j for a = 0..degree (`_em_sum`).  (-1)^a r_(n,a) is the
+    coefficient of eps^a in (b - eps)_n: that of b - eps at n = 1, times
+    (b + 2j - 1 - eps)(b + 2j - eps) = prod - total eps + eps^2 per order,
+    truncated past eps^degree."""
+    rise, higher = bb, [-1.0] + [0.0] * (degree - 1) if degree else []  # eps^0, then eps^1.. of (b - eps)_n
+    first, rest = [], []
+    for j in range(order):
+        if j:
+            prod = (bb + 2 * j - 1) * (bb + 2 * j)
+            if higher:
+                lower, total = [rise] + higher, 2.0 * bb + 4 * j - 1
+                higher = [lower[a] * prod - lower[a - 1] * total + (lower[a - 2] if a > 1 else 0.0)
+                          for a in range(1, degree + 1)]
+            rise *= prod
+        first.append(_EM_COEFFS[j] * rise)
+        rest.append(higher)
+    return [first] + [[c * r for c, r in zip(_EM_COEFFS, col)] for col in zip(*rest)]
 
-    One Bernoulli order M serves every line.  With W = sum_i |weights_i|
-    and G = sum_i |logs_i|, let X_M >= _EM_HEAD be the smallest point where
-    the weighted bound of `_em_remainder_bounds`,
-    C_M X_M^(-p_M) (a_M (W + G log X_M) + a0_M G), is at most target; it is
-    _EM_HEAD when alpha = a W + a0 G = 0 (a zero bound).  Otherwise, in
-    y = log X the condition is psi(y) = p y - log(1 + kappa y) - c0 >= 0,
-    with kappa = a G / alpha <= p and c0 = log(C alpha / target).  At
-    kappa = 0 (G = 0, or a = 0) psi is linear, with the root c0/p.  Else
-    psi is convex and increasing for y >= 0, so Newton's method from c0/p
-    (where psi <= 0) steps past the root once and then falls to it from
-    above, every iterate after the first with psi >= 0, and stopping at any
-    of them keeps the bound.  Iterates are clamped at log _EM_HEAD, which
-    is X_M when psi >= 0 there already.
+
+def _em_line_sums(
+    b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray, target: float
+) -> Optional[tuple[complex, float]]:
+    """sum_i sum_{k=0}^{k_max_i} P_i(log(k+v_i)) (k+v_i)^(-b), P_i(y) =
+    sum_a weights[i, a] y^a (a 1-d `weights` holds degree-0 lines), and a
+    bound on the Euler–Maclaurin remainders that is at most `target`.
+
+    One Bernoulli order M serves every line.  Let Pbar be the polynomial
+    whose coefficients are the sums over the lines of |weights[i, a]|, so
+    that the lines' bounds of `_em_remainder_bounds` at one X sum to
+    B_M(X) = C_M X^(-p_M) S_M(log X), S_M(y) = sum_c alphas_M[c]
+    Pbar^(c)(y) = sum_i s_i y^i (`_bound_poly`), s_i >= 0.  Let X_M >=
+    _EM_HEAD be a point where B_M is at most target: _EM_HEAD when S_M = 0
+    (a zero bound).  Otherwise, in y = log X the condition is psi(y) = p y
+    - log(1 + q(y)) - c0 >= 0, with q(y) = sum_(i>=1) (s_i/s_0) y^i and
+    c0 = log(C s_0 / target), target shrunk by 2^-20 of itself.  B_M is an
+    integral from X on of a nonnegative function, so psi increases; it
+    grows at least like p y - deg q log y, without bound; and q >= 0, so
+    psi(c0/p) <= 0 and every root is at least c0/p.
+    - q = 0 (always at degree 0): psi is linear, and X_M = e^(c0/p), the
+      smallest such point.
+    - Otherwise (`_em_start`) Newton's method from c0/p, with iterates
+      clamped at log _EM_HEAD.  At degree 1, log(1 + kappa y) is concave,
+      so psi is convex: Newton steps past the root once and then falls to
+      it from above, every iterate after the first with psi >= 0, and
+      stopping at any of them keeps the bound.  A higher degree can make
+      psi concave in places, so Newton may end below the root; y then
+      steps right by steps that double until psi >= -2^-21, which ends
+      because psi increases without bound, and the 2^-20 shrink of the
+      target covers psi >= -2^-21 (formed to well within that).
     Euler–Maclaurin starts on every line at the first k with k + v_i >=
-    X = min_M X_M, with the first order M that reaches it (the search stops
-    at an order with X_M = _EM_HEAD, as no X_M is lower); each line's bound
-    only falls past X, so the weighted total is at most target.  A line's
+    X = min_M X_M, with the first order M that reaches it: the least
+    (X_M, M).  The orders whose X_M needs no solve (degree 0, or a zero
+    bound) are taken in increasing M, stopping at one with X_M = _EM_HEAD,
+    as no X_M is lower; then the others in increasing (e^(c0/p), M), each
+    solved unless that pair is no less than the least (X_M, M) so far,
+    which then holds for the rest too, as X_M >= e^(c0/p).  Each line's
+    bound only falls past X, so the weighted total is at most target.  A line's
     head grows with X and never exceeds the line, so no other choice of X
     has fewer head terms.  A line with v_i >= X needs no head; one whose
     head covers it is summed directly with no remainder.  Every line is
     summed directly when the lines hold at most _EM_DIRECT terms in all,
-    when no order applies, or when target or W + G is 0.  Returns None
-    when a line needs more than _EM_MAX_HEAD direct terms.
+    when no order applies, or when target or Pbar is 0.  Returns None when
+    a line needs more than _EM_MAX_HEAD direct terms.
     """
     b = complex(b)
-    k_len = k_max + 1
+    weights = weights.reshape(v.size, -1)
+    cols, k_len = list(np.abs(weights).T), k_max + 1  # |coefficients| of each degree
     x, chosen = math.inf, None  # every line direct
-    total_w = float(np.abs(weights).sum())
-    total_g = 0.0 if logs is None else float(np.abs(logs).sum())
-    if k_len.sum() > _EM_DIRECT and target > 0.0 and total_w + total_g > 0.0:
+    totals = [float(col.sum()) for col in cols]  # the coefficients of Pbar
+    if k_len.sum() > _EM_DIRECT and target > 0.0 and any(totals):
         log_target = math.log(target * (1.0 - 2.0**-20))
-        for const in _em_remainder_constants(b):
-            _, log_c, decay, a, a0 = const
-            alpha = a * total_w + a0 * total_g
-            y = _LOG_EM_HEAD
-            if alpha > 0.0:
-                kappa = a * total_g / alpha
-                c0 = log_c + (math.log(alpha) - log_target)
-                y = max(c0 / decay, _LOG_EM_HEAD)  # the root when kappa = 0: psi is linear
-                for _ in range(_EM_NEWTON if kappa > 0.0 else 0):
-                    psi = decay * y - math.log1p(kappa * y) - c0
-                    y, last = max(y - psi / (decay - kappa / (1.0 + kappa * y)), _LOG_EM_HEAD), y
-                    if not abs(y - last) > 1e-12 * y:
-                        break
+        rows, solves = _derivative_rows(totals), []
+        row0, solve = rows[0], len(rows) > 1
+        for const in _em_remainder_constants(b, len(totals) - 1):
+            _, log_c, decay, alphas = const
+            s0 = sum(map(operator.mul, alphas, row0))  # S_M(0); S_M = 0 where it is 0
+            c0 = log_c + (math.log(s0) - log_target) if s0 > 0.0 else -math.inf
+            y = max(c0 / decay, _LOG_EM_HEAD)  # the root where q = 0: psi is linear
             x_m = max(math.exp(min(y, 700.0)), _EM_HEAD)
-            if x_m < x:
+            if solve and s0 > 0.0:  # X_M >= x_m, solved below where that can help
+                solves.append((x_m, const, c0, y))
+            elif x_m < x:
                 x, chosen = x_m, const
                 if x == _EM_HEAD:
                     break
+        for x_lo, const, c0, y in sorted(solves, key=lambda solve: (solve[0], solve[1][0])):
+            if (x_lo, const[0]) >= (x, math.inf if chosen is None else chosen[0]):
+                break  # X_M >= x_lo: this order and the rest cannot lower (X, M)
+            x_m = _em_start(const[2], const[3], rows, c0, y)
+            if (x_m, const[0]) < (x, math.inf if chosen is None else chosen[0]):
+                x, chosen = x_m, const
     heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len).astype(np.int64)
     if heads.max() > _EM_MAX_HEAD:
         return None
     order = 0 if chosen is None else chosen[0]  # no order: every line direct
-    value, remainder = _em_sum(b, v, k_max, weights, heads, order, logs=logs), 0.0
+    value, remainder = _em_sum(b, v, k_max, weights, heads, order), 0.0
     if chosen is not None:  # the sum first: arrays live across it slow its allocations
+        _, log_c, decay, alphas = chosen
         em = heads <= k_max  # lines summed directly have no remainder
-        g_abs = 0.0 if logs is None else np.abs(logs[em])  # G = 0 without logs
-        bounds = _em_log_bound(*chosen[1:], np.abs(weights[em]), g_abs, np.log(heads[em] + v[em]))
-        remainder = float(bounds.sum())
+        log_x = np.log(heads[em] + v[em])
+        s = _bound_poly(alphas, _derivative_rows([col[em] for col in cols]))
+        remainder = float((np.exp(log_c - decay * log_x) * _horner(s, log_x)).sum())
     return value, remainder
+
+
+def _em_start(decay: float, alphas: list, rows: list, c0: float, y: float) -> float:
+    """The start point X_M = e^y of `_em_line_sums` for an order with
+    `decay` p_M and `alphas` (from `_em_remainder_constants`), with S_M the
+    `_bound_poly` of the lines' Pbar (`_derivative_rows` `rows`): Newton's
+    method on psi from y = c0/decay (clamped at log _EM_HEAD), then steps to
+    the right until psi >= -2^-21 (see `_em_line_sums` for the proof)."""
+    s = _bound_poly(alphas, rows)
+    q = [0.0] + [si / s[0] for si in s[1:]]  # psi(y) = decay y - log(1 + q(y)) - c0
+    slopes = [i * c for i, c in enumerate(q)][1:]  # q'
+    for _ in range(_EM_NEWTON):
+        val = _horner(q, y)
+        psi = decay * y - math.log1p(val) - c0
+        y, last = max(y - psi / (decay - _horner(slopes, y) / (1.0 + val)), _LOG_EM_HEAD), y
+        if not abs(y - last) > 1e-12 * y:
+            break
+    step = 2.0**-20 * y
+    while y < 700.0 and decay * y - math.log1p(_horner(q, y)) - c0 < -(2.0**-21):
+        y, step = y + step, 2.0 * step
+    return max(math.exp(min(y, 700.0)), _EM_HEAD)
 
 
 def _line_column(lam: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
@@ -1290,42 +1369,34 @@ def _line_partial_sum(
     and the bound on their remainders.
 
     Applies when `_line_column` finds a line coordinate j with rows S and
-    theta, or the rest of theta after its one log factor (`log_split`, whose
-    forms must be the config's own), has residue classes along j (constant
-    or periodic); returns None otherwise.  With the rest point rho (the
+    theta is a rest times K >= 0 log factors on the config's own forms
+    (`log_split`), the rest with residue classes along j (constant or
+    periodic); returns None otherwise.  With the rest point rho (the
     other r - 1 coordinates, |rho| <= n_shell, from `_iter_blocks`) and
     b = sum_{l in S} <c_l, s>, the terms along n_j = q k + a (q the period
-    of theta along coordinate j, a < q) are
-        theta(rho, a) prod_{l not in S} L_l(rho)^(-beta_l)
+    of the rest along coordinate j, a < q) are
+        rest(rho, a) prod_{l not in S} L_l(rho)^(-beta_l)
         prod_{l in S} (q lam_lj)^(-beta_l) (k + v)^(-b),
     with v = (a + v_rho)/q, v_rho = u_j + sum_{i != j} lam_li (rho_i + u_i)/lam_lj
-    for l in S, and k <= (n_shell - |rho| - a)/q.  A log factor
-    sum_l g_l log L_l(n) is A + G log(k + v) there, because L_l =
-    q lam_lj (k + v) for l in S: G = sum_{l in S} g_l and A = sum_{l in S}
-    g_l log(q lam_lj) + sum_{l not in S} g_l log L_l(rho), so the line's
-    weight w becomes w A + (w G) log(k + v).  `_em_line_sums` sums all
-    lines with a remainder bound of at most 2^-60 times `tail` (times the
-    weighted first terms' scale, (|w A| + |w G|) v^(-Re b) with a log
-    factor, when `tail` is 0 or infinite), so adding it to a finite tail
-    bound leaves the float unchanged.  Also None when a line would need
-    more than _EM_MAX_HEAD direct terms (Re b below about -38).
+    for l in S, and k <= (n_shell - |rho| - a)/q.  Log factor i,
+    sum_l g_il log L_l(n), is A_i + G_i log(k + v) there, because L_l =
+    q lam_lj (k + v) for l in S: G_i = sum_{l in S} g_il and A_i =
+    sum_{l in S} g_il log(q lam_lj) + sum_{l not in S} g_il log L_l(rho),
+    so the line's weight w becomes the polynomial w prod_i (A_i + G_i y) in
+    y = log(k + v), of degree K less its zero top coefficients.
+    `_em_line_sums` sums all lines with a remainder bound of at most 2^-60
+    times `tail` (times the first terms' scale, sum_a |w_a| v^(-Re b),
+    when `tail` is 0 or infinite), so adding it to a finite tail bound
+    leaves the float unchanged.  Also None when a line would need more than
+    _EM_MAX_HEAD direct terms (Re b below about -38).
     """
     line = _line_column(config.lam)
-    if line is None:
-        return None
-    j, rows = line
-    theta, logs = config.theta, None
-    split = theta.log_split()
-    if split is not None:
-        theta, logs, log_lam, log_u = split
-        if not (np.array_equal(log_lam, config.lam) and np.array_equal(log_u, config.u)):
-            return None
-    classes = theta.residue_classes(j)
+    split = None if line is None else config.theta.log_split(config.lam, config.u)
+    classes = None if split is None else split[0].residue_classes(line[0])
     if classes is None:
         return None
-    q, theta_on = classes
-    lam, r = config.lam, config.r
-    is_real = pt.is_real
+    (j, rows), (_, logs), (q, theta_on) = line, split, classes
+    lam, r, is_real = config.lam, config.r, pt.is_real
     beta = _exponents(config, pt)
     b_sum = beta[rows].sum()
     scale = np.exp(-(beta[rows] @ np.log(lam[rows, j])) - b_sum * math.log(q))
@@ -1333,53 +1404,33 @@ def _line_partial_sum(
     rest = [i for i in range(r) if i != j]
     along = lam[rows[0], rest] / lam[rows[0], j]
     lam_o, off_o = lam[others][:, rest], config.form_offsets[others]
-    if logs is not None:
-        # on a line L_l = q lam_lj (k + v) for l in S, so sum_l g_l log L_l
-        # = a_rows + sum_{l not in S} g_l log L_l(rho) + g_sum log(k + v)
-        a_rows = float(logs[rows] @ np.log(q * lam[rows, j]))
-        g_sum, g_o = float(logs[rows].sum()), logs[others]
-    vs, ks, ws, gs = [], [], [], []
+    # per log factor: A_i less its rest-point part, G_i, and the g_il off S
+    factors = [(g[rows] @ np.log(q * lam[rows, j]), g[rows].sum(), g[others]) for g in logs]
+    parts = []  # (v, k_max, weights) of the lines, block by block and class by class
     for block, _ in _iter_blocks(r - 1, n_shell):
         deg = block.sum(axis=1)
         v_rho = config.u[j] + (block + config.u[rest]) @ along
         forms_o = block @ lam_o.T + off_o
-        weight = scale * _form_powers(forms_o, beta[others], is_real)
-        if logs is not None:
-            g_weight = weight * g_sum
-            weight = weight * (a_rows + np.log(forms_o) @ g_o)
+        weight = (scale * _form_powers(forms_o, beta[others], is_real))[:, None]
+        for a_rows, g_sum, g_o in factors:  # times A_i + G_i y
+            a_line = (a_rows + np.log(forms_o) @ g_o)[:, None]
+            zero = np.zeros((len(weight), 1))
+            weight = np.concatenate((weight * a_line, zero), 1) + np.concatenate((zero, weight * g_sum), 1)
         for a in range(min(q, n_shell + 1)):
-            theta_a = theta_on(block, a)
-            w = weight * theta_a
+            theta_a = theta_on(block, a)  # a scalar, or one value per rest point
+            w = weight * (theta_a[:, None] if isinstance(theta_a, np.ndarray) else theta_a)
             k_max = (n_shell - a - deg) // q
             line_v = (a + v_rho) / q
-            if logs is None:
-                keep = (k_max >= 0) & (w != 0)
-            else:
-                g = g_weight * theta_a
-                keep = (k_max >= 0) & ((w != 0) | (g != 0))
-                gs.append(g[keep])
-            if not keep.all():
-                line_v, k_max, w = line_v[keep], k_max[keep], w[keep]
-            vs.append(line_v)
-            ks.append(k_max)
-            ws.append(w)
-    v, k_max, w = (np.concatenate(parts or [np.zeros(0)]) for parts in (vs, ks, ws))
+            # a line with a nonzero coefficient, found column by column (fast at any width)
+            keep = (k_max >= 0) & functools.reduce(np.logical_or, [col != 0 for col in w.T])
+            parts.append((line_v[keep], k_max[keep], w[keep]) if not keep.all() else (line_v, k_max, w))
+    v, k_max, w = (np.concatenate(arrays) for arrays in zip(*parts))
     if v.size == 0:
         return 0.0j, 0.0
     if np.iscomplexobj(w) and not w.imag.any():
         w = w.real
-    if logs is not None:
-        logs = np.concatenate(gs)
-        if np.iscomplexobj(logs) and not logs.imag.any():
-            logs = logs.real
-        if not logs.any():  # g_sum = 0: every line is log-free
-            logs = None
-    if 0.0 < tail < math.inf:
-        target = _EM_REL * tail
-    else:
-        size = np.abs(w) if logs is None else np.abs(w) + np.abs(logs)
-        target = _EM_REL * float((size * v ** -b_sum.real).sum())
-    return _em_line_sums(complex(b_sum), v, k_max, w, target, logs)
+    size = tail if 0.0 < tail < math.inf else float((sum(map(np.abs, w.T)) * v ** -b_sum.real).sum())
+    return _em_line_sums(complex(b_sum), v, k_max, w, _EM_REL * size)
 
 
 def _partial_sum(
@@ -1790,9 +1841,12 @@ def differentiate(config: ShintaniConfig, axis: int) -> ShintaniConfig:
 
     The coefficient picks up the factor sum_q (-c_q,axis) log L_q(n), a
     log_factor whose structural envelope S (offset + log(t + 1)), with
-    S = sum_q |c_q,axis|, the tail routes absorb into a power of t + 1.  A
-    moment's certified bound (`distributions.moment`) is the tail of the
-    series differentiated once per power of each coordinate.
+    S = sum_q |c_q,axis|, the tail routes absorb into a power of t + 1.
+    Differentiated k times, a line config keeps the line route, with k log
+    factors (`CoefficientSpec.log_split`).  A moment of an atom table
+    (`distributions.moment`) is the partial sum of the series
+    differentiated once per power of each coordinate, and its bound that
+    series' tail.
     """
     _require_valid(config)
     if not 1 <= axis <= config.d:

@@ -2,14 +2,17 @@
 
 Characteristic-function zeros are scanned on a grid along one t axis, then
 refined by damped complex Newton iterations on the analytic continuation in
-the complexified grid variable.  Rectangle counts use the argument
+the complexified grid variable, with the exact derivative of the series
+along the slice (the series differentiated along each axis the slice
+moves, `differentiate`).  Rectangle counts use the argument
 principle on one-complex-parameter affine slices: a walk over refinement
 levels halves every boundary segment whose phase step is not below pi/2,
 and gives None for a zero on the boundary, where the rectangle grows.  A
 confirmed zero's multiplicity is such a count, on a small square of the
 scan's own slice.  One slice evaluator maps an array of w to series values
-in one `evaluate_many` call, so a rectangle's initial samples, each level's
-midpoints and a Newton step's central-difference pair are one call each.
+in one `evaluate_many` call, so a rectangle's initial samples and each
+level's midpoints are one call each, and a Newton step's derivative is one
+call per axis of the slice.
 A confirmed zero yields a non-infinite-divisibility certificate: an
 infinitely divisible law has a nonvanishing characteristic function.
 """
@@ -31,6 +34,7 @@ from .series import (
     ComplexPoint,
     ShintaniConfig,
     as_sigma,
+    differentiate,
     evaluate,
     evaluate_many,
     in_convergence_region,
@@ -151,14 +155,14 @@ def scan_cf_zeros(
     base = ComplexPoint(sig, np.zeros_like(sig))
     direction = np.zeros(config.d, dtype=complex)
     direction[t_axis - 1] = 1j
-    f = _cf_on_slice(config, base, direction, eval_tol, shell_cap)
+    f, slope = _cf_on_slice(config, base, direction, eval_tol, shell_cap)
     candidates: list[ZeroCandidate] = []
     rect_counts: list[tuple[tuple[float, float, float, float], int]] = []
     for i in range(1, len(ts) - 1):
         if grid_abs[i] >= trigger:
             continue
         if grid_abs[i] <= grid_abs[i - 1] and grid_abs[i] <= grid_abs[i + 1]:
-            cand = _refine_zero(f, complex(ts[i]), tol, max(step, 1e-3))
+            cand = _refine_zero(f, slope, complex(ts[i]), tol, max(step, 1e-3))
             if cand is None:
                 candidates.append(
                     ZeroCandidate(complex(ts[i]), float(grid_abs[i]), "refine_failed")
@@ -203,15 +207,27 @@ def _series_on_slice(
 def _cf_on_slice(
     config: ShintaniConfig, base: ComplexPoint, direction: np.ndarray, eval_tol: float,
     shell_cap: int,
-) -> Callable[[np.ndarray], list[complex]]:
-    """f(w) = Z(base + w * direction) / Z(base) for a real base, as a
-    function of an array of w; with direction i e_axis this is the
-    characteristic function continued to complex t."""
+) -> tuple[Callable[[np.ndarray], list[complex]], Callable[[np.ndarray], list[complex]]]:
+    """f(w) = Z(base + w * direction) / Z(base) for a real base and its
+    derivative f'(w) = sum_j direction_j (d_j Z)(base + w * direction) /
+    Z(base), each as a function of an array of w; d_j Z is the series of
+    `differentiate(config, j)`, one `evaluate_many` call per axis j with
+    direction_j != 0.  With direction i e_axis, f is the characteristic
+    function continued to complex t."""
     den = evaluate(config, base, tol=eval_tol, shell_cap=shell_cap)
     if den.value == 0:
         raise NumericError("normalizer vanishes; cannot form a characteristic function")
     values = _series_on_slice(config, base, direction, eval_tol, shell_cap)
-    return lambda ws: [v / den.value for v in values(ws)]
+    axes = [
+        (dj, _series_on_slice(differentiate(config, j), base, direction, eval_tol, shell_cap))
+        for j, dj in enumerate(direction.tolist(), start=1) if dj
+    ]
+
+    def slope(ws: np.ndarray) -> list[complex]:
+        total = sum(dj * np.array(g(ws)) for dj, g in axes)
+        return [v / den.value for v in total.tolist()]
+
+    return (lambda ws: [v / den.value for v in values(ws)]), slope
 
 
 def _at(f: Callable[[np.ndarray], list[complex]], w: complex) -> complex:
@@ -221,24 +237,24 @@ def _at(f: Callable[[np.ndarray], list[complex]], w: complex) -> complex:
 
 def _refine_zero(
     f: Callable[[np.ndarray], list[complex]],
+    slope: Callable[[np.ndarray], list[complex]],
     w0: complex,
     tol: float,
     scale: float,
     max_iter: int = 60,
 ) -> Optional[tuple[complex, float]]:
-    """Damped Newton with a central-difference derivative; f maps an array
-    of w to a list of values."""
+    """Damped Newton from w0 with the exact derivative `slope`; f and slope
+    map an array of w to a list of values.  None when the derivative cannot
+    be evaluated or is 0."""
     w = w0
     fw = _at(f, w)
     for _ in range(max_iter):
         if abs(fw) < tol * 1e-2:
             break
-        h = 1e-7 * max(1.0, abs(w))
         try:
-            f_plus, f_minus = f(np.array([w + h, w - h]))
+            df = _at(slope, w)
         except (RegionError, NumericError):
             return None
-        df = (f_plus - f_minus) / (2.0 * h)
         if df == 0:
             return None
         step = fw / df

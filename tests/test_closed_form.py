@@ -93,8 +93,8 @@ def _block(config: ShintaniConfig, pt: ComplexPoint, n_shell: int) -> complex:
 def _em_line_sum(b: complex, v: float, k_max: int, h: int, order: int, w: complex = 1.0,
                  g: complex = 0.0) -> complex:
     """sum_{k=0}^{k_max} (w + g log(k+v)) (k+v)^(-b) by `_em_sum` without its remainder, one line."""
-    return _em_sum(b, np.array([float(v)]), np.array([k_max]), np.array([w]), np.array([h]), order,
-                   logs=None if g == 0 else np.array([g]))
+    weights = np.array([[w]] if g == 0 else [[w, g]])
+    return _em_sum(b, np.array([float(v)]), np.array([k_max]), weights, np.array([h]), order)
 
 
 def _head(config: ShintaniConfig, pt: ComplexPoint) -> int:
@@ -163,17 +163,14 @@ class TestAgainstBlockRoute:
 
     def test_other_families_keep_the_block_route(self):
         pt = ComplexPoint([3.0], [0.0])
-        for config in (
-            make_special("lerch_transcendent", u=0.5, q=0.5),
-            differentiate(make_special("riemann_derivative"), 1),  # two log factors
-        ):
-            assert _line_partial_sum(config, series.as_point(pt, config.d), 100, 1.0) is None
-        # one log factor: riemann' is summed along its line
-        config = make_special("riemann_derivative")
-        assert _line_partial_sum(config, pt, 100, 1.0) is not None
-        with mock.patch.object(series, "_sum_terms") as block:
-            evaluate(config, pt, tol=1e-8)
-        assert block.call_count == 0
+        config = make_special("lerch_transcendent", u=0.5, q=0.5)
+        assert _line_partial_sum(config, series.as_point(pt, config.d), 100, 1.0) is None
+        # log factors: riemann' and riemann'' are summed along their line
+        for config in (make_special("riemann_derivative"), differentiate(make_special("riemann_derivative"), 1)):
+            assert _line_partial_sum(config, pt, 100, 1.0) is not None
+            with mock.patch.object(series, "_sum_terms") as block:
+                evaluate(config, pt, tol=1e-8)
+            assert block.call_count == 0
 
     def test_real_point_real_value(self):
         res = evaluate(make_special("hurwitz", u=0.25), 2.5, tol=1e-10)

@@ -272,17 +272,23 @@ class TestStructure:
     def test_log_split(self):
         lam, u = np.array([[1.0, 2.0], [0.0, 1.5]]), np.array([0.5, 0.25])
         log = CoefficientSpec.log_factor((-1.0, 0.5), lam, u)
+        log2 = CoefficientSpec.log_factor((0.25, 2.0), lam, u)
         periodic = CoefficientSpec.periodic((2, 3), np.arange(6.0).reshape(2, 3))
-        for theta, rest in ((log, CoefficientSpec.constant(1.0)),
-                            (CoefficientSpec.constant(1.0).times(log), CoefficientSpec.constant(1.0)),
-                            (periodic.times(log), periodic)):
-            got, coeffs, got_lam, got_u = theta.log_split()
+        pts = np.array([[0, 0], [3, 1], [7, 4]])
+        for theta, rest, logs in ((log, CoefficientSpec.constant(1.0), (log,)),
+                                  (CoefficientSpec.constant(1.0).times(log), CoefficientSpec.constant(1.0), (log,)),
+                                  (periodic.times(log), periodic, (log,)),
+                                  (periodic.times(log).times(log2), periodic, (log, log2)),
+                                  (log.times(log), CoefficientSpec.constant(1.0), (log, log)),
+                                  (periodic, periodic, ()),
+                                  (CoefficientSpec.constant(1.0), CoefficientSpec.constant(1.0), ())):
+            got, coeffs = theta.log_split(lam, u)
             assert got == rest
-            assert coeffs.tolist() == [-1.0, 0.5]
-            assert np.array_equal(got_lam, lam) and np.array_equal(got_u, u)
-            pts = np.array([[0, 0], [3, 1], [7, 4]])
-            assert np.allclose(theta_values(theta, pts),
-                               theta_values(got, pts) * theta_values(log, pts), rtol=1e-15)
-        # no log factor, or two: no split
-        for theta in (periodic, CoefficientSpec.constant(1.0), periodic.times(log).times(log)):
-            assert theta.log_split() is None
+            assert coeffs.shape == (len(logs), 2)
+            assert coeffs.tolist() == [list(f.params["coeffs"]) for f in logs]
+            expect = theta_values(got, pts) * np.prod([theta_values(f, pts) for f in logs], axis=0)
+            assert np.allclose(theta_values(theta, pts), expect, rtol=1e-15)
+        # a log factor on other forms: no split
+        other = CoefficientSpec.log_factor((1.0, 1.0), lam, u + 1.0)
+        for theta in (other, periodic.times(log).times(other)):
+            assert theta.log_split(lam, u) is None

@@ -1,6 +1,6 @@
 """One Euler–Maclaurin remainder for every line: a log-free line is the
-g = 0 case of the log-weighted bound, and `_em_sum` keeps its log-free
-formula only as a faster way to the same sum."""
+g = 0 case of the log-weighted bound, and a degree-0 line is the sum of a
+degree-1 line whose log coefficient is 0."""
 
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ def _abs_scale(b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray
 
 class TestLogFreeFork:
     def test_no_logs_agrees_with_zero_logs(self):
-        # `_em_sum` forms a log-free line without the log terms; with logs = 0
-        # the log-weighted formula sums the same series
+        # `_em_sum` forms a degree-0 line without a log; with a zero degree-1
+        # column the same kernel sums the same series
         rng = np.random.default_rng(19)
         bs = [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, 2.0, 1.5 + 10j, 0.5 - 3j, 3.0 + 40j, -2.5 + 1j, 7.0]
         lines = 0
@@ -41,7 +41,7 @@ class TestLogFreeFork:
             weights = rng.normal(size=n) + 1j * rng.normal(size=n)
             for order in (0, 1, 5, 20):
                 plain = _em_sum(b, v, k_max, weights, heads, order)
-                zero = _em_sum(b, v, k_max, weights, heads, order, logs=np.zeros(n))
+                zero = _em_sum(b, v, k_max, np.column_stack((weights, np.zeros(n))), heads, order)
                 assert abs(plain - zero) <= ROUNDING * (1.0 + _abs_scale(b, v, k_max, weights)), (b, order)
             lines += n
         assert lines == 400

@@ -36,7 +36,7 @@ from shintani.arithmetic import (
 )
 from shintani.coefficients import CoefficientSpec, theta_values
 from shintani.errors import ConfigError
-from shintani.euler import EulerConfig, evaluate_euler
+from shintani.euler import EulerConfig, evaluate_euler, shintani_from_euler
 from shintani.series import ShintaniConfig, differentiate, evaluate
 from test_arithmetic import _run_threads
 
@@ -140,6 +140,45 @@ class TestExactEnvelope:
             t1 = pts[:, 0] + 1.0
             bound = b * t1**eps * (weight.offset + np.log(t1)) ** weight.power
             assert np.all(vals <= bound * (1 + 1e-12))
+
+
+class TestOneRulePastOne:
+    """A one-rule coordinate is bounded by 1 only where |alpha| <= 1; the
+    constructors accept |alpha| up to 1 + 1e-12, where |A(p^k)| grows."""
+
+    OVER = (AlphaRule.constant(1.0 + 1e-12),)
+
+    def test_envelope_holds_past_one(self):
+        spec = CoefficientSpec.multiplicative_product([self.OVER])
+        assert (spec.envelope.bound, spec.envelope.growth) != (1.0, 0.0)
+        table = coefficient_array(self.OVER, 2**20)
+        assert abs(table[2**20]) > 1.0 + 2e-11  # A(2^20) = alpha^20
+        for view in spec.envelope_ladder:
+            brute, _ = _brute_sup(table, view.envelope.growth)
+            assert brute <= view.envelope.bound
+        ((b, eps),) = spec.per_coordinate_envelope(1)
+        assert eps > 0.0 and _brute_sup(table, eps)[0] <= b
+
+    def test_unit_rules_keep_the_exact_bound(self):
+        for rule in (AlphaRule.constant(1.0), AlphaRule.constant(-1.0), chi_minus_4()):
+            spec = CoefficientSpec.multiplicative_product([(rule,)])
+            assert (spec.envelope.bound, spec.envelope.growth) == (1.0, 0.0)
+            assert spec.envelope_ladder == (spec,)
+        mixed = CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.0),), self.OVER])
+        assert mixed.per_coordinate_envelope(2)[0] == (1.0, 0.0)
+        assert mixed.per_coordinate_envelope(2)[1][1] > 0.0
+
+    def test_through_the_euler_embedding(self):
+        config = shintani_from_euler(EulerConfig(d=1, m=2, alphas=(AlphaRule.constant(1.0),) + self.OVER,
+                                                 a=np.array([[1.0], [1.0]])))
+        theta = config.theta
+        assert theta.envelope.growth > 0.0
+        pts = np.stack(np.meshgrid(np.arange(0, 2**10), np.arange(0, 2**10)), axis=-1).reshape(-1, 2)
+        vals = np.abs(np.asarray(theta_values(theta, pts)))
+        t1 = pts.sum(axis=1) + 1.0
+        for view in theta.envelope_ladder:
+            assert np.all(vals <= view.envelope.bound * t1**view.envelope.growth)
+        assert math.isfinite(series.tail_bound(config, [3.0], 100))
 
 
 class TestOracle:

@@ -332,8 +332,8 @@ class TestCertificates:
 
 
 class TestBatchedContours:
-    """The zero finders ask for whole contours and central-difference pairs
-    in one `evaluate_many` call.  The reference replaces that call by one
+    """The zero finders ask for whole contours and Newton derivatives in one
+    `evaluate_many` call.  The reference replaces that call by one
     `evaluate` per point: counts and reports must be identical."""
 
     @staticmethod
@@ -405,43 +405,47 @@ class TestFailureOutcomes:
         assert cand.residual < 0.2  # the grid |f| that triggered the refinement
         assert not report.certificate and report.rectangle_counts == ()
 
-    def test_refine_error_in_difference_pair(self):
-        def f(ws):
-            if len(ws) == 2:
-                raise NumericError("pair")
-            return [w - 1.0 for w in ws]
+    # the derivative of a Newton step (once a central-difference pair)
 
-        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) is None
+    @staticmethod
+    def _ones(ws):
+        return [1.0 + 0j for _ in ws]
+
+    def test_refine_error_in_difference_pair(self):
+        def slope(ws):
+            raise NumericError("derivative")
+
+        assert zeros._refine_zero(lambda ws: [w - 1.0 for w in ws], slope, 0j, 1e-9, 0.1) is None
 
     def test_refine_region_error_in_difference_pair(self):
-        def f(ws):
-            if len(ws) == 2:
-                raise RegionError("pair")
-            return [w - 1.0 for w in ws]
+        def slope(ws):
+            raise RegionError("derivative")
 
-        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) is None
+        assert zeros._refine_zero(lambda ws: [w - 1.0 for w in ws], slope, 0j, 1e-9, 0.1) is None
 
     def test_refine_flat_difference(self):
-        assert zeros._refine_zero(lambda ws: [1.0 + 0j for _ in ws], 0j, 1e-9, 0.1) is None
+        flat = lambda ws: [0j for _ in ws]  # noqa: E731
+        assert zeros._refine_zero(self._ones, flat, 0j, 1e-9, 0.1) is None
 
     def test_refine_step_is_clamped(self):
         # the Newton step 1000 is clamped to 10 * scale = 1, which decreases |f|
-        w, resid = zeros._refine_zero(lambda ws: [1.0 + 1e-3 * w for w in ws], 0j, 1e-9, 0.1, max_iter=1)
+        slope = lambda ws: [1e-3 + 0j for _ in ws]  # noqa: E731
+        w, resid = zeros._refine_zero(lambda ws: [1.0 + 1e-3 * w for w in ws], slope, 0j, 1e-9, 0.1, max_iter=1)
         assert w == -1.0 + 0j
         assert resid == abs(1.0 - 1e-3)
 
     def test_refine_line_search_errors_exhaust_it(self):
         def f(ws):
-            if len(ws) == 1 and ws[0] != 0:
+            if ws[0] != 0:
                 raise NumericError("line search")
             return [w - 1.0 for w in ws]
 
-        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) == (0j, 1.0)
+        assert zeros._refine_zero(f, self._ones, 0j, 1e-9, 0.1) == (0j, 1.0)
 
     def test_refine_line_search_without_descent(self):
         # |f| grows along the Newton direction at every damping, so w stays put
         f = lambda ws: [1.0 + abs(w) + 0.5 * w for w in ws]  # noqa: E731
-        assert zeros._refine_zero(f, 0j, 1e-9, 0.1) == (0j, 1.0)
+        assert zeros._refine_zero(f, lambda ws: [0.5 + 0j for _ in ws], 0j, 1e-9, 0.1) == (0j, 1.0)
 
     def test_persistent_boundary_zero(self):
         # a series that vanishes everywhere has a zero on every grown boundary
