@@ -1283,9 +1283,9 @@ def _em_line_sums(
     """
     b = complex(b)
     weights = weights.reshape(v.size, -1)
-    cols, k_len = list(np.abs(weights).T), k_max + 1  # |coefficients| of each degree
+    k_len = k_max + 1
     x, chosen = math.inf, None  # every line direct
-    totals = [float(col.sum()) for col in cols]  # the coefficients of Pbar
+    totals = [float(np.abs(col).sum()) for col in weights.T]  # the coefficients of Pbar
     if k_len.sum() > _EM_DIRECT and target > 0.0 and any(totals):
         log_target = math.log(target * (1.0 - 2.0**-20))
         rows, solves = _derivative_rows(totals), []
@@ -1317,7 +1317,7 @@ def _em_line_sums(
         _, log_c, decay, alphas = chosen
         em = heads <= k_max  # lines summed directly have no remainder
         log_x = np.log(heads[em] + v[em])
-        s = _bound_poly(alphas, _derivative_rows([col[em] for col in cols]))
+        s = _bound_poly(alphas, _derivative_rows([np.abs(col[em]) for col in weights.T]))
         remainder = float((np.exp(log_c - decay * log_x) * _horner(s, log_x)).sum())
     return value, remainder
 

@@ -56,6 +56,25 @@ class TestScan:
         assert abs(zero.location - math.pi) <= 1e-4
         assert zero.multiplicity == 2
 
+    @pytest.mark.parametrize("sigma", [-0.9, -1.3])
+    def test_newton_takes_the_exact_derivative(self, sigma, monkeypatch):
+        # the zero-scan workload's binomial laws (p = 1/2): Newton's slope is
+        # the differentiated series (one log factor), not a difference pair
+        many = zeros.evaluate_many
+        degrees = []
+
+        def spy(config, points, tol, shell_cap):
+            degrees.append((config.theta.log_weight.power, len(points)))
+            return many(config, points, tol=tol, shell_cap=shell_cap)
+
+        monkeypatch.setattr(zeros, "evaluate_many", spy)
+        for big_k, tol, where in ((1, 1e-10, 1e-8), (2, 1e-9, 1e-4)):
+            sd = make_special_distribution("binomial", j=2, big_k=big_k, phi=math.exp(-sigma), sigma=sigma)
+            report = scan_cf_zeros(sd.config, sd.sigma, t_range=(0.5, 6.0), step=0.05, tol=tol)
+            (zero,) = [c for c in report.confirmed if abs(c.location - math.pi) <= where]
+            assert zero.multiplicity == big_k
+        assert (1, 1) in degrees and not any(n == 2 for _, n in degrees)
+
     def test_delta_no_zeros(self):
         sd = make_special_distribution("delta", lam=2.0, u=1.0, c=1.0, theta0=1.0, sigma=2.0)
         report = scan_cf_zeros(sd.config, sd.sigma, t_range=(-10, 10), step=0.1, tol=1e-9)
