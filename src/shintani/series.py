@@ -1198,7 +1198,7 @@ def _em_sum(
     for c in range(1, degree + 1):
         taylor.append(taylor[-1] * log_ratio / c)
         tails.append(x0 * f0 * log_ratio * taylor[c] * moments[c] + 0.5 * f1 * taylor[c])
-    del moments  # no longer needed: a large line set keeps its peak memory
+    del moments  # not used below: freed, a large line set keeps its peak memory down
     if order:
         y = 1.0 / (ends * ends)
         qs = [_horner(poly, y) for poly in _bernoulli_polys(bb, order, degree)]  # Q_a(1/x^2)
