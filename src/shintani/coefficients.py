@@ -184,7 +184,8 @@ class CoefficientSpec:
     def residue_classes(self, j: int) -> Optional[tuple[int, Callable]]:
         """(q, at) when theta is periodic with period q along coordinate j:
         ``at(rest, a)`` is theta at n_j = a (mod q) for the points ``rest`` of
-        the other coordinates (a scalar when theta is constant).  None for
+        the other coordinates, a scalar exactly when theta does not vary with
+        the rest (constant, or period 1 on every other coordinate).  None for
         every family but constant and periodic."""
         return None
 
@@ -591,9 +592,12 @@ class _Periodic(CoefficientSpec, family="periodic"):
         return []
 
     def residue_classes(self, j):
-        return self.params["mods"][j], lambda rest, a: theta_values(
-            self, np.insert(rest, j, a, axis=1)
-        )
+        mods = self.params["mods"]
+        if all(q == 1 for i, q in enumerate(mods) if i != j):  # theta does not vary with the rest
+            along = np.asarray(self.params["table"], dtype=complex).ravel().tolist()
+            values = [v.real if v.imag == 0.0 else v for v in along]
+            return mods[j], lambda rest, a: values[a]
+        return mods[j], lambda rest, a: theta_values(self, np.insert(rest, j, a, axis=1))
 
 
 class _Geometric(CoefficientSpec, family="geometric"):

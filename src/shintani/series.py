@@ -998,6 +998,7 @@ _EM_MAX_HEAD = 1 << 16  # a line that needs a longer direct head is left to the 
 _EM_REL = 2.0**-60  # remainder target relative to the shell tail bound
 _EM_DIRECT = 1 << 9  # lines with at most this many terms in all are summed directly
 _EM_NEWTON = 50  # Newton steps at most for a start point (a handful converge)
+_EM_RISE = 1.0 + 2.0**-20  # a start point this far above the least is a proven rise (`_em_order`)
 _LOG_EM_HEAD = math.log(_EM_HEAD)
 _LOG_4 = math.log(4.0)
 _EM_ORDER_TERMS = tuple(  # (M, 2M, log (2 pi)^(2M)) for the Bernoulli orders M = 1..20
@@ -1243,43 +1244,17 @@ def _em_line_sums(
     sum_a weights[i, a] y^a (a 1-d `weights` holds degree-0 lines), and a
     bound on the Euler–Maclaurin remainders that is at most `target`.
 
-    One Bernoulli order M serves every line.  Let Pbar be the polynomial
-    whose coefficients are the sums over the lines of |weights[i, a]|, so
-    that the lines' bounds of `_em_remainder_bounds` at one X sum to
-    B_M(X) = C_M X^(-p_M) S_M(log X), S_M(y) = sum_c alphas_M[c]
-    Pbar^(c)(y) = sum_i s_i y^i (`_bound_poly`), s_i >= 0.  Let X_M >=
-    _EM_HEAD be a point where B_M is at most target: _EM_HEAD when S_M = 0
-    (a zero bound).  Otherwise, in y = log X the condition is psi(y) = p y
-    - log(1 + q(y)) - c0 >= 0, with q(y) = sum_(i>=1) (s_i/s_0) y^i and
-    c0 = log(C s_0 / target), target shrunk by 2^-20 of itself.  B_M is an
-    integral from X on of a nonnegative function, so psi increases; it
-    grows at least like p y - deg q log y, without bound; and q >= 0, so
-    psi(c0/p) <= 0 and every root is at least c0/p.
-    - q = 0 (always at degree 0): psi is linear, and X_M = e^(c0/p), the
-      smallest such point.
-    - Otherwise (`_em_start`) Newton's method from c0/p, with iterates
-      clamped at log _EM_HEAD.  At degree 1, log(1 + kappa y) is concave,
-      so psi is convex: Newton steps past the root once and then falls to
-      it from above, every iterate after the first with psi >= 0, and
-      stopping at any of them keeps the bound.  A higher degree can make
-      psi concave in places, so Newton may end below the root; y then
-      steps right by steps that double until psi >= -2^-21, which ends
-      because psi increases without bound, and the 2^-20 shrink of the
-      target covers psi >= -2^-21 (formed to well within that).
-    Euler–Maclaurin starts on every line at the first k with k + v_i >=
-    X = min_M X_M, with the first order M that reaches it: the least
-    (X_M, M).  The orders whose X_M needs no solve (degree 0, or a zero
-    bound) are taken in increasing M, stopping at one with X_M = _EM_HEAD,
-    as no X_M is lower; then the others in increasing (e^(c0/p), M), each
-    solved unless that pair is no less than the least (X_M, M) so far,
-    which then holds for the rest too, as X_M >= e^(c0/p).  Each line's
-    bound only falls past X, so the weighted total is at most target.  A line's
-    head grows with X and never exceeds the line, so no other choice of X
-    has fewer head terms.  A line with v_i >= X needs no head; one whose
-    head covers it is summed directly with no remainder.  Every line is
-    summed directly when the lines hold at most _EM_DIRECT terms in all,
-    when no order applies, or when target or Pbar is 0.  Returns None when
-    a line needs more than _EM_MAX_HEAD direct terms.
+    One Bernoulli order M serves every line: the least (X_M, M) of
+    `_em_order`, from Pbar, the polynomial whose coefficients are the sums
+    over the lines of |weights[i, a]|.  Euler–Maclaurin starts on every line
+    at the first k with k + v_i >= X = X_M.  Each line's bound only falls
+    past X, so the weighted total is at most target.  A line's head grows
+    with X and never exceeds the line, so no other choice of X has fewer
+    head terms.  A line with v_i >= X needs no head; one whose head covers
+    it is summed directly with no remainder.  Every line is summed directly
+    when the lines hold at most _EM_DIRECT terms in all, when no order
+    applies, or when target or Pbar is 0.  Returns None when a line needs
+    more than _EM_MAX_HEAD direct terms.
     """
     b = complex(b)
     weights = weights.reshape(v.size, -1)
@@ -1287,27 +1262,7 @@ def _em_line_sums(
     x, chosen = math.inf, None  # every line direct
     totals = [float(np.abs(col).sum()) for col in weights.T]  # the coefficients of Pbar
     if k_len.sum() > _EM_DIRECT and target > 0.0 and any(totals):
-        log_target = math.log(target * (1.0 - 2.0**-20))
-        rows, solves = _derivative_rows(totals), []
-        row0, solve = rows[0], len(rows) > 1
-        for const in _em_remainder_constants(b, len(totals) - 1):
-            _, log_c, decay, alphas = const
-            s0 = sum(map(operator.mul, alphas, row0))  # S_M(0); S_M = 0 where it is 0
-            c0 = log_c + (math.log(s0) - log_target) if s0 > 0.0 else -math.inf
-            y = max(c0 / decay, _LOG_EM_HEAD)  # the root where q = 0: psi is linear
-            x_m = max(math.exp(min(y, 700.0)), _EM_HEAD)
-            if solve and s0 > 0.0:  # X_M >= x_m, solved below where that can help
-                solves.append((x_m, const, c0, y))
-            elif x_m < x:
-                x, chosen = x_m, const
-                if x == _EM_HEAD:
-                    break
-        for x_lo, const, c0, y in sorted(solves, key=lambda solve: (solve[0], solve[1][0])):
-            if (x_lo, const[0]) >= (x, math.inf if chosen is None else chosen[0]):
-                break  # X_M >= x_lo: this order and the rest cannot lower (X, M)
-            x_m = _em_start(const[2], const[3], rows, c0, y)
-            if (x_m, const[0]) < (x, math.inf if chosen is None else chosen[0]):
-                x, chosen = x_m, const
+        x, chosen = _em_order(b, totals, target)
     heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len).astype(np.int64)
     if heads.max() > _EM_MAX_HEAD:
         return None
@@ -1322,12 +1277,112 @@ def _em_line_sums(
     return value, remainder
 
 
+def _em_order(b: complex, totals: list, target: float) -> tuple[float, Optional[tuple]]:
+    """(X_M, the `_em_remainder_constants` entry of M) for the least (X_M,
+    M) over the orders M, or (inf, None) when no order applies: the start
+    point and order of `_em_line_sums` for lines whose Pbar has the
+    coefficients `totals`, not all 0, and a remainder `target` > 0.
+
+    The lines' bounds of `_em_remainder_bounds` at one X sum to B_M(X) =
+    C_M X^(-p_M) S_M(log X), S_M(y) = sum_c alphas_M[c] Pbar^(c)(y) =
+    sum_i s_i y^i (`_bound_poly`), s_i >= 0.  X_M >= _EM_HEAD is a point
+    where B_M is at most target: _EM_HEAD when S_M = 0 (a zero bound).
+    Otherwise, in y = log X the condition is psi(y) = p y - log(1 + q(y))
+    - c0 >= 0, with q(y) = sum_(i>=1) (s_i/s_0) y^i and c0 = log(C s_0 /
+    target), target shrunk by 2^-20 of itself.  B_M is an integral from X
+    on of a nonnegative function, so psi increases; it grows at least like
+    p y - deg q log y, without bound; and q >= 0, so psi(c0/p) <= 0 and
+    every root is at least c0/p.
+    - q = 0 (always at degree 0): psi is linear, and X_M = e^(c0/p), the
+      smallest such point.
+    - Otherwise (`_em_start`) Newton's method from c0/p, with iterates
+      clamped at log _EM_HEAD.  At degree 1, log(1 + kappa y) is concave,
+      so psi is convex: Newton steps past the root once and then falls to
+      it from above, every iterate after the first with psi >= 0, and
+      stopping at any of them keeps the bound.  A higher degree can make
+      psi concave in places, so Newton may end below the root; y then
+      steps right by steps that double until psi >= -2^-21, which ends
+      because psi increases without bound, and the 2^-20 shrink of the
+      target covers psi >= -2^-21 (formed to well within that).
+    The orders whose X_M needs no solve (degree 0, or a zero bound) are
+    taken in increasing M, stopping at one with X_M = _EM_HEAD, as no X_M
+    is lower; then the others in increasing (e^(c0/p), M), each solved
+    unless that pair is no less than the least (X_M, M) so far, which then
+    holds for the rest too, as X_M >= e^(c0/p).
+
+    At degree 0 and Re b >= 0 the scan also stops at the first order whose
+    X_M exceeds the least so far by more than the factor _EM_RISE, and
+    returns what the full scan returns.  Proof.  There every order applies
+    (p_M = Re b + 2M - 1 >= 1, and S_M = s_0 = totals[0] unless b = 0,
+    whose zero bound stops the scan at once), so y_M = c0_M/p_M = (log C_M
+    + L)/p_M with L = log(s_0/target) the same for all M.  As p_(M+1) =
+    p_M + 2, y_(M+1) - y_M = (delta_M - 2 y_M)/p_(M+1), where delta_M =
+    log C_(M+1) - log C_M = log|b + 2M| + log|b + 2M + 1| - 2 log 2 pi -
+    log(p_(M+1)/p_M) does not fall as M grows (|b + k| grows with k >= 0
+    when Re b >= 0, and p_(M+1)/p_M = 1 + 2/p_M falls).  If y_(M+1) >= y_M,
+    then 2 y_M <= delta_M, and y_(M+1), the mean of y_M and delta_M/2 with
+    weights p_M and 2, is at most delta_M/2 <= delta_(M+1)/2: y rises at
+    M + 1 too.  So once y rises it never falls, nor does X_M, a
+    nondecreasing function of y_M (its clamps).  In floats, every log in
+    c0 is of a positive finite float, so at most 745 in size, and c0 adds
+    at most 43 of them and two constants below 74: every partial sum is
+    below 2^15, and its 45 additions (2^-38 each) and 45 logs and
+    constants (2^-43 each) err by less than 2^-32 in all.  p_M >= 1 is
+    formed within 3 units of rounding, so y errs by less than 2^-31 and
+    X_M, one exp on, by a relative eps < 2^-30.  Now let X be the least
+    computed X_M so far, at order M_b, and let a later computed X_M exceed
+    X (1 + 2^-20), rounded.  Then the exact X_M exceeds the exact X_(M_b),
+    as (1 + 2^-20)(1 - 2^-53)(1 - eps) > 1 + eps; so y rose between M_b
+    and M and does not fall after M, and every later computed X_M' is at
+    least the exact X_M times 1 - eps, above X.  No later order beats
+    (X, M_b).
+    """
+    log_target = math.log(target * (1.0 - 2.0**-20))
+    rows, solves = _derivative_rows(totals), []
+    row0, solve = rows[0], len(rows) > 1
+    stop_at_rise = not solve and b.real >= 0.0
+    x, chosen = math.inf, None
+    for const in _em_remainder_constants(b, len(totals) - 1):
+        _, log_c, decay, alphas = const
+        s0 = sum(map(operator.mul, alphas, row0))  # S_M(0); S_M = 0 where it is 0
+        c0 = log_c + (math.log(s0) - log_target) if s0 > 0.0 else -math.inf
+        y = max(c0 / decay, _LOG_EM_HEAD)  # the root where q = 0: psi is linear
+        x_m = max(math.exp(min(y, 700.0)), _EM_HEAD)
+        if solve and s0 > 0.0:  # X_M >= x_m, solved below where that can help
+            solves.append((x_m, const, c0, y))
+        elif x_m < x:
+            x, chosen = x_m, const
+            if x == _EM_HEAD:
+                break
+        elif stop_at_rise and x_m > x * _EM_RISE:
+            break  # a proven rise: no later order is lower
+    for x_lo, const, c0, y in sorted(solves, key=lambda solve: (solve[0], solve[1][0])):
+        if (x_lo, const[0]) >= (x, math.inf if chosen is None else chosen[0]):
+            break  # X_M >= x_lo: this order and the rest cannot lower (X, M)
+        x_m = _em_start(const[2], const[3], rows, c0, y)
+        if (x_m, const[0]) < (x, math.inf if chosen is None else chosen[0]):
+            x, chosen = x_m, const
+    return x, chosen
+
+
 def _em_start(decay: float, alphas: list, rows: list, c0: float, y: float) -> float:
     """The start point X_M = e^y of `_em_line_sums` for an order with
     `decay` p_M and `alphas` (from `_em_remainder_constants`), with S_M the
     `_bound_poly` of the lines' Pbar (`_derivative_rows` `rows`): Newton's
     method on psi from y = c0/decay (clamped at log _EM_HEAD), then steps to
-    the right until psi >= -2^-21 (see `_em_line_sums` for the proof)."""
+    the right until psi >= -2^-21 (see `_em_order` for the proof).
+
+    The steps run only after Newton has used all _EM_NEWTON steps, for at
+    most 1000 log factors.  Proof.  For y >= 0, q' >= 0, so psi' <= p.  Let
+    Newton stop at y1 after its step from y0, |y1 - y0| <= 1e-12 y1.  If
+    psi(y0) < 0 the step goes right and psi(y0) = -psi'(y0) (y1 - y0), so
+    psi(y1) >= psi(y0) >= -p (y1 - y0); if psi(y0) >= 0, psi(y1) >= psi(y0)
+    - p (y0 - y1) (the clamp only shortens a step).  Either way psi(y1) >=
+    -1e-12 p y1.  Where psi(y1) < 0, p y1 < c0 + log(1 + q(y1)); as
+    alphas[c+1] >= alphas[c]/p, s_i <= (p^i/i!) s_0 term by term, so q(y)
+    <= (1 + p y)^K - 1 and p y1 < c0 + K log(1 + p y1), with |c0| < 2^15
+    (`_em_order`): p y1 < 5e4 at K <= 1000, and psi(y1) > -5e-8, which
+    its float rounding (below 1e-10) keeps above -2^-21."""
     s = _bound_poly(alphas, rows)
     q = [0.0] + [si / s[0] for si in s[1:]]  # psi(y) = decay y - log(1 + q(y)) - c0
     slopes = [i * c for i, c in enumerate(q)][1:]  # q'
@@ -1389,6 +1444,18 @@ def _line_partial_sum(
     when `tail` is 0 or infinite), so adding it to a finite tail bound
     leaves the float unchanged.  Also None when a line would need more than
     _EM_MAX_HEAD direct terms (Re b below about -38).
+
+    The lines of rest points of one degree D are one line, merged before
+    any rest point is enumerated, when every form lies in S (so no log
+    factor sits off S), the rows of S have equal entries in the rest
+    columns (v_rho is then u_j + along (D + sum_i u_i) in exact
+    arithmetic) and the rest of theta does not vary with rho (a scalar
+    from `residue_classes`).  The line at rho = (D, 0, ..., 0) then carries
+    the weight of the C(D + r - 2, r - 2) rest points of degree D.  A
+    line's remainder bound and its share of Pbar are linear in |w|, so the
+    merged lines have the totals of the lines they replace and the same
+    remainder target holds; values move only by rounding.  At r = 2 every
+    degree has one rest point and the lines are the unmerged ones.
     """
     line = _line_column(config.lam)
     split = None if line is None else config.theta.log_split(config.lam, config.u)
@@ -1406,12 +1473,25 @@ def _line_partial_sum(
     lam_o, off_o = lam[others][:, rest], config.form_offsets[others]
     # per log factor: A_i less its rest-point part, G_i, and the g_il off S
     factors = [(g[rows] @ np.log(q * lam[rows, j]), g[rows].sum(), g[others]) for g in logs]
+    no_rest = np.zeros((0, r - 1), dtype=np.int64)
+    if r > 1 and not others.size and (along == along[0]).all() and np.ndim(theta_on(no_rest, 0)) == 0:
+        # the line of rho depends on |rho| alone: one line per rest degree D,
+        # at the rest point (D, 0, ..., 0), weighted by the C(D + r - 2, r - 2)
+        # rest points of degree D (r - 2 running sums of ones, exact below 2^53)
+        block = np.zeros((n_shell + 1, r - 1), dtype=np.int64)
+        block[:, 0] = np.arange(n_shell + 1)
+        counts = np.ones(n_shell + 1)
+        for _ in range(r - 2):
+            counts = counts.cumsum()
+        blocks = [(block, scale * counts)]
+    else:
+        blocks = ((block, scale) for block, _ in _iter_blocks(r - 1, n_shell))
     parts = []  # (v, k_max, weights) of the lines, block by block and class by class
-    for block, _ in _iter_blocks(r - 1, n_shell):
+    for block, block_scale in blocks:
         deg = block.sum(axis=1)
         v_rho = config.u[j] + (block + config.u[rest]) @ along
         forms_o = block @ lam_o.T + off_o
-        weight = (scale * _form_powers(forms_o, beta[others], is_real))[:, None]
+        weight = (block_scale * _form_powers(forms_o, beta[others], is_real))[:, None]
         for a_rows, g_sum, g_o in factors:  # times A_i + G_i y
             a_line = (a_rows + np.log(forms_o) @ g_o)[:, None]
             zero = np.zeros((len(weight), 1))

@@ -1,14 +1,19 @@
 """One Euler–Maclaurin remainder for every line: a log-free line is the
 g = 0 case of the log-weighted bound, and a degree-0 line is the sum of a
-degree-1 line whose log coefficient is 0."""
+degree-1 line whose log coefficient is 0.  The start point and order: the
+Bernoulli-order scan that stops at a proven rise returns the full scan's
+choice, and the doubling steps after Newton reach the target."""
 
 from __future__ import annotations
 
 import math
+import operator
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shintani import series
 from shintani.series import _em_remainder_bounds, _em_sum, _line_partial_sum, evaluate_partial, make_special
@@ -81,3 +86,84 @@ class TestOneBound:
                 assert abs(block - exact) <= ROUNDING * exact
                 res = evaluate_partial(cfg, s, n_shell)
                 assert (res.value, res.tail_bound, res.certified) == (value, math.inf, False)
+
+
+def _full_scan(b: complex, total: float, target: float) -> tuple[float, int]:
+    """The least (X_M, M) over every order of a degree-0 line set with Pbar =
+    total, each X_M formed as `series._em_order` forms it."""
+    log_target = math.log(target * (1.0 - 2.0**-20))
+    best = (math.inf, 0)
+    for order, log_c, decay, alphas in series._em_remainder_constants(b, 0):
+        s0 = alphas[0] * total
+        c0 = log_c + (math.log(s0) - log_target) if s0 > 0.0 else -math.inf
+        y = max(c0 / decay, series._LOG_EM_HEAD)
+        best = min(best, (max(math.exp(min(y, 700.0)), series._EM_HEAD), order))
+    return best
+
+
+class TestStartPoint:
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.floats(1e-300, 1e3)),
+        st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e12, 1e12)),
+        st.floats(1e-300, 1e300),
+        st.floats(1e-300, 1e300),
+    )
+    @settings(deadline=None)
+    def test_order_scan_stops_at_the_full_scans_choice(self, re_b, im_b, total, target):
+        # degree 0 and Re b >= 0: X_M is quasiconvex in M, and the scan stops at a proven rise
+        b = complex(re_b, im_b)
+        x, chosen = series._em_order(b, [total], target)
+        assert (x, chosen[0]) == _full_scan(b, total, target)
+
+    def test_order_scan_sweep(self):
+        all_orders, drawn = series._em_remainder_constants, []
+
+        def counted(b, degree):
+            for const in all_orders(b, degree):
+                drawn.append(const[0])
+                yield const
+
+        interior = 0
+        for re_b in (0.0, 1e-9, 0.5, 1.0, 2.0, 3.5, 7.25, 20.0, 41.0):
+            for im_b in (0.0, 0.3, 5.0, -40.0, 1e3, -1e6):
+                for total in (1e-12, 1.0, 3e5, 1e100):
+                    for target in (1e-300, 1e-60, 1e-20, 1e-8, 1.0):
+                        b = complex(re_b, im_b)
+                        drawn.clear()
+                        with mock.patch.object(series, "_em_remainder_constants", counted):
+                            x, chosen = series._em_order(b, [total], target)
+                        assert (x, chosen[0]) == _full_scan(b, total, target), (b, total, target)
+                        if series._EM_HEAD < x < math.exp(700.0) and chosen[0] < 20:
+                            # the least X_M is below X_20 and unclamped: a rise follows it
+                            interior += 1
+                            assert len(drawn) < 20, (b, total, target)
+        assert interior > 30
+
+    def test_doubling_steps_after_newton_reach_the_target(self):
+        # K = 2 and 3 line sets where psi is concave at the start: one Newton step from
+        # c0/p ends below the root, and the steps to the right end where the bound of
+        # the order is at most the target
+        cases = [(0.6, [10.0, 1e-4, 0.1], 1e-3), (1.0, [0.1, 1e-5, 1e-3], 1e-7),
+                 (0.6, [0.1, 1e-3, 1e-6, 1e-4], 1e-6), (3.5, [10.0, 1e-5, 1e-2, 0.1], 1e-7)]
+        for re_b, totals, target in cases:
+            b = complex(re_b)
+            rows = series._derivative_rows(totals)
+            order, log_c, decay, alphas = next(series._em_remainder_constants(b, len(totals) - 1))
+            assert order == 1
+            c0 = log_c + (math.log(sum(map(operator.mul, alphas, rows[0]))) - math.log(target * (1.0 - 2.0**-20)))
+            s = series._bound_poly(alphas, rows)
+            q = [0.0] + [si / s[0] for si in s[1:]]
+
+            def psi(y):
+                return decay * y - math.log1p(series._horner(q, y)) - c0
+
+            y0 = max(c0 / decay, series._LOG_EM_HEAD)
+            slope = decay - series._horner([i * c for i, c in enumerate(q)][1:], y0) / (1.0 + series._horner(q, y0))
+            y1 = max(y0 - psi(y0) / slope, series._LOG_EM_HEAD)
+            assert psi(y1) < -(2.0**-21)  # one Newton step ends below the root
+            with mock.patch.object(series, "_EM_NEWTON", 1):
+                x = series._em_start(decay, alphas, rows, c0, y0)
+            assert x > math.exp(y1)
+            bound = sum(bound for m, bound in _em_remainder_bounds(b, x - 1.0, 1, *totals) if m == 1)
+            assert bound <= target
+            assert math.log(x) <= y1 + 2.0 * (math.log(series._em_start(decay, alphas, rows, c0, y0)) - y1)

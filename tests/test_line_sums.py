@@ -3,6 +3,7 @@ mpmath oracles and threads."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -304,6 +305,125 @@ class TestOracles:
         res = evaluate(config, 5.0, tol=1e-8, shell_cap=10**7)
         assert res.shells_used == 389 and not res.certified
         assert res.tail_bound == _tail_bound(config, np.array([5.0]), 389)
+
+    def test_barnes_r4_against_hurwitz_combination(self):
+        # sum_{t <= N} C(t+3, 3) (t+u)^(-s) = H(s, u) - H(s, N+1+u): with x = t + u
+        # and c = 2 - u, C(t+3, 3) = ((x+c)^3 - (x+c)) / 6, so H(s, a) = (zeta(s-3, a)
+        # + 3c zeta(s-2, a) + (3c^2 - 1) zeta(s-1, a) + (c^3 - c) zeta(s, a)) / 6
+        for u, s in ((1.0, 7.0), (0.6, 5.5 + 4.0j), (1.7, 6.5 - 12.0j), (2.3, 4.75)):
+            config = make_special("barnes", r=4, lam=[1.0, 1.0, 1.0, 1.0], u=u)
+            for n_shell in (100, 400):
+                with mp.workdps(30):
+                    cc, ss = 2 - mp.mpf(u), mp.mpc(complex(s).real, complex(s).imag)
+
+                    def combo(a):
+                        return (mp.zeta(ss - 3, a) + 3 * cc * mp.zeta(ss - 2, a)
+                                + (3 * cc**2 - 1) * mp.zeta(ss - 1, a) + (cc**3 - cc) * mp.zeta(ss, a)) / 6
+
+                    ref = complex(combo(mp.mpf(u)) - combo(n_shell + 1 + mp.mpf(u)))
+                    scale = float(mp.fsum(
+                        mp.binomial(t + 3, 3) * (t + mp.mpf(u)) ** (-complex(s).real) for t in range(n_shell + 1)
+                    ))
+                got = evaluate_partial(config, s, n_shell)
+                assert abs(got.value - ref) <= ROUNDING * (1.0 + scale), (u, s, n_shell)
+
+
+def _rest_free(seed: int, r: int, periodic: bool, equal_along: bool) -> ShintaniConfig:
+    """d = m = 1 and forms lam (n + u) with line column 0: lam = (lam_0, mu, ..., mu)
+    when `equal_along` (lines merge by rest degree), else distinct rest entries;
+    theta constant or periodic along column 0 only, so it does not vary with the rest."""
+    rng = np.random.default_rng(seed)
+    lam = np.concatenate(([rng.uniform(0.4, 2.0)], np.full(r - 1, rng.uniform(0.4, 2.0))))
+    if not equal_along:
+        lam[1:] = rng.uniform(0.4, 2.0, size=r - 1)
+        lam[-1] = lam[1] * 1.25  # two rest entries differ at every r >= 3
+    if periodic:
+        q = int(rng.integers(2, 4))
+        table = rng.uniform(-1.0, 1.0, size=(q,) + (1,) * (r - 1))
+        table[rng.integers(q)] = 0.0
+        theta = CoefficientSpec.periodic(table.shape, table)
+    else:
+        theta = CoefficientSpec.constant(float(rng.uniform(0.2, 2.0)))
+    return ShintaniConfig(d=1, m=1, r=r, lam=lam.reshape(1, r), u=rng.uniform(0.05, 1.5, size=r),
+                          c=np.array([[1.0]]), theta=theta)
+
+
+def _period_two_twin(config: ShintaniConfig) -> ShintaniConfig:
+    """The same theta values as a periodic theta with period 2 on rest column 1,
+    which varies with the rest as far as the line route can tell: its lines are
+    one per rest point."""
+    theta = config.theta
+    if theta.family == "constant":
+        table = np.full((1,) * config.r, theta.params["value"])
+    else:
+        table = np.asarray(theta.params["table"], dtype=complex)
+    twin = CoefficientSpec.periodic(table.shape[:1] + (2,) + table.shape[2:], np.repeat(table, 2, axis=1))
+    return dataclasses.replace(config, theta=twin)
+
+
+def _line_count(config: ShintaniConfig, pt: ComplexPoint, n_shell: int, tail: float):
+    """(value, remainder, number of lines) of `_line_partial_sum`."""
+    with mock.patch.object(series, "_em_line_sums", wraps=series._em_line_sums) as spy:
+        value, remainder = _line_partial_sum(config, pt, n_shell, tail)
+    return value, remainder, (spy.call_args.args[1].size if spy.call_count else 0)
+
+
+class TestMergedLines:
+    """Lines of one rest degree merge into one weighted line when every form
+    lies on the line rows, their rest entries are equal and theta does not vary
+    with the rest; merged sums against per-rest-point lines and the block route.
+
+    `python -m pytest tests/test_line_sums.py --hypothesis-profile=ci` runs the
+    property test derandomized with more examples (see conftest.py)."""
+
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["constant", "periodic", "unequal along", "period 2 on the rest"]),
+        st.integers(0, 2),
+        st.booleans(),
+        st.floats(0.1, 3.0),
+        st.floats(0.0, 1.0),
+    )
+    @settings(deadline=None)
+    def test_merged_against_per_rest_point_lines(self, r, seed, kind, logs, complex_s, margin, where):
+        base = _rest_free(seed, r, kind == "periodic", kind != "unequal along")
+        config = _period_two_twin(base) if kind == "period 2 on the rest" else base
+        for _ in range(logs):
+            config = differentiate(config, 1)
+        pt = _point(config, seed, margin, complex_s)
+        n_shell = int(where * {2: 400, 3: 60, 4: 24}[r])
+        tail = _tail_bound(config, pt.re, n_shell)
+        value, remainder, lines = _line_count(config, pt, n_shell, tail)
+        assert remainder <= 2.0**-60 * tail
+        assert abs(value - _block(config, pt, n_shell)) <= _tolerance(config, pt, n_shell)
+        # the residue classes a along column 0 where theta is not 0, and their line counts:
+        # one per rest degree D <= n_shell - a merged, one per rest point otherwise
+        q = 1 if base.theta.family == "constant" else len(base.theta.params["table"])
+        classes = np.arange(min(q, n_shell + 1))
+        along = np.asarray(cf.theta_values(base.theta, np.eye(1, r, dtype=np.int64) * classes[:, None]))
+        nonzero = classes[along != 0.0].tolist()
+        per_degree = sum(n_shell - a + 1 for a in nonzero)
+        per_point = sum(math.comb(n_shell - a + r - 1, r - 1) for a in nonzero)
+        assert lines == (per_degree if kind in ("constant", "periodic") else per_point)
+        if kind in ("constant", "periodic"):
+            twin = _period_two_twin(base)
+            for _ in range(logs):
+                twin = differentiate(twin, 1)
+            twin_value, twin_remainder, twin_lines = _line_count(twin, pt, n_shell, tail)
+            assert twin_lines == per_point
+            assert twin_remainder <= 2.0**-60 * tail
+            assert abs(value - twin_value) <= _tolerance(config, pt, n_shell)
+
+    def test_heavy_barnes_sums_one_line_per_degree(self):
+        config = make_special("barnes", r=3, lam=[1.0, 1.0, 1.0], u=1.0)
+        pt = series.as_point(5.0, 1)
+        tail = _tail_bound(config, pt.re, 389)
+        value, remainder, lines = _line_count(config, pt, 389, tail)
+        assert lines == 390 and 0.0 < remainder <= 2.0**-60 * tail
+        twin_value, _, twin_lines = _line_count(_period_two_twin(config), pt, 389, tail)
+        assert twin_lines == math.comb(391, 2)
+        assert abs(value - twin_value) <= ROUNDING * value.real
 
 
 class TestShells:
