@@ -28,6 +28,7 @@ from .series import (
     ShintaniConfig,
     _cap_from_budget,
     _first_admissible,
+    _gallop,
     _lattice_blocks,
     _require_shell,
     _require_valid,
@@ -297,22 +298,19 @@ def _next_stop_test(tails: _Tails, k: int, size: float, delta: float, last: int)
     so a test that rounding could pass is never skipped.  Every route of
     `_tail_bound` is non-increasing in the shell (`_first_admissible`'s
     proof), so the shells with tail <= limit form an up-set [n*, inf).  A
-    gallop probes k + 1, k + 2, k + 4, ..., up to `last`, until a probe hi
-    has tail(hi) <= limit; `_first_admissible` then finds n* in the bracket
-    above the last failed probe.  With one shell per block, the block
-    ending at n* is the next to test, and its tail is already in `tails`.
+    gallop (`_gallop`) probes k + 1, k + 2, k + 4, ..., up to `last`, until
+    a probe hi has tail(hi) <= limit; `_first_admissible` then finds n* in
+    the bracket above the last failed probe.  With one shell per block, the
+    block ending at n* is the next to test, and its tail is already in
+    `tails`.
     """
     limit = delta * (size + tails[k]) * (1.0 + _STOP_MARGIN)
-    lo, tail_lo = k + 1, tails[k]
-    if not 0.0 < limit < math.inf or tail_lo <= limit:
-        return lo
-    hi, step = lo, 1
-    while tails[hi] > limit:
-        if hi >= last:
-            return last + 1
-        lo, tail_lo = hi + 1, tails[hi]
-        hi, step = min(hi + step, last), 2 * step
-    n, tail_n = _first_admissible(tails.config, tails.sigma, limit, hi, tails[hi], lo, tail_lo)
+    if not 0.0 < limit < math.inf or tails[k] <= limit:
+        return k + 1
+    failed, hi = _gallop(lambda n: not tails[n] > limit, k + 1, last, bisect=False)
+    if hi > last:
+        return last + 1
+    n, tail_n = _first_admissible(tails.config, tails.sigma, limit, hi, tails[hi], failed + 1, tails[failed])
     tails[n] = tail_n
     return n
 

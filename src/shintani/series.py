@@ -68,7 +68,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -652,9 +652,8 @@ def _geometric_ratio(config: ShintaniConfig, sl: np.ndarray, usum: float, t0: fl
 
 def _geometric_start(config: ShintaniConfig, sigma: np.ndarray, hi: int) -> int:
     """The first shell N <= hi where `_geometric_tail` is finite, that is
-    rho(N + 1) < 1 (or the bound is 0), else hi: rho falls with N, so a
-    gallop from shell 0 and a bisection of its last step find it without a
-    tail bound."""
+    rho(N + 1) < 1 (or the bound is 0), else hi: rho falls with N, so
+    `_gallop` from shell 0 finds it without a tail bound."""
     if config.theta.envelope_triple[0] == 0.0:
         return 0
     sl = config.c @ sigma
@@ -663,18 +662,30 @@ def _geometric_start(config: ShintaniConfig, sigma: np.ndarray, hi: int) -> int:
     def finite(n: int) -> bool:
         return _geometric_ratio(config, sl, usum, float(n + 1)) < 1.0
 
-    lo, n, step = -1, 0, 1  # rho(lo + 1) >= 1 (nothing to check at lo = -1)
-    while not finite(n):
+    return min(_gallop(finite, 0, hi)[1], hi)
+
+
+def _gallop(passes: Callable[[int], bool], x0: int, hi: int, bisect: bool = True) -> tuple[int, int]:
+    """(n - 1, n) for the first shell n in [x0, hi] where `passes` holds,
+    given that it fails below some shell and holds from it on; (the last
+    probe, hi + 1) when it holds nowhere in [x0, hi].
+
+    Probes x0, x0 + 1, x0 + 3, x0 + 7, ... (steps that double), capped at
+    hi, up to the first that passes, then bisects between it and the probe
+    before it (x0 - 1 when x0 passes).  Without `bisect` it returns those
+    two probes, which bracket n."""
+    lo, n, step = x0 - 1, x0, 1  # passes fails at lo (nothing to check at x0 - 1)
+    while not passes(n):
         if n >= hi:
-            return hi
+            return n, hi + 1
         lo, n, step = n, min(n + step, hi), 2 * step
-    while n - lo > 1:
+    while bisect and n - lo > 1:
         mid = (lo + n) // 2
-        if finite(mid):
+        if passes(mid):
             n = mid
         else:
             lo = mid
-    return n
+    return lo, n
 
 
 @_tail_route
@@ -825,26 +836,13 @@ def lattice_count(r: int, n_shell: int) -> int:
 
 def _last_degree(r: int, count: int, lo: int, top: int) -> int:
     """The largest degree h in [lo, top] with lattice_count(r, h) <= count,
-    given that lo has it (degree -1, with no points, always does).
-
-    Gallops up from lo by doubling steps, then bisects the last step; top
-    itself when it has it (rank 0, the rest point of a rank-1 line, has one
-    point at every degree)."""
+    given that lo has it (degree -1, with no points, always does): one
+    below the first degree past lo without it (`_gallop`); top itself when
+    it has it (rank 0, the rest point of a rank-1 line, has one point at
+    every degree)."""
     if lattice_count(r, top) <= count:
         return top
-    step, hi = 1, lo
-    while lo < top:
-        hi = min(lo + step, top)
-        if lattice_count(r, hi) > count:
-            break
-        lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if lattice_count(r, mid) <= count:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _gallop(lambda h: lattice_count(r, h) > count, lo + 1, top)[1] - 1
 
 
 def _iter_blocks(
@@ -998,7 +996,6 @@ _EM_MAX_HEAD = 1 << 16  # a line that needs a longer direct head is left to the 
 _EM_REL = 2.0**-60  # remainder target relative to the shell tail bound
 _EM_DIRECT = 1 << 9  # lines with at most this many terms in all are summed directly
 _EM_NEWTON = 50  # Newton steps at most for a start point (a handful converge)
-_EM_RISE = 1.0 + 2.0**-20  # a start point this far above the least is a proven rise (`_em_order`)
 _LOG_EM_HEAD = math.log(_EM_HEAD)
 _LOG_4 = math.log(4.0)
 _EM_ORDER_TERMS = tuple(  # (M, 2M, log (2 pi)^(2M)) for the Bernoulli orders M = 1..20
@@ -1133,8 +1130,21 @@ def _em_remainder_bounds(b: complex, v: float, h: int, *poly: complex) -> list[t
     falls as X grows, and a line that starts past X keeps the bound at X.
     """
     log_x, rows = math.log(h + v), _derivative_rows([abs(complex(c)) for c in poly or (1.0,)])
-    return [(order, math.exp(log_c - decay * log_x) * _horner(_bound_poly(alphas, rows), log_x))
-            for order, log_c, decay, alphas in _em_remainder_constants(complex(b), max(len(poly) - 1, 0))]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in floats: inf, and 0 times inf is nan
+        bounds = [(const[0], float(_em_line_bound(const, log_x, rows)))
+                  for const in _em_remainder_constants(complex(b), max(len(poly) - 1, 0))]
+    return [(order, bound if bound == bound else math.inf) for order, bound in bounds]  # nan: no bound
+
+
+def _em_line_bound(const: tuple, log_x, rows: list):
+    """C_M x^(-p_M) S_M(log x), the remainder bound of `_em_remainder_bounds`
+    at order M (`const`, its `_em_remainder_constants` entry) of a line
+    from x on, Pbar given by its `_derivative_rows` `rows`: one value, or
+    one per line where `log_x` and the rows' entries are arrays.  nan
+    where C_M x^(-p_M) underflows to 0 and S_M overflows."""
+    _, log_c, decay, alphas = const
+    return np.exp(log_c - decay * log_x) * _horner(_bound_poly(alphas, rows), log_x)
+
 
 def _line_powers(x: np.ndarray, b: complex) -> np.ndarray:
     return _form_powers(x.reshape(-1, 1), np.array([b]), b.imag == 0.0)
@@ -1269,11 +1279,9 @@ def _em_line_sums(
     order = 0 if chosen is None else chosen[0]  # no order: every line direct
     value, remainder = _em_sum(b, v, k_max, weights, heads, order), 0.0
     if chosen is not None:  # the sum first: arrays live across it slow its allocations
-        _, log_c, decay, alphas = chosen
         em = heads <= k_max  # lines summed directly have no remainder
-        log_x = np.log(heads[em] + v[em])
-        s = _bound_poly(alphas, _derivative_rows([np.abs(col[em]) for col in weights.T]))
-        remainder = float((np.exp(log_c - decay * log_x) * _horner(s, log_x)).sum())
+        rows = _derivative_rows([np.abs(col[em]) for col in weights.T])
+        remainder = float(_em_line_bound(chosen, np.log(heads[em] + v[em]), rows).sum())
     return value, remainder
 
 
@@ -1293,7 +1301,8 @@ def _em_order(b: complex, totals: list, target: float) -> tuple[float, Optional[
     on of a nonnegative function, so psi increases; it grows at least like
     p y - deg q log y, without bound; and q >= 0, so psi(c0/p) <= 0 and
     every root is at least c0/p.
-    - q = 0 (always at degree 0): psi is linear, and X_M = e^(c0/p), the
+    - q = 0 (always at degree 0, and where S_M(0) = 0, as S_M = 0 then):
+      psi is linear, and X_M = x_lo = max(e^(c0/p), _EM_HEAD), the
       smallest such point.
     - Otherwise (`_em_start`) Newton's method from c0/p, with iterates
       clamped at log _EM_HEAD.  At degree 1, log(1 + kappa y) is concave,
@@ -1304,65 +1313,33 @@ def _em_order(b: complex, totals: list, target: float) -> tuple[float, Optional[
       steps right by steps that double until psi >= -2^-21, which ends
       because psi increases without bound, and the 2^-20 shrink of the
       target covers psi >= -2^-21 (formed to well within that).
-    The orders whose X_M needs no solve (degree 0, or a zero bound) are
-    taken in increasing M, stopping at one with X_M = _EM_HEAD, as no X_M
-    is lower; then the others in increasing (e^(c0/p), M), each solved
-    unless that pair is no less than the least (X_M, M) so far, which then
-    holds for the rest too, as X_M >= e^(c0/p).
-
-    At degree 0 and Re b >= 0 the scan also stops at the first order whose
-    X_M exceeds the least so far by more than the factor _EM_RISE, and
-    returns what the full scan returns.  Proof.  There every order applies
-    (p_M = Re b + 2M - 1 >= 1, and S_M = s_0 = totals[0] unless b = 0,
-    whose zero bound stops the scan at once), so y_M = c0_M/p_M = (log C_M
-    + L)/p_M with L = log(s_0/target) the same for all M.  As p_(M+1) =
-    p_M + 2, y_(M+1) - y_M = (delta_M - 2 y_M)/p_(M+1), where delta_M =
-    log C_(M+1) - log C_M = log|b + 2M| + log|b + 2M + 1| - 2 log 2 pi -
-    log(p_(M+1)/p_M) does not fall as M grows (|b + k| grows with k >= 0
-    when Re b >= 0, and p_(M+1)/p_M = 1 + 2/p_M falls).  If y_(M+1) >= y_M,
-    then 2 y_M <= delta_M, and y_(M+1), the mean of y_M and delta_M/2 with
-    weights p_M and 2, is at most delta_M/2 <= delta_(M+1)/2: y rises at
-    M + 1 too.  So once y rises it never falls, nor does X_M, a
-    nondecreasing function of y_M (its clamps).  In floats, every log in
-    c0 is of a positive finite float, so at most 745 in size, and c0 adds
-    at most 43 of them and two constants below 74: every partial sum is
-    below 2^15, and its 45 additions (2^-38 each) and 45 logs and
-    constants (2^-43 each) err by less than 2^-32 in all.  p_M >= 1 is
-    formed within 3 units of rounding, so y errs by less than 2^-31 and
-    X_M, one exp on, by a relative eps < 2^-30.  Now let X be the least
-    computed X_M so far, at order M_b, and let a later computed X_M exceed
-    X (1 + 2^-20), rounded.  Then the exact X_M exceeds the exact X_(M_b),
-    as (1 + 2^-20)(1 - 2^-53)(1 - eps) > 1 + eps; so y rose between M_b
-    and M and does not fall after M, and every later computed X_M' is at
-    least the exact X_M times 1 - eps, above X.  No later order beats
-    (X, M_b).
+    The orders are drawn in increasing M up to the first whose x_lo is
+    exact (q = 0) and _EM_HEAD: every later M has X_M >= _EM_HEAD, so
+    (X_M, M) is greater.  They are then walked in increasing (x_lo, M),
+    each solved where q != 0, until an (x_lo, M) is no less than the least
+    (X_M, M) so far, which then holds for the rest too, as X_M >= x_lo.
     """
     log_target = math.log(target * (1.0 - 2.0**-20))
-    rows, solves = _derivative_rows(totals), []
-    row0, solve = rows[0], len(rows) > 1
-    stop_at_rise = not solve and b.real >= 0.0
-    x, chosen = math.inf, None
+    rows = _derivative_rows(totals)
+    orders = []  # (x_lo, M, exact, constants, c0, y)
     for const in _em_remainder_constants(b, len(totals) - 1):
         _, log_c, decay, alphas = const
-        s0 = sum(map(operator.mul, alphas, row0))  # S_M(0); S_M = 0 where it is 0
+        s0 = sum(map(operator.mul, alphas, rows[0]))  # S_M(0); S_M = 0 where it is 0
         c0 = log_c + (math.log(s0) - log_target) if s0 > 0.0 else -math.inf
         y = max(c0 / decay, _LOG_EM_HEAD)  # the root where q = 0: psi is linear
-        x_m = max(math.exp(min(y, 700.0)), _EM_HEAD)
-        if solve and s0 > 0.0:  # X_M >= x_m, solved below where that can help
-            solves.append((x_m, const, c0, y))
-        elif x_m < x:
-            x, chosen = x_m, const
-            if x == _EM_HEAD:
-                break
-        elif stop_at_rise and x_m > x * _EM_RISE:
-            break  # a proven rise: no later order is lower
-    for x_lo, const, c0, y in sorted(solves, key=lambda solve: (solve[0], solve[1][0])):
-        if (x_lo, const[0]) >= (x, math.inf if chosen is None else chosen[0]):
-            break  # X_M >= x_lo: this order and the rest cannot lower (X, M)
-        x_m = _em_start(const[2], const[3], rows, c0, y)
-        if (x_m, const[0]) < (x, math.inf if chosen is None else chosen[0]):
-            x, chosen = x_m, const
-    return x, chosen
+        x_lo = max(math.exp(min(y, 700.0)), _EM_HEAD)
+        exact = len(rows) == 1 or s0 == 0.0
+        orders.append((x_lo, const[0], exact, const, c0, y))
+        if exact and x_lo == _EM_HEAD:
+            break
+    best, chosen = (math.inf, math.inf), None
+    for x_lo, order, exact, const, c0, y in sorted(orders):  # by (x_lo, M): no two share M
+        if (x_lo, order) >= best:
+            break
+        x_m = x_lo if exact else _em_start(const[2], const[3], rows, c0, y)
+        if (x_m, order) < best:
+            best, chosen = (x_m, order), const
+    return best[0], chosen
 
 
 def _em_start(decay: float, alphas: list, rows: list, c0: float, y: float) -> float:
@@ -1381,8 +1358,10 @@ def _em_start(decay: float, alphas: list, rows: list, c0: float, y: float) -> fl
     -1e-12 p y1.  Where psi(y1) < 0, p y1 < c0 + log(1 + q(y1)); as
     alphas[c+1] >= alphas[c]/p, s_i <= (p^i/i!) s_0 term by term, so q(y)
     <= (1 + p y)^K - 1 and p y1 < c0 + K log(1 + p y1), with |c0| < 2^15
-    (`_em_order`): p y1 < 5e4 at K <= 1000, and psi(y1) > -5e-8, which
-    its float rounding (below 1e-10) keeps above -2^-21."""
+    (c0 sums at most 43 logs of positive finite floats, each at most 745
+    in size, and two constants below 74): p y1 < 5e4 at K <= 1000, and
+    psi(y1) > -5e-8, which its float rounding (below 1e-10) keeps above
+    -2^-21."""
     s = _bound_poly(alphas, rows)
     q = [0.0] + [si / s[0] for si in s[1:]]  # psi(y) = decay y - log(1 + q(y)) - c0
     slopes = [i * c for i, c in enumerate(q)][1:]  # q'

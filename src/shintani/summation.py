@@ -4,14 +4,14 @@ Shells can contain millions of terms, and the shell-order-independence
 contract requires results stable to 1e-12 relative under any enumeration
 order.  Chunk subtotals go through a Neumaier accumulator.
 
-Atom-table reductions (the empirical characteristic function of samples,
-moments) are exactly order independent: a permutation of the input gives
-the same bits.  The empirical cf sums exact products count * cos and
-count * sin over a batch's distinct drawn atoms, so it costs O(distinct
-drawn atoms) per t, not O(draws), and a regrouping of the draws changes
-the sum only through the truncation below.  (An atom table's own
-characteristic function is a partial sum of its series,
-`distributions.atom_cf`, and not such a reduction.)  They use binned
+The atom-table reduction, the empirical characteristic function of
+samples, is exactly order independent: a permutation of the input gives
+the same bits.  It sums exact products count * cos and count * sin over a
+batch's distinct drawn atoms, so it costs O(distinct drawn atoms) per t,
+not O(draws), and a regrouping of the draws changes the sum only through
+the truncation below.  (An atom table's own characteristic function and
+its moments are partial sums of its series, `distributions.atom_cf` and
+`distributions.moment`, and not such reductions.)  It uses binned
 reproducible summation (Demmel & Nguyen,
 "Fast reproducible floating-point summation", ARITH 2013; "Parallel
 reproducible summation", IEEE TC 2015) as whole-array numpy operations.

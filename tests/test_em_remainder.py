@@ -1,13 +1,15 @@
 """One Euler–Maclaurin remainder for every line: a log-free line is the
 g = 0 case of the log-weighted bound, and a degree-0 line is the sum of a
 degree-1 line whose log coefficient is 0.  The start point and order: the
-Bernoulli-order scan that stops at a proven rise returns the full scan's
-choice, and the doubling steps after Newton reach the target."""
+one-pass walk over the Bernoulli orders returns the full scan's choice,
+the doubling steps after Newton reach the target, and the remainder that
+the line sums report is the sum of the per-line bounds."""
 
 from __future__ import annotations
 
 import math
 import operator
+from typing import Optional
 from unittest import mock
 
 import mpmath as mp
@@ -16,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani import series
-from shintani.series import _em_remainder_bounds, _em_sum, _line_partial_sum, evaluate_partial, make_special
+from shintani.series import (
+    _em_remainder_bounds,
+    _em_sum,
+    _line_partial_sum,
+    differentiate,
+    evaluate_partial,
+    make_special,
+)
 
 ROUNDING = 4e-15  # the rounding rule of tests/test_closed_form.py
 
@@ -88,32 +97,47 @@ class TestOneBound:
                 assert (res.value, res.tail_bound, res.certified) == (value, math.inf, False)
 
 
-def _full_scan(b: complex, total: float, target: float) -> tuple[float, int]:
-    """The least (X_M, M) over every order of a degree-0 line set with Pbar =
-    total, each X_M formed as `series._em_order` forms it."""
+def _full_scan(b: complex, totals: list, target: float) -> tuple[float, Optional[int]]:
+    """The least (X_M, M) over every order of a line set whose Pbar has the
+    coefficients `totals`, each X_M formed as `series._em_order` forms it:
+    in closed form where q = 0 (degree 0, or S_M(0) = 0), else by
+    `series._em_start`; (inf, None) when no order applies."""
     log_target = math.log(target * (1.0 - 2.0**-20))
-    best = (math.inf, 0)
-    for order, log_c, decay, alphas in series._em_remainder_constants(b, 0):
-        s0 = alphas[0] * total
+    rows = series._derivative_rows(totals)
+    best = (math.inf, math.inf)
+    for order, log_c, decay, alphas in series._em_remainder_constants(b, len(totals) - 1):
+        s0 = sum(map(operator.mul, alphas, rows[0]))
         c0 = log_c + (math.log(s0) - log_target) if s0 > 0.0 else -math.inf
         y = max(c0 / decay, series._LOG_EM_HEAD)
-        best = min(best, (max(math.exp(min(y, 700.0)), series._EM_HEAD), order))
-    return best
+        if len(totals) == 1 or s0 == 0.0:
+            x = max(math.exp(min(y, 700.0)), series._EM_HEAD)
+        else:
+            x = series._em_start(decay, alphas, rows, c0, y)
+        best = min(best, (x, order))
+    return best[0], None if best[1] == math.inf else best[1]
+
+
+def _order_choice(b: complex, totals: list, target: float) -> tuple[float, Optional[int]]:
+    x, chosen = series._em_order(b, totals, target)
+    return x, None if chosen is None else chosen[0]
+
+
+TOTAL = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
 
 
 class TestStartPoint:
     @given(
-        st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.floats(1e-300, 1e3)),
+        st.one_of(st.just(0.0), st.floats(-45.0, 60.0), st.floats(1e-300, 1e3), st.integers(-40, 5).map(float)),
         st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e12, 1e12)),
-        st.floats(1e-300, 1e300),
+        st.lists(TOTAL, min_size=1, max_size=4).filter(any),
         st.floats(1e-300, 1e300),
     )
     @settings(deadline=None)
-    def test_order_scan_stops_at_the_full_scans_choice(self, re_b, im_b, total, target):
-        # degree 0 and Re b >= 0: X_M is quasiconvex in M, and the scan stops at a proven rise
+    def test_order_choice_is_the_full_scans(self, re_b, im_b, totals, target):
+        # degrees 0-3, Re b of either sign (no order applies below Re b = -39): the
+        # one-pass walk over (x_lo, M) returns the least (X_M, M) of every order
         b = complex(re_b, im_b)
-        x, chosen = series._em_order(b, [total], target)
-        assert (x, chosen[0]) == _full_scan(b, total, target)
+        assert _order_choice(b, totals, target) == _full_scan(b, totals, target)
 
     def test_order_scan_sweep(self):
         all_orders, drawn = series._em_remainder_constants, []
@@ -123,21 +147,47 @@ class TestStartPoint:
                 drawn.append(const[0])
                 yield const
 
-        interior = 0
-        for re_b in (0.0, 1e-9, 0.5, 1.0, 2.0, 3.5, 7.25, 20.0, 41.0):
+        for re_b in (-3.0, -2.5, 0.0, 1e-9, 0.5, 1.0, 2.0, 3.5, 7.25, 20.0, 41.0):
             for im_b in (0.0, 0.3, 5.0, -40.0, 1e3, -1e6):
-                for total in (1e-12, 1.0, 3e5, 1e100):
+                for totals in ([1e-12], [1.0], [3e5], [1e100], [1.0, 0.5], [1e-12, 0.0, 3.0], [0.0, 2.0, 1e5, 1.0]):
                     for target in (1e-300, 1e-60, 1e-20, 1e-8, 1.0):
                         b = complex(re_b, im_b)
                         drawn.clear()
                         with mock.patch.object(series, "_em_remainder_constants", counted):
-                            x, chosen = series._em_order(b, [total], target)
-                        assert (x, chosen[0]) == _full_scan(b, total, target), (b, total, target)
-                        if series._EM_HEAD < x < math.exp(700.0) and chosen[0] < 20:
-                            # the least X_M is below X_20 and unclamped: a rise follows it
-                            interior += 1
-                            assert len(drawn) < 20, (b, total, target)
-        assert interior > 30
+                            x, chosen = series._em_order(b, totals, target)
+                        assert (x, chosen[0]) == _full_scan(b, totals, target), (b, totals, target)
+                        if x == series._EM_HEAD and len(totals) == 1:
+                            # degree 0: the first order at the floor is chosen, and no order after it is drawn
+                            assert drawn[-1] == chosen[0], (b, totals, target)
+
+    def test_reported_remainder_is_the_sum_of_line_bounds(self):
+        # the remainder `_em_line_sums` reports is the sum over its Euler–Maclaurin
+        # lines (those with head <= k_max) of `_em_remainder_bounds` at the chosen
+        # order, each line from its start point: plain and log-weighted euler_zagier
+        # lines, and a random K = 2 line set where short lines are summed directly
+        ez = make_special("euler_zagier", r=2, u=[0.3, 0.1])
+        calls = []
+        for config, s in ((ez, [3.0, 2.0]), (ez, [2.5 + 4j, 1.5 - 3j]), (differentiate(ez, 1), [3.0, 2.0]),
+                          (differentiate(differentiate(ez, 1), 2), [2.5 + 4j, 2.0])):
+            with mock.patch.object(series, "_em_line_sums", wraps=series._em_line_sums) as lines:
+                _line_partial_sum(config, series.as_point(s, 2), 3000, 1e-12)
+            calls.append(lines.call_args.args)
+        rng = np.random.default_rng(5)
+        weights = rng.normal(size=(400, 3)) + 1j * rng.normal(size=(400, 3))
+        calls.append((2.5 + 30j, rng.uniform(0.05, 40.0, size=400), rng.integers(0, 60, size=400), weights, 1e-20))
+        direct = 0
+        for b, v, k_max, weights, target in calls:
+            with mock.patch.object(series, "_em_sum", wraps=series._em_sum) as sums:
+                _, remainder = series._em_line_sums(b, v, k_max, weights, target)
+            heads, order = sums.call_args.args[4:]
+            em = np.flatnonzero(heads <= k_max)
+            assert em.size > 100 and order > 0
+            weights = weights.reshape(v.size, -1)
+            bounds = [dict(_em_remainder_bounds(b, v[i], int(heads[i]), *weights[i]))[order] for i in em]
+            assert 0.0 < remainder <= target
+            assert abs(remainder - math.fsum(bounds)) <= 1e-13 * remainder, (b, remainder, math.fsum(bounds))
+            direct += v.size - em.size
+        assert direct > 20
 
     def test_doubling_steps_after_newton_reach_the_target(self):
         # K = 2 and 3 line sets where psi is concave at the start: one Newton step from
