@@ -27,9 +27,11 @@ from .series import (
     EvalResult,
     ShintaniConfig,
     _cap_from_budget,
+    _expect_params,
     _first_admissible,
     _gallop,
     _lattice_blocks,
+    _param,
     _require_shell,
     _require_valid,
     _tail_bound,
@@ -377,12 +379,10 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
     lifts the stated sigma ranges (any sigma with absolute convergence works
     for these)."""
     if kind == "delta":
-        lam = float(params.pop("lam", 1.0))
-        u = float(params.pop("u", 1.0))
-        c = float(params.pop("c", 1.0))
-        theta0 = float(params.pop("theta0", 1.0))
-        sigma = float(_required(kind, params, "sigma"))
-        _no_extra(kind, params)
+        _expect_params(kind, params, {"sigma"}, {"lam", "u", "c", "theta0"})
+        names = ("lam", "u", "c", "theta0")
+        lam, u, c, theta0 = (_param(kind, params, name, default=1.0) for name in names)
+        sigma = _param(kind, params, "sigma")
         if lam <= 0 or u <= 0:
             raise ConfigError("delta needs lam > 0 and u > 0")
         if theta0 == 0.0:
@@ -404,11 +404,9 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
             params={"lam": lam, "u": u, "c": c, "theta0": theta0, "sigma": sigma},
         )
     if kind == "binomial":
-        j = int(_required(kind, params, "j"))
-        big_k = int(_required(kind, params, "big_k"))
-        phi = float(_required(kind, params, "phi"))
-        sigma = float(_required(kind, params, "sigma"))
-        _no_extra(kind, params)
+        _expect_params(kind, params, {"j", "big_k", "phi", "sigma"})
+        j, big_k = _param(kind, params, "j", int), _param(kind, params, "big_k", int)
+        phi, sigma = _param(kind, params, "phi"), _param(kind, params, "sigma")
         if j < 2 or big_k < 1 or phi <= 0:
             raise ConfigError("binomial needs j >= 2, big_k >= 1, phi > 0")
         if big_k * math.log2(j) > 60:
@@ -435,10 +433,9 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
             params={"j": j, "big_k": big_k, "phi": phi, "sigma": sigma, "p": p},
         )
     if kind == "poisson":
-        j = int(_required(kind, params, "j"))
-        rate = float(params.pop("rate", 0.0))
-        sigma = float(_required(kind, params, "sigma"))
-        _no_extra(kind, params)
+        _expect_params(kind, params, {"j", "sigma"}, {"rate"})
+        j, sigma = _param(kind, params, "j", int), _param(kind, params, "sigma")
+        rate = _param(kind, params, "rate", default=0.0)
         if j < 2:
             raise ConfigError("poisson needs j >= 2")
         if check and sigma >= -math.log(j):
@@ -459,18 +456,6 @@ def make_special_distribution(kind: str, check: bool = True, **params) -> Specia
             params={"j": j, "rate": rate, "sigma": sigma, "mean": mean},
         )
     raise ConfigError(f"unknown special distribution kind {kind!r}")
-
-
-def _required(kind: str, params: dict, name: str):
-    """Pop a parameter the construction cannot default."""
-    if name not in params:
-        raise ConfigError(f"{kind} needs the parameter {name!r}")
-    return params.pop(name)
-
-
-def _no_extra(kind: str, params: dict) -> None:
-    if params:
-        raise ConfigError(f"{kind} got unexpected parameters {sorted(params)}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,20 +29,21 @@ Tail certificates come from six routes.  A finite support has one,
 the least of the routes that apply: `_poisson_tail`, a factorial-ratio
 majorant (sparse j^k - 1 support); `_geometric_tail`, a geometric-ratio
 majorant (|q| < 1 decay); and three integral comparisons against the
-total-degree envelope, `_poly_tail` (the dense chain, strictly positive
-lam), `_separable_tail` (a matched-coordinate product bound for
-identity/triangular zero patterns) and `_nested_tail` (complete-flag
-supports: a one-dimensional tail times full one-dimensional sums).  All six
-share one underflow rule, in one piece of code.  Each infinite-support
-route is one formula over a number kind (`_tail_route`): `_two_pass`
-evaluates it in floats (`_Float`), with the expressions and bits it always
-had, and that value stands unless it is 0 or subnormal, a power in it is
-subnormal, or a power overflows; there the same formula is evaluated again
-in `_Wide`, a nonnegative real kept as its logarithm with a proven error
-bound, whose float is rounded up and at least 2^-1074.  So no omitted
-nonzero term gives a 0 tail and no overflow escapes as OverflowError.  The
-finite route sums a suffix below 2^-1022 with a power below 2^-1022 again
-in `_Wide`.  Every other value keeps the bits it is formed with.
+total-degree envelope, each the least over its ladder (`_ladder_route`):
+`_poly_tail` (the dense chain, strictly positive lam), `_separable_tail` (a
+matched-coordinate product bound for identity/triangular zero patterns) and
+`_nested_tail` (complete-flag supports, the single-form line among them: a
+one-dimensional tail times full one-dimensional sums).  All six share one
+underflow rule, in one piece of code.  Each infinite-support route is one
+formula over a number kind (`_tail_route`): `_two_pass` evaluates it in
+floats (`_Float`), with the expressions and bits it always had, and that
+value stands unless it is 0 or subnormal, a power in it is subnormal, or a
+power overflows; there the same formula is evaluated again in `_Wide`, a
+nonnegative real kept as its logarithm with a proven error bound, whose
+float is rounded up and at least 2^-1074.  So no omitted nonzero term gives
+a 0 tail and no overflow escapes as OverflowError.  The finite route sums a
+suffix below 2^-1022 with a power below 2^-1022 again in `_Wide`.  Every
+other value keeps the bits it is formed with.
 
 The shell choice and its tail bound are the same for every config; only
 the partial sum through the chosen shell is computed two ways.  With
@@ -65,6 +66,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -377,42 +379,56 @@ def _tail_route(formula):
     return route
 
 
-@_tail_route
-def _poly_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
-    """Integral-comparison bound for strictly positive lam.
+def _ladder_route(rung):
+    """The `_tail_route` of an integral comparison from its formula on one
+    rung, rung(num, config, theta, sl, n_shell) with sl = c @ sigma: inf
+    outside the region, else the least over theta's envelope ladder."""
+
+    @functools.wraps(rung)
+    def formula(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
+        sl = config.c @ sigma
+        if not _region_holds(config, sl):
+            return math.inf
+        return _least([rung(num, config, th, sl, n_shell) for th in config.theta.envelope_ladder])
+
+    return _tail_route(formula)
+
+
+@_ladder_route
+def _poly_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell: int):
+    """Integral-comparison bound for strictly positive lam, one form on one
+    coordinate (m = r = 1) excepted.
 
     Partitions lattice points of total degree > N by their set of zero
     coordinates and maps each class onto disjoint unit cubes; this keeps the
     convergence proof's integral constant while staying a genuine upper bound
-    for every lattice rank.  The least over the envelope ladder's rungs.
+    for every lattice rank.
+
+    At m = r = 1 (inf here) the one form is a complete flag of length 1, and
+    `_nested_tail` forms the same floats in the same order (mins[0] = lam_min,
+    v[0] = ru, s_head = s_total, N + v[0] = y + ru; comb(1, 0) / 0! = 1 is
+    exact), so its float pass stands where this one does, with the same bits.
+    Its wide pass has one product fewer (by comb(1, 0) = 1, which adds to e),
+    so its float is never above this one's, and at bound = 0 it is 0: the
+    least route keeps its bits.
     """
-    sl = config.c @ sigma
-    if not _region_holds(config, sl) or (config.lam <= 0.0).any():
-        return math.inf
     r = config.r
+    if config.m == r == 1 or (config.lam <= 0.0).any():
+        return math.inf
     s_total = float(sl.sum())
-    lam_min = float(config.lam.min())
     ru = r * float(config.u.min())
-    out = []
-    for theta in config.theta.envelope_ladder:
-        bound, growth, _ = theta.envelope_triple
-        bound, growth = theta.log_weight.absorb(bound, growth, s_total - r - growth)
-        big_g = s_total - growth
-        if big_g <= r or bound == 0.0:
-            out.append(math.inf if big_g <= r else 0.0)
-            continue
-        k_u = num.pow(ru, -growth) if growth > 0 and ru < 1.0 else 1.0  # max(1, ru^-growth)
-        amp = bound * k_u * num.pow(lam_min, -s_total)
-        total = 0.0
-        for j in range(1, r + 1):  # j = number of free (nonzero) coordinates
-            y = max(0.0, n_shell + 1.0 - j)
-            total += (
-                math.comb(r, r - j)
-                * num.pow(y + ru, j - big_g)
-                / (math.factorial(j - 1) * (big_g - j))
-            )
-        out.append(amp * total)
-    return _least(out)
+    bound, growth, _ = theta.envelope_triple
+    bound, growth = theta.log_weight.absorb(bound, growth, s_total - r - growth)
+    big_g = s_total - growth
+    if big_g <= r or bound == 0.0:
+        return math.inf if big_g <= r else 0.0
+    k_u = num.pow(ru, -growth) if growth > 0 and ru < 1.0 else 1.0  # max(1, ru^-growth)
+    amp = bound * k_u * num.pow(float(config.lam.min()), -s_total)
+    total = 0.0
+    for j in range(1, r + 1):  # j = number of free (nonzero) coordinates
+        term = math.comb(r, r - j) * num.pow(max(0.0, n_shell + 1.0 - j) + ru, j - big_g)
+        total += term / (math.factorial(j - 1) * (big_g - j))
+    return amp * total
 
 
 @lru_cache(maxsize=256)
@@ -429,53 +445,37 @@ def _best_matching(lam_bytes: bytes, m: int, r: int) -> Optional[tuple[int, ...]
     return best
 
 
-@_tail_route
-def _separable_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
+@_ladder_route
+def _separable_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell: int):
     """Matched-coordinate product bound for zero-pattern lam (m == r).
 
     Drops every unmatched (nonnegative) term of each form, leaving an
     independent product over coordinates; the tail then splits by which
-    coordinate exceeds N/r.  The least over the envelope ladder's rungs.
+    coordinate exceeds N/r.
     """
-    if config.m != config.r:
-        return math.inf
-    sl = config.c @ sigma
-    if not _region_holds(config, sl):
-        return math.inf
     r = config.r
-    perm = _best_matching(config.lam.tobytes(), config.m, config.r)
-    if perm is None:
+    perm = _best_matching(config.lam.tobytes(), config.m, r)
+    env = None if perm is None else theta.per_coordinate_envelope(r)
+    if env is None:
         return math.inf
     m_start = n_shell // r
-    # (j, lam_lj, u_j, Re<c_l, s>) of each form l and its matched coordinate j
-    matched = [
-        (j, float(config.lam[l, j]), float(config.u[j]), float(sl[l])) for l, j in enumerate(perm)
-    ]
-    out = []
-    for theta in config.theta.envelope_ladder:
-        env = theta.per_coordinate_envelope(r)
-        if env is None:
-            out.append(math.inf)
-            continue
-        full = [0.0] * r  # F_j: full 1-dim sums
-        tails = [0.0] * r  # T_j: 1-dim tails past floor(N/r)
-        for j, lam_lj, u_j, s_l in matched:
-            b_j, eps_j = env[j]
-            decay = s_l - eps_j
-            if decay <= 1.0:
-                out.append(math.inf)
-                break
-            k_u = num.pow(u_j, -eps_j) if eps_j > 0 and u_j < 1.0 else 1.0  # max(1, u_j^-eps_j)
-            amp = b_j * k_u * num.pow(lam_lj, -s_l)
-            full[j] = amp * (num.pow(u_j, -decay) + num.pow(u_j, 1.0 - decay) / (decay - 1.0))
-            tails[j] = amp * num.pow(m_start + u_j, 1.0 - decay) / (decay - 1.0)
-        else:
-            total = 0.0
-            for j in range(r):
-                others = np.prod(np.delete(full, j)) if r > 1 else 1.0
-                total += tails[j] * others
-            out.append(total)
-    return _least(out)
+    full = [0.0] * r  # F_j: full 1-dim sums
+    tails = [0.0] * r  # T_j: 1-dim tails past floor(N/r)
+    for l, j in enumerate(perm):  # form l and its matched coordinate j
+        lam_lj, u_j, s_l = float(config.lam[l, j]), float(config.u[j]), float(sl[l])
+        b_j, eps_j = env[j]
+        decay = s_l - eps_j
+        if decay <= 1.0:
+            return math.inf
+        k_u = num.pow(u_j, -eps_j) if eps_j > 0 and u_j < 1.0 else 1.0  # max(1, u_j^-eps_j)
+        amp = b_j * k_u * num.pow(lam_lj, -s_l)
+        full[j] = amp * (num.pow(u_j, -decay) + num.pow(u_j, 1.0 - decay) / (decay - 1.0))
+        tails[j] = amp * num.pow(m_start + u_j, 1.0 - decay) / (decay - 1.0)
+    total = 0.0
+    for j in range(r):
+        others = functools.reduce(operator.mul, full[:j] + full[j + 1 :]) if r > 1 else 1.0
+        total += tails[j] * others
+    return total
 
 
 @lru_cache(maxsize=256)
@@ -502,45 +502,36 @@ def _flag_structure(
     return tuple(order), tuple(mins), tuple(chain)
 
 
-@_tail_route
-def _nested_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int):
+@_ladder_route
+def _nested_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell: int):
     """Tail bound for complete-flag supports via m_l = sum of supported n_j.
 
     The map n -> (m_1 >= m_2 >= ... >= m_r) is a bijection, m_1 equals the
     total degree, and dropping the ordering constraint splits the tail into a
-    one-dimensional tail times full one-dimensional sums.  The least over
-    the envelope ladder's rungs.
+    one-dimensional tail times full one-dimensional sums.
     """
     flag = _flag_structure(config.lam.tobytes(), config.m, config.r)
     if flag is None:
         return math.inf
-    sl = config.c @ sigma
-    if not _region_holds(config, sl):
-        return math.inf
     order, mins, chain = flag
     s_head = float(sl[order[0]])
     v = [float(np.sum(config.u[sorted(supp)])) for supp in chain]
-    out = []
-    for theta in config.theta.envelope_ladder:
-        bound, growth, _ = theta.envelope_triple
-        bound, growth = theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
-        decay_head = s_head - growth
-        if bound == 0.0 or decay_head <= 1.0:
-            out.append(0.0 if bound == 0.0 else math.inf)
-            continue
-        k_u = num.pow(v[0], -growth) if growth > 0 and v[0] < 1.0 else 1.0  # max(1, v_0^-growth)
-        head = num.pow(n_shell + v[0], 1.0 - decay_head) / (decay_head - 1.0)
-        total = bound * k_u * num.pow(mins[0], -s_head) * head
-        for i in range(1, len(order)):
-            s_l = float(sl[order[i]])
-            if s_l <= 1.0:
-                total = math.inf
-                break
-            total *= num.pow(mins[i], -s_l) * (
-                num.pow(v[i], -s_l) + num.pow(v[i], 1.0 - s_l) / (s_l - 1.0)
-            )
-        out.append(total)
-    return _least(out)
+    bound, growth, _ = theta.envelope_triple
+    bound, growth = theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
+    decay_head = s_head - growth
+    if bound == 0.0 or decay_head <= 1.0:
+        return 0.0 if bound == 0.0 else math.inf
+    k_u = num.pow(v[0], -growth) if growth > 0 and v[0] < 1.0 else 1.0  # max(1, v_0^-growth)
+    head = num.pow(n_shell + v[0], 1.0 - decay_head) / (decay_head - 1.0)
+    total = bound * k_u * num.pow(mins[0], -s_head) * head
+    for i in range(1, len(order)):
+        s_l = float(sl[order[i]])
+        if s_l <= 1.0:
+            return math.inf
+        total *= num.pow(mins[i], -s_l) * (
+            num.pow(v[i], -s_l) + num.pow(v[i], 1.0 - s_l) / (s_l - 1.0)
+        )
+    return total
 
 
 def _finite_support(
@@ -1949,22 +1940,22 @@ def make_special(kind: str, **params) -> ShintaniConfig:
         return _one_form(1.0, CoefficientSpec.constant(1.0))
     if kind == "hurwitz":
         _expect_params(kind, params, {"u"})
-        u = float(params["u"])
+        u = _param(kind, params, "u")
         if not 0.0 < u <= 1.0:
             raise ConfigError(f"hurwitz needs 0 < u <= 1, got {u}")
         return _one_form(u, CoefficientSpec.constant(1.0))
     if kind == "lerch":
         _expect_params(kind, params, {"u", "v"})
-        u = float(params["u"])
+        u = _param(kind, params, "u")
         if u <= 0.0:
             raise ConfigError(f"lerch needs u > 0, got {u}")
-        v = float(params["v"])
+        v = _param(kind, params, "v")
         q = complex(math.cos(2 * math.pi * v), math.sin(2 * math.pi * v))
         return _one_form(u, CoefficientSpec.geometric((q,)))
     if kind == "lerch_transcendent":
         _expect_params(kind, params, {"u", "q"})
-        u = float(params["u"])
-        q = complex(params["q"])
+        u = _param(kind, params, "u")
+        q = _param(kind, params, "q", complex)
         if u <= 0.0:
             raise ConfigError(f"lerch_transcendent needs u > 0, got {u}")
         if not 0.0 < abs(q) < 1.0:
@@ -1972,8 +1963,8 @@ def make_special(kind: str, **params) -> ShintaniConfig:
         return _one_form(u, CoefficientSpec.geometric((q,)))
     if kind == "euler_zagier":
         _expect_params(kind, params, {"r", "u"})
-        r = int(params["r"])
-        u = np.asarray(params["u"], dtype=float)
+        r = _param(kind, params, "r", int)
+        u = _real_array(kind, params, "u")
         if r < 1 or u.shape != (r,):
             raise ConfigError("euler_zagier needs r >= 1 and a length-r u vector")
         # unconstrained-index form: row l sums coordinates j >= l, with
@@ -1992,9 +1983,9 @@ def make_special(kind: str, **params) -> ShintaniConfig:
         )
     if kind == "barnes":
         _expect_params(kind, params, {"r", "lam", "u"})
-        r = int(params["r"])
-        lam = np.asarray(params["lam"], dtype=float)
-        u = float(params["u"])
+        r = _param(kind, params, "r", int)
+        lam = _real_array(kind, params, "lam")
+        u = _param(kind, params, "u")
         if r < 1 or lam.shape != (r,) or np.any(lam <= 0) or u <= 0:
             raise ConfigError("barnes needs r >= 1, positive length-r lam, u > 0")
         offsets = u / (r * lam)  # sum_j lam_j u_j = u
@@ -2004,9 +1995,9 @@ def make_special(kind: str, **params) -> ShintaniConfig:
         )
     if kind == "generalized_barnes":
         _expect_params(kind, params, {"m", "r", "lam", "u"})
-        m, r = int(params["m"]), int(params["r"])
-        lam = np.asarray(params["lam"], dtype=float)
-        u = np.asarray(params["u"], dtype=float)
+        m, r = _param(kind, params, "m", int), _param(kind, params, "r", int)
+        lam = _real_array(kind, params, "lam")
+        u = _real_array(kind, params, "u")
         if lam.shape != (m, r) or u.shape != (r,):
             raise ConfigError("generalized_barnes needs lam of shape (m, r), u of length r")
         if np.any(lam <= 0) or np.any(u <= 0):
@@ -2021,10 +2012,33 @@ def make_special(kind: str, **params) -> ShintaniConfig:
     raise ConfigError(f"unknown special kind {kind!r}")
 
 
-def _expect_params(kind: str, params: dict, allowed: set) -> None:
-    extra = set(params) - allowed
-    missing = allowed - set(params)
+def _expect_params(kind: str, params: dict, required: set, optional: set = frozenset()) -> None:
+    extra = set(params) - required - optional
+    missing = required - set(params)
     if extra:
         raise ConfigError(f"{kind} got unexpected parameters {sorted(extra)}")
     if missing:
         raise ConfigError(f"{kind} missing parameters {sorted(missing)}")
+
+
+def _param(kind: str, params: dict, name: str, of: type = float, default=None):
+    """params[name] (default where absent) as `of` (int, float or complex);
+    ConfigError naming kind and name unless it is a finite number, real
+    unless `of` is complex and integral if it is int (a bool is none)."""
+    v = params.get(name, default)
+    try:
+        number = isinstance(v, numbers.Complex if of is complex else numbers.Real)
+        z = complex(v) if number and not isinstance(v, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        z = math.nan
+    if cmath.isfinite(z) and (of is not int or z.real.is_integer()):
+        return of(v)
+    what = {int: "an integer", float: "a finite real number", complex: "a finite number"}[of]
+    raise ConfigError(f"{kind} parameter {name!r} must be {what}, got {v!r}")
+
+
+def _real_array(kind: str, params: dict, name: str) -> np.ndarray:
+    """params[name] as a float array, each entry checked by `_param`."""
+    items = np.asarray(params[name], dtype=object)
+    reals = [_param(kind, {name: x}, name) for x in items.ravel().tolist()]
+    return np.array(reals, dtype=float).reshape(items.shape)

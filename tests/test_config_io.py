@@ -392,6 +392,26 @@ class TestCli:
         result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("subcommand, params", [
+        # a traceback with exit 1 once
+        ("dist", "{name: binomial, params: {j: abc, big_k: 1, phi: 1.0, sigma: -2.0}}"),
+        # evaluated r = 2 once
+        ("eval", "{name: barnes, params: {r: 2.5, lam: [1.0, 1.0], u: 1.0}}"),
+        ("special", "{name: binomial, params: {j: 2, big_k: 1.5, phi: 1.0, sigma: -2.0}}"),
+        ("eval", "{name: hurwitz, params: {u: true}}"),
+    ])
+    def test_malformed_special_parameter_exits_2(self, tmp_path, subcommand, params):
+        cfgp = self.write(
+            tmp_path,
+            f"function: {{kind: special, {params[1:]}\n"
+            f"action: {{s: 3.0, sigma: [2.0]}}\noutput: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, [subcommand, "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error:" in result.output and "Traceback" not in result.output
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_exit_code_numeric_error(self, tmp_path):
         cfgp = self.write(
             tmp_path,

@@ -289,6 +289,19 @@ class TestSpecials:
         with pytest.raises(ConfigError):
             make_special_distribution("unknown", sigma=2.0)
 
+    @pytest.mark.parametrize("kind, params, name", [
+        # the first three once built a law from the truncated or nan value
+        ("binomial", {"j": 2.9, "big_k": 1, "phi": 1.0, "sigma": -2.0}, "j"),
+        ("binomial", {"j": 2, "big_k": 1.5, "phi": 1.0, "sigma": -2.0}, "big_k"),
+        ("delta", {"sigma": math.nan}, "sigma"),
+        ("binomial", {"j": True, "big_k": 1, "phi": 1.0, "sigma": -2.0}, "j"),
+        # this once escaped as ValueError
+        ("poisson", {"j": 2, "rate": "x", "sigma": -2.0}, "rate"),
+    ])
+    def test_malformed_parameter_is_config_error(self, kind, params, name):
+        with pytest.raises(ConfigError, match=f"{kind} parameter {name!r}"):
+            make_special_distribution(kind, **params)
+
 
 class TestSampling:
     def test_delta_all_equal(self):

@@ -245,7 +245,7 @@ class TestTailBound:
         with mp.workdps(30):
             true = mp.mpf(10) ** s * mp.zeta(s, n_shell + 2)  # sum over n > N
         sig = np.array([float(s)])
-        for route in (series._poly_tail, series._separable_tail, series._nested_tail):
+        for route in (series._separable_tail, series._nested_tail):  # one form: no _poly_tail
             assert true <= route(cfg, sig, n_shell) < math.inf, route.__name__
         res = evaluate_partial(cfg, float(s), n_shell)
         assert res.certified and true <= res.tail_bound == tail_bound(cfg, float(s), n_shell)
@@ -550,6 +550,28 @@ class TestMakeSpecial:
                 make_special(kind, bogus=1)
         with pytest.raises(ConfigError, match="unknown special kind"):
             make_special("binomial")
+
+    @pytest.mark.parametrize("kind, params, name", [
+        # these once built r = 3 and r = 2, or took u = 1
+        ("barnes", {"r": 3.9, "lam": (1.0, 1.0, 1.0), "u": 1.0}, "r"),
+        ("euler_zagier", {"r": 2.7, "u": (0.0, 0.0)}, "r"),
+        ("hurwitz", {"u": True}, "u"),
+        # these once escaped as ValueError or TypeError
+        ("lerch", {"u": 0.5, "v": math.inf}, "v"),
+        ("lerch_transcendent", {"u": 1.0, "q": "abc"}, "q"),
+        ("hurwitz", {"u": [0.5]}, "u"),
+        ("barnes", {"r": 2, "lam": (1.0, math.nan), "u": 1.0}, "lam"),
+        ("generalized_barnes", {"m": 1, "r": 2, "lam": [[1.0, "x"]], "u": (1.0, 1.0)}, "lam"),
+    ])
+    def test_malformed_parameter_is_config_error(self, kind, params, name):
+        with pytest.raises(ConfigError, match=f"{kind} parameter {name!r}"):
+            make_special(kind, **params)
+
+    def test_integral_and_numpy_parameters(self):
+        a = make_special("barnes", r=np.int64(2), lam=np.array([1.0, 2.0]), u=np.float64(0.5))
+        b = make_special("barnes", r=2.0, lam=[1, 2], u=0.5)
+        assert a.r == b.r == 2 and a.lam.tolist() == b.lam.tolist() and a.u.tolist() == b.u.tolist()
+        assert make_special("lerch_transcendent", u=1, q=0.3 + 0.4j).theta.params["ratios"] == (0.3 + 0.4j,)
 
     def test_hurwitz_one_is_riemann(self):
         a = evaluate(make_special("hurwitz", u=1.0), 3.0, tol=1e-9)

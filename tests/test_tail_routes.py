@@ -27,7 +27,7 @@ from shintani import series
 from shintani.arithmetic import sieve_primes
 from shintani.cli import cli
 from shintani.coefficients import CoefficientSpec
-from shintani.errors import NumericError, ShintaniError
+from shintani.errors import CertificationError, NumericError, ShintaniError
 from shintani.euler import dedekind_euler_config, evaluate_euler, riemann_levy_logcf
 from shintani.series import (
     SPECIAL_KINDS,
@@ -97,6 +97,25 @@ def test_one_formula_per_route(case):
             assert wide >= 2.0**-1074 or wide == flt == 0.0, route.__name__
             if flt is not None:
                 assert wide >= flt, route.__name__
+    if config.m == config.r == 1:  # one form on one coordinate: `_nested_tail` alone
+        assert series._poly_tail(config, sigma, n_shell) == math.inf
+        if _one_form_converges(config, sigma):
+            nested = series._nested_tail(config, sigma, n_shell)
+            wide = series._nested_tail.formula(series._Wide, config, sigma, n_shell)
+            # finite, or a wide value past the float range (not the inf of a refusal)
+            assert nested < math.inf or isinstance(wide, series._Wide)
+
+
+def _one_form_converges(config, sigma) -> bool:
+    """Re<c, s> > 1 (the region at m = r = 1) and, under theta's own
+    envelope with its log weight absorbed, Re<c, s> - growth > 1."""
+    (s_head,) = (config.c @ sigma).tolist()
+    bound, growth, _ = config.theta.envelope_triple
+    try:
+        bound, growth = config.theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
+    except OverflowError:
+        return False
+    return s_head > 1.0 and s_head - growth > 1.0 and bound < math.inf
 
 
 def _tenth(lam: float = 0.1) -> ShintaniConfig:
@@ -151,7 +170,7 @@ class TestTenthLambda:
             true = mp.mpf(10) ** 400 * mp.zeta(400, 12)  # sum over n > 10, about 2.1e-32
         bound = tail_bound(_tenth(), 400.0, 10)
         assert true <= bound < math.inf
-        for route in (series._poly_tail, series._separable_tail, series._nested_tail):
+        for route in (series._separable_tail, series._nested_tail):  # one form: no _poly_tail
             assert true <= route(_tenth(), np.array([400.0]), 10) < math.inf, route.__name__
 
     def test_partial_sums_past_the_float_range_are_numeric_errors(self):
@@ -178,7 +197,7 @@ class TestTenthLambda:
 
 def _poly_formula(config: ShintaniConfig, s: float, n_shell: int) -> mp.mpf:
     """`_poly_tail`'s formula in mpmath on the route's own float inputs
-    (theta = 1: bound 1, growth 0)."""
+    (theta = 1: bound 1, growth 0); at m = r = 1 it is `_nested_tail`'s."""
     r = config.r
     ru = mp.mpf(r * float(config.u.min()))
     total = mp.fsum(
@@ -195,13 +214,28 @@ def _poly_formula(config: ShintaniConfig, s: float, n_shell: int) -> mp.mpf:
 ])
 def test_subnormal_powers_take_the_wide_pass(config, s):
     # one of the float pass's powers is subnormal: its value was about 1% low
+    route = series._nested_tail if config.m == config.r == 1 else series._poly_tail
     sigma = np.array([s])
     with pytest.raises(FloatingPointError):
-        series._poly_tail.formula(series._Float, config, sigma, 40)
+        route.formula(series._Float, config, sigma, 40)
     with mp.workdps(40):
         exact = _poly_formula(config, s, 40)
-        bound = series._poly_tail(config, sigma, 40)
+        bound = route(config, sigma, 40)
         assert exact <= bound <= exact * (1 + mp.mpf(2) ** -30)
+
+
+def test_separable_products_overflow_without_a_warning():
+    # F_j F_k of the matched-coordinate route overflows: as a numpy product it
+    # warned, and the RuntimeWarning filter made that an exception escaping
+    # tail_bound; as a float product it is inf, and no route certifies
+    config = ShintaniConfig(
+        d=1, m=3, r=3,
+        lam=np.diag([0.1357922219031264, 0.25644071431174476, 0.06601660031750094]),
+        u=[1.2013584664910226, 0.6005542273872512, 1.0371446763457943], c=[[1.0]] * 3,
+        theta=CoefficientSpec.constant(1.0),
+    )
+    with pytest.raises(CertificationError):
+        tail_bound(config, 179.03527287564694, 3)
 
 
 class TestUnderflowingProductTails:
