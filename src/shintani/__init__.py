@@ -3,7 +3,7 @@ the induced zeta probability distributions, with certified truncation error
 throughout."""
 
 from .arithmetic import AlphaRule, PrimeTable, prime_exponent, sieve_primes
-from .coefficients import CoefficientSpec, Envelope
+from .coefficients import CoefficientSpec
 from .distributions import (
     SampleBatch,
     ZetaDistribution,
@@ -62,7 +62,6 @@ __all__ = [
     "prime_exponent",
     "sieve_primes",
     "CoefficientSpec",
-    "Envelope",
     "SampleBatch",
     "ZetaDistribution",
     "atom_cf",

@@ -21,6 +21,13 @@ import numpy as np
 from .errors import ConfigError
 
 
+def require_finite(what: str, values) -> None:
+    """ConfigError naming `what` unless every one of `values` is finite."""
+    arr = np.asarray(values)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must be finite, got {arr[~np.isfinite(arr)].tolist()[0]}")
+
+
 def frozen_array(x, dtype=float) -> np.ndarray:
     """`x` as a read-only array of `dtype` no caller can write: taken as is
     when it and every array it views are read-only, else copied and the
@@ -116,8 +123,10 @@ class AlphaRule:
     params: tuple
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "character", "table"):
+        names = {"constant": "value", "character": "values", "table": "default and entries"}
+        if self.kind not in names:
             raise ConfigError(f"unknown alpha rule kind {self.kind!r}")
+        require_finite(f"alpha rule {self.kind}: {names[self.kind]}", self.values)
 
     @staticmethod
     def constant(value: complex) -> "AlphaRule":
@@ -160,22 +169,21 @@ class AlphaRule:
         return out
 
     @property
-    def is_real(self) -> bool:
-        vals: tuple
+    def values(self) -> tuple:
+        """Every value alpha(p) takes or may take: the constant, the
+        character's table, or the table's default and entries."""
         if self.kind == "constant":
-            vals = (self.params[0],)
-        elif self.kind == "character":
-            vals = self.params[1:]
-        else:
-            vals = (self.params[0],) + tuple(v for _, v in self.params[1:])
-        return all(abs(complex(v).imag) == 0.0 for v in vals)
+            return self.params[:1]
+        if self.kind == "character":
+            return self.params[1:]
+        return (self.params[0],) + tuple(v for _, v in self.params[1:])
+
+    @property
+    def is_real(self) -> bool:
+        return all(complex(v).imag == 0.0 for v in self.values)
 
     def max_abs(self) -> float:
-        if self.kind == "constant":
-            return abs(self.params[0])
-        if self.kind == "character":
-            return max(abs(v) for v in self.params[1:])
-        return max([abs(self.params[0])] + [abs(v) for _, v in self.params[1:]])
+        return max(abs(v) for v in self.values)
 
 
 def chi_minus_4() -> AlphaRule:

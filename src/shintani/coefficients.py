@@ -1,11 +1,13 @@
 """Lattice coefficient families for multiple zeta-type series.
 
-A coefficient specification describes a function theta(n_1, ..., n_r) on the
-nonnegative integer lattice together with a growth envelope
-|theta(n)| <= B * (n_1 + ... + n_r + 1)^eps used by the certified
-truncation bounds.  Families beyond the polynomial-envelope ones also carry
-structural information (finite support, geometric decay, sparse factorial
-support) that unlocks sharper certified tails.
+A coefficient specification is a family and its parameters, describing a
+function theta(n_1, ..., n_r) on the nonnegative integer lattice.  Its
+growth envelope |theta(n)| <= B (t + 1)^eps g^t (a + log(t + 1))^p at
+total degree t, which the certified truncation bounds use, is derived from
+the parameters once, at construction; it is never declared.  Families
+beyond the polynomial-envelope ones also carry structural information
+(finite support, geometric decay, sparse factorial support) that unlocks
+sharper certified tails.
 
 Each family is one subclass of CoefficientSpec, registered in FAMILIES under
 its name.  The base class answers every query for a dense family with a
@@ -26,7 +28,7 @@ from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
-from .arithmetic import AlphaRule, coefficient_array, sieve_primes
+from .arithmetic import AlphaRule, coefficient_array, require_finite, sieve_primes
 from .errors import ConfigError
 
 NONNEGATIVE = "nonnegative"
@@ -42,20 +44,6 @@ _RUNGS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5)
 _RUNG_PRIME_LIMIT = 1 << 16  # a rung that needs primes past this is dropped
 _LATTICE_MAX = int(np.iinfo(np.int64).max)  # lattice points are int64 rows
 _SIGN_SCAN_LIMIT = 4096
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """|theta(n)| <= bound * (n_1 + ... + n_r + 1)^growth for all lattice n."""
-
-    bound: float
-    growth: float
-
-    def __post_init__(self) -> None:
-        if not (self.bound >= 0.0 and math.isfinite(self.bound)):
-            raise ConfigError(f"envelope bound must be finite and >= 0, got {self.bound}")
-        if not (self.growth >= 0.0 and math.isfinite(self.growth)):
-            raise ConfigError(f"envelope growth must be finite and >= 0, got {self.growth}")
 
 
 @dataclass(frozen=True)
@@ -101,26 +89,25 @@ class _LogWeight:
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Tagged description of a coefficient family plus its envelope.
+    """Tagged description of a coefficient family: its name and parameters.
 
     Use the family constructors (``constant``, ``finite_support``, ...)
     rather than building instances directly; they normalize parameters and
-    derive envelopes where the family permits it, and return the family's
-    subclass.  Every family implements ``values(points)`` (theta at the rows
-    of a 2-d int array, shape (k, r) -> (k,)) and ``sign_class()`` (one of
-    nonnegative / nonpositive / mixed / complex); the other queries below
-    have defaults.  The structural invariants ``support_degree``,
-    ``envelope_triple``, ``log_weight`` and ``poisson_decomposition`` are
-    computed once, at construction, and ``envelope_ladder`` once, on first
-    use; they are not dataclass fields, so equality and the config schema
-    see only family, params and envelope.
+    return the family's subclass.  Every family implements ``values(points)``
+    (theta at the rows of a 2-d int array, shape (k, r) -> (k,)),
+    ``sign_class()`` (one of nonnegative / nonpositive / mixed / complex) and
+    ``_envelope()``; the other queries below have defaults.  The structural
+    invariants ``support_degree``, ``envelope_triple``, ``log_weight`` and
+    ``poisson_decomposition`` are derived from the parameters once, at
+    construction, and ``envelope_ladder`` once, on first use; they are not
+    dataclass fields, so equality and the config schema see only family and
+    params.
     Together the triple (B, eps, g) and the log weight bound every value:
     |theta(n)| <= B (t + 1)^eps g^t (offset + log(t + 1))^power, t = |n|.
     """
 
     family: str
     params: dict
-    envelope: Envelope
 
     # Largest total degree carrying a nonzero value, or None if unbounded.
     support_degree: ClassVar[Optional[int]] = None
@@ -140,13 +127,24 @@ class CoefficientSpec:
     def __post_init__(self) -> None:
         if FAMILIES.get(self.family) is not type(self):
             raise ConfigError(f"unknown coefficient family {self.family!r}")
-        # (B, eps, g) with |theta(n)| <= B * (t + 1)^eps * g^t, g in (0, 1]
-        triple = (self.envelope.bound, self.envelope.growth, 1.0)
+        triple = self._envelope()
+        b, eps, _ = triple
+        if not (0.0 <= b < math.inf and 0.0 <= eps < math.inf):  # false for nan
+            raise ConfigError(
+                f"{self.family}: no finite envelope from {', '.join(self.params)} "
+                f"(B = {b}, eps = {eps})"
+            )
         object.__setattr__(self, "envelope_triple", triple)
 
     @classmethod
-    def _of(cls, params: dict, envelope: Envelope) -> "CoefficientSpec":
-        return cls(cls.family_name, params, envelope)
+    def _of(cls, params: dict) -> "CoefficientSpec":
+        return cls(cls.family_name, params)
+
+    def _envelope(self) -> tuple[float, float, float]:
+        """(B, eps, g) with |theta(n)| <= B (t + 1)^eps g^t times the log
+        weight, g in (0, 1], derived from the params; a nan or inf param
+        gives a B or eps that is not finite, which construction refuses."""
+        raise NotImplementedError
 
     # -- protocol -------------------------------------------------------------
 
@@ -171,10 +169,9 @@ class CoefficientSpec:
 
         Feeds the matched-coordinate tail route for zero-pattern linear forms.
         None when the family has no usable coordinatewise factorization.  The
-        default respects the declared envelope, (t+1)^eps <= prod_j (n_j+1)^eps,
-        with the smaller of its bound and the structural one.
+        default reads the triple: g^t <= 1 and (t+1)^eps <= prod_j (n_j+1)^eps.
         """
-        b, eps = min(self.envelope.bound, self.envelope_triple[0]), self.envelope.growth
+        b, eps, _ = self.envelope_triple
         return [(b, eps)] + [(1.0, eps)] * (r - 1)
 
     def validate(self, r: int) -> list[str]:
@@ -213,15 +210,12 @@ class CoefficientSpec:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(value: complex = 1.0, envelope: Optional[Envelope] = None) -> "CoefficientSpec":
-        value = complex(value)
-        env = envelope or Envelope(abs(value), 0.0)
-        return _Constant._of({"value": value}, env)
+    def constant(value: complex = 1.0) -> "CoefficientSpec":
+        return _Constant._of({"value": complex(value)})
 
     @staticmethod
     def finite_support(
         entries: dict[tuple[int, ...], complex] | Iterable[tuple[tuple[int, ...], complex]],
-        envelope: Optional[Envelope] = None,
     ) -> "CoefficientSpec":
         if isinstance(entries, dict):
             items = entries.items()
@@ -235,100 +229,74 @@ class CoefficientSpec:
             raise ConfigError("finite_support entries must share one lattice rank")
         if any(any(i < 0 for i in pt) for pt, _ in norm):
             raise ConfigError("finite_support points must be nonnegative")
-        env = envelope or Envelope(max(abs(v) for _, v in norm), 0.0)
-        return _FiniteSupport._of({"entries": norm}, env)
+        return _FiniteSupport._of({"entries": norm})
 
     @staticmethod
-    def periodic(
-        mods: Iterable[int], table, envelope: Optional[Envelope] = None
-    ) -> "CoefficientSpec":
+    def periodic(mods: Iterable[int], table) -> "CoefficientSpec":
         mods = tuple(int(q) for q in mods)
         if any(q < 1 for q in mods):
             raise ConfigError("periodic moduli must be >= 1")
         arr = np.asarray(table, dtype=complex)
         if arr.shape != mods:
             raise ConfigError(f"periodic table shape {arr.shape} != moduli {mods}")
-        env = envelope or Envelope(float(np.max(np.abs(arr))), 0.0)
-        return _Periodic._of({"mods": mods, "table": _nest(arr)}, env)
+        return _Periodic._of({"mods": mods, "table": _nest(arr)})
 
     @staticmethod
-    def geometric(
-        ratios: complex | Iterable[complex], envelope: Optional[Envelope] = None
-    ) -> "CoefficientSpec":
+    def geometric(ratios: complex | Iterable[complex]) -> "CoefficientSpec":
         if isinstance(ratios, (int, float, complex)):
             ratios = (ratios,)
         qs = tuple(complex(q) for q in ratios)
         for q in qs:
             if not (0.0 < abs(q) <= 1.0 + 1e-15):
                 raise ConfigError(f"geometric ratio must satisfy 0 < |q| <= 1, got {q}")
-        env = envelope or Envelope(1.0, 0.0)
-        return _Geometric._of({"ratios": qs}, env)
+        return _Geometric._of({"ratios": qs})
 
     @staticmethod
-    def log_factor(
-        coeffs: Iterable[float],
-        lam,
-        u: Iterable[float],
-        growth: float = 0.05,
-        envelope: Optional[Envelope] = None,
-    ) -> "CoefficientSpec":
+    def log_factor(coeffs: Iterable[float], lam, u: Iterable[float]) -> "CoefficientSpec":
         g = tuple(float(x) for x in coeffs)
         lam_arr = np.asarray(lam, dtype=float)
         u_arr = np.asarray(tuple(u), dtype=float)
         if lam_arr.ndim != 2 or lam_arr.shape[0] != len(g) or lam_arr.shape[1] != u_arr.size:
             raise ConfigError("log_factor needs lam of shape (len(coeffs), len(u))")
-        if np.any(lam_arr < 0) or np.any(u_arr <= 0) or np.any(lam_arr @ u_arr <= 0):
-            raise ConfigError("log_factor forms need nonnegative lam, positive u, positive offsets")
-        env = envelope or Envelope(_log_factor_bound(g, lam_arr, u_arr, growth), growth)
-        return _LogFactor._of(
-            {"coeffs": g, "lam": _nest(lam_arr), "u": tuple(u_arr.tolist())}, env
-        )
+        require_finite("log_factor: lam", lam_arr)
+        require_finite("log_factor: u", u_arr)
+        with np.errstate(over="ignore"):  # an offset past the float range is refused below
+            w = lam_arr @ u_arr
+        if np.any(lam_arr < 0) or np.any(u_arr <= 0) or not np.all((w > 0) & (w < math.inf)):
+            raise ConfigError("log_factor forms need nonnegative lam, positive u, positive finite offsets")
+        return _LogFactor._of({"coeffs": g, "lam": _nest(lam_arr), "u": tuple(u_arr.tolist())})
 
     @staticmethod
-    def character_product(
-        factors: Iterable[tuple[int, Iterable[complex], int, int]],
-        envelope: Optional[Envelope] = None,
-    ) -> "CoefficientSpec":
+    def character_product(factors: Iterable[tuple[int, Iterable[complex], int, int]]) -> "CoefficientSpec":
         """Factors are (mod, table, coord, shift): theta multiplies
         table[(n_coord + shift) % mod] over all factors."""
         norm = []
-        bound = 1.0
         for mod, table, coord, shift in factors:
             tab = tuple(complex(v) for v in table)
             if int(mod) < 1 or len(tab) != int(mod):
                 raise ConfigError("character factor needs len(table) == mod >= 1")
             norm.append((int(mod), tab, int(coord), int(shift)))
-            bound *= max(abs(v) for v in tab)
-        env = envelope or Envelope(bound, 0.0)
-        return _CharacterProduct._of({"factors": tuple(norm)}, env)
+        return _CharacterProduct._of({"factors": tuple(norm)})
 
     @staticmethod
-    def product(
-        factors: Iterable["CoefficientSpec"], envelope: Optional[Envelope] = None
-    ) -> "CoefficientSpec":
+    def product(factors: Iterable["CoefficientSpec"]) -> "CoefficientSpec":
         fs = tuple(factors)
         if not fs:
             raise ConfigError("product_of_families needs at least one factor")
-        env = envelope or Envelope(
-            math.prod(f.envelope.bound for f in fs),
-            sum(f.envelope.growth for f in fs),
-        )
-        return _Product._of({"factors": fs}, env)
+        return _Product._of({"factors": fs})
 
     @staticmethod
     def multiplicative_product(
-        coords: Iterable[Iterable[AlphaRule]],
-        growth: float = 0.05,
-        envelope: Optional[Envelope] = None,
+        coords: Iterable[Iterable[AlphaRule]], growth: float = 0.05
     ) -> "CoefficientSpec":
         """theta(n) = prod_j A_j(n_j + 1), each A_j the multiplicative
         coefficient of an Euler factor list attached to coordinate j.
 
         ``growth`` is the lowest exponent rung of the envelope ladder
-        (`_envelope_rungs`); the default envelope is the exact one at the
-        lowest rung kept, B = prod_j `_rules_envelope` over the coordinates
-        with two or more rules or a rule past |alpha| = 1, and eps = rung
-        times their count (a coordinate with one rule and |alpha| <= 1 has
+        (`_envelope_rungs`); the envelope is the exact one at the lowest
+        rung kept, B = prod_j `_rules_envelope` over the coordinates with
+        two or more rules or a rule past |alpha| = 1, and eps = rung times
+        their count (a coordinate with one rule and |alpha| <= 1 has
         |A_j| <= 1)."""
         norm = tuple(tuple(rules) for rules in coords)
         if not norm or any(not rules for rules in norm):
@@ -338,40 +306,28 @@ class CoefficientSpec:
                 if rule.max_abs() > 1.0 + 1e-12:
                     raise ConfigError("multiplicative coefficients need |alpha(p)| <= 1")
         growth = float(growth)
-        env = envelope or _multiplicative_envelope(norm, _envelope_rungs(norm, growth)[0])
-        return _MultiplicativeProduct._of({"coords": norm, "growth": growth}, env)
+        require_finite("multiplicative_product: growth", growth)
+        return _MultiplicativeProduct._of({"coords": norm, "growth": growth})
 
     @staticmethod
-    def poisson_powers(
-        base: int, rate: float = 0.0, envelope: Optional[Envelope] = None
-    ) -> "CoefficientSpec":
+    def poisson_powers(base: int, rate: float = 0.0) -> "CoefficientSpec":
         """theta(base^k - 1) = base^(rate*k) / k!, zero elsewhere; rank 1 only."""
         base = int(base)
         if base < 2:
             raise ConfigError(f"poisson_powers base must be an integer >= 2, got {base}")
-        env = envelope or Envelope(1.0, max(float(rate), 0.0))
-        return _PoissonPowers._of({"base": base, "rate": float(rate)}, env)
+        rate = float(rate)
+        require_finite("poisson_powers: rate", rate)
+        return _PoissonPowers._of({"base": base, "rate": rate})
 
 
 def _nest(arr: np.ndarray):
     return tuple(map(tuple, arr)) if arr.ndim == 2 else tuple(arr.tolist())
 
 
-def _log_factor_bound(coeffs, lam: np.ndarray, u: np.ndarray, growth: float) -> float:
-    """Envelope constant for sums of |c_q| * |log L_q(n)|.
-
-    Uses L_q(n) <= M_q * (t + 1) with M_q = max(max_j lam_qj, sum_j lam_qj u_j),
-    L_q(n) >= w_q = sum_j lam_qj u_j, and log x <= x^eps / (e * eps).
-    """
-    if growth <= 0:
-        raise ConfigError("log_factor envelope growth must be positive")
-    crossover = 1.0 / (math.e * growth)
-    return float(np.sum(np.abs(np.asarray(coeffs)) * (_log_offsets(lam, u) + crossover + 1.0)))
-
-
 def _log_offsets(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """C0_q = max(log M_q, 0) + max(-log w_q, 0) with M_q and w_q as in
-    `_log_factor_bound`, so that |log L_q(n)| <= C0_q + log(t + 1)."""
+    """C0_q = max(log M_q, 0) + max(-log w_q, 0), so that |log L_q(n)| <=
+    C0_q + log(t + 1): L_q(n) <= M_q (t + 1) with M_q = max(max_j lam_qj,
+    w_q), and L_q(n) >= w_q = sum_j lam_qj u_j."""
     w = lam @ u
     m_row = np.maximum(lam.max(axis=1), w)
     return np.maximum(np.log(m_row), 0.0) + np.maximum(-np.log(w), 0.0)
@@ -473,14 +429,6 @@ def _envelope_rungs(coords, growth: float) -> tuple[float, ...]:
     return tuple(rungs)
 
 
-def _multiplicative_envelope(coords, eps: float) -> Envelope:
-    multi = sum(not _unit_rules(rules) for rules in coords)
-    if not multi:
-        # one Euler factor with |alpha| <= 1 per coordinate: |A(n)| <= 1 exactly
-        return Envelope(1.0, 0.0)
-    return Envelope(_rung_bound(coords, eps), eps * multi)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation: theta_values and one class per family
 # ---------------------------------------------------------------------------
@@ -501,6 +449,9 @@ class _Constant(CoefficientSpec, family="constant"):
     @property
     def is_one(self) -> bool:
         return self.params["value"] == 1.0
+
+    def _envelope(self):
+        return abs(self.params["value"]), 0.0, 1.0
 
     def _value(self):
         v = self.params["value"]
@@ -552,6 +503,9 @@ class _FiniteSupport(CoefficientSpec, family="finite_support"):
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "support_degree", int(degrees.max()))
 
+    def _envelope(self):
+        return _max_abs([v for _, v in self.params["entries"]]), 0.0, 1.0
+
     def values(self, points):
         if points.shape[1] != self._points.shape[1]:
             return np.zeros(points.shape[0])
@@ -577,6 +531,9 @@ class _FiniteSupport(CoefficientSpec, family="finite_support"):
 
 
 class _Periodic(CoefficientSpec, family="periodic"):
+    def _envelope(self):
+        return float(np.max(np.abs(np.asarray(self.params["table"], dtype=complex)))), 0.0, 1.0
+
     def values(self, points):
         mods = self.params["mods"]
         table = np.asarray(self.params["table"], dtype=complex).reshape(mods)
@@ -601,10 +558,8 @@ class _Periodic(CoefficientSpec, family="periodic"):
 
 
 class _Geometric(CoefficientSpec, family="geometric"):
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        g = max(abs(complex(q)) for q in self.params["ratios"])
-        object.__setattr__(self, "envelope_triple", (1.0, 0.0, min(g, 1.0)))
+    def _envelope(self):
+        return 1.0, 0.0, min(max(abs(complex(q)) for q in self.params["ratios"]), 1.0)
 
     def values(self, points):
         qs = np.asarray(self.params["ratios"], dtype=complex)
@@ -630,11 +585,12 @@ class _LogFactor(CoefficientSpec, family="log_factor"):
         # sum_q |g_q| |log L_q(n)| <= sum_q |g_q| (C0_q + log(t+1)), which is
         # S (offset + log(t+1)): S = sum_q |g_q|, offset the |g|-mean of C0
         lam, u, coeffs = self._arrays()
-        weights = np.abs(coeffs)
-        total = float(weights.sum())
-        offset = float(weights @ _log_offsets(lam, u)) / total if total > 0.0 else 0.0
-        object.__setattr__(self, "envelope_triple", (total, 0.0, 1.0))
+        total = self.envelope_triple[0]
+        offset = float(np.abs(coeffs) @ _log_offsets(lam, u)) / total if total > 0.0 else 0.0
         object.__setattr__(self, "log_weight", _LogWeight(offset, 1))
+
+    def _envelope(self):
+        return float(np.abs(self.params["coeffs"]).sum()), 0.0, 1.0
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self.params
@@ -669,7 +625,7 @@ class _LogFactor(CoefficientSpec, family="log_factor"):
     def per_coordinate_envelope(self, r):
         # S (offset + log(t+1)) <= B0 prod_j (1 + log(n_j+1)), B0 = S (offset + 1),
         # and 1 + log x <= max(1, e^(eps-1)/eps) x^eps
-        eps = max(self.envelope.growth, 0.05)
+        eps = 0.05
         b0 = self.envelope_triple[0] * (self.log_weight.offset + 1.0)
         k_eps = max(1.0, math.exp(eps - 1.0) / eps)
         return [(b0 * k_eps, eps)] + [(k_eps, eps)] * (r - 1)
@@ -684,6 +640,12 @@ class _LogFactor(CoefficientSpec, family="log_factor"):
 
 
 class _CharacterProduct(CoefficientSpec, family="character_product"):
+    def _envelope(self):
+        bound = 1.0
+        for _, table, _, _ in self.params["factors"]:
+            bound *= _max_abs(table)
+        return bound, 0.0, 1.0
+
     def values(self, points):
         out = np.ones(points.shape[0])
         complex_out = None
@@ -718,11 +680,6 @@ class _Product(CoefficientSpec, family="product_of_families"):
         fs = self.params["factors"]
         degs = [f.support_degree for f in fs if f.support_degree is not None]
         object.__setattr__(self, "support_degree", min(degs) if degs else None)
-        bb, ee, gg = 1.0, 0.0, 1.0
-        for f in fs:
-            fb, fe, fg = f.envelope_triple
-            bb, ee, gg = bb * fb, ee + fe, gg * fg
-        object.__setattr__(self, "envelope_triple", (bb, ee, gg))
         # prod_i (a_i + x)^(p_i) <= (max_i a_i + x)^(sum_i p_i) for x >= 0
         weights = [f.log_weight for f in fs]
         log_weight = _LogWeight(max(w.offset for w in weights), sum(w.power for w in weights))
@@ -734,6 +691,13 @@ class _Product(CoefficientSpec, family="product_of_families"):
             b_other = math.prod((b for b, _, _ in others), start=1.0)
             eps_other = sum((e for _, e, _ in others), 0.0)
             object.__setattr__(self, "poisson_decomposition", (base, rate, b_other, eps_other))
+
+    def _envelope(self):
+        bb, ee, gg = 1.0, 0.0, 1.0
+        for f in self.params["factors"]:
+            fb, fe, fg = f.envelope_triple
+            bb, ee, gg = bb * fb, ee + fe, gg * fg
+        return bb, ee, gg
 
     def values(self, points):
         out = None
@@ -800,6 +764,15 @@ class _Product(CoefficientSpec, family="product_of_families"):
 
 
 class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
+    def _envelope(self):
+        coords = self.params["coords"]
+        multi = sum(not _unit_rules(rules) for rules in coords)
+        if not multi:
+            # one Euler factor with |alpha| <= 1 per coordinate: |A(n)| <= 1 exactly
+            return 1.0, 0.0, 1.0
+        eps = _envelope_rungs(coords, self.params["growth"])[0]
+        return _rung_bound(coords, eps), eps * multi, 1.0
+
     def values(self, points):
         limit = int(points.max(initial=0)) + 1
         out = None
@@ -821,10 +794,9 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
         coords, growth = self.params["coords"], self.params["growth"]
         if all(map(_unit_rules, coords)):
             return (self,)
+        # each rung's own walk from eps keeps eps: every rung above it is finite
         return (self,) + tuple(
-            _MultiplicativeProduct._of(
-                {"coords": coords, "growth": eps}, _multiplicative_envelope(coords, eps)
-            )
+            _MultiplicativeProduct._of({"coords": coords, "growth": eps})
             for eps in _envelope_rungs(coords, growth)[1:]
         )
 
@@ -855,6 +827,9 @@ class _PoissonPowers(CoefficientSpec, family="poisson_powers"):
         super().__post_init__()
         decomposition = (self.params["base"], self.params["rate"], 1.0, 0.0)
         object.__setattr__(self, "poisson_decomposition", decomposition)
+
+    def _envelope(self):
+        return 1.0, max(self.params["rate"], 0.0), 1.0
 
     def values(self, points):
         j = self.params["base"]
@@ -892,6 +867,12 @@ class _PoissonPowers(CoefficientSpec, family="poisson_powers"):
         if r != 1:
             return ["theta.family poisson_powers requires lattice rank r=1"]
         return []
+
+
+def _max_abs(values) -> float:
+    """max |v| by Python's abs; nan where any value is nan (Python's max
+    drops a nan that is not first)."""
+    return float(np.max([abs(v) for v in values]))
 
 
 def _sign_of_values(values) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .arithmetic import AlphaRule
-from .coefficients import CoefficientSpec, Envelope
+from .coefficients import CoefficientSpec
 from .distributions import SPECIAL_DISTRIBUTION_KINDS
 from .errors import ConfigError
 from .euler import EulerConfig
@@ -357,7 +357,7 @@ def _decode_table(v: Any, mods: list[int], path: str):
 
 def theta_to_dict(spec: CoefficientSpec) -> dict:
     params = _encode_fields(spec.params, _FAMILY_FIELDS[spec.family][1:])
-    return {"family": spec.family, "params": params, "envelope": _ENVELOPE.encode(spec.envelope)}
+    return {"family": spec.family, "params": params}
 
 
 def theta_from_dict(d: Any, path: str = "theta") -> CoefficientSpec:
@@ -367,7 +367,7 @@ def theta_from_dict(d: Any, path: str = "theta") -> CoefficientSpec:
     params = _decode_fields(top["params"], fields, p)
     if top["family"] == "periodic":
         params["table"] = _decode_table(params["table"], params["mods"], f"{p}.table")
-    return _build(p, make, **params, envelope=top["envelope"])
+    return _build(p, make, **params)
 
 
 _THETA_CODEC = _Codec(theta_from_dict, theta_to_dict)
@@ -403,13 +403,9 @@ _FAMILY_FIELDS = {  # family -> (constructor, *the fields of its params)
 }
 
 
-_ENVELOPE = _section(
-    (_Field("B", _REAL, 1.0, "bound"), _Field("eps", _REAL, 0.0, "growth")), Envelope, vars
-)
 _THETA = (
     _Field("family", _choice(_FAMILY_FIELDS, "family")),
     _Field("params", _ANY, {}),  # read by the family's table
-    _Field("envelope", _ENVELOPE, None),
 )
 
 

@@ -775,9 +775,12 @@ def _tail_bound(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> floa
 def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
     """Certified upper bound on the absolute sum over total degree > n_shell.
 
-    Raises CertificationError when the envelope is too weak relative to
-    sum_l <c_l, sigma> - r and no structural route (finite support, geometric
-    decay, sparse factorial support) applies.
+    Raises CertificationError when no route gives a finite bound: the
+    envelope is too weak relative to sum_l <c_l, sigma> - r and no
+    structural route (finite support, geometric decay, sparse factorial
+    support) applies, or a route's arithmetic overflows.  Its message
+    reports the shell, the envelope growth and log power, and
+    sum_l <c_l, sigma> - r.
     """
     _require_valid(config)
     _require_shell(n_shell)
@@ -786,9 +789,9 @@ def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
     if not math.isfinite(out):
         _, growth, _ = config.theta.envelope_triple
         raise CertificationError(
-            f"no certified bound available: structural envelope growth {growth} "
-            f"(log power {config.theta.log_weight.power}) >= sum_l<c_l,sigma> - r = "
-            f"{float(np.sum(config.c @ sig)) - config.r}"
+            f"no certified bound available past shell {n_shell}: every tail route refused; "
+            f"envelope growth {growth}, log power {config.theta.log_weight.power}, "
+            f"sum_l<c_l,sigma> - r = {float(np.sum(config.c @ sig)) - config.r}"
         )
     return out
 
@@ -1049,8 +1052,8 @@ def _em_remainder_constants(b: complex, degree: int) -> Iterator[tuple[int, floa
     past a zero factor.  log |r_a0| is a sum of logs, one factor at a time,
     and r_a / r_a0 are the coefficients of prod_i (1 + eps/(b + i)) over the
     nonzero factors, times eps for the zero one, so no rising factorial
-    overflows; an order whose ratios do (b + i within about 1e-38 of 0) is
-    skipped."""
+    overflows; an order whose ratios do (b + i within about 1e-38 of 0),
+    or whose alphas do, is skipped."""
     re_b, bb = b.real, (b.real if b.imag == 0.0 else b)
     log_rising, ratio = 0.0, [1.0] + [0.0] * degree  # log |r_a0|, r_a / r_a0
     for order, two_m, log_2pi_2m in _EM_ORDER_TERMS:
@@ -1065,9 +1068,12 @@ def _em_remainder_constants(b: complex, degree: int) -> Iterator[tuple[int, floa
                 ratio[a] = ratio[a] + ratio[a - 1] * lin + (ratio[a - 2] * quad if a > 1 else 0.0)
         decay = re_b + two_m - 1.0
         if decay > 0.0:
-            alphas = [abs(ratio[0])]
-            for r in ratio[1:]:
-                alphas.append(alphas[-1] / decay + abs(r))
+            try:
+                alphas = [abs(ratio[0])]
+                for r in ratio[1:]:
+                    alphas.append(alphas[-1] / decay + abs(r))
+            except OverflowError:  # |r| of a complex r with finite parts past the float range
+                continue
             if math.isfinite(alphas[-1]):  # an inf or nan reaches every later alpha
                 yield order, _LOG_4 + log_rising - log_2pi_2m - math.log(decay), decay, alphas
 

@@ -16,7 +16,6 @@ from shintani.coefficients import (
     NONPOSITIVE,
     FAMILIES,
     CoefficientSpec,
-    Envelope,
     theta_values,
 )
 from shintani.errors import ConfigError
@@ -30,10 +29,14 @@ lattice_points = st.lists(
 
 
 def check_envelope(spec, pts):
+    """|theta(n)| <= B (t+1)^eps g^t (a + log(t+1))^p at t = |n|: the bound
+    the tail routes use, from the spec's `envelope_triple` and `log_weight`."""
     pts = np.asarray(pts, dtype=np.int64)
     vals = np.abs(np.asarray(theta_values(spec, pts)))
-    t = pts.sum(axis=1)
-    bound = spec.envelope.bound * (t + 1.0) ** spec.envelope.growth
+    t = pts.sum(axis=1).astype(float)
+    b, eps, g = spec.envelope_triple
+    weight = spec.log_weight
+    bound = b * (t + 1.0) ** eps * g**t * (weight.offset + np.log(t + 1.0)) ** weight.power
     assert np.all(vals <= bound * (1 + 1e-12) + 1e-300)
 
 
@@ -122,6 +125,44 @@ class TestValues:
 
 
 class TestEnvelopes:
+    """Every family's derived envelope holds at random lattice points."""
+
+    @given(lattice_points, st.complex_numbers(max_magnitude=1e6))
+    @settings(max_examples=40, deadline=None)
+    def test_constant_envelope(self, pts, value):
+        check_envelope(CoefficientSpec.constant(value), pts)
+
+    @given(
+        lattice_points,
+        st.dictionaries(
+            st.tuples(st.integers(0, 300), st.integers(0, 300)),
+            st.complex_numbers(max_magnitude=1e6), min_size=1, max_size=10,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_finite_support_envelope(self, pts, entries):
+        spec = CoefficientSpec.finite_support(entries)
+        check_envelope(spec, pts + [list(pt) for pt in entries])  # the support too
+
+    @given(
+        lattice_points,
+        st.lists(
+            st.tuples(st.floats(0.01, 1.0), st.floats(-math.pi, math.pi)), min_size=2, max_size=2
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_geometric_envelope(self, pts, polar):
+        ratios = [mod * complex(math.cos(arg), math.sin(arg)) for mod, arg in polar]
+        check_envelope(CoefficientSpec.geometric(ratios), pts)
+
+    @given(lattice_points)
+    @settings(max_examples=40, deadline=None)
+    def test_character_product_envelope(self, pts):
+        spec = CoefficientSpec.character_product(
+            [(3, (1.0, -2.0, 0.5), 0, 0), (5, TestValues.CHI5, 1, 1), (2, (1.0, -0.75), 0, 1)]
+        )
+        check_envelope(spec, pts)
+
     @given(lattice_points)
     @settings(max_examples=40, deadline=None)
     def test_periodic_envelope(self, pts):
@@ -253,9 +294,9 @@ class TestStructure:
         for spec in (CoefficientSpec.constant(1.0), CoefficientSpec.poisson_powers(2)):
             assert FAMILIES[spec.family] is type(spec)
         with pytest.raises(ConfigError, match="unknown coefficient family"):
-            CoefficientSpec("constant", {"value": 1.0 + 0j}, Envelope(1.0, 0.0))
+            CoefficientSpec("constant", {"value": 1.0 + 0j})
         with pytest.raises(ConfigError, match="unknown coefficient family"):
-            type(CoefficientSpec.constant(1.0))("periodic", {}, Envelope(1.0, 0.0))
+            type(CoefficientSpec.constant(1.0))("periodic", {})
 
     def test_constructor_errors(self):
         with pytest.raises(ConfigError):
@@ -267,7 +308,41 @@ class TestStructure:
         with pytest.raises(ConfigError):
             CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.2),)])
         with pytest.raises(ConfigError):
-            Envelope(-1.0, 0.0)
+            CoefficientSpec.constant(math.inf)
+
+    @pytest.mark.parametrize("make, name", [
+        pytest.param(lambda: CoefficientSpec.constant(math.nan), "value", id="constant"),
+        pytest.param(lambda: CoefficientSpec.constant(complex(1.0, math.inf)), "value", id="constant-inf"),
+        # Python's max drops a nan that is not first: the bound once read 1.0
+        pytest.param(lambda: CoefficientSpec.finite_support({(0,): 1.0, (1,): math.nan}), "entries",
+                     id="finite_support"),
+        pytest.param(lambda: CoefficientSpec.periodic((2,), [1.0, math.nan]), "table", id="periodic"),
+        pytest.param(lambda: CoefficientSpec.geometric((0.5, math.nan)), "ratio", id="geometric"),
+        pytest.param(lambda: CoefficientSpec.log_factor((math.nan,), [[1.0]], (1.0,)), "coeffs",
+                     id="log_factor-coeffs"),
+        pytest.param(lambda: CoefficientSpec.log_factor((1.0,), [[math.nan]], (1.0,)), "lam",
+                     id="log_factor-lam"),
+        pytest.param(lambda: CoefficientSpec.log_factor((0.0,), [[1.0]], (math.inf,)), "u",
+                     id="log_factor-u"),
+        pytest.param(lambda: CoefficientSpec.log_factor((1.0,), [[1e300]], (1e10,)), "offsets",
+                     id="log_factor-offset"),
+        pytest.param(lambda: CoefficientSpec.character_product([(2, (1.0, math.nan), 0, 0)]), "factors",
+                     id="character_product"),
+        pytest.param(lambda: CoefficientSpec.product([CoefficientSpec.constant(1e200)] * 2), "factors",
+                     id="product"),
+        pytest.param(lambda: CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.0),)],
+                                                                    growth=math.nan),
+                     "growth", id="multiplicative"),
+        # theta(0) came out nan
+        pytest.param(lambda: CoefficientSpec.poisson_powers(2, rate=-math.inf), "rate", id="poisson_powers"),
+        pytest.param(lambda: AlphaRule.constant(math.nan), "value", id="alpha-constant"),
+        pytest.param(lambda: AlphaRule.character(2, (1.0, math.inf)), "values", id="alpha-character"),
+        pytest.param(lambda: AlphaRule.table({3: math.nan}), "entries", id="alpha-table"),
+        pytest.param(lambda: AlphaRule.table({3: 0.5}, default=math.nan), "default", id="alpha-default"),
+    ])
+    def test_non_finite_parameter_is_named(self, make, name):
+        with pytest.raises(ConfigError, match=name):
+            make()
 
     def test_log_split(self):
         lam, u = np.array([[1.0, 2.0], [0.0, 1.5]]), np.array([0.5, 0.25])

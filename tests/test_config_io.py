@@ -51,7 +51,6 @@ function:
   theta:
     family: constant
     params: {value: 1.0}
-    envelope: {B: 1.0, eps: 0.0}
 action:
   s: 2.0
   tol: 1.0e-6
@@ -311,7 +310,7 @@ MALFORMED = {
                         "function.theta.params.factors"),
     "coords": (_rules("3"), "function.theta.params.coords"),
     "coords row": (_rules("[3]"), "function.theta.params.coords[0]"),
-    "envelope": (_series("{family: constant, envelope: 3}"), "function.theta.envelope"),
+    "envelope": (_series("{family: constant, envelope: 3}"), "unknown key 'function.theta.envelope'"),
     "growth": (_series("{family: multiplicative_product,\n"
                        "                   params: {coords: [[{rule: constant}]], growth: abc}}"),
                "function.theta.params.growth"),
@@ -412,6 +411,26 @@ class TestCli:
         assert "config error:" in result.output and "Traceback" not in result.output
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("theta, message", [
+        # a declared envelope below theta's own once certified zeta(2) 9.95e-3 off
+        ("{family: constant, params: {value: 1.0}, envelope: {B: 1.0e-6, eps: 0.0}}",
+         "unknown key 'function.theta.envelope'"),
+        ("{family: finite_support, params: {entries: [{n: [0], value: 1.0}, {n: [1], value: .nan}]}}",
+         "function.theta.params: finite_support: no finite envelope from entries"),
+    ], ids=["declared envelope", "nan entry"])
+    def test_theta_without_a_finite_derived_envelope_exits_2(self, tmp_path, theta, message):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: shintani, d: 1, m: 1, r: 1, lambda: [[1.0]], u: [1.0], c: [[1.0]],\n"
+            f"  theta: {theta}}}\n"
+            f"action: {{s: 2.0, tol: 1.0e-8}}\noutput: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error: " + message in result.output and "Traceback" not in result.output
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_exit_code_numeric_error(self, tmp_path):
         cfgp = self.write(
             tmp_path,
@@ -437,8 +456,8 @@ class TestCli:
     @pytest.mark.parametrize("function, s", [
         ("{kind: special, name: lerch_transcendent, params: {u: 1.0, q: 0.5}}", "-400.0"),
         ("{kind: shintani, d: 1, m: 1, r: 1, lambda: [[1.0]], u: [1.0], c: [[1.0]],\n"
-         "  theta: {family: finite_support, params: {entries: [{n: [0], value: 1.0}, {n: [1000], value: 1.0}]},\n"
-         "          envelope: {B: 1.0, eps: 0.0}}}", "-200.0"),
+         "  theta: {family: finite_support, params: {entries: [{n: [0], value: 1.0}, {n: [1000], value: 1.0}]}}}",
+         "-200.0"),
     ])
     def test_non_finite_value_is_numeric_error(self, tmp_path, function, s):
         # both once wrote a nan value certified, with exit 0
@@ -736,7 +755,6 @@ class TestCli:
                 "theta": {
                     "family": "finite_support",
                     "params": {"entries": [{"n": [0], "value": 1.0}, {"n": [1], "value": -2.0}]},
-                    "envelope": {"B": 2.0, "eps": 0.0},
                 },
             },
             "action": {"rectangle": {"re_lo": 0.0, "re_hi": 2.0, "im_lo": -1.0, "im_hi": 1.0}},
@@ -759,7 +777,6 @@ class TestCli:
                 "theta": {
                     "family": "finite_support",
                     "params": {"entries": [{"n": [0], "value": 1.0}, {"n": [1], "value": -2.0}]},
-                    "envelope": {"B": 2.0, "eps": 0.0},
                 },
             },
             "action": {

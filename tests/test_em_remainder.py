@@ -14,7 +14,7 @@ from unittest import mock
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shintani import series
@@ -132,12 +132,23 @@ class TestStartPoint:
         st.lists(TOTAL, min_size=1, max_size=4).filter(any),
         st.floats(1e-300, 1e300),
     )
+    @example(2.0**-1022, 2.0**-1022, [0.0, 0.0, 0.0, 1.0], 1.0)  # |r| of a ratio overflowed
     @settings(deadline=None)
     def test_order_choice_is_the_full_scans(self, re_b, im_b, totals, target):
         # degrees 0-3, Re b of either sign (no order applies below Re b = -39): the
         # one-pass walk over (x_lo, M) returns the least (X_M, M) of every order
         b = complex(re_b, im_b)
         assert _order_choice(b, totals, target) == _full_scan(b, totals, target)
+
+    def test_overflowing_ratios_skip_the_order(self):
+        # at b = 2^-1022 (1 + i) the ratios 1/(b + 0) have finite parts whose
+        # modulus passes the float range: abs() raised OverflowError out of
+        # evaluate_partial; such an order is skipped, and here none is left
+        b = complex(2.0**-1022, 2.0**-1022)
+        assert series._em_order(b, [0.0, 0.0, 0.0, 1.0], 1.0) == (math.inf, None)
+        config = differentiate(differentiate(differentiate(make_special("riemann"), 1), 1), 1)
+        res = evaluate_partial(config, b, 1000)
+        assert not res.certified and res.tail_bound == math.inf
 
     def test_order_scan_sweep(self):
         all_orders, drawn = series._em_remainder_constants, []

@@ -102,9 +102,9 @@ class TestExactEnvelope:
         assert coefficients._envelope_rungs((TWO_RULES,), 0.05) == coefficients._RUNGS
         spec = CoefficientSpec.multiplicative_product([TWO_RULES])
         assert spec.params["growth"] == 0.05
-        assert spec.envelope.growth == 0.1
-        assert spec.envelope.bound == coefficients._rules_envelope(TWO_RULES, 0.1)
-        assert [view.envelope.growth for view in spec.envelope_ladder] == list(coefficients._RUNGS)
+        assert spec.envelope_triple[1] == 0.1
+        assert spec.envelope_triple[0] == coefficients._rules_envelope(TWO_RULES, 0.1)
+        assert [view.envelope_triple[1] for view in spec.envelope_ladder] == list(coefficients._RUNGS)
 
     def test_no_finite_rung_is_a_config_error(self):
         # 200 rules: every rung's majorant passes the float range
@@ -117,7 +117,7 @@ class TestExactEnvelope:
         rules = (AlphaRule.constant(1.0), AlphaRule.character(3, (0.0, 1.0, -1.0)))
         with mock.patch.object(coefficients, "coefficient_array", side_effect=AssertionError):
             spec = CoefficientSpec.multiplicative_product([rules])
-        assert math.isfinite(spec.envelope.bound)
+        assert math.isfinite(spec.envelope_triple[0])
 
     def test_old_fitted_envelope_fails_where_the_new_one_holds(self):
         n = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61  # eight primes = 1 mod 4
@@ -126,7 +126,7 @@ class TestExactEnvelope:
         assert 16.2 * n**0.05 < 60.0  # the old fitted envelope at growth 0.05
         spec = CoefficientSpec.multiplicative_product([TWO_RULES])
         for view in spec.envelope_ladder:
-            assert view.envelope.bound * n**view.envelope.growth >= 256
+            assert view.envelope_triple[0] * n**view.envelope_triple[1] >= 256
 
     def test_derivative_ladder_multiplies_the_rungs(self):
         config = differentiate(_one_form(CoefficientSpec.multiplicative_product([TWO_RULES])), 1)
@@ -150,19 +150,19 @@ class TestOneRulePastOne:
 
     def test_envelope_holds_past_one(self):
         spec = CoefficientSpec.multiplicative_product([self.OVER])
-        assert (spec.envelope.bound, spec.envelope.growth) != (1.0, 0.0)
+        assert (spec.envelope_triple[0], spec.envelope_triple[1]) != (1.0, 0.0)
         table = coefficient_array(self.OVER, 2**20)
         assert abs(table[2**20]) > 1.0 + 2e-11  # A(2^20) = alpha^20
         for view in spec.envelope_ladder:
-            brute, _ = _brute_sup(table, view.envelope.growth)
-            assert brute <= view.envelope.bound
+            brute, _ = _brute_sup(table, view.envelope_triple[1])
+            assert brute <= view.envelope_triple[0]
         ((b, eps),) = spec.per_coordinate_envelope(1)
         assert eps > 0.0 and _brute_sup(table, eps)[0] <= b
 
     def test_unit_rules_keep_the_exact_bound(self):
         for rule in (AlphaRule.constant(1.0), AlphaRule.constant(-1.0), chi_minus_4()):
             spec = CoefficientSpec.multiplicative_product([(rule,)])
-            assert (spec.envelope.bound, spec.envelope.growth) == (1.0, 0.0)
+            assert (spec.envelope_triple[0], spec.envelope_triple[1]) == (1.0, 0.0)
             assert spec.envelope_ladder == (spec,)
         mixed = CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.0),), self.OVER])
         assert mixed.per_coordinate_envelope(2)[0] == (1.0, 0.0)
@@ -172,12 +172,12 @@ class TestOneRulePastOne:
         config = shintani_from_euler(EulerConfig(d=1, m=2, alphas=(AlphaRule.constant(1.0),) + self.OVER,
                                                  a=np.array([[1.0], [1.0]])))
         theta = config.theta
-        assert theta.envelope.growth > 0.0
+        assert theta.envelope_triple[1] > 0.0
         pts = np.stack(np.meshgrid(np.arange(0, 2**10), np.arange(0, 2**10)), axis=-1).reshape(-1, 2)
         vals = np.abs(np.asarray(theta_values(theta, pts)))
         t1 = pts.sum(axis=1) + 1.0
         for view in theta.envelope_ladder:
-            assert np.all(vals <= view.envelope.bound * t1**view.envelope.growth)
+            assert np.all(vals <= view.envelope_triple[0] * t1**view.envelope_triple[1])
         assert math.isfinite(series.tail_bound(config, [3.0], 100))
 
 

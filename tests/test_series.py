@@ -13,8 +13,8 @@ import pytest
 import scipy.special as sp
 
 from conftest import random_config, region_sigma
-from shintani.arithmetic import AlphaRule, PrimeTable
-from shintani.coefficients import CoefficientSpec, Envelope
+from shintani.arithmetic import AlphaRule, PrimeTable, chi_minus_4
+from shintani.coefficients import CoefficientSpec
 from shintani import series
 from shintani.distributions import SampleBatch, build_distribution, sample
 from shintani.errors import CertificationError, ConfigError, NumericError, RegionError
@@ -187,13 +187,15 @@ class TestTailBound:
         assert math.isfinite(bound) and bound > 1.0
 
     def test_envelope_too_weak(self):
+        # the rules (1, chi_-4) have no finite envelope below the rung 0.1 > 1.05 - 1
+        theta = CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.0), chi_minus_4())])
+        assert theta.envelope_triple[1] == 0.1
         cfg = ShintaniConfig(
             d=1, m=1, r=1, lam=np.array([[1.0]]), u=np.array([1.0]),
-            c=np.array([[1.0]]),
-            theta=CoefficientSpec.constant(1.0, envelope=Envelope(1.0, 0.1)),
+            c=np.array([[1.0]]), theta=theta,
         )
         with pytest.raises(CertificationError, match="no certified bound"):
-            tail_bound(cfg, 1.0005, 10)
+            tail_bound(cfg, 1.05, 10)
 
     def test_bad_shell_index(self):
         for n_shell in (-1, -5, 2.5):

@@ -186,7 +186,7 @@ class TestTenthLambda:
         cfgp = tmp_path / "config.yaml"
         cfgp.write_text(
             "function: {kind: shintani, d: 1, m: 1, r: 1, lambda: [[0.1]], u: [1.0], c: [[1.0]],\n"
-            "  theta: {family: constant, params: {value: 1.0}, envelope: {B: 1.0, eps: 0.0}}}\n"
+            "  theta: {family: constant, params: {value: 1.0}}}\n"
             f"action: {{s: 400.0}}\noutput: {{dir: '{tmp_path}'}}\n"
         )
         result = CliRunner().invoke(cli, ["eval", "--config", str(cfgp)])
@@ -234,8 +234,13 @@ def test_separable_products_overflow_without_a_warning():
         u=[1.2013584664910226, 0.6005542273872512, 1.0371446763457943], c=[[1.0]] * 3,
         theta=CoefficientSpec.constant(1.0),
     )
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError) as err:
         tail_bound(config, 179.03527287564694, 3)
+    # the envelope (growth 0) is not at fault: the message states data, no inequality
+    message = str(err.value)
+    assert message.startswith("no certified bound available past shell 3: ")
+    assert "envelope growth 0.0, log power 0, sum_l<c_l,sigma> - r = 534.1" in message
+    assert ">=" not in message
 
 
 class TestUnderflowingProductTails:
