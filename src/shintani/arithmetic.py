@@ -28,6 +28,14 @@ def require_finite(what: str, values) -> None:
         raise ConfigError(f"{what} must be finite, got {arr[~np.isfinite(arr)].tolist()[0]}")
 
 
+def modulus(z: complex) -> float:
+    """|z| by Python's abs; inf where abs overflows (finite parts, modulus past the float range)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def frozen_array(x, dtype=float) -> np.ndarray:
     """`x` as a read-only array of `dtype` no caller can write: taken as is
     when it and every array it views are read-only, else copied and the
@@ -183,7 +191,7 @@ class AlphaRule:
         return all(complex(v).imag == 0.0 for v in self.values)
 
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
+        return max(map(modulus, self.values))
 
 
 def chi_minus_4() -> AlphaRule:

@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
-from .arithmetic import AlphaRule, coefficient_array, require_finite, sieve_primes
+from .arithmetic import AlphaRule, coefficient_array, modulus, require_finite, sieve_primes
 from .errors import ConfigError
 
 NONNEGATIVE = "nonnegative"
@@ -247,7 +247,7 @@ class CoefficientSpec:
             ratios = (ratios,)
         qs = tuple(complex(q) for q in ratios)
         for q in qs:
-            if not (0.0 < abs(q) <= 1.0 + 1e-15):
+            if not (0.0 < modulus(q) <= 1.0 + 1e-15):
                 raise ConfigError(f"geometric ratio must satisfy 0 < |q| <= 1, got {q}")
         return _Geometric._of({"ratios": qs})
 
@@ -451,7 +451,7 @@ class _Constant(CoefficientSpec, family="constant"):
         return self.params["value"] == 1.0
 
     def _envelope(self):
-        return abs(self.params["value"]), 0.0, 1.0
+        return modulus(self.params["value"]), 0.0, 1.0
 
     def _value(self):
         v = self.params["value"]
@@ -559,7 +559,7 @@ class _Periodic(CoefficientSpec, family="periodic"):
 
 class _Geometric(CoefficientSpec, family="geometric"):
     def _envelope(self):
-        return 1.0, 0.0, min(max(abs(complex(q)) for q in self.params["ratios"]), 1.0)
+        return 1.0, 0.0, min(max(modulus(complex(q)) for q in self.params["ratios"]), 1.0)
 
     def values(self, points):
         qs = np.asarray(self.params["ratios"], dtype=complex)
@@ -870,9 +870,9 @@ class _PoissonPowers(CoefficientSpec, family="poisson_powers"):
 
 
 def _max_abs(values) -> float:
-    """max |v| by Python's abs; nan where any value is nan (Python's max
+    """max |v| by `modulus`; nan where any value is nan (Python's max
     drops a nan that is not first)."""
-    return float(np.max([abs(v) for v in values]))
+    return float(np.max([modulus(v) for v in values]))
 
 
 def _sign_of_values(values) -> str:

@@ -68,14 +68,14 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import coefficients as cf
-from .arithmetic import frozen_array
+from .arithmetic import frozen_array, modulus
 from .coefficients import _LATTICE_MAX, CoefficientSpec
 from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .summation import CompensatedSum
@@ -783,7 +783,7 @@ def tail_bound(config: ShintaniConfig, sigma, n_shell: int) -> float:
     sum_l <c_l, sigma> - r.
     """
     _require_valid(config)
-    _require_shell(n_shell)
+    _require_shell(n_shell, top=_LATTICE_MAX)
     sig = as_sigma(sigma, config.d)
     out = _tail_bound(config, sig, n_shell)
     if not math.isfinite(out):
@@ -986,10 +986,10 @@ _EM_COEFFS = tuple(
     for j, (num, den) in enumerate(_BERNOULLI_EVEN, start=1)
 )
 _EM_HEAD = 16  # Euler–Maclaurin starts no lower than k + v = 16
-_EM_MAX_HEAD = 1 << 16  # a line that needs a longer direct head is left to the block route
 _EM_REL = 2.0**-60  # remainder target relative to the shell tail bound
 _EM_DIRECT = 1 << 9  # lines with at most this many terms in all are summed directly
 _EM_NEWTON = 50  # Newton steps at most for a start point (a handful converge)
+_EM_LOG_RISE = 700.0  # an order whose |(b)_2M| passes e^700 is never chosen
 _LOG_EM_HEAD = math.log(_EM_HEAD)
 _LOG_4 = math.log(4.0)
 _EM_ORDER_TERMS = tuple(  # (M, 2M, log (2 pi)^(2M)) for the Bernoulli orders M = 1..20
@@ -1053,7 +1053,11 @@ def _em_remainder_constants(b: complex, degree: int) -> Iterator[tuple[int, floa
     and r_a / r_a0 are the coefficients of prod_i (1 + eps/(b + i)) over the
     nonzero factors, times eps for the zero one, so no rising factorial
     overflows; an order whose ratios do (b + i within about 1e-38 of 0),
-    or whose alphas do, is skipped."""
+    or whose alphas do, is skipped.  So is one with |r_a0| > e^700, so that
+    every r_(n,a), n < 2M, that `_bernoulli_polys` forms is finite: where
+    |b| <= 80 each is below 2^40 120^40 < e^220, and past it every factor
+    has |b + i| > 40, so |(b)_n| grows with n and |r_(n,a)| <= C(n,a)
+    40^-a |(b)_n| <= |(b)_n| <= |r_a0|."""
     re_b, bb = b.real, (b.real if b.imag == 0.0 else b)
     log_rising, ratio = 0.0, [1.0] + [0.0] * degree  # log |r_a0|, r_a / r_a0
     for order, two_m, log_2pi_2m in _EM_ORDER_TERMS:
@@ -1067,13 +1071,10 @@ def _em_remainder_constants(b: complex, degree: int) -> Iterator[tuple[int, floa
             for a in range(degree, 0, -1):
                 ratio[a] = ratio[a] + ratio[a - 1] * lin + (ratio[a - 2] * quad if a > 1 else 0.0)
         decay = re_b + two_m - 1.0
-        if decay > 0.0:
-            try:
-                alphas = [abs(ratio[0])]
-                for r in ratio[1:]:
-                    alphas.append(alphas[-1] / decay + abs(r))
-            except OverflowError:  # |r| of a complex r with finite parts past the float range
-                continue
+        if decay > 0.0 and log_rising <= _EM_LOG_RISE:
+            alphas = [modulus(ratio[0])]
+            for r in ratio[1:]:
+                alphas.append(alphas[-1] / decay + modulus(r))
             if math.isfinite(alphas[-1]):  # an inf or nan reaches every later alpha
                 yield order, _LOG_4 + log_rising - log_2pi_2m - math.log(decay), decay, alphas
 
@@ -1152,10 +1153,11 @@ def _em_sum(
 ) -> complex:
     """sum_i sum_{k=0}^{k_max_i} P_i(log(k+v_i)) (k+v_i)^(-b) without
     remainders, where P_i(y) = sum_a weights[i, a] y^a (a 1-d `weights`
-    holds degree-0 lines): line i sums its terms k < h_i directly (all heads
-    in one flat array, P_i by Horner) and the rest by Euler–Maclaurin over
-    [h_i, k_max_i] (the integral, the two endpoint halves and `order`
-    Bernoulli terms), all lines at once.
+    holds degree-0 lines): line i sums its terms k < h_i directly (the heads
+    of all lines one flat run, summed in chunks of at most _BLOCK terms
+    whatever line they belong to, P_i by Horner) and the rest by
+    Euler–Maclaurin over [h_i, k_max_i] (the integral, the two endpoint
+    halves and `order` Bernoulli terms), all lines at once.
 
     With x0 = h_i + v_i, x1 = k_max_i + v_i, y0 = log x0, z = 1 - b and
     L = log(x1/x0), each part is linear in P, and the line's sum is
@@ -1174,21 +1176,17 @@ def _em_sum(
     cols = list(weights.reshape(v.size, -1).T)  # the coefficients of y^a, a = 0..degree
     degree = len(cols) - 1
     acc = CompensatedSum()
-    counts = np.minimum(h, k_max + 1)
-    lines = np.flatnonzero(counts)
-    counts = counts[lines]
-    ends = counts.cumsum()
-    start = 0
-    while start < lines.size:  # heads in chunks of at most _BLOCK terms
-        first = int(ends[start] - counts[start])
-        stop = max(int(np.searchsorted(ends, first + _BLOCK, side="right")), start + 1)
-        rep = counts[start:stop]
-        idx = np.repeat(lines[start:stop], rep)
-        k = np.arange(first, int(ends[stop - 1])) - np.repeat(ends[start:stop] - rep, rep)
-        x = k + v[idx]
+    counts = np.minimum(h - 1, k_max) + 1  # min(h, k_max + 1), with no int64 overflow at k_max
+    head_ends = counts.cumsum()
+    starts, total = head_ends - counts, int(head_ends[-1])
+    for first in range(0, total, _BLOCK):
+        last = min(first + _BLOCK, total)
+        # lines lo..hi-1 hold the chunk's terms, line i those of [starts_i, head_ends_i) in [first, last)
+        lo, hi = np.searchsorted(head_ends, [first, last - 1], side="right") + (0, 1)
+        idx = np.repeat(np.arange(lo, hi), np.minimum(head_ends[lo:hi], last) - np.maximum(starts[lo:hi], first))
+        x = (np.arange(first, last) - starts[idx]) + v[idx]
         poly = _horner([col[idx] for col in cols], np.log(x) if degree else None)
         acc.add_array(poly * _line_powers(x, b))
-        start = stop
     em = h <= k_max
     if not em.all():
         if not em.any():
@@ -1246,7 +1244,7 @@ def _bernoulli_polys(bb: complex, order: int, degree: int) -> list[list]:
 
 def _em_line_sums(
     b: complex, v: np.ndarray, k_max: np.ndarray, weights: np.ndarray, target: float
-) -> Optional[tuple[complex, float]]:
+) -> tuple[complex, float]:
     """sum_i sum_{k=0}^{k_max_i} P_i(log(k+v_i)) (k+v_i)^(-b), P_i(y) =
     sum_a weights[i, a] y^a (a 1-d `weights` holds degree-0 lines), and a
     bound on the Euler–Maclaurin remainders that is at most `target`.
@@ -1260,19 +1258,19 @@ def _em_line_sums(
     head terms.  A line with v_i >= X needs no head; one whose head covers
     it is summed directly with no remainder.  Every line is summed directly
     when the lines hold at most _EM_DIRECT terms in all, when no order
-    applies, or when target or Pbar is 0.  Returns None when a line needs
-    more than _EM_MAX_HEAD direct terms.
+    applies, or when target or Pbar is 0.  NumericError, before any term is
+    formed, when the heads hold more than _POINT_BUDGET terms in all.
     """
     b = complex(b)
     weights = weights.reshape(v.size, -1)
-    k_len = k_max + 1
+    k_len = k_max + 1.0  # in floats: k_max may be the last int64
     x, chosen = math.inf, None  # every line direct
     totals = [float(np.abs(col).sum()) for col in weights.T]  # the coefficients of Pbar
     if k_len.sum() > _EM_DIRECT and target > 0.0 and any(totals):
         x, chosen = _em_order(b, totals, target)
-    heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len).astype(np.int64)
-    if heads.max() > _EM_MAX_HEAD:
-        return None
+    heads = np.minimum(np.maximum(np.ceil(x - v), 0.0), k_len)
+    _require_budget(int(heads.sum()), "Euler–Maclaurin head terms")
+    heads = heads.astype(np.int64)
     order = 0 if chosen is None else chosen[0]  # no order: every line direct
     value, remainder = _em_sum(b, v, k_max, weights, heads, order), 0.0
     if chosen is not None:  # the sum first: arrays live across it slow its allocations
@@ -1418,8 +1416,8 @@ def _line_partial_sum(
     `_em_line_sums` sums all lines with a remainder bound of at most 2^-60
     times `tail` (times the first terms' scale, sum_a |w_a| v^(-Re b),
     when `tail` is 0 or infinite), so adding it to a finite tail bound
-    leaves the float unchanged.  Also None when a line would need more than
-    _EM_MAX_HEAD direct terms (Re b below about -38).
+    leaves the float unchanged.  NumericError, before any rest point is
+    enumerated, when there are more than _POINT_BUDGET of them.
 
     The lines of rest points of one degree D are one line, merged before
     any rest point is enumerated, when every form lies in S (so no log
@@ -1450,7 +1448,9 @@ def _line_partial_sum(
     # per log factor: A_i less its rest-point part, G_i, and the g_il off S
     factors = [(g[rows] @ np.log(q * lam[rows, j]), g[rows].sum(), g[others]) for g in logs]
     no_rest = np.zeros((0, r - 1), dtype=np.int64)
-    if r > 1 and not others.size and (along == along[0]).all() and np.ndim(theta_on(no_rest, 0)) == 0:
+    merged = r > 1 and not others.size and (along == along[0]).all() and np.ndim(theta_on(no_rest, 0)) == 0
+    _require_budget(n_shell + 1 if merged else lattice_count(r - 1, n_shell), f"rest points through shell {n_shell}")
+    if merged:
         # the line of rho depends on |rho| alone: one line per rest degree D,
         # at the rest point (D, 0, ..., 0), weighted by the C(D + r - 2, r - 2)
         # rest points of degree D (r - 2 running sums of ones, exact below 2^53)
@@ -1499,13 +1499,16 @@ def _partial_sum(
     if lines is not None:
         value, remainder = lines
         return value, tail + remainder
-    points = lattice_count(config.r, n_shell)
-    if points > _POINT_BUDGET and config.theta.support(config.r, 0, 0) is None:
-        raise NumericError(
-            f"the partial sum through shell {n_shell} walks {points} lattice points, "
-            f"past the budget of {_POINT_BUDGET}"
-        )
+    if config.theta.support(config.r, 0, 0) is None:
+        _require_budget(lattice_count(config.r, n_shell), f"lattice points through shell {n_shell}")
     return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
+
+
+def _require_budget(count: int, what: str) -> None:
+    """NumericError when one partial sum would walk more than _POINT_BUDGET
+    `what`: lattice points (block route), rest points or head terms (line route)."""
+    if count > _POINT_BUDGET:
+        raise NumericError(f"the partial sum walks {count} {what}, past the budget of {_POINT_BUDGET}")
 
 
 def _choose_shell(
@@ -1664,8 +1667,9 @@ def _first_admissible(
 
 def _cap_from_budget(r: int, shell_cap: int) -> int:
     """The largest shell with at most shell_cap lattice points up to it, or
-    0 when there is none (shell_cap itself always has more)."""
-    return max(_last_degree(r, shell_cap, -1, shell_cap), 0)
+    0 when there is none (shell_cap itself always has more), and at most
+    _LATTICE_MAX: a budget past the int64 lattice is the lattice."""
+    return max(_last_degree(r, shell_cap, -1, min(shell_cap, _LATTICE_MAX)), 0)
 
 
 def evaluate(
@@ -1680,9 +1684,8 @@ def evaluate(
     enumerated-point budget shell_cap is hit first, the partial sum is
     returned flagged non-certified with the achieved bound.  A partial sum
     that is not finite raises NumericError, and so does one that would walk
-    more than _POINT_BUDGET lattice points of a support that is not
-    enumerable, before it starts.  This is the one-point case of
-    `evaluate_many`.
+    more than _POINT_BUDGET points (`_require_budget`), before it starts.
+    This is the one-point case of `evaluate_many`.
     """
     _require_valid(config)
     _require_shell(shell_cap, "shell_cap")
@@ -1873,19 +1876,22 @@ def _finite_sums(
 def evaluate_partial(config: ShintaniConfig, s, n_shell: int) -> EvalResult:
     """Plain partial sum over total degree <= n_shell, with its tail bound;
     NumericError when the sum is not finite or would walk more than
-    _POINT_BUDGET lattice points of a support that is not enumerable.  It
-    is `_evaluate` at that shell, so each config takes the summation route
-    `evaluate` takes."""
+    _POINT_BUDGET points (`_require_budget`), ConfigError past the int64
+    lattice.  It is `_evaluate` at that shell, so each config takes the
+    summation route `evaluate` takes."""
     _require_valid(config)
-    _require_shell(n_shell)
+    _require_shell(n_shell, top=_LATTICE_MAX)
     pt = as_point(s, config.d)
     return _evaluate(config, pt.re[None, :], pt.im[None, :], math.nan, 0, (pt,), n_shell)[0]
 
 
-def _require_shell(n_shell, name: str = "shell index") -> None:
-    """ConfigError unless n_shell is an integer >= 0 (a bool or a float is none)."""
+def _require_shell(n_shell, name: str = "shell index", top: Optional[int] = None) -> None:
+    """ConfigError unless n_shell is an integer >= 0 (a bool or a float is
+    none), and at most `top` when given."""
     if isinstance(n_shell, bool) or not isinstance(n_shell, (int, np.integer)) or n_shell < 0:
         raise ConfigError(f"{name} must be an integer >= 0, got {n_shell!r}")
+    if top is not None and n_shell > top:
+        raise ConfigError(f"{name} {n_shell} is past the int64 lattice's last shell {top}")
 
 
 # ---------------------------------------------------------------------------
@@ -1909,15 +1915,7 @@ def differentiate(config: ShintaniConfig, axis: int) -> ShintaniConfig:
         raise ConfigError(f"axis must be in 1..{config.d}, got {axis}")
     coeffs = tuple((-config.c[:, axis - 1]).tolist())
     logf = CoefficientSpec.log_factor(coeffs, config.lam, config.u)
-    return ShintaniConfig(
-        d=config.d,
-        m=config.m,
-        r=config.r,
-        lam=config.lam,
-        u=config.u,
-        c=config.c,
-        theta=config.theta.times(logf),
-    )
+    return replace(config, theta=config.theta.times(logf))
 
 
 # ---------------------------------------------------------------------------
@@ -1925,10 +1923,7 @@ def differentiate(config: ShintaniConfig, axis: int) -> ShintaniConfig:
 # ---------------------------------------------------------------------------
 
 def _one_form(u: float, theta: CoefficientSpec) -> ShintaniConfig:
-    return ShintaniConfig(
-        d=1, m=1, r=1, lam=np.array([[1.0]]), u=np.array([float(u)]),
-        c=np.array([[1.0]]), theta=theta,
-    )
+    return ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[float(u)], c=[[1.0]], theta=theta)
 
 
 SPECIAL_KINDS = (
@@ -1964,8 +1959,8 @@ def make_special(kind: str, **params) -> ShintaniConfig:
         q = _param(kind, params, "q", complex)
         if u <= 0.0:
             raise ConfigError(f"lerch_transcendent needs u > 0, got {u}")
-        if not 0.0 < abs(q) < 1.0:
-            raise ConfigError(f"lerch_transcendent needs 0 < |q| < 1, got |q| = {abs(q)}")
+        if not 0.0 < modulus(q) < 1.0:
+            raise ConfigError(f"lerch_transcendent needs 0 < |q| < 1, got |q| = {modulus(q)}")
         return _one_form(u, CoefficientSpec.geometric((q,)))
     if kind == "euler_zagier":
         _expect_params(kind, params, {"r", "u"})
@@ -1975,14 +1970,10 @@ def make_special(kind: str, **params) -> ShintaniConfig:
             raise ConfigError("euler_zagier needs r >= 1 and a length-r u vector")
         # unconstrained-index form: row l sums coordinates j >= l, with
         # shifted offsets u'_l = 1 + u_l - u_(l+1) and u'_r = 1 + u_r
-        shifted = np.empty(r)
-        shifted[:-1] = 1.0 + u[:-1] - u[1:]
-        shifted[-1] = 1.0 + u[-1]
+        shifted = 1.0 + u - np.append(u[1:], 0.0)
         if np.any(shifted <= 0.0):
             raise ConfigError("euler_zagier needs 1 + u_l > u_(l+1) for the re-indexed form")
-        lam = np.zeros((r, r))
-        for l in range(r):
-            lam[l, l:] = 1.0
+        lam = np.triu(np.ones((r, r)))
         return ShintaniConfig(
             d=r, m=r, r=r, lam=lam, u=shifted, c=np.eye(r),
             theta=CoefficientSpec.constant(1.0),

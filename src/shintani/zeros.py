@@ -43,6 +43,7 @@ from .config_io import shintani_to_dict
 
 TWO_PI = 2.0 * math.pi
 _GRID_DELTA = 1e-4  # atom-table truncation behind the scan grid
+_SCAN_EVAL_TOL = 1e-10  # tail tolerance of the scan's series evaluations (refinement, counts)
 _MAX_DEPTH = 40  # bisections of one contour segment
 _MAX_PERTURB = 6  # rectangle growths before a boundary zero is an error
 _INIT_SAMPLES = 16  # initial contour samples per rectangle edge
@@ -128,14 +129,14 @@ def scan_cf_zeros(
     step: float = 0.05,
     tol: float = 1e-9,
     trigger: float = 0.2,
-    eval_tol: float = 1e-10,
     shell_cap: int = DEFAULT_SHELL_CAP,
 ) -> ZeroReport:
     """Grid scan of |f_sigma| along one t axis, Newton refinement of minima.
 
     Grid values come from the truncated atom table (error <= ~2*_GRID_DELTA,
     plenty below the trigger); refinement evaluates the series ratio
-    directly at each iterate, complexifying t to handle tangential zeros.
+    directly at each iterate, to the tail tolerance _SCAN_EVAL_TOL,
+    complexifying t to handle tangential zeros.
     A confirmed zero w gets its multiplicity from `count_zeros_rectangle`
     on a small square around w in the same slice s(w) = sigma + i w e_axis.
     """
@@ -155,7 +156,7 @@ def scan_cf_zeros(
     base = ComplexPoint(sig, np.zeros_like(sig))
     direction = np.zeros(config.d, dtype=complex)
     direction[t_axis - 1] = 1j
-    f, slope = _cf_on_slice(config, base, direction, eval_tol, shell_cap)
+    f, slope = _cf_on_slice(config, base, direction, _SCAN_EVAL_TOL, shell_cap)
     candidates: list[ZeroCandidate] = []
     rect_counts: list[tuple[tuple[float, float, float, float], int]] = []
     for i in range(1, len(ts) - 1):
@@ -173,7 +174,7 @@ def scan_cf_zeros(
                 radius = max(1e-4, 10 * abs(w) * 1e-9)
                 square = (w.real - radius, w.real + radius, w.imag - radius, w.imag + radius)
                 mult = count_zeros_rectangle(
-                    config, SliceSpec(base, direction, square), eval_tol, shell_cap
+                    config, SliceSpec(base, direction, square), _SCAN_EVAL_TOL, shell_cap
                 )
                 rect_counts.append((square, mult))
                 candidates.append(ZeroCandidate(w, resid, "confirmed", mult))

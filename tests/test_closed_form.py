@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shintani import series
 from shintani.coefficients import CoefficientSpec
+from shintani.errors import NumericError
 from shintani.series import (
     ComplexPoint,
     ShintaniConfig,
@@ -210,12 +213,17 @@ class TestEvaluatePartialRegions:
         assert remainder == 0.0
         assert abs(value - exact) <= ROUNDING * exact
 
-    def test_unreachable_plan_falls_back_to_blocks(self):
-        # Re B = -45: every order has Re B + 2M <= 1, so no plan exists
+    def test_unreachable_plan_sums_the_line_as_the_blocks_do(self):
+        # Re B = -45: every order has Re B + 2M <= 1, so no plan exists and
+        # the line is one head, summed in the block route's chunks of _BLOCK
+        # terms: the same bits at any length
         cfg = make_special("riemann")
-        pt = series.as_point(-45.0, 1)
-        assert _line_partial_sum(cfg, pt, 10**5, math.inf) is None
-        assert evaluate_partial(cfg, pt, 10**5).value == _block(cfg, pt, 10**5)
+        for s in (-45.0, -45.0 + 2.0j):
+            pt = series.as_point(s, 1)
+            for n_shell in (2**16, 10**5, 3 * 10**6):
+                res = evaluate_partial(cfg, pt, n_shell)
+                assert res.value == _block(cfg, pt, n_shell), (s, n_shell)
+                assert res.tail_bound == math.inf and not res.certified
 
     def test_riemann_at_1e8_against_mpmath(self):
         # sum_{n<=N} (n+1)^(-s) = zeta(s) - zeta(s, N+2).  At complex s mpmath's
@@ -464,15 +472,18 @@ class TestStartPoint:
                 else:
                     assert 0.0 < remainder <= 2.0**-60 * tail
 
-    def test_no_order_sums_directly_until_the_head_limit(self):
-        # Re b = -45: no order has Re b + 2M > 1; lines up to _EM_MAX_HEAD
-        # terms are summed directly, longer ones go to the block route
+    def test_no_order_sums_directly_at_any_length(self):
+        # Re b = -45: no order has Re b + 2M > 1; the line is summed directly
+        # with no remainder however long it is, up to the point budget
         cfg = make_special("riemann")
         for s in (-45.0, -45.0 + 2.0j):
             pt = series.as_point(s, 1)
             value, remainder = _line_partial_sum(cfg, pt, 1000, math.inf)
             assert remainder == 0.0
             assert abs(value - _block(cfg, pt, 1000)) <= _tolerance(cfg, pt, 1000)
-            for n_shell in (series._EM_MAX_HEAD, 10**5):
-                assert _line_partial_sum(cfg, pt, n_shell, math.inf) is None
-            assert evaluate_partial(cfg, pt, 10**5).value == _block(cfg, pt, 10**5)
+            for n_shell in (2**16, 10**5, 3 * 10**6):
+                assert _line_partial_sum(cfg, pt, n_shell, math.inf) == (_block(cfg, pt, n_shell), 0.0)
+            start = time.perf_counter()
+            with pytest.raises(NumericError, match="3000000001 Euler–Maclaurin head terms, past the budget"):
+                evaluate_partial(cfg, pt, 3 * 10**9)
+            assert time.perf_counter() - start < 1.0

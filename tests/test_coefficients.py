@@ -19,7 +19,8 @@ from shintani.coefficients import (
     theta_values,
 )
 from shintani.errors import ConfigError
-from shintani.series import ShintaniConfig, evaluate
+from shintani.euler import EulerConfig
+from shintani.series import ShintaniConfig, evaluate, make_special
 
 lattice_points = st.lists(
     st.lists(st.integers(min_value=0, max_value=300), min_size=2, max_size=2),
@@ -343,6 +344,27 @@ class TestStructure:
     def test_non_finite_parameter_is_named(self, make, name):
         with pytest.raises(ConfigError, match=name):
             make()
+
+    # finite parts, modulus past the float range: Python's abs raised OverflowError
+    @pytest.mark.parametrize("make, name", [
+        pytest.param(lambda z: CoefficientSpec.constant(z), "value", id="constant"),
+        pytest.param(lambda z: CoefficientSpec.finite_support({(0,): 1.0, (1,): z}), "entries",
+                     id="finite_support"),
+        pytest.param(lambda z: CoefficientSpec.geometric((0.5, z)), "ratio", id="geometric"),
+        pytest.param(lambda z: CoefficientSpec.character_product([(2, (1.0, z), 0, 0)]), "factors",
+                     id="character_product"),
+        pytest.param(lambda z: CoefficientSpec.multiplicative_product([(AlphaRule.constant(z),)]),
+                     "alpha", id="multiplicative"),
+        pytest.param(lambda z: EulerConfig(1, 1, (AlphaRule.character(2, (1.0, z)),), np.ones((1, 1))),
+                     "alpha", id="euler"),
+        pytest.param(lambda z: make_special("lerch_transcendent", u=1.0, q=z), "needs 0 < \\|q\\| < 1",
+                     id="lerch_transcendent"),
+    ])
+    def test_complex_parameter_past_the_float_range_is_config_error(self, make, name):
+        z = complex(1.5e308, 1.5e308)
+        assert AlphaRule.constant(z).max_abs() == math.inf
+        with pytest.raises(ConfigError, match=name):
+            make(z)
 
     def test_log_split(self):
         lam, u = np.array([[1.0, 2.0], [0.0, 1.5]]), np.array([0.5, 0.25])

@@ -1,5 +1,6 @@
 """Config parsing/serialization round-trips, CSV emission, and the CLI."""
 
+import csv
 import math
 import struct
 from pathlib import Path
@@ -430,6 +431,39 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "config error: " + message in result.output and "Traceback" not in result.output
         assert not list(tmp_path.glob("*.csv"))
+
+    # finite parts whose modulus passes the float range: OverflowError and exit 1 once
+    @pytest.mark.parametrize("theta, message", [
+        ("{family: constant, params: {value: [1.5e+308, 1.5e+308]}}",
+         "function.theta.params: constant: no finite envelope from value"),
+        ("{family: geometric, params: {ratios: [[1.5e+308, 1.5e+308]]}}",
+         "function.theta.params: geometric ratio must satisfy 0 < |q| <= 1"),
+    ], ids=["constant", "geometric"])
+    def test_complex_parameter_past_the_float_range_exits_2(self, tmp_path, theta, message):
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: shintani, d: 1, m: 1, r: 1, lambda: [[1.0]], u: [1.0], c: [[1.0]],\n"
+            f"  theta: {theta}}}\n"
+            f"action: {{s: 2.0, tol: 1.0e-8}}\noutput: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert "config error: " + message in result.output and "Traceback" not in result.output
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_shell_cap_past_the_int64_lattice(self, tmp_path):
+        # the cap's shell, 10^400 - 1, once reached the line route and raised OverflowError
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            f"action: {{s: 2.0, tol: 1.0e-8, shell_cap: {10**400}}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["eval", "--config", cfgp])
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "eval.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["shells_used"], r["certified"]) for r in rows] == [("99999999", "1")]
 
     def test_exit_code_numeric_error(self, tmp_path):
         cfgp = self.write(

@@ -192,3 +192,42 @@ def test_em_sum_against_mpmath(line):
             exact, size = exact + term, size + abs(term) * (1 + abs(bb.imag * y))
     err = abs(got - complex(exact))
     assert err <= bound * (1.0 + 1e-9) + 1e-14 * (1.0 + float(size)), (err, bound, float(size))
+
+
+@st.composite
+def _head_lines(draw):
+    """1-4 lines P(log x) x^(-b), x = k + v, of one degree 0-2 in log x, with
+    heads h_i that may be 0, inside the line or past it, a Bernoulli order
+    that has a remainder bound (or 0), and a chunk size of 1-9 terms."""
+    b = complex(draw(st.floats(-3.0, 6.0)), draw(st.one_of(st.just(0.0), st.floats(-1e8, 1e8))))
+    degree = draw(st.integers(0, 2))
+    parts = st.floats(-2.0, 2.0)
+    lines = draw(st.lists(st.tuples(st.floats(1.0, 40.0), st.integers(0, 60), st.integers(0, 70)),
+                          min_size=1, max_size=4))
+    v, k_max, h = (np.array(col) for col in zip(*lines))
+    weights = np.array([[complex(draw(parts), draw(parts)) for _ in range(degree + 1)] for _ in lines])
+    orders = [order for order, _ in _em_remainder_bounds(b, float(v.min()), 1)]
+    return b, v, k_max, weights, h, draw(st.sampled_from([0] + orders)), draw(st.integers(1, 9))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(_head_lines())
+def test_heads_in_chunks_match_one_chunk(monkeypatch, case):
+    """`_em_sum` sums the heads of all lines as one flat run in chunks of
+    _BLOCK terms; heads that straddle chunks give the one-chunk sum, and the
+    sum of the lines taken one at a time, up to the rounding of the order in
+    which the terms are added."""
+    b, v, k_max, weights, h, order, block = case
+    monkeypatch.setattr(series, "_BLOCK", 1 << 40)
+    whole = _em_sum(b, v, k_max, weights, h, order)
+    alone = [_em_sum(b, v[i:i + 1], k_max[i:i + 1], weights[i:i + 1], h[i:i + 1], order) for i in range(v.size)]
+    monkeypatch.setattr(series, "_BLOCK", block)
+    chunked = _em_sum(b, v, k_max, weights, h, order)
+    # |terms| of the heads, with |P(y)| <= sum_a |w_a| max(|y|, 1)^degree; the
+    # sums bound the Euler–Maclaurin parts, whose bits every call shares
+    x = np.concatenate([np.arange(min(hi, km + 1)) + vi for vi, km, hi in zip(v, k_max, h)])
+    w = np.repeat(np.abs(weights).sum(axis=1), np.minimum(h, k_max + 1))
+    size = 1.0 + 2.0 * float(np.sum(w * np.maximum(np.abs(np.log(x)), 1.0) ** (weights.shape[1] - 1)
+                                    * x ** -b.real))
+    assert abs(chunked - whole) <= 1e-13 * (size + abs(whole)), (chunked, whole, size)
+    assert abs(chunked - sum(alone)) <= 1e-13 * (size + sum(map(abs, alone))), (chunked, alone, size)

@@ -6,6 +6,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -651,6 +652,40 @@ class TestBudget:
         assert lattice_count(1, 10) == 11
         assert lattice_count(2, 3) == 10
         assert lattice_count(3, 2) == 10
+
+    def test_one_budget_for_both_routes(self, monkeypatch):
+        # 5,151 points of degree <= 100 in two coordinates: the rest points of
+        # euler_zagier r = 3 (line route), the lattice of generalized_barnes
+        # m = r = 2 (block route); each is refused before it is enumerated
+        monkeypatch.setattr(series, "_POINT_BUDGET", 1000)
+        line = make_special("euler_zagier", r=3, u=[0.0, 0.0, 0.0])
+        block = make_special("generalized_barnes", m=2, r=2, lam=[[1.0, 2.0], [3.0, 1.0]], u=[1.0, 0.5])
+        for config, s, what in ((line, (3.0, 2.0, 2.0), "5151 rest points through shell 100"),
+                                (block, (2.5, 2.5), "5151 lattice points through shell 100")):
+            with mock.patch.object(series, "_iter_blocks", side_effect=AssertionError("enumerated")):
+                with pytest.raises(NumericError, match=f"walks {what}, past the budget of 1000"):
+                    evaluate_partial(config, s, 100)
+        # the line route's direct head terms: no Bernoulli order applies at s = -45
+        with pytest.raises(NumericError, match="walks 2001 Euler–Maclaurin head terms"):
+            evaluate_partial(riemann(), -45.0, 2000)
+
+    def test_shells_past_the_int64_lattice(self):
+        # the cap's shell once passed the int64 lattice and the line route
+        # raised OverflowError converting it
+        lattice_max = 2**63 - 1
+        for cap in (2**64, 10**400):
+            res = evaluate(riemann(), 2.0, tol=1e-10, shell_cap=cap)
+            assert res.certified and res.shells_used == 9_999_999_999
+        res = evaluate(riemann(), 1.0 + 1e-7, tol=1e-8, shell_cap=10**400)
+        assert res.shells_used == lattice_max and not res.certified
+        # sum_{n <= 2^63} n^-2 = zeta(2) - 1/2^63 + ..., and the head stays small
+        res = evaluate_partial(riemann(), 2.0, lattice_max)
+        assert res.certified and abs(res.value - ZETA2) <= 1e-15
+        for call in (lambda: evaluate_partial(riemann(), 2.0, 10**400),
+                     lambda: evaluate_partial(riemann(), 2.0, lattice_max + 1),
+                     lambda: tail_bound(riemann(), 2.0, 10**400)):
+            with pytest.raises(ConfigError, match="past the int64 lattice"):
+                call()
 
 
 def _array_keepers(name):
