@@ -3,9 +3,10 @@
 The coefficient of a polynomial Euler product prod_p prod_l
 (1 - alpha_l(p) p^{-s})^{-1} is multiplicative with prime-power values
 given by a sum over compositions k_1 + ... + k_m = nu of
-prod_l alpha_l(p)^{k_l}.  This module owns that arithmetic so that both
-the Euler-product module and the coefficient families can use it without
-an import cycle.
+prod_l alpha_l(p)^{k_l}, the complete homogeneous symmetric polynomial h_nu
+formed by one recurrence (`complete_homogeneous`).  This module owns that
+arithmetic so that both the Euler-product module and the coefficient
+families can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -203,37 +203,34 @@ def chi_minus_4() -> AlphaRule:
 # Prime-power coefficients and full multiplicative coefficients.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=65536)
-def _prime_power_coefficient(alpha_values: tuple, nu: int) -> complex:
-    """sum over compositions k_1+...+k_m = nu of prod_l alpha_l^{k_l}.
+def homogeneous_step(alphas, h: list) -> list:
+    """One degree of the complete homogeneous symmetric polynomials: from
+    h^(l)_(nu-1) of alpha_1, ..., alpha_l for l = 1..k, the recurrence
+    h^(l)_nu = h^(l-1)_nu + alpha_l h^(l)_(nu-1), with h^(0)_nu = 0 for
+    nu >= 1.  Each alpha_l is a number or an array over primes."""
+    out: list = []
+    for alpha, prev in zip(alphas, h):
+        out.append(alpha * prev + out[-1] if out else alpha * prev)
+    return out
 
-    Stars-and-bars iteration over compositions, memoized per
-    (alpha-values-at-p, nu); coefficient queries repeat exponent patterns.
-    """
-    m = len(alpha_values)
-    if nu == 0:
-        return 1.0 + 0.0j
-    if m == 1:
-        return alpha_values[0] ** nu
-    total = 0.0 + 0.0j
 
-    def rec(idx: int, remaining: int, partial: complex) -> None:
-        nonlocal total
-        if idx == m - 1:
-            total += partial * alpha_values[idx] ** remaining
-            return
-        apow = 1.0 + 0.0j
-        for k in range(remaining + 1):
-            rec(idx + 1, remaining - k, partial * apow)
-            apow *= alpha_values[idx]
-
-    rec(0, nu, 1.0 + 0.0j)
-    return total
+def complete_homogeneous(alphas, top: int) -> list:
+    """[h_0, ..., h_top] of alpha_1, ..., alpha_k (numbers, or arrays over
+    primes): h_nu = A(p^nu), the sum over compositions n_1 + ... + n_k = nu
+    of prod_l alpha_l(p)^(n_l), formed by `homogeneous_step` in O(k top)."""
+    h = [1.0] * len(alphas)  # h^(l)_0 = 1
+    out = [h[-1]]
+    for _ in range(top):
+        h = homogeneous_step(alphas, h)
+        out.append(h[-1])
+    return out
 
 
 def prime_power_coefficient(rules: tuple[AlphaRule, ...], p: int, nu: int) -> complex:
-    values = tuple(complex(rule.at(p)) for rule in rules)
-    return _prime_power_coefficient(values, nu)
+    """A(p^nu), in real arithmetic for real rules as in `coefficient_array`."""
+    real = all(rule.is_real for rule in rules)
+    values = [rule.at(p).real if real else rule.at(p) for rule in rules]
+    return complex(complete_homogeneous(values, nu)[nu])
 
 
 def coefficient_at(rules: tuple[AlphaRule, ...], n: int) -> complex:
@@ -278,25 +275,22 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
     out[0] = 0.0
     primes = sieve_primes(build).primes
     root = math.isqrt(build)
-    for p in primes[primes <= root].tolist():
+    cut = int(np.searchsorted(primes, root, side="right"))  # primes[:cut] are <= root
+    alphas = [rule.at_array(primes).real if is_real else rule.at_array(primes) for rule in rules]
+    # A(p^nu) of every small prime p, one row per prime, column nu - 1 for
+    # nu = 1..log2(build)
+    table = np.stack(complete_homogeneous([a[:cut] for a in alphas], build.bit_length() - 1)[1:], axis=1)
+    for p, coeffs in zip(primes[:cut].tolist(), table.tolist()):
         q = p
         nu = 1
         while q <= build:
-            coeff = prime_power_coefficient(rules, p, nu)
-            coeff = coeff.real if is_real else coeff
             idx = np.arange(q, build + 1, q)
             exact = idx[(idx % (q * p)) != 0] if q * p <= build else idx
-            out[exact] *= coeff
+            out[exact] *= coeffs[nu - 1]
             q *= p
             nu += 1
-    large = primes[primes > root]
-    # A(P) from `_prime_power_coefficient`, once per distinct (alpha_l(P))_l
-    alphas = np.stack([rule.at_array(large) for rule in rules], axis=1)
-    keys = alphas.view(np.dtype((np.void, alphas.itemsize * len(rules))))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = [_prime_power_coefficient(tuple(row), 1) for row in alphas[first].tolist()]
-    coeffs = np.array(distinct)[inverse.reshape(-1)]
-    coeffs = coeffs.real if is_real else coeffs
+    large = primes[cut:]
+    coeffs = complete_homogeneous([a[cut:] for a in alphas], 1)[1]  # A(P)
     for k in range(1, build // (root + 1) + 1):
         count = int(np.searchsorted(large, build // k, side="right"))
         out[k * large[:count]] *= coeffs[:count]

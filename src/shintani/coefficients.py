@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
-from .arithmetic import AlphaRule, coefficient_array, modulus, require_finite, sieve_primes
+from .arithmetic import AlphaRule, coefficient_array, homogeneous_step, modulus, require_finite, sieve_primes
 from .errors import ConfigError
 
 NONNEGATIVE = "nonnegative"
@@ -227,8 +227,8 @@ class CoefficientSpec:
         lengths = {len(pt) for pt, _ in norm}
         if len(lengths) != 1:
             raise ConfigError("finite_support entries must share one lattice rank")
-        if any(any(i < 0 for i in pt) for pt, _ in norm):
-            raise ConfigError("finite_support points must be nonnegative")
+        if any(any(not 0 <= i <= _LATTICE_MAX for i in pt) for pt, _ in norm):
+            raise ConfigError(f"finite_support points must be nonnegative and at most {_LATTICE_MAX}")
         return _FiniteSupport._of({"entries": norm})
 
     @staticmethod
@@ -352,9 +352,10 @@ def _rules_envelope(rules: tuple[AlphaRule, ...], eps: float) -> float:
     below the running best it stays there, which ends the scan over nu of
     that prime.
     Rounding.  h_nu is formed by h^(l)_nu = h^(l-1)_nu + alpha_l
-    h^(l)_(nu-1), which the majorant a^nu M_nu satisfies with every alpha =
-    a, so by induction each step's error stays below 4 u (nu + l) a^nu
-    M^(l)_nu (u = 2^-53: a complex product errs by sqrt(5) u, a sum by u),
+    h^(l)_(nu-1) (`arithmetic.homogeneous_step`), which the majorant a^nu
+    M_nu satisfies with every alpha = a, so by induction each step's error
+    stays below 4 u (nu + l) a^nu M^(l)_nu (u = 2^-53: a complex product
+    errs by sqrt(5) u, a sum by u),
     and |A(p^nu)| <= U_nu = |h_nu| + 2^-50 (nu + k) a^nu M_nu.  Each log
     (of U_nu >= 2^-50, of p, of the majorant) and nu eps log p errs by a
     few ulps of a value below 35 + log(a^nu M_nu) + nu eps log p, so by
@@ -380,8 +381,7 @@ def _rules_envelope(rules: tuple[AlphaRule, ...], eps: float) -> float:
     nu = 0
     while active.size:
         nu += 1
-        for l in range(k):
-            h[l] = alphas[l] * h[l] + (h[l - 1] if l else 0.0)
+        h = homogeneous_step(alphas, h)
         log_m = math.log(math.comb(nu + k - 1, k - 1)) + nu * math.log(a)
         step = nu * log_p
         slack = 2.0**-46 * (1.0 + log_m + step)
@@ -562,10 +562,14 @@ class _Geometric(CoefficientSpec, family="geometric"):
         return 1.0, 0.0, min(max(modulus(complex(q)) for q in self.params["ratios"]), 1.0)
 
     def values(self, points):
+        # Re log q clamped at 0: a ratio admitted past |q| = 1 (a rounded unit
+        # ratio) counts as |q| = 1, so theta meets g = min(max |q|, 1) at every t
         qs = np.asarray(self.params["ratios"], dtype=complex)
         if np.all(qs.imag == 0.0) and np.all(qs.real > 0.0):
-            return np.exp(points @ np.log(qs.real))
-        return np.exp(points @ np.log(qs))
+            return np.exp(points @ np.minimum(np.log(qs.real), 0.0))
+        logs = np.log(qs)
+        np.minimum(logs.real, 0.0, out=logs.real)
+        return np.exp(points @ logs)
 
     def sign_class(self):
         qs = self.params["ratios"]

@@ -157,7 +157,10 @@ def _decode_fields(v: Any, fields: tuple, path: str, null_is_default: bool = Fal
             raise _error(path, f"missing required key {f.key!r}")
         raw = v[f.key] if given else f.default
         decoded = given or raw is not None  # an absent optional value stays None
-        out[f.name or f.key] = f.codec.decode(raw, _join(path, f.key)) if decoded else None
+        try:
+            out[f.name or f.key] = f.codec.decode(raw, _join(path, f.key)) if decoded else None
+        except OverflowError:  # an integer past the float range, converted to a float
+            raise _error(_join(path, f.key), "a number past the float range") from None
     return out
 
 

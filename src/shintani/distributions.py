@@ -29,7 +29,6 @@ from .series import (
     _cap_from_budget,
     _expect_params,
     _first_admissible,
-    _gallop,
     _lattice_blocks,
     _param,
     _require_shell,
@@ -299,20 +298,18 @@ def _next_stop_test(tails: _Tails, k: int, size: float, delta: float, last: int)
     relative for terms of one sign), of delta |S| and of the tail routes,
     so a test that rounding could pass is never skipped.  Every route of
     `_tail_bound` is non-increasing in the shell (`_first_admissible`'s
-    proof), so the shells with tail <= limit form an up-set [n*, inf).  A
-    gallop (`_gallop`) probes k + 1, k + 2, k + 4, ..., up to `last`, until
-    a probe hi has tail(hi) <= limit; `_first_admissible` then finds n* in
-    the bracket above the last failed probe.  With one shell per block, the
-    block ending at n* is the next to test, and its tail is already in
-    `tails`.
+    proof), so the shells with tail <= limit form an up-set [n*, inf).  When
+    tail(last) > limit no shell up to `last` passes; otherwise
+    `_first_admissible` finds n* in [k + 1, last], bracketed by the failed
+    shell k and `last`.  With one shell per block, the block ending at n* is
+    the next to test, and its tail is already in `tails`.
     """
     limit = delta * (size + tails[k]) * (1.0 + _STOP_MARGIN)
     if not 0.0 < limit < math.inf or tails[k] <= limit:
         return k + 1
-    failed, hi = _gallop(lambda n: not tails[n] > limit, k + 1, last, bisect=False)
-    if hi > last:
+    if not tails[last] <= limit:
         return last + 1
-    n, tail_n = _first_admissible(tails.config, tails.sigma, limit, hi, tails[hi], failed + 1, tails[failed])
+    n, tail_n = _first_admissible(tails.config, tails.sigma, limit, last, tails[last], k + 1, tails[k])
     tails[n] = tail_n
     return n
 
@@ -596,7 +593,8 @@ def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:
 
     With h = (t_(n-1) - t_0) / (n - 1), every t_k must lie within
     _CF_EVEN_EPS * eps * max|t| of t_0 + k h (arange and linspace grids lie
-    within 2), else ConfigError.  The atoms go in blocks of at most
+    within 2), else ConfigError; a phase t x or h x past the float range
+    raises NumericError.  The atoms go in blocks of at most
     B = _CF_ATOMS and the grid in runs of K = _CF_RUN points.  A block forms
     w = e^(ihx) and its powers p_j = p_(j-1) w, j < K.  A run from t_k0
     forms the anchor a = m e^(i t_k0 x) and adds the block's sum of p_j a,
@@ -660,6 +658,10 @@ def atom_cf_grid(dist: ZetaDistribution, axis: int, ts) -> np.ndarray:
             f"{np.max(off_grid)!r} from t_0 + k h"
         )
     locs = dist.locations[:, axis - 1]
+    x_max = max(float(np.max(locs, initial=0.0)), -float(np.min(locs, initial=0.0)))  # no copy
+    reach = max(abs(h), float(np.max(np.abs(ts)))) * x_max
+    if not math.isfinite(reach):
+        raise NumericError("atom_cf_grid: a phase t x or h x passes the float range")
     rows, width = min(_CF_RUN, n), min(_CF_ATOMS, max(dist.atom_count, 1))
     powers = np.empty((rows, width), dtype=complex)
     powers[0] = 1.0

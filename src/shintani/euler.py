@@ -21,7 +21,6 @@ from .arithmetic import (
     PrimeTable,
     chi_minus_4,
     coefficient_at,
-    factorize,
     frozen_array,
     prime_exponent,
     sieve_primes,
@@ -46,7 +45,6 @@ __all__ = [
     "dedekind_coefficient",
     "dedekind_euler_config",
     "chi_minus_4",
-    "chi4",
 ]
 
 
@@ -104,7 +102,8 @@ def dirichlet_coefficient(config: EulerConfig, n: int, l: Optional[int] = None) 
     """A(n) of the full product, or A_l(n) of the single factor l (1-based).
 
     The full coefficient multiplies, over p | n, the sum over compositions
-    k_1 + ... + k_m = nu(n; p) of prod_l alpha_l(p)^{k_l}.
+    k_1 + ... + k_m = nu(n; p) of prod_l alpha_l(p)^{k_l}
+    (`arithmetic.complete_homogeneous`).
     """
     if n < 1:
         raise ConfigError(f"Dirichlet coefficients are defined for n >= 1, got {n}")
@@ -308,21 +307,15 @@ def levy_measure(
 # Dedekind Q(i) arithmetic
 # ---------------------------------------------------------------------------
 
-def chi4(n: int) -> int:
-    """The nonprincipal character mod 4: pattern 1, 0, -1, 0."""
-    return (0, 1, 0, -1)[n % 4]
-
-
 def dedekind_coefficient(n: int, method: str = "divisor_sum") -> int:
-    """Number of Gaussian-integer ideals of norm n: sum_{d | n} chi4(d),
-    equal to a quarter of the lattice points on the circle of radius sqrt(n)."""
+    """Number of Gaussian-integer ideals of norm n: sum_{d | n} chi4(d), the
+    coefficient A(n) of zeta(s) L(s, chi_-4) (`dedekind_euler_config`),
+    equal to a quarter of the lattice points on the circle of radius sqrt(n)
+    (`method="lattice_count"`, the independent reference)."""
     if n < 1:
         raise ConfigError(f"dedekind_coefficient needs n >= 1, got {n}")
     if method == "divisor_sum":
-        total = 0
-        for dv in _divisors(n):
-            total += chi4(dv)
-        return total
+        return int(dirichlet_coefficient(dedekind_euler_config(), n).real)
     if method == "lattice_count":
         count = 0
         root = math.isqrt(n)
@@ -335,13 +328,6 @@ def dedekind_coefficient(n: int, method: str = "divisor_sum") -> int:
                 count += 1 if m2 == 0 else 2
         return count // 4
     raise ConfigError(f"unknown method {method!r}; use divisor_sum or lattice_count")
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, k in factorize(n):
-        out = [d * p**i for d in out for i in range(k + 1)]
-    return out
 
 
 def dedekind_euler_config() -> EulerConfig:

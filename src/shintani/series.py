@@ -653,30 +653,29 @@ def _geometric_start(config: ShintaniConfig, sigma: np.ndarray, hi: int) -> int:
     def finite(n: int) -> bool:
         return _geometric_ratio(config, sl, usum, float(n + 1)) < 1.0
 
-    return min(_gallop(finite, 0, hi)[1], hi)
+    return min(_gallop(finite, 0, hi), hi)
 
 
-def _gallop(passes: Callable[[int], bool], x0: int, hi: int, bisect: bool = True) -> tuple[int, int]:
-    """(n - 1, n) for the first shell n in [x0, hi] where `passes` holds,
-    given that it fails below some shell and holds from it on; (the last
-    probe, hi + 1) when it holds nowhere in [x0, hi].
+def _gallop(passes: Callable[[int], bool], x0: int, hi: int) -> int:
+    """The first shell n in [x0, hi] where `passes` holds, given that it
+    fails below some shell and holds from it on; hi + 1 when it holds
+    nowhere in [x0, hi].
 
     Probes x0, x0 + 1, x0 + 3, x0 + 7, ... (steps that double), capped at
     hi, up to the first that passes, then bisects between it and the probe
-    before it (x0 - 1 when x0 passes).  Without `bisect` it returns those
-    two probes, which bracket n."""
+    before it (x0 - 1 when x0 passes)."""
     lo, n, step = x0 - 1, x0, 1  # passes fails at lo (nothing to check at x0 - 1)
     while not passes(n):
         if n >= hi:
-            return n, hi + 1
+            return hi + 1
         lo, n, step = n, min(n + step, hi), 2 * step
-    while bisect and n - lo > 1:
+    while n - lo > 1:
         mid = (lo + n) // 2
         if passes(mid):
             n = mid
         else:
             lo = mid
-    return lo, n
+    return n
 
 
 @_tail_route
@@ -836,7 +835,7 @@ def _last_degree(r: int, count: int, lo: int, top: int) -> int:
     every degree)."""
     if lattice_count(r, top) <= count:
         return top
-    return _gallop(lambda h: lattice_count(r, h) > count, lo + 1, top)[1] - 1
+    return _gallop(lambda h: lattice_count(r, h) > count, lo + 1, top) - 1
 
 
 def _iter_blocks(

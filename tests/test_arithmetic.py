@@ -1,11 +1,18 @@
-"""Prime sieves, factorization, and multiplicative coefficient machinery."""
+"""Prime sieves, factorization, and multiplicative coefficient machinery.
 
+`python -m pytest tests/test_arithmetic.py --hypothesis-profile=ci` runs the
+property test derandomized with more examples (see conftest.py).
+"""
+
+import itertools
 import math
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shintani import arithmetic
 from shintani.arithmetic import (
@@ -13,6 +20,7 @@ from shintani.arithmetic import (
     chi_minus_4,
     coefficient_array,
     coefficient_at,
+    complete_homogeneous,
     factorize,
     prime_exponent,
     prime_power_coefficient,
@@ -124,6 +132,35 @@ class TestCoefficients:
         rules = (AlphaRule.constant(0.5j),)
         arr = coefficient_array(rules, 64)
         assert arr[8] == pytest.approx((0.5j) ** 3)
+
+
+def _compositions(k, nu):
+    """Every (n_1, ..., n_k) of nonnegative integers with sum nu."""
+    return [c for c in itertools.product(range(nu + 1), repeat=k) if sum(c) == nu]
+
+
+_unit_disc = st.builds(
+    lambda r, a: r * complex(math.cos(a), math.sin(a)),
+    st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0).map(complex) | _unit_disc, min_size=1, max_size=4),
+       st.integers(0, 12))
+def test_complete_homogeneous_against_compositions(alphas, top):
+    # h_nu against the sum over all compositions of nu, relative to the sum of
+    # the monomials' moduli (a cancelling sum has no relative bound of its own);
+    # the same values as numbers and as arrays over three primes
+    scalars = complete_homogeneous(alphas, top)
+    arrays = complete_homogeneous([np.full(3, a) for a in alphas], top)
+    assert len(scalars) == len(arrays) == top + 1
+    for nu in range(top + 1):
+        monomials = [math.prod(a**n for a, n in zip(alphas, c)) for c in _compositions(len(alphas), nu)]
+        want = complex(math.fsum(z.real for z in monomials), math.fsum(z.imag for z in monomials))
+        size = sum(abs(z) for z in monomials)
+        assert abs(complex(scalars[nu]) - want) <= 1e-13 * size + 1e-300  # subnormal products
+        assert np.all(np.abs(np.asarray(arrays[nu]) - want) <= 1e-13 * size + 1e-300)
 
 
 def _run_threads(worker, count: int = 8) -> list[str]:

@@ -156,6 +156,13 @@ class TestEnvelopes:
         ratios = [mod * complex(math.cos(arg), math.sin(arg)) for mod, arg in polar]
         check_envelope(CoefficientSpec.geometric(ratios), pts)
 
+    @pytest.mark.parametrize("ratio", [
+        1.0 + 1e-15,  # admitted past |q| = 1; theta was 1.0000011 at t = 1e9
+        complex(math.cos(2.0 * math.pi * 0.3), math.sin(2.0 * math.pi * 0.3)),  # 1.0000407 at 1e12
+    ], ids=["real", "unit"])
+    def test_geometric_envelope_at_large_degree(self, ratio):
+        check_envelope(CoefficientSpec.geometric((ratio,)), [[10**9], [10**12]])
+
     @given(lattice_points)
     @settings(max_examples=40, deadline=None)
     def test_character_product_envelope(self, pts):

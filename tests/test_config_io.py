@@ -451,6 +451,44 @@ class TestCli:
         assert "config error: " + message in result.output and "Traceback" not in result.output
         assert not list(tmp_path.glob("*.csv"))
 
+    # each exited 1 with a traceback once: OverflowError converting the integer
+    @pytest.mark.parametrize("subcommand, function, action, message", [
+        ("eval", f"{{kind: shintani, d: 1, m: 1, r: 1, lambda: [[{10**400}]], u: [1.0], c: [[1.0]],"
+         " theta: {family: constant, params: {value: 1.0}}}", "{s: 2.0}",
+         "function.lambda: a number past the float range"),
+        ("dist", "{kind: special, name: riemann}", f"{{sigma: [{2 * 10**400}]}}",
+         "action.sigma: a number past the float range"),
+        ("eval", "{kind: shintani, d: 1, m: 1, r: 1, lambda: [[1.0]], u: [1.0], c: [[1.0]],"
+         " theta: {family: finite_support, params: {entries: [{n: [0], value: 1.0},"
+         f" {{n: [{2**63}], value: 1.0}}]}}}}}}", "{s: 2.0}",
+         f"function.theta.params: finite_support points must be nonnegative and at most {2**63 - 1}"),
+    ], ids=["lambda 10^400", "sigma 2e400", "finite_support n 2^63"])
+    def test_integer_past_the_number_range_exits_2(self, tmp_path, subcommand, function, action,
+                                                   message):
+        cfgp = self.write(
+            tmp_path, f"function: {function}\naction: {action}\noutput: {{dir: '{tmp_path}'}}\n"
+        )
+        result = CliRunner().invoke(cli, [subcommand, "--config", cfgp])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error: " + message in result.output and "Traceback" not in result.output
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_cf_phase_past_the_float_range_is_numeric_error(self, tmp_path):
+        # wrote four nan rows and exited 0 once; RuntimeWarnings are errors in
+        # this suite, so none escapes either
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            "action: {sigma: [2.0], delta: 1.0e-3, t_grid: {lo: 0, hi: -1.5e+308, count: 5}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, ["cf", "--config", cfgp])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "numeric error: atom_cf_grid" in result.output and "Traceback" not in result.output
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_shell_cap_past_the_int64_lattice(self, tmp_path):
         # the cap's shell, 10^400 - 1, once reached the line route and raised OverflowError
         cfgp = self.write(

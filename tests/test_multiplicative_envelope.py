@@ -245,6 +245,19 @@ class TestZeroTerms:
         assert terms.tolist() == (theta * powers)[nonzero].tolist()
 
 
+@pytest.mark.parametrize("rules", [
+    TWO_RULES,
+    (chi_minus_4(),),
+    (AlphaRule.constant(1.0), AlphaRule.constant(1.0), AlphaRule.constant(-1.0)),
+    (AlphaRule.character(3, (0.0, 1.0, -1.0)), AlphaRule.table({2: -1.0, 5: 0.0}, default=1.0)),
+], ids=["1,chi4", "chi4", "1,1,-1", "chi3,table"])
+def test_unit_rules_table_is_the_loops_bit_for_bit(rules):
+    # alpha in {0, 1, -1}: every A(p^nu) is a small integer, exact in floats
+    arithmetic._COEFF_ARRAY_CACHE.clear()
+    got = coefficient_array(rules, 2**17)
+    assert got.tobytes() == _loop_table(rules, 2**17).tobytes()
+
+
 def test_complex_table_matches_the_loop_to_rounding():
     # numpy rounds a complex product differently in its vector loop and its
     # remainder, so only real tables are compared bit for bit

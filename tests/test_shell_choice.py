@@ -305,9 +305,9 @@ def test_geometric_start_is_the_first_finite_shell(q, sigma):
     assert _geometric_start(config, sig, start // 2) == start // 2  # clamped at hi
 
 
-@given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 300), st.booleans())
+@given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 300))
 @settings(deadline=None)
-def test_gallop_finds_the_linear_scans_first_shell(x0, width, threshold, bisect):
+def test_gallop_finds_the_linear_scans_first_shell(x0, width, threshold):
     # passes(n) = n >= threshold, a monotone predicate; with a threshold past hi no
     # shell passes.  The gallop probes x0, x0 + 1, x0 + 3, ... capped at hi
     hi = x0 + width
@@ -317,7 +317,7 @@ def test_gallop_finds_the_linear_scans_first_shell(x0, width, threshold, bisect)
         probes.append(n)
         return n >= threshold
 
-    lo, n = series._gallop(passes, x0, hi, bisect)
+    n = series._gallop(passes, x0, hi)
     first = next((m for m in range(x0, hi + 1) if m >= threshold), hi + 1)  # the linear scan
     gallop = [x0]
     while gallop[-1] < hi:
@@ -325,13 +325,9 @@ def test_gallop_finds_the_linear_scans_first_shell(x0, width, threshold, bisect)
     steps = [m for m in gallop if m < first][: len(probes)]
     steps += [m for m in gallop if m >= first][:1]  # up to the first passing probe
     assert probes[: len(steps)] == steps and len(set(probes)) == len(probes)
+    assert n == first
     if first > hi:
-        assert (lo, n) == (hi, hi + 1) and probes == gallop
-    elif bisect:
-        assert (lo, n) == (first - 1, first)
-    else:  # the last two gallop probes bracket the first passing shell
-        assert probes == steps and n == steps[-1]
-        assert lo == (steps[-2] if len(steps) > 1 else x0 - 1) and lo < first <= n
+        assert probes == gallop
 
 
 @pytest.mark.parametrize("kind,params,s,tol,cap", [
