@@ -243,7 +243,7 @@ def coefficient_at(rules: tuple[AlphaRule, ...], n: int) -> complex:
     return out
 
 
-_COEFF_ARRAY_CACHE: dict[tuple, np.ndarray] = {}
+_COEFF_ARRAY_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (table, its nonzero index)
 _COEFF_ARRAY_LOCK = threading.Lock()
 
 
@@ -260,14 +260,29 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
     product differently in its vector loop and its remainder).  A miss
     builds the table through the next power of two at or past `limit`, so
     nearby larger limits hit.
-    At most 32 tables are cached, the oldest evicted first; one lock guards
-    lookup, insert and eviction, so concurrent calls are safe (threads that
-    miss on the same key may each build it).
+    At most 32 tables are cached, the oldest evicted first, each with its
+    nonzero index (`coefficient_nonzero`); one lock guards lookup, insert
+    and eviction, so concurrent calls are safe (threads that miss on the
+    same key may each build it).
     """
+    return _coefficient_table(rules, limit)[0][: limit + 1]
+
+
+def coefficient_nonzero(rules: tuple[AlphaRule, ...], limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index): `coefficient_array(rules, limit)` and the n <= limit
+    with A(n) != 0, ascending and read-only, taken from the one cached
+    table that `coefficient_array` would return and the index formed with
+    it, so no caller scans the table for its zeros."""
+    table, index = _coefficient_table(rules, limit)
+    return table[: limit + 1], index[: index.searchsorted(limit, side="right")]
+
+
+def _coefficient_table(rules: tuple[AlphaRule, ...], limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached (table, nonzero index) of `coefficient_array`, built on a miss."""
     with _COEFF_ARRAY_LOCK:
-        for (crules, climit), arr in _COEFF_ARRAY_CACHE.items():
+        for (crules, climit), entry in _COEFF_ARRAY_CACHE.items():
             if crules == rules and climit >= limit:
-                return arr[: limit + 1]
+                return entry
     build = 1 << max(limit - 1, 1).bit_length()  # the least power of two >= limit, at least 2
     is_real = all(rule.is_real for rule in rules)
     dtype = np.float64 if is_real else np.complex128
@@ -294,9 +309,11 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
     for k in range(1, build // (root + 1) + 1):
         count = int(np.searchsorted(large, build // k, side="right"))
         out[k * large[:count]] *= coeffs[:count]
-    out.setflags(write=False)
+    index = np.flatnonzero(out)
+    for arr in (out, index):
+        arr.setflags(write=False)
     with _COEFF_ARRAY_LOCK:
-        _COEFF_ARRAY_CACHE[(rules, build)] = out
+        _COEFF_ARRAY_CACHE[(rules, build)] = (out, index)
         if len(_COEFF_ARRAY_CACHE) > 32:
             _COEFF_ARRAY_CACHE.pop(next(iter(_COEFF_ARRAY_CACHE)))
-    return out[: limit + 1]
+    return out, index

@@ -28,7 +28,9 @@ from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
-from .arithmetic import AlphaRule, coefficient_array, homogeneous_step, modulus, require_finite, sieve_primes
+from .arithmetic import (
+    AlphaRule, coefficient_array, coefficient_nonzero, homogeneous_step, modulus, require_finite, sieve_primes,
+)
 from .errors import ConfigError
 
 NONNEGATIVE = "nonnegative"
@@ -202,6 +204,19 @@ class CoefficientSpec:
 
     def prewarm(self, max_coord: int) -> None:
         """Build any table ``values`` needs for coordinates up to max_coord."""
+
+    def nonzero(self, points: np.ndarray, shells: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values): the rows of ``points`` (shape (k, r)) where theta
+        is nonzero, in their order, and theta there, with the bits of
+        ``values``.  ``shells`` states that the rows are every lattice point
+        of their degrees by ascending degree (a block of whole shells),
+        which lets a family read them from a table's nonzero index.  The
+        default evaluates theta on every row and keeps the nonzero ones."""
+        vals = np.asarray(theta_values(self, points))
+        keep = np.flatnonzero(vals)
+        if keep.size < vals.size:
+            points, vals = points.take(keep, axis=0), vals.take(keep)
+        return points, vals
 
     def times(self, factor: "CoefficientSpec") -> "CoefficientSpec":
         """The product theta * factor, appending to this product's factors."""
@@ -757,6 +772,14 @@ class _Product(CoefficientSpec, family="product_of_families"):
     def times(self, factor):
         return CoefficientSpec.product(self.params["factors"] + (factor,))
 
+    def nonzero(self, points, shells=False):
+        # theta is 0 wherever a factor is (its other factors are finite), so
+        # a multiplicative factor's indexed rows hold every nonzero row
+        indexed = [f for f in self.params["factors"] if isinstance(f, _MultiplicativeProduct)]
+        if shells and indexed and points.shape[1] == 1:
+            points, _ = indexed[0].nonzero(points, shells)
+        return super().nonzero(points)
+
     @cached_property
     def envelope_ladder(self):
         # rung i multiplies each factor's rung i, or its last when it has fewer
@@ -785,6 +808,17 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
             vals = arr[points[:, j] + 1]
             out = vals if out is None else out * vals
         return out
+
+    def nonzero(self, points, shells=False):
+        # at rank 1 whole shells are the run n = lo..hi, and theta(n) = A(n + 1):
+        # two searchsorted calls on the table's nonzero index give its rows,
+        # from the table `values` takes (no table is built below limit 2)
+        if not (shells and points.shape[1] == 1 and points.shape[0]):
+            return super().nonzero(points, shells)
+        lo, hi = int(points[0, 0]), int(points[-1, 0])
+        table, index = coefficient_nonzero(tuple(self.params["coords"][0]), hi + 1)
+        index = index[index.searchsorted(lo + 1):]
+        return (index - 1).reshape(-1, 1), table[index]
 
     def sign_class(self):
         cls = NONNEGATIVE

@@ -28,7 +28,7 @@ from .distributions import SPECIAL_DISTRIBUTION_KINDS
 from .errors import ConfigError
 from .euler import EulerConfig
 from .series import (
-    SPECIAL_KINDS, ComplexPoint, ShintaniConfig, as_point, as_sigma, validate_config,
+    _POINT_BUDGET, SPECIAL_KINDS, ComplexPoint, ShintaniConfig, as_point, as_sigma, validate_config,
 )
 
 _SPECIAL_KINDS = SPECIAL_KINDS + SPECIAL_DISTRIBUTION_KINDS
@@ -281,6 +281,18 @@ _ROWS = _list_of(_REALS)
 _NUMBERS = _list_of(_NUMBER)
 
 
+def _decode_count(v: Any, path: str) -> int:
+    """An integer count of points to form (samples, t grid points), refused
+    past `series._POINT_BUDGET` before anything is allocated."""
+    count = _INT.decode(v, path)
+    if count > _POINT_BUDGET:
+        raise _error(path, f"{count} points are past the budget of {_POINT_BUDGET}")
+    return count
+
+
+_COUNT = _Codec(_decode_count, lambda x: x)
+
+
 def _decode_point(v: Any, path: str) -> list[complex]:
     """A complex point: scalar, {re: .., im: ..}, or a component list.
 
@@ -522,7 +534,7 @@ def _decode_t_grid(v: Any, path: str) -> dict:
 
 _T_GRID = (
     _Field("axis", _INT, 1), _Field("lo", _REAL, -10.0), _Field("hi", _REAL, 10.0),
-    _Field("count", _INT, 201),
+    _Field("count", _COUNT, 201),
 )
 _SCAN = (
     _Field("axis", _INT, 1), _Field("lo", _REAL, -20.0), _Field("hi", _REAL, 20.0),
@@ -539,7 +551,7 @@ _ACTION = (
     _Field("shell_cap", _INT, 10**6),
     _Field("delta", _POSITIVE, 1e-6),
     _Field("seed", _INT, 0),
-    _Field("count", _INT, 1000),
+    _Field("count", _COUNT, 1000),
     _Field("prime_limit", _INT, 10**4),
     _Field("power_cutoff", _INT, 40),
     _Field("coeff_limit", _INT, 50),

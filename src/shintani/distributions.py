@@ -22,6 +22,7 @@ from .arithmetic import frozen_array
 from .coefficients import CoefficientSpec
 from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .series import (
+    _POINT_BUDGET,
     DEFAULT_SHELL_CAP,
     ComplexPoint,
     EvalResult,
@@ -209,14 +210,16 @@ def build_distribution(
     n_done = -1
     bound = math.inf
     size, grow = (_GROW_BLOCK, 2) if config.r == 1 else (1, 1)
-    # a bracket needs one shell per block and the monotone routes of
-    # `_first_admissible`, which are those of a support it cannot enumerate
-    bracketed = grow == 1 and config.theta.support(config.r, 0, 0) is None
+    # `_lattice_blocks` walks whole shells where theta's support cannot be
+    # enumerated; a bracket needs one shell per block and the monotone
+    # routes of `_first_admissible`, which are those of such a support
+    shells = config.theta.support(config.r, 0, 0) is None
+    bracketed = grow == 1 and shells
     last_shell = _cap_from_budget(config.r, shell_cap) + 1  # where the cap raises
     tails = _Tails(config, sig)
     next_test = 0
     for pts, n_complete in _lattice_blocks(config, None, size, grow):
-        forms, weights = _terms(config, pts, sl, True)
+        forms, weights = _terms(config, pts, sl, True, shells)
         log_forms = np.log(forms)
         weights = weights.real
         keep = weights != 0.0
@@ -468,6 +471,8 @@ def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
     _require_shell(count, "sample count")
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
+    if count > _POINT_BUDGET:
+        raise ConfigError(f"sample count {count} is past the budget of {_POINT_BUDGET} draws")
     masses = dist.masses / np.sum(dist.masses)
     cdf = np.cumsum(masses)
     cdf[-1] = 1.0

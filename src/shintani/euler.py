@@ -10,6 +10,7 @@ evaluations cross-check each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -330,8 +331,10 @@ def dedekind_coefficient(n: int, method: str = "divisor_sum") -> int:
     raise ConfigError(f"unknown method {method!r}; use divisor_sum or lattice_count")
 
 
+@functools.cache
 def dedekind_euler_config() -> EulerConfig:
-    """zeta(s) L(s, chi_-4) as a two-factor product on one complex variable."""
+    """zeta(s) L(s, chi_-4) as a two-factor product on one complex variable,
+    built once: the config is immutable, so every call returns that one."""
     return EulerConfig(
         d=1,
         m=2,

@@ -69,7 +69,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -83,7 +83,9 @@ from .summation import CompensatedSum
 DEFAULT_SHELL_CAP = 10**6
 _BLOCK = 1 << 21
 # the most lattice points one partial sum walks where theta's support is not
-# enumerable; past it the sum raises NumericError before it starts
+# enumerable; past it the sum raises NumericError before it starts.  Also the
+# most draws `distributions.sample` and points a config's t grid take, past
+# which they raise ConfigError before anything is allocated
 _POINT_BUDGET = 1 << 31
 
 
@@ -154,13 +156,41 @@ class ShintaniConfig:
     def __post_init__(self) -> None:
         for name in ("lam", "u", "c"):
             object.__setattr__(self, name, frozen_array(getattr(self, name)))
-        # every field is immutable from here on, so the report is computed once
+        # every field is immutable from here on, so the report is computed
+        # once, and so is each structure below, on first use
         object.__setattr__(self, "_report", _check_config(self))
 
-    @property
+    @cached_property
     def form_offsets(self) -> np.ndarray:
         """w_l = sum_j lam_lj u_j, the value of each linear form at n = 0."""
-        return self.lam @ self.u
+        out = self.lam @ self.u
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _poly_shape(self) -> Optional[tuple[float, float]]:
+        """`_poly_tail`'s (r min_j u_j, min lam), or None where it is inf
+        (one form on one coordinate, or a zero lam entry)."""
+        if self.m == self.r == 1 or (self.lam <= 0.0).any():
+            return None
+        return self.r * float(self.u.min()), float(self.lam.min())
+
+    @cached_property
+    def _matching(self) -> Optional[tuple[tuple[int, float, float], ...]]:
+        """`_separable_tail`'s matched coordinates (`_best_matching`), or None."""
+        return _best_matching(self.lam, self.u, self.m, self.r)
+
+    @cached_property
+    def _flag(self) -> Optional[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]]:
+        """`_nested_tail`'s complete flag (`_flag_structure`), or None."""
+        return _flag_structure(self.lam, self.u, self.m, self.r)
+
+    @cached_property
+    def _geometry(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """`_geometric_tail`'s sum_j u_j, min and max of each lam row, and
+        which rows have every entry positive."""
+        row_min = self.lam.min(axis=1)
+        return float(np.sum(self.u)), row_min, self.lam.max(axis=1), row_min > 0.0
 
 
 @dataclass(frozen=True)
@@ -412,18 +442,18 @@ def _poly_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell: int)
     so its float is never above this one's, and at bound = 0 it is 0: the
     least route keeps its bits.
     """
-    r = config.r
-    if config.m == r == 1 or (config.lam <= 0.0).any():
+    r, shape = config.r, config._poly_shape
+    if shape is None:
         return math.inf
     s_total = float(sl.sum())
-    ru = r * float(config.u.min())
+    ru, lam_min = shape
     bound, growth, _ = theta.envelope_triple
     bound, growth = theta.log_weight.absorb(bound, growth, s_total - r - growth)
     big_g = s_total - growth
     if big_g <= r or bound == 0.0:
         return math.inf if big_g <= r else 0.0
     k_u = num.pow(ru, -growth) if growth > 0 and ru < 1.0 else 1.0  # max(1, ru^-growth)
-    amp = bound * k_u * num.pow(float(config.lam.min()), -s_total)
+    amp = bound * k_u * num.pow(lam_min, -s_total)
     total = 0.0
     for j in range(1, r + 1):  # j = number of free (nonzero) coordinates
         term = math.comb(r, r - j) * num.pow(max(0.0, n_shell + 1.0 - j) + ru, j - big_g)
@@ -431,18 +461,22 @@ def _poly_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell: int)
     return amp * total
 
 
-@lru_cache(maxsize=256)
-def _best_matching(lam_bytes: bytes, m: int, r: int) -> Optional[tuple[int, ...]]:
-    """Permutation pi with lam[l, pi(l)] > 0 maximizing the weight product."""
+def _best_matching(
+    lam: np.ndarray, u: np.ndarray, m: int, r: int
+) -> Optional[tuple[tuple[int, float, float], ...]]:
+    """(j, lam_lj, u_j) of each form l, in form order, for the permutation
+    j = pi(l) with lam[l, pi(l)] > 0 maximizing the weight product, or
+    None; formed once per config (`ShintaniConfig._matching`)."""
     if m != r or r > 7:
         return None
-    lam = np.frombuffer(lam_bytes, dtype=float).reshape(m, r)
     best, best_score = None, 0.0
     for perm in itertools.permutations(range(r)):
         score = float(np.prod([lam[l, perm[l]] for l in range(r)]))
         if score > best_score:
             best, best_score = perm, score
-    return best
+    if best is None:
+        return None
+    return tuple((j, float(lam[l, j]), float(u[j])) for l, j in enumerate(best))
 
 
 @_ladder_route
@@ -453,16 +487,15 @@ def _separable_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell:
     independent product over coordinates; the tail then splits by which
     coordinate exceeds N/r.
     """
-    r = config.r
-    perm = _best_matching(config.lam.tobytes(), config.m, r)
-    env = None if perm is None else theta.per_coordinate_envelope(r)
+    r, matching = config.r, config._matching
+    env = None if matching is None else theta.per_coordinate_envelope(r)
     if env is None:
         return math.inf
     m_start = n_shell // r
     full = [0.0] * r  # F_j: full 1-dim sums
     tails = [0.0] * r  # T_j: 1-dim tails past floor(N/r)
-    for l, j in enumerate(perm):  # form l and its matched coordinate j
-        lam_lj, u_j, s_l = float(config.lam[l, j]), float(config.u[j]), float(sl[l])
+    for l, (j, lam_lj, u_j) in enumerate(matching):  # form l and its matched coordinate j
+        s_l = float(sl[l])
         b_j, eps_j = env[j]
         decay = s_l - eps_j
         if decay <= 1.0:
@@ -478,18 +511,17 @@ def _separable_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell:
     return total
 
 
-@lru_cache(maxsize=256)
 def _flag_structure(
-    lam_bytes: bytes, m: int, r: int
-) -> Optional[tuple[tuple[int, ...], tuple[float, ...], tuple[frozenset, ...]]]:
+    lam: np.ndarray, u: np.ndarray, m: int, r: int
+) -> Optional[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]]:
     """Rows ordered by strictly nested supports of sizes r, r-1, ..., 1.
 
     Triangular patterns (nested multiple sums) have this shape; returns
-    (row order, min positive weight per row, supports) or None.
+    (row order, min positive weight per row, the sum v_i of u_j over each
+    row's support) or None.  Formed once per config (`ShintaniConfig._flag`).
     """
     if m != r:
         return None
-    lam = np.frombuffer(lam_bytes, dtype=float).reshape(m, r)
     supports = [frozenset(np.nonzero(lam[l] > 0.0)[0].tolist()) for l in range(m)]
     order = sorted(range(m), key=lambda l: -len(supports[l]))
     chain = [supports[l] for l in order]
@@ -499,7 +531,7 @@ def _flag_structure(
         if i > 0 and not supp < chain[i - 1]:
             return None
     mins = [float(lam[l][lam[l] > 0.0].min()) for l in order]
-    return tuple(order), tuple(mins), tuple(chain)
+    return tuple(order), tuple(mins), tuple(float(np.sum(u[sorted(supp)])) for supp in chain)
 
 
 @_ladder_route
@@ -510,12 +542,11 @@ def _nested_tail(num, config: ShintaniConfig, theta, sl: np.ndarray, n_shell: in
     total degree, and dropping the ordering constraint splits the tail into a
     one-dimensional tail times full one-dimensional sums.
     """
-    flag = _flag_structure(config.lam.tobytes(), config.m, config.r)
+    flag = config._flag
     if flag is None:
         return math.inf
-    order, mins, chain = flag
+    order, mins, v = flag
     s_head = float(sl[order[0]])
-    v = [float(np.sum(config.u[sorted(supp)])) for supp in chain]
     bound, growth, _ = theta.envelope_triple
     bound, growth = theta.log_weight.absorb(bound, growth, s_head - 1.0 - growth)
     decay_head = s_head - growth
@@ -629,10 +660,10 @@ def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> flo
     return float(_finite_tails(support, (config.c @ sigma)[None, :], [kept])[0, 0])
 
 
-def _geometric_ratio(config: ShintaniConfig, sl: np.ndarray, usum: float, t0: float) -> float:
+def _geometric_ratio(config: ShintaniConfig, sl: np.ndarray, t0: float) -> float:
     """rho(t0), the ratio-test bound of `_geometric_tail` on consecutive
-    heads past degree t0 - 1 (sl = c @ sigma, usum = sum_j u_j); it falls
-    as t0 grows."""
+    heads past degree t0 - 1 (sl = c @ sigma); it falls as t0 grows."""
+    usum = config._geometry[0]
     _, growth, g = config.theta.envelope_triple
     rho = g * ((t0 + 2.0) / (t0 + 1.0)) ** growth * (t0 + config.r) / (t0 + 1.0)
     for b in sl:
@@ -648,10 +679,9 @@ def _geometric_start(config: ShintaniConfig, sigma: np.ndarray, hi: int) -> int:
     if config.theta.envelope_triple[0] == 0.0:
         return 0
     sl = config.c @ sigma
-    usum = float(np.sum(config.u))
 
     def finite(n: int) -> bool:
-        return _geometric_ratio(config, sl, usum, float(n + 1)) < 1.0
+        return _geometric_ratio(config, sl, float(n + 1)) < 1.0
 
     return min(_gallop(finite, 0, hi), hi)
 
@@ -687,12 +717,9 @@ def _geometric_tail(num, config: ShintaniConfig, sigma: np.ndarray, n_shell: int
     if bound == 0.0:
         return 0.0
     sl = config.c @ sigma
-    usum = float(np.sum(config.u))
-    row_min = config.lam.min(axis=1)
-    row_max = config.lam.max(axis=1)
-    full_support = row_min > 0.0
+    usum, row_min, row_max, full_support = config._geometry
     t0 = float(n_shell + 1)
-    rho = _geometric_ratio(config, sl, usum, t0)
+    rho = _geometric_ratio(config, sl, t0)
     if not rho < 1.0:
         return math.inf
     pf = 1.0
@@ -862,7 +889,8 @@ def _lattice_blocks(
     degree <= n_shell (every degree when None) where theta may be nonzero.
     An enumerable support is one block, through n_shell or its last degree;
     an unbounded sparse support with no n_shell is one block per support
-    degree, up to the int64 range of lattice points."""
+    degree, up to the int64 range of lattice points.  Where theta.support
+    is None the blocks are `_iter_blocks`' whole shells."""
     theta, r = config.theta, config.r
     top = theta.support_degree if n_shell is None else n_shell
     if top is not None:
@@ -940,29 +968,30 @@ def _exponents(config: ShintaniConfig, pt: ComplexPoint) -> np.ndarray:
 
 
 def _terms(
-    config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool
+    config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool, shells: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forms L_l(n) and the terms theta(n) prod_l L_l(n)^(-beta_l) at
     the lattice points `pts` where theta(n) != 0 (every point when theta is
-    1): theta is taken first, and a point where it is 0 adds nothing to a
-    sum, so its forms and powers are never formed."""
+    1): theta is taken first (`CoefficientSpec.nonzero`; `shells` when
+    `pts` is a block of whole shells), and a point where it is 0 adds
+    nothing to a sum, so its forms and powers are never formed."""
     if config.theta.is_one:
         forms = pts @ config.lam.T + config.form_offsets
         return forms, _form_powers(forms, beta, is_real)
-    vals = np.asarray(cf.theta_values(config.theta, pts))
-    nonzero = np.flatnonzero(vals)
-    if nonzero.size < vals.size:
-        pts, vals = pts.take(nonzero, axis=0), vals.take(nonzero)
+    pts, vals = config.theta.nonzero(pts, shells)
     forms = pts @ config.lam.T + config.form_offsets
     return forms, vals * _form_powers(forms, beta, is_real)
 
 
-def _sum_terms(config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray]) -> complex:
-    """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`."""
+def _sum_terms(
+    config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray], shells: bool = False
+) -> complex:
+    """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`,
+    blocks of whole shells when `shells`."""
     beta = _exponents(config, pt)
     acc = CompensatedSum()
     for pts in blocks:
-        acc.add_array(_terms(config, pts, beta, pt.is_real)[1])
+        acc.add_array(_terms(config, pts, beta, pt.is_real, shells)[1])
     return acc.value
 
 
@@ -1498,9 +1527,10 @@ def _partial_sum(
     if lines is not None:
         value, remainder = lines
         return value, tail + remainder
-    if config.theta.support(config.r, 0, 0) is None:
+    shells = config.theta.support(config.r, 0, 0) is None  # `_lattice_blocks` walks whole shells
+    if shells:
         _require_budget(lattice_count(config.r, n_shell), f"lattice points through shell {n_shell}")
-    return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
+    return _sum_terms(config, pt, _blocks_upto(config, n_shell), shells), tail
 
 
 def _require_budget(count: int, what: str) -> None:
@@ -1667,8 +1697,21 @@ def _first_admissible(
 def _cap_from_budget(r: int, shell_cap: int) -> int:
     """The largest shell with at most shell_cap lattice points up to it, or
     0 when there is none (shell_cap itself always has more), and at most
-    _LATTICE_MAX: a budget past the int64 lattice is the lattice."""
-    return max(_last_degree(r, shell_cap, -1, min(shell_cap, _LATTICE_MAX)), 0)
+    _LATTICE_MAX: a budget past the int64 lattice is the lattice.
+
+    Shell N holds N + 1 points at r = 1.  At r >= 2, (N + 1)^r <= r!
+    comb(N + r, r) <= (N + r)^r, so with x = (r! shell_cap)^(1/r) every N
+    <= x - r fits and none past x - 1 does.  x is formed in floats, within
+    a relative 1e-12 (a few ulps of the logs and of exp), and lowered by
+    2^-36 of itself, so floor(x) - r fits; `_last_degree` gallops from
+    there over the few shells up to x - 1.  An x past e^700 is past the
+    int64 lattice, whose last shell is then the cap's."""
+    if r == 1:
+        return max(min(shell_cap - 1, _LATTICE_MAX), 0)
+    top = min(shell_cap, _LATTICE_MAX)
+    root = math.exp(min((math.log(shell_cap) + math.lgamma(r + 1)) / r, 700.0)) if shell_cap else 0.0
+    start = max(min(int(root * (1.0 - 2.0**-36)) - r, top), -1)
+    return max(_last_degree(r, shell_cap, start, top), 0)
 
 
 def evaluate(

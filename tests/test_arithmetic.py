@@ -20,6 +20,7 @@ from shintani.arithmetic import (
     chi_minus_4,
     coefficient_array,
     coefficient_at,
+    coefficient_nonzero,
     complete_homogeneous,
     factorize,
     prime_exponent,
@@ -233,8 +234,13 @@ class TestCoefficientArrayThreads:
                 start.wait(timeout=30)
                 for i in np.random.default_rng(seed).permutation(2 * len(points)) % len(points):
                     if seed % 2:  # half the threads churn the cache meanwhile
-                        for key in self.KEYS[::3]:
-                            coefficient_array(*key)
+                        # 40 keys for 32 slots, in a cycle: every lookup misses,
+                        # and the evaluate's own table is evicted and rebuilt
+                        # with its nonzero index
+                        for key in self.KEYS:
+                            table, index = coefficient_nonzero(*key)
+                            if not np.array_equal(index, np.flatnonzero(table)):
+                                errors.append(f"wrong nonzero index for limit {key[1]}")
                     if evaluate(cfg, points[i], tol=1e-9) != expected[i]:
                         errors.append(f"evaluate differs at s = {points[i]}")
                     if evaluate_many(cfg, points, tol=1e-9) != expected:

@@ -489,6 +489,31 @@ class TestCli:
         assert "numeric error: atom_cf_grid" in result.output and "Traceback" not in result.output
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, action, path, csv", [
+        ("sample", "count: 2147483649", "action.count", "samples.csv"),
+        ("sample", f"count: {2**40}", "action.count", "samples.csv"),
+        ("sample", f"count: {2**63 - 1}", "action.count", "samples.csv"),
+        ("sample", f"count: {2**63}", "action.count", "samples.csv"),
+        ("cf", f"t_grid: {{count: {10**400}}}", "action.t_grid.count", "cf.csv"),
+        ("levy-check", f"t_grid: {{count: {10**400}}}", "action.t_grid.count", "levy_check.csv"),
+        ("levy-check", f"t_grid: {{count: {2**63}}}", "action.t_grid.count", "levy_check.csv"),
+    ])
+    def test_count_past_the_point_budget_is_config_error(self, tmp_path, command, action, path, csv):
+        # sample raised ValueError or MemoryError from numpy once, and a t grid
+        # of 10^400 points ValueError; each is refused when the document is read
+        cfgp = self.write(
+            tmp_path,
+            "function: {kind: special, name: riemann}\n"
+            f"action: {{sigma: 2.0, delta: 1.0e-3, prime_limit: 100, {action}}}\n"
+            f"output: {{dir: '{tmp_path}'}}\n",
+        )
+        result = CliRunner().invoke(cli, [command, "--config", cfgp, "--quiet"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"config error: {path}" in result.output and "past the budget" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / csv).exists()
+
     def test_shell_cap_past_the_int64_lattice(self, tmp_path):
         # the cap's shell, 10^400 - 1, once reached the line route and raised OverflowError
         cfgp = self.write(
