@@ -243,7 +243,8 @@ def coefficient_at(rules: tuple[AlphaRule, ...], n: int) -> complex:
     return out
 
 
-_COEFF_ARRAY_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # (table, its nonzero index)
+# each entry is [table, its nonzero index or None until `coefficient_nonzero` asks]
+_COEFF_ARRAY_CACHE: dict[tuple, list] = {}
 _COEFF_ARRAY_LOCK = threading.Lock()
 
 
@@ -261,24 +262,30 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
     builds the table through the next power of two at or past `limit`, so
     nearby larger limits hit.
     At most 32 tables are cached, the oldest evicted first, each with its
-    nonzero index (`coefficient_nonzero`); one lock guards lookup, insert
-    and eviction, so concurrent calls are safe (threads that miss on the
-    same key may each build it).
+    nonzero index once `coefficient_nonzero` has formed it; one lock guards
+    lookup, insert, eviction and the index, so concurrent calls are safe
+    (threads that miss on the same key may each build it).
     """
-    return _coefficient_table(rules, limit)[0][: limit + 1]
+    return _coefficient_entry(rules, limit)[0][: limit + 1]
 
 
 def coefficient_nonzero(rules: tuple[AlphaRule, ...], limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(table, index): `coefficient_array(rules, limit)` and the n <= limit
     with A(n) != 0, ascending and read-only, taken from the one cached
-    table that `coefficient_array` would return and the index formed with
-    it, so no caller scans the table for its zeros."""
-    table, index = _coefficient_table(rules, limit)
+    table that `coefficient_array` would return and the index kept with it
+    (formed on the first call), so no later caller scans the table for its
+    zeros."""
+    entry = _coefficient_entry(rules, limit)
+    with _COEFF_ARRAY_LOCK:
+        if entry[1] is None:
+            entry[1] = np.flatnonzero(entry[0])
+            entry[1].setflags(write=False)
+        table, index = entry
     return table[: limit + 1], index[: index.searchsorted(limit, side="right")]
 
 
-def _coefficient_table(rules: tuple[AlphaRule, ...], limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cached (table, nonzero index) of `coefficient_array`, built on a miss."""
+def _coefficient_entry(rules: tuple[AlphaRule, ...], limit: int) -> list:
+    """The cached [table, nonzero index or None] of `coefficient_array`, built on a miss."""
     with _COEFF_ARRAY_LOCK:
         for (crules, climit), entry in _COEFF_ARRAY_CACHE.items():
             if crules == rules and climit >= limit:
@@ -309,11 +316,10 @@ def _coefficient_table(rules: tuple[AlphaRule, ...], limit: int) -> tuple[np.nda
     for k in range(1, build // (root + 1) + 1):
         count = int(np.searchsorted(large, build // k, side="right"))
         out[k * large[:count]] *= coeffs[:count]
-    index = np.flatnonzero(out)
-    for arr in (out, index):
-        arr.setflags(write=False)
+    out.setflags(write=False)
+    entry = [out, None]
     with _COEFF_ARRAY_LOCK:
-        _COEFF_ARRAY_CACHE[(rules, build)] = (out, index)
+        _COEFF_ARRAY_CACHE[(rules, build)] = entry
         if len(_COEFF_ARRAY_CACHE) > 32:
             _COEFF_ARRAY_CACHE.pop(next(iter(_COEFF_ARRAY_CACHE)))
-    return out, index
+    return entry

@@ -205,7 +205,7 @@ class CoefficientSpec:
     def prewarm(self, max_coord: int) -> None:
         """Build any table ``values`` needs for coordinates up to max_coord."""
 
-    def nonzero(self, points: np.ndarray, shells: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def nonzero(self, points: np.ndarray, shells: bool) -> tuple[np.ndarray, np.ndarray]:
         """(rows, values): the rows of ``points`` (shape (k, r)) where theta
         is nonzero, in their order, and theta there, with the bits of
         ``values``.  ``shells`` states that the rows are every lattice point
@@ -772,14 +772,6 @@ class _Product(CoefficientSpec, family="product_of_families"):
     def times(self, factor):
         return CoefficientSpec.product(self.params["factors"] + (factor,))
 
-    def nonzero(self, points, shells=False):
-        # theta is 0 wherever a factor is (its other factors are finite), so
-        # a multiplicative factor's indexed rows hold every nonzero row
-        indexed = [f for f in self.params["factors"] if isinstance(f, _MultiplicativeProduct)]
-        if shells and indexed and points.shape[1] == 1:
-            points, _ = indexed[0].nonzero(points, shells)
-        return super().nonzero(points)
-
     @cached_property
     def envelope_ladder(self):
         # rung i multiplies each factor's rung i, or its last when it has fewer
@@ -809,7 +801,7 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
             out = vals if out is None else out * vals
         return out
 
-    def nonzero(self, points, shells=False):
+    def nonzero(self, points, shells):
         # at rank 1 whole shells are the run n = lo..hi, and theta(n) = A(n + 1):
         # two searchsorted calls on the table's nonzero index give its rows,
         # from the table `values` takes (no table is built below limit 2)

@@ -24,11 +24,11 @@ import yaml
 
 from .arithmetic import AlphaRule
 from .coefficients import CoefficientSpec
-from .distributions import SPECIAL_DISTRIBUTION_KINDS
+from .distributions import _COUNT_MAX, SPECIAL_DISTRIBUTION_KINDS
 from .errors import ConfigError
 from .euler import EulerConfig
 from .series import (
-    _POINT_BUDGET, SPECIAL_KINDS, ComplexPoint, ShintaniConfig, as_point, as_sigma, validate_config,
+    SPECIAL_KINDS, ComplexPoint, ShintaniConfig, as_point, as_sigma, validate_config,
 )
 
 _SPECIAL_KINDS = SPECIAL_KINDS + SPECIAL_DISTRIBUTION_KINDS
@@ -283,10 +283,10 @@ _NUMBERS = _list_of(_NUMBER)
 
 def _decode_count(v: Any, path: str) -> int:
     """An integer count of points to form (samples, t grid points), refused
-    past `series._POINT_BUDGET` before anything is allocated."""
+    past `distributions._COUNT_MAX` before anything is allocated."""
     count = _INT.decode(v, path)
-    if count > _POINT_BUDGET:
-        raise _error(path, f"{count} points are past the budget of {_POINT_BUDGET}")
+    if count > _COUNT_MAX:
+        raise _error(path, f"{count} points are past the limit of {_COUNT_MAX}")
     return count
 
 

@@ -22,7 +22,6 @@ from .arithmetic import frozen_array
 from .coefficients import CoefficientSpec
 from .errors import CertificationError, ConfigError, NumericError, RegionError
 from .series import (
-    _POINT_BUDGET,
     DEFAULT_SHELL_CAP,
     ComplexPoint,
     EvalResult,
@@ -51,6 +50,11 @@ _STOP_MARGIN = 2.0**-20  # relative slack of a skipped stop test (_next_stop_tes
 _CF_ATOMS = 1 << 10
 _CF_RUN = 32
 _CF_EVEN_EPS = 8
+# the most draws `sample` and points a config's t grid take.  Each count is
+# allocated at once (a draw holds 16 + 8d bytes, a grid point 8 and its cf
+# value 16), about 0.4 GiB at d = 1; past it they raise ConfigError before
+# allocating anything
+_COUNT_MAX = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -210,16 +214,14 @@ def build_distribution(
     n_done = -1
     bound = math.inf
     size, grow = (_GROW_BLOCK, 2) if config.r == 1 else (1, 1)
-    # `_lattice_blocks` walks whole shells where theta's support cannot be
-    # enumerated; a bracket needs one shell per block and the monotone
-    # routes of `_first_admissible`, which are those of such a support
-    shells = config.theta.support(config.r, 0, 0) is None
-    bracketed = grow == 1 and shells
+    # a bracket needs one shell per block and the monotone routes of
+    # `_first_admissible`, which are those of a support it cannot enumerate
+    bracketed = grow == 1 and config.theta.support(config.r, 0, 0) is None
     last_shell = _cap_from_budget(config.r, shell_cap) + 1  # where the cap raises
     tails = _Tails(config, sig)
     next_test = 0
     for pts, n_complete in _lattice_blocks(config, None, size, grow):
-        forms, weights = _terms(config, pts, sl, True, shells)
+        forms, weights = _terms(config, pts, sl, True)
         log_forms = np.log(forms)
         weights = weights.real
         keep = weights != 0.0
@@ -471,8 +473,8 @@ def sample(dist: ZetaDistribution, seed: int, count: int) -> SampleBatch:
     _require_shell(count, "sample count")
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count}")
-    if count > _POINT_BUDGET:
-        raise ConfigError(f"sample count {count} is past the budget of {_POINT_BUDGET} draws")
+    if count > _COUNT_MAX:
+        raise ConfigError(f"sample count {count} is past the limit of {_COUNT_MAX} draws")
     masses = dist.masses / np.sum(dist.masses)
     cdf = np.cumsum(masses)
     cdf[-1] = 1.0

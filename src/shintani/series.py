@@ -83,9 +83,7 @@ from .summation import CompensatedSum
 DEFAULT_SHELL_CAP = 10**6
 _BLOCK = 1 << 21
 # the most lattice points one partial sum walks where theta's support is not
-# enumerable; past it the sum raises NumericError before it starts.  Also the
-# most draws `distributions.sample` and points a config's t grid take, past
-# which they raise ConfigError before anything is allocated
+# enumerable; past it the sum raises NumericError before it starts
 _POINT_BUDGET = 1 << 31
 
 
@@ -968,30 +966,28 @@ def _exponents(config: ShintaniConfig, pt: ComplexPoint) -> np.ndarray:
 
 
 def _terms(
-    config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool, shells: bool = False
+    config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forms L_l(n) and the terms theta(n) prod_l L_l(n)^(-beta_l) at
-    the lattice points `pts` where theta(n) != 0 (every point when theta is
-    1): theta is taken first (`CoefficientSpec.nonzero`; `shells` when
-    `pts` is a block of whole shells), and a point where it is 0 adds
-    nothing to a sum, so its forms and powers are never formed."""
+    the lattice points `pts` of a `_lattice_blocks` block where theta(n) !=
+    0 (every point when theta is 1): theta is taken first
+    (`CoefficientSpec.nonzero`, told when the block is whole shells), and a
+    point where it is 0 adds nothing to a sum, so its forms and powers are
+    never formed."""
     if config.theta.is_one:
         forms = pts @ config.lam.T + config.form_offsets
         return forms, _form_powers(forms, beta, is_real)
-    pts, vals = config.theta.nonzero(pts, shells)
+    pts, vals = config.theta.nonzero(pts, config.theta.support(config.r, 0, 0) is None)
     forms = pts @ config.lam.T + config.form_offsets
     return forms, vals * _form_powers(forms, beta, is_real)
 
 
-def _sum_terms(
-    config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray], shells: bool = False
-) -> complex:
-    """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`,
-    blocks of whole shells when `shells`."""
+def _sum_terms(config: ShintaniConfig, pt: ComplexPoint, blocks: Iterable[np.ndarray]) -> complex:
+    """sum theta(n) prod_l L_l(n)^(-<c_l, s>) over the points of `blocks`."""
     beta = _exponents(config, pt)
     acc = CompensatedSum()
     for pts in blocks:
-        acc.add_array(_terms(config, pts, beta, pt.is_real, shells)[1])
+        acc.add_array(_terms(config, pts, beta, pt.is_real)[1])
     return acc.value
 
 
@@ -1527,10 +1523,9 @@ def _partial_sum(
     if lines is not None:
         value, remainder = lines
         return value, tail + remainder
-    shells = config.theta.support(config.r, 0, 0) is None  # `_lattice_blocks` walks whole shells
-    if shells:
+    if config.theta.support(config.r, 0, 0) is None:
         _require_budget(lattice_count(config.r, n_shell), f"lattice points through shell {n_shell}")
-    return _sum_terms(config, pt, _blocks_upto(config, n_shell), shells), tail
+    return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
 
 
 def _require_budget(count: int, what: str) -> None:
@@ -1697,21 +1692,11 @@ def _first_admissible(
 def _cap_from_budget(r: int, shell_cap: int) -> int:
     """The largest shell with at most shell_cap lattice points up to it, or
     0 when there is none (shell_cap itself always has more), and at most
-    _LATTICE_MAX: a budget past the int64 lattice is the lattice.
-
-    Shell N holds N + 1 points at r = 1.  At r >= 2, (N + 1)^r <= r!
-    comb(N + r, r) <= (N + r)^r, so with x = (r! shell_cap)^(1/r) every N
-    <= x - r fits and none past x - 1 does.  x is formed in floats, within
-    a relative 1e-12 (a few ulps of the logs and of exp), and lowered by
-    2^-36 of itself, so floor(x) - r fits; `_last_degree` gallops from
-    there over the few shells up to x - 1.  An x past e^700 is past the
-    int64 lattice, whose last shell is then the cap's."""
+    _LATTICE_MAX: a budget past the int64 lattice is the lattice.  Shell N
+    holds N + 1 points at r = 1, so there it is a closed form."""
     if r == 1:
         return max(min(shell_cap - 1, _LATTICE_MAX), 0)
-    top = min(shell_cap, _LATTICE_MAX)
-    root = math.exp(min((math.log(shell_cap) + math.lgamma(r + 1)) / r, 700.0)) if shell_cap else 0.0
-    start = max(min(int(root * (1.0 - 2.0**-36)) - r, top), -1)
-    return max(_last_degree(r, shell_cap, start, top), 0)
+    return max(_last_degree(r, shell_cap, -1, min(shell_cap, _LATTICE_MAX)), 0)
 
 
 def evaluate(

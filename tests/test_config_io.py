@@ -31,7 +31,7 @@ from shintani.config_io import (
 from shintani.coefficients import FAMILIES, CoefficientSpec
 from shintani.errors import ConfigError
 from shintani.euler import EulerConfig, dedekind_euler_config
-from shintani.distributions import SPECIAL_DISTRIBUTION_KINDS
+from shintani.distributions import _COUNT_MAX, SPECIAL_DISTRIBUTION_KINDS
 from shintani.series import SPECIAL_KINDS, make_special
 
 MINIMAL = """
@@ -490,6 +490,8 @@ class TestCli:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, action, path, csv", [
+        ("sample", f"count: {_COUNT_MAX + 1}", "action.count", "samples.csv"),
+        ("cf", f"t_grid: {{count: {_COUNT_MAX + 1}}}", "action.t_grid.count", "cf.csv"),
         ("sample", "count: 2147483649", "action.count", "samples.csv"),
         ("sample", f"count: {2**40}", "action.count", "samples.csv"),
         ("sample", f"count: {2**63 - 1}", "action.count", "samples.csv"),
@@ -498,7 +500,7 @@ class TestCli:
         ("levy-check", f"t_grid: {{count: {10**400}}}", "action.t_grid.count", "levy_check.csv"),
         ("levy-check", f"t_grid: {{count: {2**63}}}", "action.t_grid.count", "levy_check.csv"),
     ])
-    def test_count_past_the_point_budget_is_config_error(self, tmp_path, command, action, path, csv):
+    def test_count_past_the_limit_is_config_error(self, tmp_path, command, action, path, csv):
         # sample raised ValueError or MemoryError from numpy once, and a t grid
         # of 10^400 points ValueError; each is refused when the document is read
         cfgp = self.write(
@@ -510,9 +512,17 @@ class TestCli:
         result = CliRunner().invoke(cli, [command, "--config", cfgp, "--quiet"])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"config error: {path}" in result.output and "past the budget" in result.output
+        assert f"config error: {path}" in result.output and "past the limit" in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / csv).exists()
+
+    def test_count_at_the_limit_is_read(self):
+        # reading a document allocates nothing; the limit itself is a count
+        rc = parse_config(
+            "function: {kind: special, name: riemann}\n"
+            f"action: {{count: {_COUNT_MAX}, t_grid: {{count: {_COUNT_MAX}}}}}\n"
+        )
+        assert rc.action["count"] == rc.action["t_grid"]["count"] == _COUNT_MAX
 
     def test_shell_cap_past_the_int64_lattice(self, tmp_path):
         # the cap's shell, 10^400 - 1, once reached the line route and raised OverflowError

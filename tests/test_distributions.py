@@ -323,13 +323,19 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample(dist, seed=1, count=0)
 
-    @pytest.mark.parametrize("count", [2**31 + 1, 2**40, 2**63 - 1, 2**63, 10**400])
-    def test_count_past_the_point_budget_is_config_error(self, count):
+    @pytest.mark.parametrize("count", [distributions._COUNT_MAX + 1, 2**31 + 1, 2**40, 2**63 - 1, 2**63, 10**400])
+    def test_count_past_the_limit_is_config_error(self, count):
         # raised ValueError ("array is too big", "Maximum allowed dimension
         # exceeded") or MemoryError once; refused now before any draw
         dist = build_distribution(riemann(), 2.0, delta=1e-4)
-        with pytest.raises(ConfigError, match="sample count .* past the budget"):
-            sample(dist, seed=1, count=count)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="sample count .* past the limit"):
+                sample(dist, seed=1, count=count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_seed_nonnegative(self):
         dist = build_distribution(riemann(), 2.0, delta=1e-4)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from shintani import arithmetic, series
 from shintani.arithmetic import AlphaRule, chi_minus_4, coefficient_array, coefficient_nonzero
-from shintani.coefficients import NONNEGATIVE, NONPOSITIVE, CoefficientSpec, _MultiplicativeProduct, _Product
+from shintani.coefficients import NONNEGATIVE, NONPOSITIVE, CoefficientSpec, _MultiplicativeProduct
 from shintani.distributions import build_distribution
 from shintani.errors import ShintaniError
 from shintani.series import ShintaniConfig, differentiate, evaluate, evaluate_many, evaluate_partial
@@ -57,8 +57,7 @@ def _outcome(call):
 def _both(call):
     """(outcome with the index, outcome with theta formed on every lattice point)."""
     with_index = _outcome(call)
-    with mock.patch.object(_MultiplicativeProduct, "nonzero", CoefficientSpec.nonzero), \
-            mock.patch.object(_Product, "nonzero", CoefficientSpec.nonzero):
+    with mock.patch.object(_MultiplicativeProduct, "nonzero", CoefficientSpec.nonzero):
         reference = _outcome(call)
     return with_index, reference
 
@@ -105,7 +104,7 @@ def test_index_route_is_the_reference_bit_for_bit(rules, sigma, t, tol, n_shell)
         lambda: evaluate(config, points[0], tol=tol, shell_cap=20_000),
         lambda: evaluate_many(config, points, tol=tol, shell_cap=20_000),
         lambda: evaluate_partial(config, points[0], n_shell),
-        # a product holding the multiplicative factor delegates to it
+        # a product holding the multiplicative factor takes the default route
         lambda: evaluate_partial(differentiate(config, 1), points[0], n_shell),
     ]
     if config.theta.sign_class() in (NONNEGATIVE, NONPOSITIVE):
@@ -145,9 +144,9 @@ def test_rows_and_values_of_a_block():
     spec = CoefficientSpec.multiplicative_product([(AlphaRule.constant(1.0), chi_minus_4())])
     block = np.arange(37, 400, dtype=np.int64).reshape(-1, 1)
     rows, vals = spec.nonzero(block, shells=True)
-    ref_rows, ref_vals = CoefficientSpec.nonzero(spec, block)
+    ref_rows, ref_vals = CoefficientSpec.nonzero(spec, block, False)
     assert rows.tolist() == ref_rows.tolist() and vals.tobytes() == ref_vals.tobytes()
     # without `shells` the rows are any points, and the default takes them
     scattered = np.array([[5], [3], [4], [1]])
-    rows, vals = spec.nonzero(scattered)
+    rows, vals = spec.nonzero(scattered, shells=False)
     assert rows.tolist() == [[3], [4], [1]] and vals.tolist() == [1.0, 2.0, 1.0]  # A(6) = 0
