@@ -66,10 +66,19 @@ class PrimeTable:
         return int(self.primes.size)
 
 
+# the largest sieve limit: the sieve takes a byte per integer up to it (a
+# coefficient table 8 or 16 more), and a walk within the block route's
+# budget of 2^31 lattice points builds no table past it
+_SIEVE_MAX = 1 << 31
+
+
 def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` inclusive."""
+    """Sieve of Eratosthenes up to ``limit`` inclusive; ConfigError past
+    `_SIEVE_MAX`, before anything is allocated."""
     if limit < 2:
         raise ConfigError(f"prime sieve limit must be >= 2, got {limit}")
+    if limit > _SIEVE_MAX:
+        raise ConfigError(f"prime sieve limit {limit} is past the limit of {_SIEVE_MAX}")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, int(limit**0.5) + 1):
@@ -256,9 +265,8 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
     limit) divides each n at most once and no n has two of them, so those
     primes go last, one `out[k P] *= A(P)` over all of them per multiplier
     k: every n still takes its factors in ascending prime order, one
-    multiplication per prime, so a real table has the bits of a per-prime
-    loop (a complex one may differ in last bits: numpy rounds a complex
-    product differently in its vector loop and its remainder).  A miss
+    multiplication per prime, so a table has the bits of a per-prime loop
+    whatever size it was built at (`_times`).  A miss
     builds the table through the next power of two at or past `limit`, so
     nearby larger limits hit.
     At most 32 tables are cached, the oldest evicted first, each with its
@@ -269,19 +277,36 @@ def coefficient_array(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
     return _coefficient_entry(rules, limit)[0][: limit + 1]
 
 
-def coefficient_nonzero(rules: tuple[AlphaRule, ...], limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, index): `coefficient_array(rules, limit)` and the n <= limit
-    with A(n) != 0, ascending and read-only, taken from the one cached
-    table that `coefficient_array` would return and the index kept with it
-    (formed on the first call), so no later caller scans the table for its
-    zeros."""
+def coefficient_nonzero(rules: tuple[AlphaRule, ...], limit: int) -> np.ndarray:
+    """The n <= limit with A(n) != 0, ascending and read-only: the index
+    kept with the one cached table that `coefficient_array(rules, limit)`
+    would return (formed on the first call), so no later caller scans the
+    table for its zeros."""
     entry = _coefficient_entry(rules, limit)
     with _COEFF_ARRAY_LOCK:
         if entry[1] is None:
             entry[1] = np.flatnonzero(entry[0])
             entry[1].setflags(write=False)
-        table, index = entry
-    return table[: limit + 1], index[: index.searchsorted(limit, side="right")]
+        index = entry[1]
+    return index[: index.searchsorted(limit, side="right")]
+
+
+def _times(out: np.ndarray, at: np.ndarray, by) -> None:
+    """out[at] *= by, by a number or an array.  A complex product is formed
+    from real products and sums, (ac - bd) + (ad + bc)i: numpy does not
+    round its complex product alike on every path (an in-place product of
+    one-element arrays can differ from a longer one's), and the path an
+    entry takes depends on the size the table is built at."""
+    if out.dtype != np.complex128:
+        out[at] *= by
+        return
+    z = out[at]
+    re = z.real * by.real
+    re -= z.imag * by.imag
+    im = z.real * by.imag
+    im += z.imag * by.real
+    z.real, z.imag = re, im
+    out[at] = z
 
 
 def _coefficient_entry(rules: tuple[AlphaRule, ...], limit: int) -> list:
@@ -308,14 +333,14 @@ def _coefficient_entry(rules: tuple[AlphaRule, ...], limit: int) -> list:
         while q <= build:
             idx = np.arange(q, build + 1, q)
             exact = idx[(idx % (q * p)) != 0] if q * p <= build else idx
-            out[exact] *= coeffs[nu - 1]
+            _times(out, exact, coeffs[nu - 1])
             q *= p
             nu += 1
     large = primes[cut:]
     coeffs = complete_homogeneous([a[cut:] for a in alphas], 1)[1]  # A(P)
     for k in range(1, build // (root + 1) + 1):
         count = int(np.searchsorted(large, build // k, side="right"))
-        out[k * large[:count]] *= coeffs[:count]
+        _times(out, k * large[:count], coeffs[:count])
     out.setflags(write=False)
     entry = [out, None]
     with _COEFF_ARRAY_LOCK:

@@ -99,11 +99,11 @@ class CoefficientSpec:
     (theta at the rows of a 2-d int array, shape (k, r) -> (k,)),
     ``sign_class()`` (one of nonnegative / nonpositive / mixed / complex) and
     ``_envelope()``; the other queries below have defaults.  The structural
-    invariants ``support_degree``, ``envelope_triple``, ``log_weight`` and
-    ``poisson_decomposition`` are derived from the parameters once, at
-    construction, and ``envelope_ladder`` once, on first use; they are not
-    dataclass fields, so equality and the config schema see only family and
-    params.
+    invariants ``support_degree``, ``sparse``, ``envelope_triple``,
+    ``log_weight`` and ``poisson_decomposition`` are derived from the
+    parameters once, at construction, and ``envelope_ladder`` once, on
+    first use; they are not dataclass fields, so equality and the config
+    schema see only family and params.
     Together the triple (B, eps, g) and the log weight bound every value:
     |theta(n)| <= B (t + 1)^eps g^t (offset + log(t + 1))^power, t = |n|.
     """
@@ -113,6 +113,9 @@ class CoefficientSpec:
 
     # Largest total degree carrying a nonzero value, or None if unbounded.
     support_degree: ClassVar[Optional[int]] = None
+    # True when ``support`` enumerates theta's support on any degree range
+    # (finite support, poisson powers, a product holding either).
+    sparse: ClassVar[bool] = False
     log_weight: ClassVar[_LogWeight] = _LogWeight()
     # (base, rate, B_other, eps_other) when exactly one poisson factor drives
     # the support; None otherwise.  The other factors' log weight is in
@@ -161,9 +164,10 @@ class CoefficientSpec:
         )
 
     def support(self, r: int, lo: int, hi: int) -> Optional[np.ndarray]:
-        """Support lattice points with lo <= total degree <= hi, ascending
-        degree (lexicographic within one), or None when the support cannot be
-        enumerated directly.  ``hi`` may be large for a sparse support."""
+        """Lattice points with lo <= total degree <= hi that include every
+        point there where theta is nonzero, ascending degree (lexicographic
+        within one), or None for every lattice point of those degrees.
+        ``hi`` may be large only when ``sparse``."""
         return None
 
     def per_coordinate_envelope(self, r: int) -> Optional[list[tuple[float, float]]]:
@@ -204,19 +208,6 @@ class CoefficientSpec:
 
     def prewarm(self, max_coord: int) -> None:
         """Build any table ``values`` needs for coordinates up to max_coord."""
-
-    def nonzero(self, points: np.ndarray, shells: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, values): the rows of ``points`` (shape (k, r)) where theta
-        is nonzero, in their order, and theta there, with the bits of
-        ``values``.  ``shells`` states that the rows are every lattice point
-        of their degrees by ascending degree (a block of whole shells),
-        which lets a family read them from a table's nonzero index.  The
-        default evaluates theta on every row and keeps the nonzero ones."""
-        vals = np.asarray(theta_values(self, points))
-        keep = np.flatnonzero(vals)
-        if keep.size < vals.size:
-            points, vals = points.take(keep, axis=0), vals.take(keep)
-        return points, vals
 
     def times(self, factor: "CoefficientSpec") -> "CoefficientSpec":
         """The product theta * factor, appending to this product's factors."""
@@ -517,6 +508,7 @@ class _FiniteSupport(CoefficientSpec, family="finite_support"):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "support_degree", int(degrees.max()))
+        object.__setattr__(self, "sparse", True)
 
     def _envelope(self):
         return _max_abs([v for _, v in self.params["entries"]]), 0.0, 1.0
@@ -699,6 +691,7 @@ class _Product(CoefficientSpec, family="product_of_families"):
         fs = self.params["factors"]
         degs = [f.support_degree for f in fs if f.support_degree is not None]
         object.__setattr__(self, "support_degree", min(degs) if degs else None)
+        object.__setattr__(self, "sparse", any(f.sparse for f in fs))
         # prod_i (a_i + x)^(p_i) <= (max_i a_i + x)^(sum_i p_i) for x >= 0
         weights = [f.log_weight for f in fs]
         log_weight = _LogWeight(max(w.offset for w in weights), sum(w.power for w in weights))
@@ -733,10 +726,10 @@ class _Product(CoefficientSpec, family="product_of_families"):
 
     def support(self, r, lo, hi):
         # a finite factor of least degree enumerates the product's support,
-        # else the first sparse factor does
+        # else a sparse factor, and only then another (a multiplicative one
+        # asked for an unbounded range would build its table through hi)
         fs = self.params["factors"]
-        finite = [f for f in fs if f.support_degree is not None]
-        for f in [min(finite, key=lambda f: f.support_degree)] if finite else fs:
+        for f in sorted(fs, key=lambda f: (f.support_degree is None, f.support_degree or 0, not f.sparse)):
             pts = f.support(r, lo, hi)
             if pts is not None:
                 return pts
@@ -801,16 +794,13 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
             out = vals if out is None else out * vals
         return out
 
-    def nonzero(self, points, shells):
-        # at rank 1 whole shells are the run n = lo..hi, and theta(n) = A(n + 1):
-        # two searchsorted calls on the table's nonzero index give its rows,
-        # from the table `values` takes (no table is built below limit 2)
-        if not (shells and points.shape[1] == 1 and points.shape[0]):
-            return super().nonzero(points, shells)
-        lo, hi = int(points[0, 0]), int(points[-1, 0])
-        table, index = coefficient_nonzero(tuple(self.params["coords"][0]), hi + 1)
-        index = index[index.searchsorted(lo + 1):]
-        return (index - 1).reshape(-1, 1), table[index]
+    def support(self, r, lo, hi):
+        # at rank 1 theta(n) = A(n + 1): the table's nonzero index from lo + 1
+        # through hi + 1, by two searchsorted calls (no table below limit 2)
+        if r != 1:
+            return None
+        index = coefficient_nonzero(tuple(self.params["coords"][0]), hi + 1)
+        return (index[index.searchsorted(lo + 1):] - 1).reshape(-1, 1)
 
     def sign_class(self):
         cls = NONNEGATIVE
@@ -855,6 +845,7 @@ class _MultiplicativeProduct(CoefficientSpec, family="multiplicative_product"):
 class _PoissonPowers(CoefficientSpec, family="poisson_powers"):
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "sparse", True)
         decomposition = (self.params["base"], self.params["rate"], 1.0, 0.0)
         object.__setattr__(self, "poisson_decomposition", decomposition)
 

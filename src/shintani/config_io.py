@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 import yaml
 
-from .arithmetic import AlphaRule
+from .arithmetic import _SIEVE_MAX, AlphaRule
 from .coefficients import CoefficientSpec
 from .distributions import _COUNT_MAX, SPECIAL_DISTRIBUTION_KINDS
 from .errors import ConfigError
@@ -281,16 +281,20 @@ _ROWS = _list_of(_REALS)
 _NUMBERS = _list_of(_NUMBER)
 
 
-def _decode_count(v: Any, path: str) -> int:
-    """An integer count of points to form (samples, t grid points), refused
-    past `distributions._COUNT_MAX` before anything is allocated."""
-    count = _INT.decode(v, path)
-    if count > _COUNT_MAX:
-        raise _error(path, f"{count} points are past the limit of {_COUNT_MAX}")
-    return count
+def _bounded(limit: int, what: str) -> _Codec:
+    """An integer refused past `limit` when the document is read, before
+    anything is allocated: a count of points to form (samples, t grid
+    points) or a prime sieve limit."""
+    def decode(v: Any, path: str) -> int:
+        n = _INT.decode(v, path)
+        if n > limit:
+            raise _error(path, f"{n} is past the limit of {limit} {what}")
+        return n
+
+    return _Codec(decode, lambda x: x)
 
 
-_COUNT = _Codec(_decode_count, lambda x: x)
+_COUNT = _bounded(_COUNT_MAX, "points")
 
 
 def _decode_point(v: Any, path: str) -> list[complex]:
@@ -532,6 +536,17 @@ def _decode_t_grid(v: Any, path: str) -> dict:
     return g
 
 
+def _decode_scan(v: Any, path: str) -> dict:
+    """The scan section, its grid refused past `distributions._COUNT_MAX`
+    points where its ends are finite and its step positive (the rest
+    `zeros.scan_cf_zeros` refuses)."""
+    g = _decode_fields(v, _SCAN, path)
+    lo, hi, step = g["lo"], g["hi"], g["step"]
+    if math.isfinite(lo) and math.isfinite(hi) and step > 0 and (hi - lo) / step >= _COUNT_MAX:
+        raise _error(f"{path}.step", f"{step} over [{lo}, {hi}] is past the limit of {_COUNT_MAX} grid points")
+    return g
+
+
 _T_GRID = (
     _Field("axis", _INT, 1), _Field("lo", _REAL, -10.0), _Field("hi", _REAL, 10.0),
     _Field("count", _COUNT, 201),
@@ -552,13 +567,13 @@ _ACTION = (
     _Field("delta", _POSITIVE, 1e-6),
     _Field("seed", _INT, 0),
     _Field("count", _COUNT, 1000),
-    _Field("prime_limit", _INT, 10**4),
+    _Field("prime_limit", _bounded(_SIEVE_MAX, "for the prime sieve"), 10**4),
     _Field("power_cutoff", _INT, 40),
     _Field("coeff_limit", _INT, 50),
     _Field("rectangle", _section(_RECTANGLE), None),
     _Field("base", _POINT, None),
     _Field("direction", _POINT, None),
-    _Field("scan", _section(_SCAN), {}),
+    _Field("scan", _Codec(_decode_scan, lambda x: _encode_fields(x, _SCAN)), {}),
 )
 _ROOT = (
     _Field("function", _Codec(_decode_function, _ANY.encode)),

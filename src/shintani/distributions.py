@@ -40,6 +40,7 @@ from .series import (
     differentiate,
     evaluate_many,
     evaluate_partial,
+    lattice_count,
 )
 from .summation import CompensatedSum, exact_real_sum
 
@@ -215,8 +216,8 @@ def build_distribution(
     bound = math.inf
     size, grow = (_GROW_BLOCK, 2) if config.r == 1 else (1, 1)
     # a bracket needs one shell per block and the monotone routes of
-    # `_first_admissible`, which are those of a support it cannot enumerate
-    bracketed = grow == 1 and config.theta.support(config.r, 0, 0) is None
+    # `_first_admissible`, which are those of a theta that is not sparse
+    bracketed = grow == 1 and not config.theta.sparse
     last_shell = _cap_from_budget(config.r, shell_cap) + 1  # where the cap raises
     tails = _Tails(config, sig)
     next_test = 0
@@ -231,7 +232,8 @@ def build_distribution(
         loc_blocks.append(-(log_forms @ config.c))
         weight_blocks.append(weights)
         z_acc.add_array(weights)
-        count += int(pts.shape[0])
+        # the cap counts a sparse theta's support points, else lattice points
+        count = count + int(pts.shape[0]) if config.theta.sparse else lattice_count(config.r, n_complete)
         n_done = n_complete
         running = z_acc.value.real
         if running != 0.0 and n_done >= next_test:

@@ -599,10 +599,12 @@ def _finite_tails(
     -inf), and its later entries stay nan.
 
     A tail below 2^-1022 (0 or subnormal) whose suffix holds a nonzero theta
-    with a power prod_l L_l^(-sl_l) below 2^-1022 is summed again in `_Wide`
+    with a power prod_l L_l^(-sl_l) below 2^-1022, or a tail of exactly 0
+    whose suffix holds a nonzero theta, is summed again in `_Wide`
     (`_log_tail`): rounded up and at least 2^-1074, so no term lost to the
-    power's underflow is reported as a 0 tail.  Every other tail keeps its
-    bits, those of coefficients below 2^-1022 at a normal power included."""
+    power's underflow or to a subnormal product is reported as a 0 tail.
+    Every other tail keeps its bits, those of coefficients below 2^-1022 at
+    a normal power included."""
     _, _, vals, forms = support
     abs_vals = np.abs(vals)
     if min(kept) >= abs_vals.size:  # only empty suffixes: no table
@@ -625,7 +627,7 @@ def _finite_tails(
             low = tails < _NORMAL_MIN
             if k <= last and low.any():
                 for i in np.flatnonzero(low).tolist():
-                    tail = _log_tail(abs_vals[k:], forms[k:], rows[i])
+                    tail = _log_tail(abs_vals[k:], forms[k:], rows[i], tails[i] == 0.0)
                     if tail is not None:
                         out[lo + i, j] = tails[i] = tail
             done |= tails <= tol
@@ -634,10 +636,11 @@ def _finite_tails(
     return out
 
 
-def _log_tail(abs_vals: np.ndarray, forms: np.ndarray, b: np.ndarray) -> Optional[float]:
+def _log_tail(abs_vals: np.ndarray, forms: np.ndarray, b: np.ndarray, zero: bool) -> Optional[float]:
     """sum_n |theta(n)| prod_l L_l(n)^(-b_l) over the points with theta(n) !=
-    0, summed as `_Wide` numbers and rounded up; None when no such point's
-    power, multiplied up in form order, falls below 2^-1022."""
+    0, summed as `_Wide` numbers and rounded up; None when the float sum is
+    not `zero` and no such point's power, multiplied up in form order,
+    falls below 2^-1022."""
     total, low = 0.0, False
     for value, row in zip(abs_vals.tolist(), forms.tolist()):
         if value:
@@ -646,7 +649,7 @@ def _log_tail(abs_vals: np.ndarray, forms: np.ndarray, b: np.ndarray) -> Optiona
                 power *= _Wide.pow(form, -b_l)
                 low = low or float(power) < _NORMAL_MIN
             total = _wide(value) * power + total
-    return float(total) if low else None
+    return float(total) if low or zero else None
 
 
 def _finite_tail(config: ShintaniConfig, sigma: np.ndarray, n_shell: int) -> float:
@@ -865,39 +868,41 @@ def _last_degree(r: int, count: int, lo: int, top: int) -> int:
 
 def _iter_blocks(
     r: int, n_shell: Optional[int] = None, size: int = _BLOCK, grow: int = 1
-) -> Iterator[tuple[np.ndarray, int]]:
-    """(points, last degree) for the rank-r lattice points of degree <=
-    n_shell (every degree in the int64 range when None), in blocks of whole
-    shells by ascending degree.  A block ends at the first shell that brings
-    it to `size` points, found from `lattice_count` without walking shells,
-    and each block's `size` is `grow` times the one before."""
+) -> Iterator[tuple[int, int]]:
+    """Degree ranges (lo, hi), ascending, of the rank-r lattice points of
+    degree <= n_shell (every degree in the int64 range when None), one
+    block of whole shells each.  A block ends at the first shell that
+    brings it to `size` points, found from `lattice_count` without walking
+    shells, and each block's `size` is `grow` times the one before."""
     top = _LATTICE_MAX if n_shell is None else n_shell
     total = lattice_count(r, top)
     lo, done = 0, 0  # done = lattice_count(r, lo - 1)
     while done < total:
         hi = min(_last_degree(r, done + size - 1, lo - 1, top) + 1, top)
-        yield _shells(lo, hi, r), hi
+        yield lo, hi
         lo, done, size = hi + 1, lattice_count(r, hi), size * grow
 
 
 def _lattice_blocks(
     config: ShintaniConfig, n_shell: Optional[int] = None, size: int = _BLOCK, grow: int = 1
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """`_iter_blocks` restricted to theta's support: the lattice points of
-    degree <= n_shell (every degree when None) where theta may be nonzero.
-    An enumerable support is one block, through n_shell or its last degree;
-    an unbounded sparse support with no n_shell is one block per support
-    degree, up to the int64 range of lattice points.  Where theta.support
-    is None the blocks are `_iter_blocks`' whole shells."""
+    """(points, last degree) by blocks: lattice points of degree <= n_shell
+    (every degree when None) that include every point where theta != 0.
+    Each `_iter_blocks` range is a block: theta's `support` there, or all
+    its points (`_shells`) when that is None.  A sparse support is one block,
+    through n_shell or its last degree; unbounded with no n_shell, one
+    block per support degree, up to the int64 range of lattice points."""
     theta, r = config.theta, config.r
     top = theta.support_degree if n_shell is None else n_shell
-    if top is not None:
-        pts = theta.support(r, 0, top)
-        if pts is not None:
-            yield pts, top
-            return
-        theta.prewarm(top)
-    elif theta.support(r, 0, 0) is not None:
+    if not theta.sparse:
+        if top is not None:
+            theta.prewarm(top)
+        for lo, hi in _iter_blocks(r, top, size, grow):
+            pts = theta.support(r, lo, hi)
+            yield (_shells(lo, hi, r) if pts is None else pts), hi
+    elif top is not None:
+        yield theta.support(r, 0, top), top
+    else:
         lo, hi = 0, 1
         while lo <= _LATTICE_MAX:
             pts = theta.support(r, lo, hi)
@@ -905,8 +910,6 @@ def _lattice_blocks(
             for t in np.unique(degrees).tolist():
                 yield pts[degrees == t], t
             lo, hi = hi + 1, 2 * hi + 1
-        return
-    yield from _iter_blocks(r, top, size, grow)
 
 
 def _blocks_upto(config: ShintaniConfig, n_shell: int) -> Iterable[np.ndarray]:
@@ -969,15 +972,17 @@ def _terms(
     config: ShintaniConfig, pts: np.ndarray, beta: np.ndarray, is_real: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The forms L_l(n) and the terms theta(n) prod_l L_l(n)^(-beta_l) at
-    the lattice points `pts` of a `_lattice_blocks` block where theta(n) !=
-    0 (every point when theta is 1): theta is taken first
-    (`CoefficientSpec.nonzero`, told when the block is whole shells), and a
-    point where it is 0 adds nothing to a sum, so its forms and powers are
-    never formed."""
+    the points `pts` of a `_lattice_blocks` block where theta(n) != 0
+    (every point when theta is 1): theta is taken first, and a point where
+    it is 0 adds nothing to a sum, so its forms and powers are never
+    formed."""
     if config.theta.is_one:
         forms = pts @ config.lam.T + config.form_offsets
         return forms, _form_powers(forms, beta, is_real)
-    pts, vals = config.theta.nonzero(pts, config.theta.support(config.r, 0, 0) is None)
+    vals = cf.theta_values(config.theta, pts)
+    keep = vals != 0
+    if not keep.all():
+        pts, vals = pts[keep], vals[keep]
     forms = pts @ config.lam.T + config.form_offsets
     return forms, vals * _form_powers(forms, beta, is_real)
 
@@ -1485,7 +1490,7 @@ def _line_partial_sum(
             counts = counts.cumsum()
         blocks = [(block, scale * counts)]
     else:
-        blocks = ((block, scale) for block, _ in _iter_blocks(r - 1, n_shell))
+        blocks = ((_shells(lo, hi, r - 1), scale) for lo, hi in _iter_blocks(r - 1, n_shell))
     parts = []  # (v, k_max, weights) of the lines, block by block and class by class
     for block, block_scale in blocks:
         deg = block.sum(axis=1)
@@ -1523,7 +1528,7 @@ def _partial_sum(
     if lines is not None:
         value, remainder = lines
         return value, tail + remainder
-    if config.theta.support(config.r, 0, 0) is None:
+    if not config.theta.sparse:
         _require_budget(lattice_count(config.r, n_shell), f"lattice points through shell {n_shell}")
     return _sum_terms(config, pt, _blocks_upto(config, n_shell)), tail
 
@@ -1571,11 +1576,10 @@ def _choose_shell(
             j = next((j for j, tail in enumerate(tails) if tail <= tol), len(tails) - 1)
             chosen.append((shells[j][0], tails[j] <= tol, tails[j]))
         return chosen
-    sparse = theta.support(config.r, 0, 0) is not None
     n_cap = _cap_from_budget(config.r, shell_cap)
     chosen = []
     for sigma in sigmas:
-        if sparse:
+        if theta.sparse:
             # an unbounded sparse support: one candidate shell per support degree
             for _, n in itertools.islice(_lattice_blocks(config), max(shell_cap, 1)):
                 tail = _tail_bound(config, sigma, n)

@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from .arithmetic import frozen_array
-from .distributions import ZetaDistribution, atom_cf_grid, build_distribution
+from .distributions import _COUNT_MAX, ZetaDistribution, atom_cf_grid, build_distribution
 from .errors import ConfigError, NumericError, RegionError
 from .series import (
     DEFAULT_SHELL_CAP,
@@ -148,6 +148,8 @@ def scan_cf_zeros(
     lo, hi = t_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ConfigError(f"scan t_range needs finite ends with lo <= hi, got {t_range}")
+    if (hi - lo) / step >= _COUNT_MAX:  # refused before anything is allocated (inf included)
+        raise ConfigError(f"scan step {step} over {t_range} is past the limit of {_COUNT_MAX} grid points")
     delta = min(_GRID_DELTA, trigger / 50)
     dist = build_distribution(config, sig, delta=delta, shell_cap=shell_cap)
     ts = np.arange(lo, hi + step / 2, step)

@@ -8,10 +8,11 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shintani import arithmetic
@@ -28,6 +29,7 @@ from shintani.arithmetic import (
     sieve_primes,
 )
 from shintani.errors import ConfigError
+from shintani.euler import levy_measure, riemann_levy_logcf
 
 
 def trial_division_primes(limit):
@@ -54,6 +56,24 @@ class TestSieve:
     def test_limit_too_small(self):
         with pytest.raises(ConfigError):
             sieve_primes(1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: sieve_primes(arithmetic._SIEVE_MAX + 1),
+        lambda: sieve_primes(10**15),
+        lambda: sieve_primes(10**400),
+        lambda: riemann_levy_logcf(2.0, 1.0, prime_limit=10**15),
+        lambda: levy_measure(2.0, 10**15, 40),
+    ], ids=["2^31+1", "1e15", "1e400", "levy_logcf", "levy_measure"])
+    def test_limit_past_the_maximum_is_config_error(self, call):
+        # raised MemoryError from numpy once; refused before the sieve is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="past the limit"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestExponents:
@@ -164,6 +184,28 @@ def test_complete_homogeneous_against_compositions(alphas, top):
         assert np.all(np.abs(np.asarray(arrays[nu]) - want) <= 1e-13 * size + 1e-300)
 
 
+_value = st.floats(-1.0, 1.0).map(complex) | _unit_disc | st.just(0j)
+_rules = st.one_of(
+    _value.map(AlphaRule.constant),
+    st.integers(2, 6).flatmap(lambda q: st.lists(_value, min_size=q, max_size=q).map(
+        lambda table: AlphaRule.character(len(table), table))),
+    st.builds(lambda entries, default: AlphaRule.table(entries, default=default),
+              st.dictionaries(st.sampled_from([2, 3, 5, 67, 101, 149, 257]), _value, max_size=3), _value),
+)
+
+
+@settings(deadline=None)
+@example(rules=(AlphaRule.character(3, (0.0, 0.5j, -0.5 + 0.5j)), AlphaRule.constant(0.3 + 0.4j)), limit=4096)
+@given(st.lists(_rules, min_size=1, max_size=3).map(tuple), st.integers(1, 1 << 17))
+def test_table_bits_do_not_depend_on_build_size(rules, limit):
+    # a fresh table at `limit` is the slice of a 2^18 one bit for bit, real or
+    # complex: a prime's factor is multiplied in one way at every build size
+    arithmetic._COEFF_ARRAY_CACHE.clear()
+    fresh = np.array(coefficient_array(rules, limit))
+    arithmetic._COEFF_ARRAY_CACHE.clear()
+    assert fresh.tobytes() == coefficient_array(rules, 1 << 18)[: limit + 1].tobytes()
+
+
 def _run_threads(worker, count: int = 8) -> list[str]:
     """Run worker(seed, errors) in `count` threads with a 1 us switch
     interval; returns the errors they appended."""
@@ -238,8 +280,8 @@ class TestCoefficientArrayThreads:
                         # and the evaluate's own table is evicted and rebuilt
                         # with its nonzero index
                         for key in self.KEYS:
-                            table, index = coefficient_nonzero(*key)
-                            if not np.array_equal(index, np.flatnonzero(table)):
+                            index = coefficient_nonzero(*key)
+                            if not np.array_equal(index, np.flatnonzero(coefficient_array(*key))):
                                 errors.append(f"wrong nonzero index for limit {key[1]}")
                     if evaluate(cfg, points[i], tol=1e-9) != expected[i]:
                         errors.append(f"evaluate differs at s = {points[i]}")

@@ -281,6 +281,8 @@ def _rules(coords):
 
 _EULER_DOC = "function: {{kind: euler, m: {m}, d: 1, alpha: {alpha}, a: {a}}}\n"
 _RIEMANN = "function: {kind: special, name: riemann}\n"
+_BINOMIAL = ("function: {kind: special, name: binomial,\n"
+             "           params: {j: 2, big_k: 1, phi: 2.718281828459045, sigma: -1.0}}\n")
 
 # document -> the key path its ConfigError names; each once escaped
 # parse_config as a TypeError, KeyError or ValueError (a traceback, exit 1)
@@ -509,6 +511,30 @@ class TestCli:
             f"action: {{sigma: 2.0, delta: 1.0e-3, prime_limit: 100, {action}}}\n"
             f"output: {{dir: '{tmp_path}'}}\n",
         )
+        result = CliRunner().invoke(cli, [command, "--config", cfgp, "--quiet"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"config error: {path}" in result.output and "past the limit" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / csv).exists()
+
+    @pytest.mark.parametrize("command, doc, path, csv", [
+        ("zeros", _BINOMIAL + "action: {sigma: [-1.0], scan: {step: 1.0e-12}}\n", "action.scan.step", "zeros.csv"),
+        ("zeros", _BINOMIAL + "action: {sigma: [-1.0], scan: {step: 1.0e-300}}\n", "action.scan.step", "zeros.csv"),
+        ("zeros", _BINOMIAL + "action: {sigma: [-1.0], scan: {lo: -1.0e+308, hi: 1.0e+308}}\n",
+         "action.scan.step", "zeros.csv"),
+        ("eval", _EULER_DOC.format(m=1, alpha="{rule: constant, params: {value: 1.0}}", a="[[1.0]]")
+         + f"action: {{s: 2.0, prime_limit: {10**15}}}\n", "action.prime_limit", "eval.csv"),
+        ("levy-check", _RIEMANN + f"action: {{sigma: 2.0, prime_limit: {2**31 + 1}}}\n",
+         "action.prime_limit", "levy_check.csv"),
+        ("levy-check", _RIEMANN + f"action: {{sigma: 2.0, prime_limit: {10**400}}}\n",
+         "action.prime_limit", "levy_check.csv"),
+    ], ids=["scan-1e-12", "scan-1e-300", "scan-2e308", "eval-1e15", "levy-2^31+1", "levy-1e400"])
+    def test_allocation_past_the_limit_is_config_error(self, tmp_path, command, doc, path, csv):
+        # a scan step of 1e-12 raised MemoryError (291 TiB) and one of 1e-300
+        # ValueError from numpy, a prime limit of 10^15 MemoryError in the
+        # sieve; each is refused when the document is read
+        cfgp = self.write(tmp_path, doc + f"output: {{dir: '{tmp_path}'}}\n")
         result = CliRunner().invoke(cli, [command, "--config", cfgp, "--quiet"])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)

@@ -1,9 +1,10 @@
 """One lattice enumerator for partial sums, tails and atom tables.
 
-`series._iter_blocks` walks the lattice in blocks of whole shells,
-`series._lattice_blocks` adds theta's support, and `build_distribution`
-chooses only how its blocks grow.  The tests pin the block structure, the
-budget search and the atom tables that the growth policy fixes.
+`series._iter_blocks` cuts the degrees into ranges of whole shells,
+`series._lattice_blocks` asks theta's `support` for each range (every
+lattice point of it when that is None), and `build_distribution` chooses
+only how its blocks grow.  The tests pin the block structure, the budget
+search and the atom tables that the growth policy fixes.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ def _one_form(theta):
     return ShintaniConfig(d=1, m=1, r=1, lam=[[1.0]], u=[1.0], c=[[1.0]], theta=theta)
 
 
-def _check_whole_shells(blocks, r):
-    """Each block is every point of the degrees after the previous block's
-    last degree through its own; returns the last degree."""
+def _check_whole_shells(ranges, r):
+    """Each degree range starts after the previous one's last degree and
+    holds points of its last degree; returns the last degree."""
     last = -1
-    for pts, hi in blocks:
-        assert hi > last
-        assert np.array_equal(pts, _shells(last + 1, hi, r))
+    for lo, hi in ranges:
+        assert lo == last + 1 and hi >= lo
         if r > 0:
+            pts = _shells(lo, hi, r)
             assert pts.shape[0] > 0 and int(pts.sum(axis=1).max()) == hi
         last = hi
     return last
@@ -52,12 +53,12 @@ class TestIterBlocks:
     @pytest.mark.parametrize("size,grow", POLICIES)
     def test_blocks_are_whole_shells(self, r, size, grow):
         for n in (0, 1, 2, 9, 30):
-            blocks = list(_iter_blocks(r, n, size, grow))
-            last = _check_whole_shells(blocks, r)
+            ranges = list(_iter_blocks(r, n, size, grow))
+            last = _check_whole_shells(ranges, r)
             # the walk stops when the points run out: at rank 0, with the
             # one point of degree 0
             assert last == n if r > 0 else last <= n
-            got = np.concatenate([pts for pts, _ in blocks])
+            got = np.concatenate([_shells(lo, hi, r) for lo, hi in ranges])
             assert np.array_equal(got, _shells(0, n, r))
 
     @pytest.mark.parametrize("r", range(1, 5))
@@ -67,19 +68,19 @@ class TestIterBlocks:
         bounded = list(_iter_blocks(r, n, size, grow))
         unbounded = list(itertools.islice(_iter_blocks(r, None, size, grow), len(bounded)))
         _check_whole_shells(unbounded, r)
-        for (a, ha), (b, hb) in zip(bounded[:-1], unbounded):
-            assert ha == hb and np.array_equal(a, b)
-        assert unbounded[-1][1] >= n
+        assert bounded[:-1] == unbounded[:-1]
+        assert unbounded[-1][0] == bounded[-1][0] and unbounded[-1][1] >= n
 
     def test_block_sizes(self):
         # a block closes on the first shell that brings it to `size` points
-        sizes = [pts.shape[0] for pts, _ in itertools.islice(_iter_blocks(1, None, 5, 2), 4)]
+        sizes = [_shells(lo, hi, 1).shape[0] for lo, hi in itertools.islice(_iter_blocks(1, None, 5, 2), 4)]
         assert sizes == [5, 10, 20, 40]
-        for pts, hi in itertools.islice(_iter_blocks(2, None, 10, 1), 6):
-            assert pts.shape[0] >= 10 and pts.shape[0] - (hi + 1) < 10
+        for lo, hi in itertools.islice(_iter_blocks(2, None, 10, 1), 6):
+            size = _shells(lo, hi, 2).shape[0]
+            assert size >= 10 and size - (hi + 1) < 10
 
     def test_rank_zero_is_one_point(self):
-        assert [(pts.shape, hi) for pts, hi in _iter_blocks(0, 4)] == [((1, 0), 4)]
+        assert [(_shells(lo, hi, 0).shape, hi) for lo, hi in _iter_blocks(0, 4)] == [((1, 0), 4)]
 
 
 @pytest.mark.parametrize("r", range(1, 5))
@@ -117,7 +118,7 @@ class TestLatticeBlocks:
     def test_dense_support_is_the_lattice(self):
         config = make_special("euler_zagier", r=2, u=[0.0, 0.0])
         got = list(_lattice_blocks(config, 20, 1, 1))
-        want = list(_iter_blocks(2, 20, 1, 1))
+        want = [(_shells(lo, hi, 2), hi) for lo, hi in _iter_blocks(2, 20, 1, 1)]
         assert [hi for _, hi in got] == [hi for _, hi in want] == list(range(21))
         assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(got, want))
 

@@ -288,6 +288,21 @@ class TestTailBound:
             # past the last support point nothing is omitted
             assert tail_bound(cfg, s, cfg.theta.support_degree) == 0.0
 
+    @pytest.mark.parametrize("entries", [{(0,): 1.0, (1,): 5e-324}, {(0, 0): 1.0, (1, 0): 5e-324}],
+                             ids=["r=1", "r=2"])
+    def test_subnormal_coefficient_at_a_normal_power(self, entries):
+        # the term 5e-324 2^-2 rounds to 0 at a normal power: the tail was 0.0
+        # and evaluate reported certified=True, tail_bound=0.0
+        r = len(next(iter(entries)))
+        cfg = ShintaniConfig(d=1, m=1, r=r, lam=[[1.0] * r], u=[1.0] * r, c=[[1.0]],
+                             theta=CoefficientSpec.finite_support(entries))
+        with mp.workdps(30):
+            omitted = mp.mpf(5e-324) * mp.mpf(2 + r - 1) ** -2
+        for res in (evaluate_partial(cfg, 2.0, 0), evaluate(cfg, 2.0, tol=1e-10)):
+            assert res.shells_used == 0 and res.certified
+            assert res.tail_bound >= 2.0**-1074 and omitted <= res.tail_bound
+        assert tail_bound(cfg, 2.0, 0) == res.tail_bound
+
     def test_tail_below_the_float_range_is_the_least_subnormal(self):
         with mp.workdps(30):
             true = mp.zeta(300, 10002)  # about 10^-1200

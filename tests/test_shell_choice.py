@@ -51,7 +51,7 @@ def _reference_choose_shell(config, sigma, tol, shell_cap):
             if tail <= tol:
                 return n, True, tail
         return n_cap, False, tail
-    if theta.support(config.r, 0, 0) is not None:
+    if theta.sparse:
         for _, n in itertools.islice(series._lattice_blocks(config), max(shell_cap, 1)):
             tail = _tail_bound(config, sigma, n)
             if tail <= tol:

@@ -1,6 +1,7 @@
 """Zero scanning, argument-principle rectangle counts, and certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestScan:
         sd = make_special_distribution("binomial", j=2, big_k=1, phi=math.e, sigma=-1.0)
         with pytest.raises(ConfigError, match="t_range"):
             scan_cf_zeros(sd.config, sd.sigma, t_range=t_range)
+
+    @pytest.mark.parametrize("step, t_range", [
+        (1e-12, (-20.0, 20.0)), (1e-300, (-20.0, 20.0)), (5e-324, (0.0, 1.0)), (1.0, (-1e308, 1e308)),
+    ])
+    def test_grid_past_the_limit_rejected(self, step, t_range):
+        # a step of 1e-12 raised MemoryError (291 TiB) and one of 1e-300
+        # ValueError from numpy; refused before the atom table or grid is formed
+        sd = make_special_distribution("binomial", j=2, big_k=1, phi=math.e, sigma=-1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="past the limit"):
+                scan_cf_zeros(sd.config, sd.sigma, t_range=t_range, step=step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_t_axis_out_of_range_rejected(self):
         sd = make_special_distribution("binomial", j=2, big_k=1, phi=math.e, sigma=-1.0)
